@@ -372,7 +372,9 @@ def _batch_loss(
         targets = batch.targets[row, :length]
         if objective == "infill":
             kind = cfg.mask_kinds[rng.integers(0, len(cfg.mask_kinds))]
-            spec = _sample_mask_spec(length, kind, cfg.mask_ratio, rng)
+            # the final position has no successor step (its target row is a
+            # zero placeholder), so it is never masked, as in evaluation
+            spec = _sample_mask_spec(length - 1, kind, cfg.mask_ratio, rng)
             x: Tensor | np.ndarray = masking.apply_mask(
                 feats, spec, params.mask_emb
             )

@@ -297,6 +297,25 @@ def test_infill_training_updates_mask_embeddings():
     assert moved
 
 
+def test_infill_training_never_masks_the_final_position(monkeypatch):
+    # the final position's target is a zero placeholder (no successor step)
+    drawn = []
+    real = tr.masking.build_loss_mask
+
+    def recording(spec, mode, seq_len):
+        drawn.append((spec, seq_len))
+        return real(spec, mode, seq_len)
+
+    monkeypatch.setattr(tr.masking, "build_loss_mask", recording)
+    loader, norm = straight_line_loader(n_traj=40, points=6, batch_size=8)
+    params = tm.init_params(TINY, np.random.default_rng(9))
+    cfg = TrainConfig(lr=1e-3, epochs=3, objective="infill", mask_ratio=0.5, seed=5)
+    train(params, TINY, cfg, loader)
+    assert len(drawn) == 3 * 40
+    assert sum(len(spec.positions) for spec, _ in drawn) > 0
+    assert all(max(spec.positions, default=-1) < n - 1 for spec, n in drawn)
+
+
 def test_alternating_objective_runs_both_modes():
     loader, norm = straight_line_loader(points=12)
     params = tm.init_params(TINY, np.random.default_rng(8))
