@@ -2,7 +2,9 @@
 
 Design notes:
   * Storage is a C-contiguous float64 numpy array; shapes are explicit and the
-    only broadcasting allowed is trailing-axis bias addition (``add_bias``).
+    only broadcasting allowed is trailing-axis bias addition (``add_bias``)
+    and a 2-D weight shared by every sequence of a ``[B, S, k]`` batch
+    (``matmul``).
   * One ``Tape`` per forward pass.  Operations record nodes eagerly, so the
     tape is already topologically ordered; ``backward`` walks it once in
     reverse, accumulating vector-Jacobian products.
@@ -11,6 +13,12 @@ Design notes:
     how many other rows/columns are present.  This keeps causal-model outputs
     bit-identical when a sequence is truncated or a future position is
     perturbed, which plain BLAS kernels do not guarantee.
+  * A leading batch axis changes no bit.  Gradients of parameters shared by
+    the sequences of a ``[B, S, ...]`` batch are per-sequence partial sums
+    folded last sequence first, which is exactly how a tape holding one
+    forward pass per sequence accumulates them.  So a batched pass equals
+    ``B`` single-sequence passes bit for bit, and zero-padded positions
+    whose output gradient is zero add exact zeros after every valid term.
 """
 
 from __future__ import annotations
@@ -188,9 +196,14 @@ def backward(loss: Tensor, tape: Tape | None = None) -> dict[Tensor, np.ndarray]
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
 
+    nodes = tape._nodes
+    watched = {id(t) for t in tape._watched}
+    produced = {id(out) for out, _, _ in nodes}
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {}
-    for node_out, node_inputs, vjp in reversed(tape._nodes):
+    while nodes:
+        # popping releases each node's saved activations once its VJP ran
+        node_out, node_inputs, vjp = nodes.pop()
         g = grads.pop(id(node_out), None)
         if g is None:
             continue  # the loss does not depend on this node
@@ -198,6 +211,8 @@ def backward(loss: Tensor, tape: Tape | None = None) -> dict[Tensor, np.ndarray]
         for inp, gi in zip(node_inputs, input_grads):
             if gi is None:
                 continue
+            if not (inp.requires_grad or id(inp) in produced or id(inp) in watched):
+                continue  # a constant: nothing reads its gradient
             prev = grads.get(id(inp))
             grads[id(inp)] = gi if prev is None else prev + gi
             if inp.requires_grad:
@@ -224,25 +239,46 @@ def backward(loss: Tensor, tape: Tape | None = None) -> dict[Tensor, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Rank-1 accumulation, strictly sequential over the contraction axis.
     # Each output element is summed in an order that depends only on its own
     # row of `a` and column of `b`, never on how many other rows/columns are
     # in the call, so truncating a matrix reproduces the surviving entries
-    # bit-for-bit (BLAS tiling does not promise that).
-    m, k = a.shape
-    _, n = b.shape
-    out = np.zeros((m, n), dtype=np.float64)
+    # bit-for-bit (BLAS tiling does not promise that).  Leading axes
+    # ([..., m, k] @ [..., k, n], broadcast) are independent products.
+    k = a.shape[-1]
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.zeros(lead + (a.shape[-2], b.shape[-1]), dtype=np.float64)
     for i in range(k):
-        out += a[:, i : i + 1] * b[i, :]
+        out += a[..., i : i + 1] * b[..., i : i + 1, :]
     return out
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The 2-D product [m, k] @ [k, n]: every projection of a batch runs
+    # through here with its [B, S] rows folded into m, which is row-local.
+    return _bmm(a, b)
+
+
+def _fold(parts: np.ndarray) -> np.ndarray:
+    # parts[b] is sequence b's share of a shared parameter's gradient.  A
+    # reverse tape visits the last sequence first and adds the earlier ones
+    # onto it; cumsum over the reversed axis is that same sequential chain.
+    return np.cumsum(parts[::-1], axis=0)[-1]
+
+
+def _seq_sums(g: np.ndarray) -> np.ndarray:
+    # [B, S, d] -> [B, d]: each sequence's sum over its positions.  On a
+    # C-contiguous array numpy adds whole position rows in order, as it does
+    # for one [S, d] sequence; a strided view could be summed pairwise.
+    return np.ascontiguousarray(g).sum(axis=1)
+
+
 def _row_sums(x: np.ndarray) -> np.ndarray:
-    # Left-to-right per-row sum via cumsum: appending zeros to a row (masked
-    # positions) can never change the sum of its prefix, unlike pairwise
-    # summation whose grouping depends on the row length.
-    return np.cumsum(x, axis=1)[:, -1:]
+    # Left-to-right sum over the last axis via cumsum: appending zeros to a
+    # row (masked positions) can never change the sum of its prefix, unlike
+    # pairwise summation whose grouping depends on the row length.
+    return np.cumsum(x, axis=-1)[..., -1:]
 
 
 # ---------------------------------------------------------------------------
@@ -284,36 +320,64 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """``x + b`` where ``b`` broadcasts along the trailing axis of ``x``.
 
-    This is the single broadcasting rule the engine supports.
+    For a ``[B, S, d]`` batch the bias gradient is folded per sequence.
     """
     if b.ndim != 1 or x.ndim < 2 or x.shape[-1] != b.shape[0]:
         raise ShapeMismatchError(f"add_bias: shapes {x.shape} and {b.shape} are incompatible")
     d = b.shape[0]
 
     def vjp(g: np.ndarray):
+        if g.ndim == 3:
+            return g, _fold(_seq_sums(g))
         return g, g.reshape(-1, d).sum(axis=0)
 
     return record_op((x, b), x.data + b.data, vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product with deterministic, truncation-stable accumulation."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatchError(f"matmul: expected 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product with deterministic, truncation-stable accumulation.
+
+    Three forms: ``[m, k] @ [k, n]``; ``[B, S, k] @ [k, n]``, a weight shared
+    by every sequence of a batch (its gradient is folded per sequence); and
+    ``[..., m, k] @ [..., k, n]`` with equal leading axes, one independent
+    product per leading index (attention heads).
+    """
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(f"matmul: inner dimensions of {a.shape} and {b.shape} differ")
     ad, bd = a.data, b.data
+    if a.ndim == b.ndim:
+        if a.shape[:-2] != b.shape[:-2]:
+            raise ShapeMismatchError(f"matmul: leading axes of {a.shape} and {b.shape} differ")
+        if a.ndim == 2:
+            return record_op((a, b), _mm(ad, bd), lambda g: (_mm(g, bd.T), _mm(ad.T, g)))
 
-    def vjp(g: np.ndarray):
-        return _mm(g, bd.T), _mm(ad.T, g)
+        def vjp_batched(g: np.ndarray):
+            return _bmm(g, np.swapaxes(bd, -1, -2)), _bmm(np.swapaxes(ad, -1, -2), g)
 
-    return record_op((a, b), _mm(ad, bd), vjp)
+        return record_op((a, b), _bmm(ad, bd), vjp_batched)
+    if a.ndim != 3 or b.ndim != 2:
+        raise ShapeMismatchError(f"matmul: cannot multiply {a.shape} by {b.shape}")
+    k, n = bd.shape
+    rows = ad.reshape(-1, k)  # [B*S, k]: each row's product is row-local
+
+    def vjp_shared(g: np.ndarray):
+        da = _mm(g.reshape(-1, n), bd.T).reshape(ad.shape)
+        return da, _fold(_bmm(np.swapaxes(ad, 1, 2), g))
+
+    return record_op((a, b), _mm(rows, bd).reshape(ad.shape[:-1] + (n,)), vjp_shared)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeMismatchError(f"transpose: expected a 2-D tensor, got {a.shape}")
-    return record_op((a,), a.data.T, lambda g: (g.T,))
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Swap the last two axes, or permute all axes by ``axes``."""
+    if axes is None:
+        if a.ndim < 2:
+            raise ShapeMismatchError(f"transpose: expected at least 2 axes, got {a.shape}")
+        axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
+    inverse = tuple(np.argsort(axes))
+    # contiguous gradients keep every later reduction in its sequential order
+    return record_op(
+        (a,), a.data.transpose(axes), lambda g: (np.ascontiguousarray(g.transpose(inverse)),)
+    )
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -416,14 +480,14 @@ def gather_rows(table: Tensor, indices) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, stable under large scores.
+    """Softmax over the last axis, stable under large scores.
 
     Rows may contain -inf entries (disallowed attention slots) as long as at
     least one entry is finite; those slots come out exactly 0.
     """
-    if x.ndim != 2:
-        raise ShapeMismatchError(f"softmax_rows: expected a 2-D tensor, got {x.shape}")
-    m = np.max(x.data, axis=1, keepdims=True)  # subtract the row max first
+    if x.ndim < 2:
+        raise ShapeMismatchError(f"softmax_rows: expected at least 2 axes, got {x.shape}")
+    m = np.max(x.data, axis=-1, keepdims=True)  # subtract the row max first
     e = np.exp(x.data - m)
     y = e / _row_sums(e)
 
@@ -453,8 +517,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     gd = gain.data
 
     def vjp(g: np.ndarray):
-        dgain = (g * xhat).reshape(-1, d).sum(axis=0)
-        dbias = g.reshape(-1, d).sum(axis=0)
+        if g.ndim == 3:  # [B, S, d]: fold per sequence
+            dgain, dbias = _fold(_seq_sums(g * xhat)), _fold(_seq_sums(g))
+        else:
+            dgain = (g * xhat).reshape(-1, d).sum(axis=0)
+            dbias = g.reshape(-1, d).sum(axis=0)
         dxhat = g * gd
         dx = inv * (
             dxhat

@@ -256,7 +256,6 @@ class Batch:
     pad_mask: np.ndarray  # [B, S] bool, True = valid
     ids: tuple[str, ...]
     lengths: tuple[int, ...]
-    mask_specs: tuple | None = None
 
     def __post_init__(self):
         b, s, f = self.features.shape
@@ -365,22 +364,27 @@ _DONE = _Done()
 
 
 class _Prefetcher:
-    """Single worker thread pushing items through a bounded queue."""
+    """Single worker thread pushing items through a bounded queue.
+
+    A consumer that stops early need not drain the queue: once the
+    prefetcher is closed or garbage-collected, the worker stops at its
+    next ``put`` and exits.
+    """
 
     def __init__(self, source: Iterator, depth: int = 2):
         self._queue: queue.Queue = queue.Queue(maxsize=depth)
+        self._stop = threading.Event()
+        # the worker must not reference self, or it would keep it alive
         self._thread = threading.Thread(
-            target=self._fill, args=(source,), daemon=True
+            target=_fill, args=(source, self._queue, self._stop), daemon=True
         )
         self._thread.start()
 
-    def _fill(self, source: Iterator) -> None:
-        try:
-            for item in source:
-                self._queue.put(item)
-            self._queue.put(_DONE)
-        except BaseException as exc:  # surface worker failures to the consumer
-            self._queue.put(exc)
+    def close(self) -> None:
+        """Stop the worker; items not yet consumed are dropped."""
+        self._stop.set()
+
+    __del__ = close
 
     def __iter__(self) -> Iterator:
         return self
@@ -392,6 +396,28 @@ class _Prefetcher:
         if isinstance(item, BaseException):
             raise item
         return item
+
+
+_PUT_POLL_S = 0.05  # how often a worker blocked on a full queue checks for stop
+
+
+def _fill(source: Iterator, out: queue.Queue, stop: threading.Event) -> None:
+    def put(item) -> bool:
+        while not stop.is_set():
+            try:
+                out.put(item, timeout=_PUT_POLL_S)
+                return True
+            except queue.Full:
+                pass
+        return False
+
+    try:
+        for item in source:
+            if not put(item):
+                return
+        put(_DONE)
+    except Exception as exc:  # surface worker failures to the consumer
+        put(exc)
 
 
 class BatchLoader:

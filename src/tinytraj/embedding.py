@@ -3,7 +3,8 @@ channels, and fixed-stride patching.
 
 The full pipeline (``embed_sequence``) runs: optional Time2Vec concat (to the
 per-point features, before any projection) -> optional patchify -> learnable
-linear projection to d_model -> additive sinusoidal position encoding.
+linear projection to d_model -> additive sinusoidal position encoding.  It
+takes one ``[S, 7]`` sequence or a ``[B, S, 7]`` batch.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ def init_time2vec(k: int, rng: np.random.Generator) -> Time2VecLayer:
 
 
 def project(x: Tensor | np.ndarray, layer: ProjectionLayer) -> Tensor:
-    """Apply the learnable projection to a [S, f_in] sequence."""
+    """Apply the learnable projection to a [S, f_in] sequence or a
+    [B, S, f_in] batch."""
     xt = x if isinstance(x, Tensor) else Tensor(x)
     return ad.add_bias(ad.matmul(xt, layer.w), layer.b)
 
@@ -122,36 +124,39 @@ def time2vec(tau: float, layer: Time2VecLayer) -> Tensor:
 
 
 def time2vec_sequence(taus: np.ndarray, layer: Time2VecLayer) -> Tensor:
-    """Encode a [S] vector of time values to [S, k].
+    """Encode a [S] vector of time values to [S, k] (a [B, S] batch to
+    [B, S, k]).
 
     Channel 0 stays linear (omega*tau + phi); channels 1..k-1 pass through a
     sine.  Differentiable in omega and phi.
     """
-    taus = np.asarray(taus, dtype=np.float64).reshape(-1, 1)  # [S, 1]
+    taus = np.asarray(taus, dtype=np.float64)[..., None]  # [..., S, 1]
     k = layer.k
     # outer product via matmul keeps the op differentiable in omega
     angles = ad.add_bias(ad.matmul(Tensor(taus), ad.reshape(layer.omega, (1, k))), layer.phi)
-    linear = ad.slice_axis(angles, 1, 0, 1)
-    periodic = ad.sin(ad.slice_axis(angles, 1, 1, k - 1))
-    return ad.concat([linear, periodic], axis=1)
+    last = angles.ndim - 1
+    linear = ad.slice_axis(angles, last, 0, 1)
+    periodic = ad.sin(ad.slice_axis(angles, last, 1, k - 1))
+    return ad.concat([linear, periodic], axis=last)
 
 
 def patchify(x: Tensor | np.ndarray, patch_len: int) -> tuple[Tensor, int]:
     """Group consecutive rows into flat patch vectors.
 
-    [S, F] -> [ceil(S/P), P*F]; the last patch is zero-padded.  Returns the
-    patched tensor and the original valid length S (for exact inversion).
+    [S, F] -> [ceil(S/P), P*F] (a [B, S, F] batch -> [B, ceil(S/P), P*F]);
+    the last patch is zero-padded.  Returns the patched tensor and the
+    original valid length S (for exact inversion).
     """
     xt = x if isinstance(x, Tensor) else Tensor(x)
-    if xt.ndim != 2:
-        raise ValueError(f"patchify expects [S, F], got shape {xt.shape}")
-    s, f = xt.shape
+    if xt.ndim not in (2, 3):
+        raise ValueError(f"patchify expects [S, F] or [B, S, F], got shape {xt.shape}")
+    *lead, s, f = xt.shape
     p = PatchConfig(patch_len).patch_len
     n_patches = -(-s // p)  # ceil
     pad = n_patches * p - s
     if pad:
-        xt = ad.concat([xt, Tensor(np.zeros((pad, f)))], axis=0)
-    return ad.reshape(xt, (n_patches, p * f)), s
+        xt = ad.concat([xt, Tensor(np.zeros((*lead, pad, f)))], axis=xt.ndim - 2)
+    return ad.reshape(xt, (*lead, n_patches, p * f)), s
 
 
 def unpatchify(patched: np.ndarray, patch_len: int, valid_len: int, f: int) -> np.ndarray:
@@ -170,22 +175,37 @@ def embed_sequence(
     time2vec_layer: Time2VecLayer | None = None,
     patch_len: int = 1,
     use_dt_feature: bool = True,
+    lengths=None,
 ) -> Tensor:
-    """Full input pipeline: [S, 7] point features -> [S', d_model] embeddings.
+    """Full input pipeline: [S, 7] point features -> [S', d_model] embeddings,
+    or a [B, S, 7] batch -> [B, S', d_model] in one pass.
 
     Order: extract Time2Vec channels from the dt column and concatenate them
     to the per-point features, optionally drop the raw dt column, patchify,
     project, then add the position rows of ``pe_table`` (None disables PE).
+    ``lengths`` gives each batch row's number of real points; the Time2Vec
+    channels of the zero padding after them are zeroed, so a patch that
+    straddles a row's end sees the same zeros as a single-sequence pass.
     """
     x = features if isinstance(features, Tensor) else Tensor(features)
-    if x.ndim != 2 or x.shape[1] != geo.FEATURE_DIM:
-        raise ValueError(f"expected [S, {geo.FEATURE_DIM}] features, got shape {x.shape}")
+    if x.ndim not in (2, 3) or x.shape[-1] != geo.FEATURE_DIM:
+        raise ValueError(
+            f"expected [S, {geo.FEATURE_DIM}] or [B, S, {geo.FEATURE_DIM}] features, "
+            f"got shape {x.shape}"
+        )
+    single = x.ndim == 2
+    if single:
+        x = ad.reshape(x, (1,) + x.shape)
 
-    blocks = [x if use_dt_feature else ad.slice_axis(x, 1, 0, geo.DT_FEATURE_INDEX)]
+    blocks = [x if use_dt_feature else ad.slice_axis(x, 2, 0, geo.DT_FEATURE_INDEX)]
     if time2vec_layer is not None:
-        taus = x.data[:, geo.DT_FEATURE_INDEX]  # dt already scaled by the 60 s divisor
-        blocks.append(time2vec_sequence(taus, time2vec_layer))
-    x = blocks[0] if len(blocks) == 1 else ad.concat(blocks, axis=1)
+        taus = x.data[..., geo.DT_FEATURE_INDEX]  # dt already scaled by the 60 s divisor
+        t2v = time2vec_sequence(taus, time2vec_layer)
+        if lengths is not None:
+            real = np.arange(x.shape[1]) < np.asarray(lengths)[:, None]
+            t2v = ad.mul(t2v, Tensor(np.broadcast_to(real[..., None], t2v.shape)))
+        blocks.append(t2v)
+    x = blocks[0] if len(blocks) == 1 else ad.concat(blocks, axis=2)
 
     if patch_len > 1:
         x, _ = patchify(x, patch_len)
@@ -193,11 +213,11 @@ def embed_sequence(
     out = project(x, proj)
 
     if pe_table is not None:
-        s = out.shape[0]
+        s = out.shape[1]
         if s > pe_table.shape[0]:
             raise ValueError(f"sequence of {s} positions exceeds table of {pe_table.shape[0]}")
-        out = ad.add(out, Tensor(pe_table[:s]))
-    return out
+        out = ad.add(out, Tensor(np.broadcast_to(pe_table[:s], out.shape)))
+    return ad.reshape(out, out.shape[1:]) if single else out
 
 
 def embedded_width(use_dt_feature: bool, time2vec_k: int | None, patch_len: int) -> int:

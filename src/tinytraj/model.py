@@ -1,8 +1,13 @@
 """Two-block pre-norm decoder transformer over trajectory features.
 
-Per sequence: embed -> n_blocks x (x + MHA(LN(x)); h + FF(LN(h))) -> final
-LN -> linear head emitting one (dlat, dlon, dt) prediction per position, in
-normalized units.  Attention is causal by default; a bidirectional mode
+One pass over a [B, S, 7] batch: embed -> n_blocks x (x + MHA(LN(x));
+h + FF(LN(h))) -> final LN -> linear head emitting one (dlat, dlon, dt)
+prediction per position, in normalized units.  Attention runs every head of
+every sequence at once as [B, H, S, hd]; one [S, 7] sequence is the B = 1
+case.  Ragged batches are zero-padded at the end of each row: causal
+attention never reaches the padding, and bidirectional attention masks
+padded keys with -inf, so every real position equals its single-sequence
+result bit for bit.  Attention is causal by default; a bidirectional mode
 serves masked infill.  Rotary position embeddings on q/k are optional.
 """
 
@@ -219,39 +224,58 @@ def _rope_cos_sin(head_dim: int, positions: np.ndarray) -> tuple[np.ndarray, np.
 def apply_rope(x: Tensor, positions: np.ndarray) -> Tensor:
     """Rotate consecutive channel pairs (2i, 2i+1) by pos * 10000^(-2i/d).
 
+    ``x`` is [..., S, head_dim]; every leading index shares ``positions``.
     A pure rotation: norms are preserved and q/k dot products depend on
     relative position only.  Differentiable (the backward pass rotates the
     gradient by the opposite angle).
     """
-    if x.ndim != 2:
-        raise ad.ShapeMismatchError(f"apply_rope expects [S, head_dim], got {x.shape}")
-    s, hd = x.shape
+    if x.ndim < 2:
+        raise ad.ShapeMismatchError(f"apply_rope expects [..., S, head_dim], got {x.shape}")
+    s, hd = x.shape[-2:]
     positions = np.asarray(positions)
     if positions.shape != (s,):
         raise ad.ShapeMismatchError(f"positions shape {positions.shape} != ({s},)")
     cos, sin_ = _rope_cos_sin(hd, positions)
-    xe, xo = x.data[:, 0::2], x.data[:, 1::2]
+    xe, xo = x.data[..., 0::2], x.data[..., 1::2]
     out = np.empty_like(x.data)
-    out[:, 0::2] = xe * cos - xo * sin_
-    out[:, 1::2] = xe * sin_ + xo * cos
+    out[..., 0::2] = xe * cos - xo * sin_
+    out[..., 1::2] = xe * sin_ + xo * cos
 
     def vjp(g: np.ndarray):
-        ge, go = g[:, 0::2], g[:, 1::2]
-        dx = np.empty_like(g)
-        dx[:, 0::2] = ge * cos + go * sin_  # inverse rotation
-        dx[:, 1::2] = -ge * sin_ + go * cos
+        ge, go = g[..., 0::2], g[..., 1::2]
+        dx = np.empty(g.shape)
+        dx[..., 0::2] = ge * cos + go * sin_  # inverse rotation
+        dx[..., 1::2] = -ge * sin_ + go * cos
         return (dx,)
 
     return ad.record_op((x,), out, vjp)
 
 
+def _key_padding_mask(lengths, seq_len: int) -> np.ndarray | None:
+    """Additive [B, 1, 1, S] mask: -inf on each row's padded keys (positions
+    >= its length), None when no row is padded."""
+    valid = np.asarray(lengths)[:, None, None, None]
+    if (valid >= seq_len).all():
+        return None
+    return np.where(np.arange(seq_len) >= valid, -np.inf, 0.0)
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """softmax(q k^T / sqrt(head_dim) + mask) v for one head."""
-    hd = q.shape[1]
+    """softmax(q k^T / sqrt(head_dim) + mask) v over the last two axes: one
+    head [S, hd], or every head of a batch [B, H, S, hd] at once.
+
+    ``mask`` is an additive array broadcastable to the [..., S, S] scores.
+    """
+    hd = q.shape[-1]
     scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(hd))
-    if mask is not None:
-        scores = ad.add(scores, Tensor(mask))
+    if mask is not None:  # a constant: the gradient passes through unchanged
+        scores = ad.record_op((scores,), scores.data + mask, lambda g: (g,))
     return ad.matmul(ad.softmax_rows(scores), v)
+
+
+def _split_heads(t: Tensor, n_heads: int) -> Tensor:
+    b, s, d = t.shape  # -> [B, H, S, hd]
+    return ad.transpose(ad.reshape(t, (b, s, n_heads, d // n_heads)), (0, 2, 1, 3))
 
 
 def multi_head_attention(
@@ -261,22 +285,25 @@ def multi_head_attention(
     mask: np.ndarray | None,
     positions: np.ndarray,
 ) -> Tensor:
-    """Project to q/k/v, split heads, attend per head, concat, project out."""
-    q = ad.add_bias(ad.matmul(x, bp.wq), bp.bq)  # [S, d_model]
+    """Project to q/k/v, attend in every head at once, merge, project out.
+
+    ``x`` is one [S, d_model] sequence or a [B, S, d_model] batch; ``mask``
+    is an additive array broadcastable to [B, H, S, S] (None: no mask).
+    """
+    single = x.ndim == 2
+    if single:
+        x = ad.reshape(x, (1,) + x.shape)
+    q = ad.add_bias(ad.matmul(x, bp.wq), bp.bq)  # [B, S, d_model]
     k = ad.add_bias(ad.matmul(x, bp.wk), bp.bk)
     v = ad.add_bias(ad.matmul(x, bp.wv), bp.bv)
-    hd = cfg.head_dim
-    heads = []
-    for h in range(cfg.n_heads):
-        qh = ad.slice_axis(q, 1, h * hd, hd)
-        kh = ad.slice_axis(k, 1, h * hd, hd)
-        vh = ad.slice_axis(v, 1, h * hd, hd)
-        if cfg.rope_enabled:
-            qh = apply_rope(qh, positions)
-            kh = apply_rope(kh, positions)
-        heads.append(attention(qh, kh, vh, mask))
-    merged = ad.concat(heads, axis=1)  # [S, d_model]
-    return ad.add_bias(ad.matmul(merged, bp.wo), bp.bo)
+    qh, kh, vh = (_split_heads(t, cfg.n_heads) for t in (q, k, v))
+    if cfg.rope_enabled:
+        qh = apply_rope(qh, positions)
+        kh = apply_rope(kh, positions)
+    heads = attention(qh, kh, vh, mask)  # [B, H, S, hd]
+    merged = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), x.shape)
+    out = ad.add_bias(ad.matmul(merged, bp.wo), bp.bo)
+    return ad.reshape(out, out.shape[1:]) if single else out
 
 
 def transformer_block(
@@ -294,15 +321,30 @@ def transformer_block(
 
 
 def forward_features(
-    features: np.ndarray | Tensor, params: ModelParams, cfg: ModelConfig
+    features: np.ndarray | Tensor,
+    params: ModelParams,
+    cfg: ModelConfig,
+    lengths=None,
 ) -> Tensor:
-    """One sequence end to end: [S, 7] features -> [S', 3] predictions."""
-    s_in = features.shape[0]
+    """The model end to end: [S, 7] features -> [S', 3] predictions, or a
+    [B, S, 7] batch -> [B, S', 3] in one pass.
+
+    ``lengths`` holds each batch row's number of real points (the rest of
+    the row is zero padding); None means every row is full.
+    """
+    single = features.ndim == 2
+    if single:
+        features = features[None] if isinstance(features, np.ndarray) else ad.reshape(
+            features, (1,) + features.shape
+        )
+    b, s_in = features.shape[:2]
     s_out = -(-s_in // cfg.patch_len)  # positions after patching
     if s_out > cfg.max_seq:
         raise ValueError(
             f"sequence of {s_in} points ({s_out} positions) exceeds max_seq {cfg.max_seq}"
         )
+    if lengths is not None and len(lengths) != b:
+        raise ValueError(f"{len(lengths)} lengths for a batch of {b} rows")
     pe = emb.sinusoidal_table(cfg.max_seq, cfg.d_model) if cfg.use_positional_encoding else None
     x = emb.embed_sequence(
         features,
@@ -311,29 +353,36 @@ def forward_features(
         time2vec_layer=params.time2vec,
         patch_len=cfg.patch_len,
         use_dt_feature=cfg.use_dt_feature,
+        lengths=lengths,
     )
     positions = np.arange(s_out)
-    mask = causal_mask(s_out) if cfg.attention_mode == "causal" else None
+    if cfg.attention_mode == "causal":
+        mask = causal_mask(s_out)  # padding sits after every real position
+    elif lengths is None:
+        mask = None
+    else:
+        mask = _key_padding_mask(-(-np.asarray(lengths) // cfg.patch_len), s_out)
     for bp in params.blocks:
         x = transformer_block(x, bp, cfg, mask, positions)
     x = ad.layer_norm(x, params.ln_f_gain, params.ln_f_bias)
-    return ad.add_bias(ad.matmul(x, params.w_out), params.b_out)
+    out = ad.add_bias(ad.matmul(x, params.w_out), params.b_out)
+    return ad.reshape(out, out.shape[1:]) if single else out
 
 
 def model_forward(batch_features, params: ModelParams, cfg: ModelConfig) -> Tensor:
-    """Batch forward: [B, S, 7] (array, Batch, or list of per-sequence inputs,
-    each [S, 7] ndarray or Tensor) -> [B, S', 3] predictions.
+    """Batch forward in one pass: a Batch, a [B, S, 7] array, or a list of
+    equal-length [S, 7] sequences (ndarray or Tensor) -> [B, S', 3].
 
-    Sequences are processed independently, so results never depend on batch
-    composition.
+    A Batch's padded keys are masked, so real positions never depend on
+    batch composition.
     """
     if hasattr(batch_features, "features"):  # a data_pipeline Batch
-        batch_features = batch_features.features
+        return forward_features(
+            batch_features.features, params, cfg, lengths=batch_features.lengths
+        )
     if isinstance(batch_features, np.ndarray):
         if batch_features.ndim != 3:
             raise ValueError(f"expected [B, S, F] features, got shape {batch_features.shape}")
-        seqs = list(batch_features)
-    else:
-        seqs = list(batch_features)
-    outs = [forward_features(f, params, cfg) for f in seqs]
-    return ad.stack(outs, axis=0)
+        return forward_features(batch_features, params, cfg)
+    seqs = [f if isinstance(f, Tensor) else Tensor(f) for f in batch_features]
+    return forward_features(ad.stack(seqs, axis=0), params, cfg)

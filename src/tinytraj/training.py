@@ -73,7 +73,7 @@ CHECKPOINT_VERSION = 1
 
 
 class NumericsError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient norm."""
 
 
 class CorruptCheckpointError(RuntimeError):
@@ -258,10 +258,22 @@ def clip_gradients(
 ) -> dict[str, np.ndarray]:
     """Scale all gradients by ``clip_norm / norm`` when the global L2 norm
     exceeds ``clip_norm``; otherwise return them unchanged (direction is
-    always preserved)."""
+    always preserved).
+
+    A non-finite norm raises :class:`NumericsError` naming the first
+    parameter whose gradient is non-finite (or whose squares overflow),
+    rather than scaling every parameter by NaN.
+    """
     if clip_norm <= 0:
         raise ValueError(f"clip_norm must be > 0, got {clip_norm}")
     norm = global_grad_norm(grads)
+    if not math.isfinite(norm):
+        first = next(
+            (k for k, g in grads.items() if not math.isfinite(float(np.sum(g * g)))),
+            None,
+        )
+        culprit = f"parameter {first!r}" if first else "the sum over parameters"
+        raise NumericsError(f"non-finite gradient norm {norm!r} (first: {culprit})")
     if norm <= clip_norm:
         return grads
     factor = clip_norm / norm
@@ -358,37 +370,34 @@ def _batch_loss(
     objective: str,
     rng: np.random.Generator | None,
 ) -> tuple[Tensor | None, float]:
-    """Forward one batch under ``objective``; returns (loss, total weight).
+    """Forward one batch under ``objective`` in a single batched pass;
+    returns (loss, total weight).
 
+    The loss sees the real positions of every row in (row, position) order.
     Returns ``(None, 0.0)`` when no entry is supervised (e.g. an infill
     draw that masked nothing).
     """
-    preds: list[Tensor] = []
+    s = max(batch.lengths)  # columns past every row's end are padding only
+    features = batch.features[:, :s]
     target_rows: list[np.ndarray] = []
     weight_rows: list[np.ndarray] = []
-    for row in range(batch.batch_size):
-        length = batch.lengths[row]
-        feats = batch.features[row, :length]
+    masked: list[Tensor] = []
+    for row, length in enumerate(batch.lengths):
         targets = batch.targets[row, :length]
         if objective == "infill":
             kind = cfg.mask_kinds[rng.integers(0, len(cfg.mask_kinds))]
             # the final position has no successor step (its target row is a
             # zero placeholder), so it is never masked, as in evaluation
             spec = _sample_mask_spec(length - 1, kind, cfg.mask_ratio, rng)
-            x: Tensor | np.ndarray = masking.apply_mask(
-                feats, spec, params.mask_emb
-            )
+            masked.append(masking.apply_mask(features[row], spec, params.mask_emb))
             weights = masking.build_loss_mask(spec, "infill", length)
+        elif model_cfg.patch_len > 1:
+            targets, patch_w = aggregate_patch_targets(
+                targets, length, model_cfg.patch_len
+            )
+            weights = np.repeat(patch_w[:, None], targets.shape[1], axis=1)
         else:
-            x = feats
-            if model_cfg.patch_len > 1:
-                targets, patch_w = aggregate_patch_targets(
-                    targets, length, model_cfg.patch_len
-                )
-                weights = np.repeat(patch_w[:, None], targets.shape[1], axis=1)
-            else:
-                weights = masking.build_loss_mask(None, "next_step", length)
-        preds.append(forward_features(x, params, model_cfg))
+            weights = masking.build_loss_mask(None, "next_step", length)
         target_rows.append(targets)
         weight_rows.append(weights)
     all_targets = np.concatenate(target_rows, axis=0)
@@ -396,7 +405,12 @@ def _batch_loss(
     total = float(all_weights.sum())
     if total == 0.0:
         return None, 0.0
-    pred = preds[0] if len(preds) == 1 else ad.concat(preds, axis=0)
+    x = ad.stack(masked, axis=0) if masked else features
+    pred = forward_features(x, params, model_cfg, lengths=batch.lengths)
+    b, s_out, out_dim = pred.shape
+    valid = [-(-length // model_cfg.patch_len) for length in batch.lengths]
+    rows = np.concatenate([row * s_out + np.arange(n) for row, n in enumerate(valid)])
+    pred = ad.gather_rows(ad.reshape(pred, (b * s_out, out_dim)), rows)
     value = loss(
         pred, all_targets, all_weights, kind=cfg.loss, huber_delta=cfg.huber_delta
     )
@@ -426,8 +440,9 @@ def train(
     Deterministic for a fixed seed on one platform: mask draws come from
     counter-based generators keyed by (seed, phase, epoch, batch), so a run
     resumed from a checkpoint at an epoch boundary reproduces the unbroken
-    run exactly. A non-finite loss aborts with :class:`NumericsError` naming
-    the epoch and batch.
+    run exactly. A non-finite loss or gradient norm aborts with
+    :class:`NumericsError` naming the epoch and batch (and the first
+    parameter whose gradient is non-finite) before any parameter moves.
     """
     if cfg.objective in ("infill", "alternating") and model_cfg.patch_len != 1:
         raise ValueError("infill objectives require patch_len == 1")
@@ -459,7 +474,10 @@ def train(
                 )
             ad.backward(value)
             grads = {name: t.grad for name, t in named.items()}
-            grads = clip_gradients(grads, cfg.clip_norm)
+            try:
+                grads = clip_gradients(grads, cfg.clip_norm)
+            except NumericsError as exc:
+                raise NumericsError(f"{exc} at epoch {epoch}, batch {batch_idx}") from exc
             adam_step(named, grads, state, cfg)
             step_losses.append(loss_val)
             epoch_losses.append(loss_val)
@@ -724,11 +742,23 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _manifest_entry(entry) -> tuple[str, tuple[int, ...]]:
+    name, shape = entry["name"], tuple(int(d) for d in entry["shape"])
+    if not isinstance(name, str) or any(d < 0 for d in shape):
+        raise ValueError(f"bad array entry {entry!r}")
+    return name, shape
+
+
 def load_checkpoint(
     path: str | Path, expect_config: ModelConfig | None = None
 ) -> Checkpoint:
     """Read a checkpoint; fails loudly on corruption, version skew, or a
-    model configuration different from ``expect_config``."""
+    model configuration different from ``expect_config``.
+
+    Every malformed header (not an object, missing keys, unknown or invalid
+    ``model_config`` fields) and every non-finite payload value raises
+    :class:`CorruptCheckpointError`.
+    """
     raw = Path(path).read_bytes()
     prefix = len(CHECKPOINT_MAGIC) + 4 + 8
     if len(raw) < prefix or raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -747,23 +777,42 @@ def load_checkpoint(
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpointError(f"{path}: unreadable header ({exc})") from exc
 
+    if not isinstance(header, dict):
+        raise CorruptCheckpointError(f"{path}: header is not a JSON object")
+    try:
+        manifest = [_manifest_entry(e) for e in header["arrays"]]
+        model_cfg = ModelConfig.from_dict(header["model_config"])
+        norm = (
+            NormalizationParams.from_dict(header["normalization"])
+            if header.get("normalization")
+            else None
+        )
+        adam_step = header.get("adam_step")
+        adam_step = None if adam_step is None else int(adam_step)
+        rng_state = dict(header.get("rng_state") or {})
+        history = list(header.get("history") or [])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptCheckpointError(
+            f"{path}: malformed header ({type(exc).__name__}: {exc})"
+        ) from exc
+
     offset = body_start
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        shape = tuple(int(d) for d in entry["shape"])
+    for name, shape in manifest:
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if offset + nbytes > len(raw):
             raise CorruptCheckpointError(
-                f"{path}: truncated payload at array {entry['name']!r}"
+                f"{path}: truncated payload at array {name!r}"
             )
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise CorruptCheckpointError(f"{path}: non-finite values in array {name!r}")
+        arrays[name] = arr.reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(raw):
         raise CorruptCheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
 
-    model_cfg = ModelConfig.from_dict(header["model_config"])
     if expect_config is not None and model_cfg != expect_config:
         raise ConfigMismatchError(
             f"{path}: checkpoint was written for a different model configuration"
@@ -773,24 +822,19 @@ def load_checkpoint(
         n[len("params/") :]: a for n, a in arrays.items() if n.startswith("params/")
     }
     adam = None
-    if header.get("adam_step") is not None:
+    if adam_step is not None:
         adam = AdamState(
             m={n[len("adam_m/") :]: a for n, a in arrays.items() if n.startswith("adam_m/")},
             v={n[len("adam_v/") :]: a for n, a in arrays.items() if n.startswith("adam_v/")},
-            step=int(header["adam_step"]),
+            step=adam_step,
         )
-    norm = (
-        NormalizationParams.from_dict(header["normalization"])
-        if header.get("normalization")
-        else None
-    )
     return Checkpoint(
         model_config=model_cfg,
         arrays=params,
         norm_params=norm,
         adam=adam,
-        rng_state=dict(header.get("rng_state") or {}),
-        history=list(header.get("history") or []),
+        rng_state=rng_state,
+        history=history,
         train_config=header.get("train_config"),
         version=version,
     )

@@ -225,6 +225,25 @@ OP_CASES = [
         [rand(4, 4), rand(4, 3)],
     ),
     ("layer_norm", _loss(lambda x, g, b: ad.layer_norm(x, g, b)), [rand(5, 6), rand(6), rand(6)]),
+    # leading batch axes: a weight shared by every sequence, per-head products
+    ("add_bias_batched", _loss(ad.add_bias), [rand(2, 4, 3), rand(3)]),
+    ("matmul_shared_weight", _loss(ad.matmul), [rand(2, 3, 4), rand(4, 2)]),
+    ("matmul_batched", _loss(ad.matmul), [rand(2, 3, 3, 4), rand(2, 3, 4, 2)]),
+    (
+        "transpose_axes",
+        _loss(lambda t: ad.mul(ad.transpose(t, (0, 2, 1)), ad.transpose(t, (0, 2, 1)))),
+        [rand(2, 3, 4)],
+    ),
+    (
+        "softmax_batched",
+        _loss(lambda t: ad.mul(ad.softmax_rows(t), ad.Tensor(np.stack([_SOFTMAX_WEIGHTS] * 2)))),
+        [rand(2, 4, 5)],
+    ),
+    (
+        "layer_norm_batched",
+        _loss(lambda x, g, b: ad.layer_norm(x, g, b)),
+        [rand(2, 5, 6), rand(6), rand(6)],
+    ),
     ("gelu", _loss(ad.gelu), [rand(4, 4)]),
     ("sin", _loss(ad.sin), [rand(3, 3)]),
     ("huber", _loss(lambda t: ad.huber(t, delta=0.9)), [rand(4, 4)]),

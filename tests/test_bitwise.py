@@ -1,6 +1,9 @@
-"""Bitwise goldens of the training loop.
+"""Bitwise equivalence of the batched forward/backward pass.
 
-SHA-256 digests of the step losses and of the saved checkpoint bytes for a
+A ragged batch's forward output and every parameter gradient must equal
+those of separate single-sequence passes, compared as raw float64 bits.
+
+Bitwise goldens of the training loop: SHA-256 digests of the step losses and of the saved checkpoint bytes for a
 small matrix of configurations: causal and bidirectional attention, RoPE,
 Time2Vec, patching, dropped dt column, the three objectives, and ragged
 lengths inside one batch. They were recorded with the per-sequence forward
@@ -24,8 +27,9 @@ import warnings
 import numpy as np
 import pytest
 
+from tinytraj import autodiff as ad
 from tinytraj import data as dt
-from tinytraj import geo
+from tinytraj import geo, masking
 from tinytraj import model as tm
 from tinytraj import training as tr
 
@@ -39,6 +43,10 @@ CASES = {
     "rope_no_dt": ({"rope_enabled": True, "use_dt_feature": False}, {}),
     "time2vec_alternating": ({"use_time2vec": True, "time2vec_k": 4}, {"objective": "alternating"}),
     "patch2_next_step": ({"patch_len": 2, "max_seq": 6}, {}),
+    "patch2_time2vec_bidirectional": (
+        {"patch_len": 2, "max_seq": 6, "use_time2vec": True, "attention_mode": "bidirectional"},
+        {},
+    ),
 }
 
 GOLDEN_HOST = {
@@ -66,6 +74,10 @@ GOLDENS = {
     "patch2_next_step": {
         "losses_sha256": "2a678c8f5bce125337a6c5589b320ea1249b87718ad15fc0f3bfb33b006b5e87",
         "ckpt_sha256": "e12d43c3acc14f30bf05fe3f0e7d280e790a6b136586a41ff67843a6a5b61e94",
+    },
+    "patch2_time2vec_bidirectional": {
+        "losses_sha256": "e1fd56f8beac86792e0d4ad0323e485f6e9a80eb05dd8a32c0c54aac5e8cfd56",
+        "ckpt_sha256": "a360f0d1bdfbf6b79fa07df5c55bf0e29083dfcb99ac5fef7f567640fa8c6f42",
     },
     "rope_no_dt": {
         "losses_sha256": "eee19994615f31d985aae9e89e5cf45aa320c87f10502d4b8e34290dfb449834",
@@ -118,6 +130,74 @@ def run_case(name: str, tmp_path) -> dict[str, str]:
         "losses_sha256": hashlib.sha256(losses.tobytes()).hexdigest(),
         "ckpt_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
     }
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _grads(params) -> dict[str, np.ndarray]:
+    return {n: t.grad.copy() for n, t in tm.named_parameters(params).items()}
+
+
+@pytest.mark.parametrize(
+    "model_kw,masked",
+    [
+        ({}, False),
+        ({"rope_enabled": True, "use_time2vec": True, "time2vec_k": 3}, True),
+        ({"attention_mode": "bidirectional"}, True),
+        ({"attention_mode": "bidirectional", "rope_enabled": True, "use_dt_feature": False}, False),
+        ({"patch_len": 2, "max_seq": 6}, False),
+        ({"attention_mode": "bidirectional", "patch_len": 2, "max_seq": 6, "use_time2vec": True}, False),
+    ],
+)
+def test_ragged_batch_equals_separate_single_sequence_passes(model_kw, masked):
+    cfg = tm.ModelConfig(**{"d_model": 8, "n_heads": 2, "n_blocks": 2, "max_seq": 12, **model_kw})
+    rng = np.random.default_rng(31)
+    params = tm.init_params(cfg, rng)
+    for t in tm.named_parameters(params).values():
+        t.data += rng.normal(0.0, 0.1, t.shape)
+    lengths = (3, 12, 7, 10, 5)
+    s, p = max(lengths), cfg.patch_len
+    features = np.zeros((len(lengths), s, geo.FEATURE_DIM))
+    for row, n in enumerate(lengths):
+        features[row, :n] = rng.normal(0.0, 1.0, (n, geo.FEATURE_DIM))
+    specs = [masking.sample_dimension_mask(n - 1, 0.4, rng) for n in lengths]
+    valid = [-(-n // p) for n in lengths]
+    weights = [rng.normal(0.0, 1.0, (v, 3)) for v in valid]
+
+    def model_input(row, n):
+        x = features[row, :n]
+        return masking.apply_mask(x, specs[row], params.mask_emb) if masked else x
+
+    # B separate passes, gradients folded as a reverse tape would: last first
+    outs, per_row = [], []
+    for row, n in enumerate(lengths):
+        tape = ad.Tape()
+        tm.bind_params(params, tape)
+        pred = tm.forward_features(model_input(row, n), params, cfg)
+        outs.append(pred.data)
+        ad.backward(ad.tensor_sum(ad.mul(pred, ad.Tensor(weights[row]))))
+        per_row.append(_grads(params))
+    folded = per_row[-1]
+    for g in per_row[-2::-1]:
+        folded = {k: folded[k] + g[k] for k in g}
+
+    # one batched pass
+    tape = ad.Tape()
+    tm.bind_params(params, tape)
+    x = ad.stack([model_input(row, s) for row in range(len(lengths))]) if masked else features
+    pred = tm.forward_features(x, params, cfg, lengths=lengths)
+    for row, v in enumerate(valid):
+        np.testing.assert_array_equal(bits(pred.data[row, :v]), bits(outs[row]))
+    b, s_out, _ = pred.shape
+    rows = np.concatenate([row * s_out + np.arange(v) for row, v in enumerate(valid)])
+    flat = ad.gather_rows(ad.reshape(pred, (b * s_out, 3)), rows)
+    ad.backward(ad.tensor_sum(ad.mul(flat, ad.Tensor(np.concatenate(weights)))))
+    batched = _grads(params)
+    assert batched.keys() == folded.keys()
+    for name in batched:
+        np.testing.assert_array_equal(bits(batched[name]), bits(folded[name]), err_msg=name)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

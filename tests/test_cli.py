@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import tinytraj.autodiff as ad
 import tinytraj.cli as cli
 import tinytraj.data as dt
 import tinytraj.evaluation as ev
@@ -13,6 +14,8 @@ import tinytraj.geo as geo
 import tinytraj.training as tr
 
 from tinytraj.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
+
+from test_training import CORRUPTIONS
 
 
 def run(*argv):
@@ -219,6 +222,24 @@ class TestTrain:
         assert code == EXIT_NUMERIC
         assert "non-finite" in capsys.readouterr().err
 
+    def test_nonfinite_gradient_is_numeric_error(
+        self, tmp_path, corpus, model_config, capsys, monkeypatch
+    ):
+        real = ad.backward
+
+        def backward(loss, tape=None):  # leave a NaN in every gradient
+            grads = real(loss, tape)
+            for g in grads.values():
+                g[...] = np.nan
+            return grads
+
+        monkeypatch.setattr(ad, "backward", backward)
+        out = tmp_path / "m.ckpt"
+        code = run("train", "--config", model_config, "--data", corpus, "--out", out)
+        assert code == EXIT_NUMERIC
+        assert "non-finite gradient norm" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_lr_is_usage_error(self, tmp_path, corpus):
         code = run(
             "train", "--data", corpus, "--out", tmp_path / "m.ckpt", "--lr", -1
@@ -287,6 +308,12 @@ class TestEval:
     def test_corrupt_checkpoint_is_data_error(self, tmp_path, corpus):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"definitely not a checkpoint")
+        assert run("eval", "--ckpt", bad, "--data", corpus) == EXIT_DATA
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_malformed_checkpoint_is_data_error(self, tmp_path, corpus, checkpoint, corruption):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(CORRUPTIONS[corruption](checkpoint.read_bytes()))
         assert run("eval", "--ckpt", bad, "--data", corpus) == EXIT_DATA
 
     def test_bad_mode_is_usage_error(self, tmp_path, corpus, checkpoint):

@@ -1,6 +1,7 @@
 """Data pipeline tests: generator determinism and noise statistics, JSONL
 streaming with malformed-line recovery, padding/batching, and hash splits."""
 
+import gc
 import json
 import tracemalloc
 
@@ -285,6 +286,18 @@ def test_prefetch_preserves_order_and_content():
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.targets, b.targets)
         assert a.ids == b.ids
+
+
+def test_prefetch_worker_exits_after_abandoned_iteration():
+    trajs = [_traj(str(i), 5) for i in range(50)]
+    params = make_params(trajs)
+    it = batchify(trajs, 1, 5, params, prefetch=True)
+    assert next(it).ids == ("0",)
+    worker = it._thread
+    del it  # stop early: the queue stays full
+    gc.collect()
+    worker.join(timeout=5.0)
+    assert not worker.is_alive()
 
 
 def test_prefetch_propagates_worker_errors():

@@ -3,7 +3,9 @@ behavior, clipping, the deterministic epoch loop, the pretext autoencoder
 probe, and checkpoint round-trips with resume equivalence."""
 
 import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -183,6 +185,14 @@ def test_clip_validates_norm():
         clip_gradients({}, 0.0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e200 squared overflows
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_clip_rejects_non_finite_norm_naming_the_parameter(bad):
+    grads = {"a": np.array([1.0, 2.0]), "b": np.array([1.0, bad]), "c": np.array([np.nan])}
+    with pytest.raises(NumericsError, match="non-finite gradient norm.*'b'"):
+        clip_gradients(grads, 1.0)
+
+
 def test_adam_zero_gradient_fresh_state_keeps_params():
     t = Tensor(np.array([1.0, -2.0]))
     named = {"p": t}
@@ -358,6 +368,29 @@ def test_non_finite_loss_aborts_naming_the_batch():
         train(params, TINY, TrainConfig(lr=1e-3, epochs=1, seed=6), loader)
 
 
+def poison_gradient(monkeypatch, params):
+    """Make every backward pass leave a NaN in blocks.0.wq's gradient."""
+    real = ad.backward
+
+    def backward(loss, tape=None):
+        out = real(loss, tape)
+        params.blocks[0].wq.grad[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(ad, "backward", backward)
+
+
+def test_non_finite_gradient_aborts_before_any_update(monkeypatch):
+    loader, norm = straight_line_loader()
+    params = tm.init_params(TINY, np.random.default_rng(12))
+    before = {n: t.data.copy() for n, t in tm.named_parameters(params).items()}
+    poison_gradient(monkeypatch, params)
+    with pytest.raises(NumericsError, match=r"gradient.*'blocks\.0\.wq'.*epoch 0, batch 0"):
+        train(params, TINY, TrainConfig(lr=1e-3, epochs=1, seed=6), loader)
+    for name, t in tm.named_parameters(params).items():
+        np.testing.assert_array_equal(t.data, before[name])
+
+
 def test_same_seed_gives_identical_checkpoint_hash(tmp_path):
     def run(path):
         loader, norm = straight_line_loader()
@@ -471,6 +504,50 @@ def test_checkpoint_rejects_garbage_and_truncation(tmp_path):
     padded.write_bytes(blob + b"\x00" * 8)
     with pytest.raises(CorruptCheckpointError, match="trailing"):
         load_checkpoint(padded)
+
+
+def _rewrite_header(blob: bytes, edit) -> bytes:
+    """Re-frame a checkpoint around ``edit(header)``'s JSON, payload kept."""
+    start = len(tr.CHECKPOINT_MAGIC) + 4
+    (n,) = struct.unpack_from("<Q", blob, start)
+    header = json.loads(blob[start + 8 : start + 8 + n])
+    new = json.dumps(edit(header)).encode()
+    return blob[:start] + struct.pack("<Q", len(new)) + new + blob[start + 8 + n :]
+
+
+def _drop_arrays(header):
+    del header["arrays"]
+    return header
+
+
+def _unknown_config_key(header):
+    header["model_config"]["n_layers"] = 3
+    return header
+
+
+def _nan_payload(blob: bytes) -> bytes:
+    out = bytearray(blob)
+    out[-8:] = struct.pack("<d", float("nan"))
+    return bytes(out)
+
+
+# each yields a checkpoint that must load as CorruptCheckpointError
+CORRUPTIONS = {
+    "missing_arrays": lambda blob: _rewrite_header(blob, _drop_arrays),
+    "non_object_header": lambda blob: _rewrite_header(blob, lambda h: [h]),
+    "unknown_model_config_key": lambda blob: _rewrite_header(blob, _unknown_config_key),
+    "nan_payload": _nan_payload,
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_checkpoint_rejects_malformed_header_and_payload(tmp_path, corruption):
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(trained_checkpoint(tmp_path, epochs=1), good)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(CORRUPTIONS[corruption](good.read_bytes()))
+    with pytest.raises(CorruptCheckpointError):
+        load_checkpoint(bad)
 
 
 def test_checkpoint_version_check(tmp_path):
