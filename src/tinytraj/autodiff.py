@@ -264,7 +264,8 @@ def _fold(parts: np.ndarray) -> np.ndarray:
     # parts[b] is sequence b's share of a shared parameter's gradient.  A
     # reverse tape visits the last sequence first and adds the earlier ones
     # onto it; cumsum over the reversed axis is that same sequential chain.
-    return np.cumsum(parts[::-1], axis=0)[-1]
+    # The copy lets the [B, ...] running sums go.
+    return np.cumsum(parts[::-1], axis=0)[-1].copy()
 
 
 def _seq_sums(g: np.ndarray) -> np.ndarray:

@@ -332,12 +332,11 @@ def forward_features(
     ``lengths`` holds each batch row's number of real points (the rest of
     the row is zero padding); None means every row is full.
     """
-    single = features.ndim == 2
+    x = features if isinstance(features, Tensor) else Tensor(features)
+    single = x.ndim == 2
     if single:
-        features = features[None] if isinstance(features, np.ndarray) else ad.reshape(
-            features, (1,) + features.shape
-        )
-    b, s_in = features.shape[:2]
+        x = ad.reshape(x, (1,) + x.shape)
+    b, s_in = x.shape[:2]
     s_out = -(-s_in // cfg.patch_len)  # positions after patching
     if s_out > cfg.max_seq:
         raise ValueError(
@@ -347,7 +346,7 @@ def forward_features(
         raise ValueError(f"{len(lengths)} lengths for a batch of {b} rows")
     pe = emb.sinusoidal_table(cfg.max_seq, cfg.d_model) if cfg.use_positional_encoding else None
     x = emb.embed_sequence(
-        features,
+        x,
         params.proj,
         pe_table=pe,
         time2vec_layer=params.time2vec,
