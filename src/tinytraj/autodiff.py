@@ -197,8 +197,6 @@ def backward(loss: Tensor, tape: Tape | None = None) -> dict[Tensor, np.ndarray]
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
 
     nodes = tape._nodes
-    watched = {id(t) for t in tape._watched}
-    produced = {id(out) for out, _, _ in nodes}
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {}
     while nodes:
@@ -211,8 +209,6 @@ def backward(loss: Tensor, tape: Tape | None = None) -> dict[Tensor, np.ndarray]
         for inp, gi in zip(node_inputs, input_grads):
             if gi is None:
                 continue
-            if not (inp.requires_grad or id(inp) in produced or id(inp) in watched):
-                continue  # a constant: nothing reads its gradient
             prev = grads.get(id(inp))
             grads[id(inp)] = gi if prev is None else prev + gi
             if inp.requires_grad:
@@ -375,10 +371,7 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
             raise ShapeMismatchError(f"transpose: expected at least 2 axes, got {a.shape}")
         axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
     inverse = tuple(np.argsort(axes))
-    # contiguous gradients keep every later reduction in its sequential order
-    return record_op(
-        (a,), a.data.transpose(axes), lambda g: (np.ascontiguousarray(g.transpose(inverse)),)
-    )
+    return record_op((a,), a.data.transpose(axes), lambda g: (g.transpose(inverse),))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:

@@ -367,8 +367,8 @@ class _Prefetcher:
     """Single worker thread pushing items through a bounded queue.
 
     A consumer that stops early need not drain the queue: once the
-    prefetcher is closed or garbage-collected, the worker stops at its
-    next ``put`` and exits.
+    prefetcher is garbage-collected, the worker stops at its next ``put``
+    and exits.
     """
 
     def __init__(self, source: Iterator, depth: int = 2):
@@ -380,11 +380,8 @@ class _Prefetcher:
         )
         self._thread.start()
 
-    def close(self) -> None:
-        """Stop the worker; items not yet consumed are dropped."""
+    def __del__(self) -> None:
         self._stop.set()
-
-    __del__ = close
 
     def __iter__(self) -> Iterator:
         return self
