@@ -3,11 +3,12 @@
 A ragged batch's forward output and every parameter gradient must equal
 those of separate single-sequence passes, compared as raw float64 bits.
 
-Bitwise goldens of the training loop: SHA-256 digests of the step losses and of the saved checkpoint bytes for a
-small matrix of configurations: causal and bidirectional attention, RoPE,
-Time2Vec, patching, dropped dt column, the three objectives, and ragged
-lengths inside one batch. They were recorded with the per-sequence forward
-pass and pin every later kernel change to the same bits.
+Goldens of the training loop: SHA-256 digests of the step losses and of the
+saved checkpoint bytes for a small matrix of configurations: causal and
+bidirectional attention, RoPE, Time2Vec, patching, dropped dt column, the
+three objectives, and ragged lengths inside one batch. They were recorded
+with the per-sequence forward pass and pin every later kernel change to the
+same bits.
 
 Float64 results are bit-stable on one platform only (numpy's SIMD kernels
 decide the last bits of exp, erf, ...), so the goldens are keyed to the host
