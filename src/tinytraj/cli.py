@@ -250,13 +250,7 @@ def _cmd_train(args) -> int:
         )
 
     s_max = args.s_max or model_cfg.max_seq * model_cfg.patch_len
-    loader = dt.BatchLoader(
-        _load_corpus_stream(args.data),
-        train_cfg.batch_size,
-        s_max,
-        norm,
-        prefetch=args.prefetch,
-    )
+    loader = dt.BatchLoader(_load_corpus_stream(args.data), train_cfg.batch_size, s_max, norm)
     val_loader = None
     if args.val_data:
         val_loader = dt.BatchLoader(
@@ -266,9 +260,7 @@ def _cmd_train(args) -> int:
         train_split, val_split = dt.split(
             _load_corpus_stream(args.data), args.val_fraction, train_cfg.seed
         )
-        loader = dt.BatchLoader(
-            train_split, train_cfg.batch_size, s_max, norm, prefetch=args.prefetch
-        )
+        loader = dt.BatchLoader(train_split, train_cfg.batch_size, s_max, norm)
         val_loader = dt.BatchLoader(val_split, train_cfg.batch_size, s_max, norm)
 
     try:
@@ -349,9 +341,7 @@ def _cmd_rollout(args) -> int:
             raise UsageError(
                 f"--prefix-len must lie in [2, {len(chosen)}], got {args.prefix_len}"
             )
-        prefix = geo.Trajectory(
-            id=chosen.id, points=list(chosen.points[: args.prefix_len])
-        )
+        prefix = chosen.head(args.prefix_len)
     try:
         suffix = ev.rollout(
             params, ckpt.model_config, ckpt.norm_params, prefix, args.horizon
@@ -436,7 +426,6 @@ def build_parser() -> _Parser:
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--history-csv", dest="history_csv", help="write metrics CSV here")
     p.add_argument("--s-max", dest="s_max", type=int, help="truncate trajectories")
-    p.add_argument("--prefetch", action="store_true", help="prefetch batches")
     p.add_argument("--d-model", dest="d_model", type=int)
     p.add_argument("--n-heads", dest="n_heads", type=int)
     p.add_argument("--n-blocks", dest="n_blocks", type=int)

@@ -2,17 +2,19 @@
 
 Provides a deterministic synthetic-trajectory generator, streaming JSONL
 input/output (one trajectory per line, constant memory in corpus size),
-padding batchification, and hash-based train/validation splitting.
+padding batchification, and hash-based train/validation splitting. Everything
+works on trajectory columns; no per-point objects are built on the way from a
+JSONL line to a batch, and batches are prepared inline on the caller's thread.
 
-JSONL record schema: ``{"id": <string>, "points": [[lat, lon, t], ...]}``.
+JSONL record schema: ``{"id": <string>, "points": [[lat, lon, t], ...]}``,
+where ``t`` is a JSON integer in ``[0, geo.MAX_T)``; a line that breaks the
+schema or any trajectory invariant is skipped with a warning.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import queue
-import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +23,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import geo
-from .geo import NormalizationParams, TrajPoint, Trajectory
+from .geo import NormalizationParams, Trajectory
 
 __all__ = [
     "Batch",
@@ -155,12 +157,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> Iterator[Trajectory]:
         lats = np.clip(lats, -90.0, 90.0)
         lons = np.clip(lons, -180.0, 180.0)
         ts = t0 + np.concatenate([[0], np.cumsum(dts)])
-
-        points = [
-            TrajPoint(lat=float(lats[k]), lon=float(lons[k]), t=int(ts[k]))
-            for k in range(p)
-        ]
-        yield Trajectory(id=f"syn-{cfg.seed}-{idx:05d}", points=points)
+        yield Trajectory.from_columns(f"syn-{cfg.seed}-{idx:05d}", lats, lons, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +166,20 @@ def generate_synthetic(cfg: SyntheticConfig) -> Iterator[Trajectory]:
 
 
 def trajectory_to_record(traj: Trajectory) -> dict:
-    return {"id": traj.id, "points": [[p.lat, p.lon, p.t] for p in traj.points]}
+    # Python floats and ints, so the JSON text is the shortest round-trip repr
+    points = zip(traj.lat.tolist(), traj.lon.tolist(), traj.t.tolist())
+    return {"id": traj.id, "points": [list(p) for p in points]}
 
 
 def trajectory_from_record(rec: dict) -> Trajectory:
+    """Parse one JSONL record; coordinates are coerced with ``float``, while
+    ``t`` must already be an integer (``Trajectory`` rejects anything else)."""
     if not isinstance(rec, dict):
         raise ValueError(f"record must be an object, got {type(rec).__name__}")
     traj_id = rec["id"]
     if not isinstance(traj_id, str):
         raise ValueError(f"'id' must be a string, got {type(traj_id).__name__}")
-    raw_points = rec["points"]
-    points = []
-    for entry in raw_points:
-        lat, lon, t = entry
-        points.append(TrajPoint(lat=float(lat), lon=float(lon), t=int(t)))
+    points = [(float(lat), float(lon), t) for lat, lon, t in rec["points"]]
     return Trajectory(id=traj_id, points=points)
 
 
@@ -220,7 +217,7 @@ class JsonlTrajectoryReader:
                     continue
                 try:
                     traj = trajectory_from_record(json.loads(line))
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                     self.skipped += 1
                     warnings.warn(
                         f"{self.path}:{lineno}: skipping malformed trajectory "
@@ -310,26 +307,16 @@ def _pack(seqs: list[geo.FeatureSequence], s_max: int) -> Batch:
     )
 
 
-def _truncate(traj: Trajectory, s_max: int) -> Trajectory:
-    if len(traj) <= s_max:
-        return traj
-    return Trajectory(id=traj.id, points=list(traj.points[:s_max]))
-
-
 def batchify(
     trajs: Iterable[Trajectory],
     batch_size: int,
     s_max: int,
     params: NormalizationParams,
-    *,
-    prefetch: bool = False,
 ) -> Iterator[Batch]:
     """Featurize, truncate to ``s_max``, pad, and group into batches.
 
     Full batches stream out as they fill; a partial final batch is emitted
-    rather than dropped. With ``prefetch=True`` one background worker
-    prepares the next batch ahead of the consumer through a bounded queue;
-    the stream order is unchanged.
+    rather than dropped.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -339,82 +326,14 @@ def batchify(
     def gen() -> Iterator[Batch]:
         buf: list[geo.FeatureSequence] = []
         for traj in trajs:
-            if len(traj) < 2:  # unreachable for validated trajectories
-                warnings.warn(
-                    f"skipping trajectory {traj.id!r}: fewer than 2 points",
-                    stacklevel=2,
-                )
-                continue
-            buf.append(geo.featurize(_truncate(traj, s_max), params))
+            buf.append(geo.featurize(traj.head(s_max), params))
             if len(buf) == batch_size:
                 yield _pack(buf, s_max)
                 buf = []
         if buf:
             yield _pack(buf, s_max)
 
-    inner = gen()
-    return _Prefetcher(inner) if prefetch else inner
-
-
-class _Done:
-    pass
-
-
-_DONE = _Done()
-
-
-class _Prefetcher:
-    """Single worker thread pushing items through a bounded queue.
-
-    A consumer that stops early need not drain the queue: once the
-    prefetcher is garbage-collected, the worker stops at its next ``put``
-    and exits.
-    """
-
-    def __init__(self, source: Iterator, depth: int = 2):
-        self._queue: queue.Queue = queue.Queue(maxsize=depth)
-        self._stop = threading.Event()
-        # the worker must not reference self, or it would keep it alive
-        self._thread = threading.Thread(
-            target=_fill, args=(source, self._queue, self._stop), daemon=True
-        )
-        self._thread.start()
-
-    def __del__(self) -> None:
-        self._stop.set()
-
-    def __iter__(self) -> Iterator:
-        return self
-
-    def __next__(self):
-        item = self._queue.get()
-        if item is _DONE:
-            raise StopIteration
-        if isinstance(item, BaseException):
-            raise item
-        return item
-
-
-_PUT_POLL_S = 0.05  # how often a worker blocked on a full queue checks for stop
-
-
-def _fill(source: Iterator, out: queue.Queue, stop: threading.Event) -> None:
-    def put(item) -> bool:
-        while not stop.is_set():
-            try:
-                out.put(item, timeout=_PUT_POLL_S)
-                return True
-            except queue.Full:
-                pass
-        return False
-
-    try:
-        for item in source:
-            if not put(item):
-                return
-        put(_DONE)
-    except Exception as exc:  # surface worker failures to the consumer
-        put(exc)
+    return gen()
 
 
 class BatchLoader:
@@ -432,8 +351,6 @@ class BatchLoader:
         batch_size: int,
         s_max: int,
         params: NormalizationParams,
-        *,
-        prefetch: bool = False,
     ):
         if iter(trajs) is trajs:  # one-shot iterator: buffer it
             trajs = list(trajs)
@@ -441,18 +358,9 @@ class BatchLoader:
         self.batch_size = batch_size
         self.s_max = s_max
         self.params = params
-        self.prefetch = prefetch
 
     def __iter__(self) -> Iterator[Batch]:
-        return iter(
-            batchify(
-                self.source,
-                self.batch_size,
-                self.s_max,
-                self.params,
-                prefetch=self.prefetch,
-            )
-        )
+        return iter(batchify(self.source, self.batch_size, self.s_max, self.params))
 
 
 # ---------------------------------------------------------------------------

@@ -96,21 +96,14 @@ def report_to_csv(report: MetricsReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _latlon(p) -> tuple[float, float]:
-    if isinstance(p, TrajPoint):
-        return p.lat, p.lon
-    lat, lon = p
-    return float(lat), float(lon)
-
-
 def haversine(p, q) -> float:
     """Great-circle distance in meters (mean Earth radius 6,371,000 m).
 
     Accepts ``TrajPoint`` or ``(lat, lon)`` pairs. Identical inputs return
     exactly 0.0.
     """
-    lat1, lon1 = _latlon(p)
-    lat2, lon2 = _latlon(q)
+    lat1, lon1 = float(p[0]), float(p[1])
+    lat2, lon2 = float(q[0]), float(q[1])
     phi1, phi2 = math.radians(lat1), math.radians(lat2)
     dphi = math.radians(lat2 - lat1)
     dlmb = math.radians(lon2 - lon1)
@@ -135,6 +128,13 @@ def _decode_step(
     lat = min(90.0, max(-90.0, lat))
     lon = min(180.0, max(-180.0, lon))
     return TrajPoint(lat=lat, lon=lon, t=prev.t + dt)
+
+
+def _model_predict(params: ModelParams, model_cfg: ModelConfig) -> PredictFn:
+    def predict(features: np.ndarray, traj_id: str) -> np.ndarray:
+        return forward_features(features, params, model_cfg).data
+
+    return predict
 
 
 def rollout(
@@ -166,17 +166,19 @@ def rollout(
             f"prefix of {len(prefix)} plus horizon {horizon} exceeds the "
             f"model's max_seq {model_cfg.max_seq}"
         )
-    points = list(prefix.points)
+    predict = predict_fn or _model_predict(params, model_cfg)
+    lat, lon, t = prefix.lat.tolist(), prefix.lon.tolist(), prefix.t.tolist()
+    prev = TrajPoint(lat[-1], lon[-1], t[-1])
     suffix: list[TrajPoint] = []
     for _ in range(horizon):
-        fs = featurize(Trajectory(id=prefix.id, points=points), norm_params)
-        if predict_fn is not None:
-            preds = np.asarray(predict_fn(fs.features, prefix.id), dtype=np.float64)
-        else:
-            preds = forward_features(fs.features, params, model_cfg).data
-        nxt = _decode_step(points[-1], preds[-1], norm_params)
-        points.append(nxt)
-        suffix.append(nxt)
+        running = Trajectory.from_columns(prefix.id, lat, lon, t)
+        features = featurize(running, norm_params).features
+        preds = np.asarray(predict(features, prefix.id), dtype=np.float64)
+        prev = _decode_step(prev, preds[-1], norm_params)
+        lat.append(prev.lat)
+        lon.append(prev.lon)
+        t.append(prev.t)
+        suffix.append(prev)
     return suffix
 
 
@@ -212,24 +214,18 @@ class _Accumulator:
 
 
 def _spatial_error_m(
-    prev: TrajPoint, pred: np.ndarray, target: np.ndarray, norm: NormalizationParams
+    lat: float, lon: float, pred: np.ndarray, target: np.ndarray, norm: NormalizationParams
 ) -> float:
+    """Distance between the predicted and true steps taken from (lat, lon)."""
     p_hat = (
-        prev.lat + float(pred[0]) * norm.scale_lat,
-        prev.lon + float(pred[1]) * norm.scale_lon,
+        lat + float(pred[0]) * norm.scale_lat,
+        lon + float(pred[1]) * norm.scale_lon,
     )
     p_true = (
-        prev.lat + float(target[0]) * norm.scale_lat,
-        prev.lon + float(target[1]) * norm.scale_lon,
+        lat + float(target[0]) * norm.scale_lat,
+        lon + float(target[1]) * norm.scale_lon,
     )
     return haversine(p_hat, p_true)
-
-
-def _model_predict(params: ModelParams, model_cfg: ModelConfig) -> PredictFn:
-    def predict(features: np.ndarray, traj_id: str) -> np.ndarray:
-        return forward_features(features, params, model_cfg).data
-
-    return predict
 
 
 def _eval_next_step(
@@ -238,11 +234,10 @@ def _eval_next_step(
     for traj in trajs:
         fs = featurize(traj, norm)
         preds = np.asarray(predict(fs.features, traj.id), dtype=np.float64)
+        lat, lon = traj.lat.tolist(), traj.lon.tolist()
         errs = []
         for i in range(len(traj) - 1):
-            errs.append(
-                _spatial_error_m(traj.points[i], preds[i], fs.targets[i], norm)
-            )
+            errs.append(_spatial_error_m(lat[i], lon[i], preds[i], fs.targets[i], norm))
             acc.time_errs.append(
                 DT_DIVISOR_S * abs(float(preds[i, 2]) - float(fs.targets[i, 2]))
             )
@@ -253,7 +248,7 @@ def _eval_next_step(
 
 
 def _eval_infill(
-    trajs, norm, params, model_cfg, predict_fn, mask_ratio, seed, acc: _Accumulator
+    trajs, norm, params, predict: PredictFn, mask_ratio, seed, acc: _Accumulator
 ) -> None:
     for idx, traj in enumerate(trajs):
         # one substream per trajectory: the draw depends only on (seed, idx),
@@ -267,17 +262,13 @@ def _eval_infill(
         if not spec.positions:
             continue
         model_input = masking.apply_mask(fs.features, spec, params.mask_emb).data
-        if predict_fn is not None:
-            preds = np.asarray(predict_fn(model_input, traj.id), dtype=np.float64)
-        else:
-            preds = forward_features(model_input, params, model_cfg).data
+        preds = np.asarray(predict(model_input, traj.id), dtype=np.float64)
+        lat, lon = traj.lat.tolist(), traj.lon.tolist()
         last_spatial: float | None = None
         for pos in sorted(spec.position_dims):
             dims = spec.position_dims[pos]
             if masking.SPATIAL in dims:
-                err = _spatial_error_m(
-                    traj.points[pos], preds[pos], fs.targets[pos], norm
-                )
+                err = _spatial_error_m(lat[pos], lon[pos], preds[pos], fs.targets[pos], norm)
                 acc.point_errs.append(err)
                 last_spatial = err
             if masking.TEMPORAL in dims:
@@ -290,7 +281,7 @@ def _eval_infill(
 
 
 def _eval_rollout(
-    trajs, norm, params, model_cfg, predict_fn, horizon, acc: _Accumulator
+    trajs, norm, params, model_cfg, predict: PredictFn, horizon, acc: _Accumulator
 ) -> None:
     if horizon < 1:
         raise ValueError(f"rollout evaluation needs horizon >= 1, got {horizon}")
@@ -299,14 +290,14 @@ def _eval_rollout(
         if length < horizon + 2:  # prefix of >= 2 plus the scored suffix
             continue
         split_at = length - horizon
-        prefix = Trajectory(id=traj.id, points=list(traj.points[: split_at]))
         fs = featurize(traj, norm)
         predicted = rollout(
-            params, model_cfg, norm, prefix, horizon, predict_fn=predict_fn
+            params, model_cfg, norm, traj.head(split_at), horizon, predict_fn=predict
         )
         # ground truth decoded through the same arithmetic as the rollout
         truth: list[TrajPoint] = []
-        prev = traj.points[split_at - 1]
+        last = split_at - 1
+        prev = TrajPoint(float(traj.lat[last]), float(traj.lon[last]), int(traj.t[last]))
         for k in range(horizon):
             prev = _decode_step(prev, fs.targets[split_at - 1 + k], norm)
             truth.append(prev)
@@ -359,13 +350,11 @@ def evaluate(
             "score predictions in the wrong frame"
         )
     acc = _Accumulator()
+    predict = predict_fn or _model_predict(params, model_cfg)
     if mode == "next_step":
-        predict = predict_fn or _model_predict(params, model_cfg)
         _eval_next_step(trajs, norm_params, predict, acc)
     elif mode == "infill":
-        _eval_infill(
-            trajs, norm_params, params, model_cfg, predict_fn, mask_ratio, seed, acc
-        )
+        _eval_infill(trajs, norm_params, params, predict, mask_ratio, seed, acc)
     else:
-        _eval_rollout(trajs, norm_params, params, model_cfg, predict_fn, horizon, acc)
+        _eval_rollout(trajs, norm_params, params, model_cfg, predict, horizon, acc)
     return acc.report(mode)

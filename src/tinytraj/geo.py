@@ -1,28 +1,29 @@
 """GPS trajectories and their reversible model-space encodings.
 
-A trajectory is a sequence of (lat, lon, t) fixes.  For modeling, positions
-are normalized around the corpus center, timestamps are split into calendar
-components, and consecutive points are reduced to (dlat, dlon, dt) deltas so
-the model predicts motion rather than absolute position.
+A trajectory is a sequence of (lat, lon, t) fixes, held as read-only
+``lat``/``lon`` (float64) and ``t`` (int64) columns that one routine
+validates.  For modeling, positions are normalized around the corpus center,
+timestamps are split into UTC calendar components with integer arithmetic,
+and consecutive points are reduced to (dlat, dlon, dt) deltas so the model
+predicts motion rather than absolute position.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "DT_DIVISOR_S",
     "FEATURE_DIM",
+    "MAX_T",
     "SPATIAL_SLOTS",
     "TEMPORAL_SLOTS",
     "DeltaSequence",
     "FeatureSequence",
     "NormalizationParams",
-    "PointFeatures",
     "TrajPoint",
     "Trajectory",
     "compute_center",
@@ -32,7 +33,6 @@ __all__ = [
     "denormalize",
     "featurize",
     "normalize",
-    "point_features",
 ]
 
 # Feature layout for one point:
@@ -49,46 +49,118 @@ TEMPORAL_SLOTS = slice(2, 7)
 DT_FEATURE_INDEX = 6
 DT_DIVISOR_S = 60.0  # fixed interval scale: one minute
 _MIN_SCALE = 1e-6
+# timestamps lie in [0, MAX_T): 1970-01-01 up to the end of year 9999 UTC,
+# the range on which the calendar features are defined
+MAX_T = 253_402_300_800
 
 
-@dataclass(frozen=True)
-class TrajPoint:
-    """One GPS fix: latitude/longitude in degrees, unix time in whole seconds."""
+class TrajPoint(NamedTuple):
+    """One GPS fix: latitude/longitude in degrees, unix time in whole seconds.
+
+    A plain record: its ranges are checked when it joins a :class:`Trajectory`.
+    """
 
     lat: float
     lon: float
     t: int
 
-    def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude {self.lat} outside [-90, 90]")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude {self.lon} outside [-180, 180]")
-        if not isinstance(self.t, (int, np.integer)) or isinstance(self.t, bool):
-            raise ValueError(f"timestamp must be an integer, got {self.t!r}")
-        if self.t < 0:
-            raise ValueError(f"timestamp {self.t} is negative")
-        object.__setattr__(self, "t", int(self.t))
+
+def _validated(traj_id, lat, lon, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one trajectory check; returns read-only float64/float64/int64 columns.
+
+    Needs at least two fixes, latitudes in [-90, 90], longitudes in
+    [-180, 180], integer timestamps in [0, MAX_T), and strictly increasing
+    time.  Raises ``ValueError`` naming the first offending index.
+    """
+    lat = np.array(lat, dtype=np.float64)
+    lon = np.array(lon, dtype=np.float64)
+    t = np.array(t)  # ints beyond int64 become an object array and fail below
+    n = len(t)
+    if lat.shape != (n,) or lon.shape != (n,) or t.shape != (n,):
+        raise ValueError(f"trajectory {traj_id!r}: lat, lon and t must be 1-D and equally long")
+    if n < 2:
+        raise ValueError(f"trajectory {traj_id!r} has {n} points, need >= 2")
+    if t.dtype.kind not in "iu":
+        raise ValueError(f"trajectory {traj_id!r}: timestamps must be integers in [0, {MAX_T - 1}]")
+    for name, col, lo, hi in (
+        ("latitude", lat, -90.0, 90.0),
+        ("longitude", lon, -180.0, 180.0),
+        ("timestamp", t, 0, MAX_T - 1),
+    ):
+        ok = (col >= lo) & (col <= hi)  # False for NaN
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(
+                f"trajectory {traj_id!r}: {name} {col[i]} at index {i} outside [{lo}, {hi}]"
+            )
+    t = t.astype(np.int64, copy=False)
+    ok = np.diff(t) > 0
+    if not ok.all():
+        i = int(np.argmin(ok)) + 1
+        raise ValueError(f"trajectory {traj_id!r}: time not strictly increasing at index {i}")
+    for col in (lat, lon, t):
+        col.flags.writeable = False
+    return lat, lon, t
 
 
-@dataclass
 class Trajectory:
-    """An identified sequence of at least two fixes with strictly increasing time."""
+    """An identified sequence of at least two fixes with strictly increasing time.
 
-    id: str
-    points: list[TrajPoint]
+    Built from any sequence of ``(lat, lon, t)`` triples, or from columns with
+    :meth:`from_columns`; both go through the same validation.  The columns
+    are read-only, and trajectories compare by value.
+    """
 
-    def __post_init__(self):
-        if len(self.points) < 2:
-            raise ValueError(f"trajectory {self.id!r} has {len(self.points)} points, need >= 2")
-        for i in range(1, len(self.points)):
-            if self.points[i].t <= self.points[i - 1].t:
-                raise ValueError(
-                    f"trajectory {self.id!r}: time not strictly increasing at index {i}"
-                )
+    __slots__ = ("id", "lat", "lon", "t")
+
+    def __init__(self, id: str, points: Iterable[Sequence]):
+        lat, lon, t = [], [], []
+        for a, o, s in points:
+            # numpy would coerce a bool, float or str timestamp; reject it first
+            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+                raise ValueError(f"trajectory {id!r}: timestamp {s!r} is not an integer")
+            lat.append(a)
+            lon.append(o)
+            t.append(s)
+        self.id = id
+        self.lat, self.lon, self.t = _validated(id, lat, lon, t)
+
+    @classmethod
+    def from_columns(cls, id: str, lat, lon, t) -> "Trajectory":
+        """A trajectory over copies of the given ``lat``, ``lon`` and integer ``t`` columns."""
+        traj = cls.__new__(cls)
+        traj.id = id
+        traj.lat, traj.lon, traj.t = _validated(id, lat, lon, t)
+        return traj
+
+    @property
+    def points(self) -> tuple[TrajPoint, ...]:
+        """The fixes as ``TrajPoint`` records, built on each access."""
+        return tuple(map(TrajPoint, self.lat.tolist(), self.lon.tolist(), self.t.tolist()))
+
+    def head(self, n: int) -> "Trajectory":
+        """The first ``n`` fixes (``self`` when there are no more than ``n``)."""
+        if n >= len(self):
+            return self
+        return Trajectory.from_columns(self.id, self.lat[:n], self.lon[:n], self.t[:n])
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.t)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return (
+            self.id == other.id
+            and np.array_equal(self.lat, other.lat)
+            and np.array_equal(self.lon, other.lon)
+            and np.array_equal(self.t, other.t)
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Trajectory(id={self.id!r}, {len(self)} points)"
 
 
 @dataclass(frozen=True)
@@ -130,34 +202,6 @@ class NormalizationParams:
         )
 
 
-@dataclass(frozen=True)
-class PointFeatures:
-    """Per-point model features: normalized offsets plus calendar components."""
-
-    x: float  # (lon - center_lon) / scale_lon
-    y: float  # (lat - center_lat) / scale_lat
-    dow: int  # day of week, Monday = 0
-    hod: int  # hour of day
-    moh: int  # minute of hour
-    soh: int  # second of minute
-
-    @property
-    def dow_scaled(self) -> float:
-        return self.dow / 7.0
-
-    @property
-    def hod_scaled(self) -> float:
-        return self.hod / 24.0
-
-    @property
-    def moh_scaled(self) -> float:
-        return self.moh / 60.0
-
-    @property
-    def soh_scaled(self) -> float:
-        return self.soh / 60.0
-
-
 @dataclass
 class DeltaSequence:
     """First point plus consecutive (dlat deg, dlon deg, dt s) steps."""
@@ -165,12 +209,6 @@ class DeltaSequence:
     traj_id: str
     origin: TrajPoint
     deltas: list[tuple[float, float, int]]
-    origin_features: PointFeatures | None = None
-
-    def __post_init__(self):
-        for i, (_, _, dt) in enumerate(self.deltas):
-            if dt <= 0:
-                raise ValueError(f"delta {i}: dt must be positive, got {dt}")
 
 
 @dataclass
@@ -185,7 +223,6 @@ class FeatureSequence:
     traj_id: str
     features: np.ndarray  # [S, FEATURE_DIM]
     targets: np.ndarray  # [S, 3]
-    deltas: DeltaSequence = field(repr=False)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -199,18 +236,19 @@ def compute_center(trajectories: Iterable[Trajectory]) -> NormalizationParams:
     """
     # Welford's online moments: one pass, constant memory, and no
     # sum-of-squares cancellation (keeps normalization translation-covariant
-    # to well under 1e-9)
+    # to well under 1e-9). The sequential order fixes every bit of the result,
+    # so it stays a Python loop rather than a numpy reduction.
     n = 0
     mean_lat = mean_lon = m2_lat = m2_lon = 0.0
     for traj in trajectories:
-        for p in traj.points:
+        for lat, lon in zip(traj.lat.tolist(), traj.lon.tolist()):
             n += 1
-            d_lat = p.lat - mean_lat
+            d_lat = lat - mean_lat
             mean_lat += d_lat / n
-            m2_lat += d_lat * (p.lat - mean_lat)
-            d_lon = p.lon - mean_lon
+            m2_lat += d_lat * (lat - mean_lat)
+            d_lon = lon - mean_lon
             mean_lon += d_lon / n
-            m2_lon += d_lon * (p.lon - mean_lon)
+            m2_lon += d_lon * (lon - mean_lon)
     if n == 0:
         raise ValueError("cannot fit normalization on an empty corpus")
     var_lat = m2_lat / n
@@ -237,45 +275,33 @@ def denormalize(x: float, y: float, params: NormalizationParams) -> tuple[float,
     return lat, lon
 
 
+def _calendar(t):
+    """UTC (dow, hod, moh, soh), Monday = 0, of an int or an int64 array."""
+    days, sec = divmod(t, 86400)
+    # day 0, 1970-01-01, was a Thursday
+    return (days + 3) % 7, sec // 3600, sec // 60 % 60, sec % 60
+
+
 def decompose_time(t: int) -> tuple[int, int, int, int]:
-    """Split a unix timestamp into UTC (dow, hod, moh, soh), Monday = 0."""
-    if t < 0:
-        raise ValueError(f"timestamp {t} is negative")
-    dt = datetime.fromtimestamp(int(t), tz=timezone.utc)
-    return dt.weekday(), dt.hour, dt.minute, dt.second
-
-
-def point_features(p: TrajPoint, params: NormalizationParams) -> PointFeatures:
-    x, y = normalize(p, params)
-    dow, hod, moh, soh = decompose_time(p.t)
-    return PointFeatures(x=x, y=y, dow=dow, hod=hod, moh=moh, soh=soh)
+    """Split a unix timestamp in [0, MAX_T) into UTC (dow, hod, moh, soh), Monday = 0."""
+    if not 0 <= t < MAX_T:
+        raise ValueError(f"timestamp {t} outside [0, {MAX_T})")
+    return _calendar(int(t))
 
 
 def delta_encode(traj: Trajectory) -> DeltaSequence:
-    """Reduce a trajectory to its origin plus per-step (dlat, dlon, dt).
-
-    Rejects non-monotone timestamps, naming the first violating index.
-    """
-    pts = traj.points
-    deltas: list[tuple[float, float, int]] = []
-    for i in range(1, len(pts)):
-        dt = pts[i].t - pts[i - 1].t
-        if dt <= 0:
-            raise ValueError(f"trajectory {traj.id!r}: time not strictly increasing at index {i}")
-        deltas.append((pts[i].lat - pts[i - 1].lat, pts[i].lon - pts[i - 1].lon, int(dt)))
-    return DeltaSequence(traj_id=traj.id, origin=pts[0], deltas=deltas)
+    """Reduce a trajectory to its origin plus per-step (dlat, dlon, dt)."""
+    deltas = list(
+        zip(np.diff(traj.lat).tolist(), np.diff(traj.lon).tolist(), np.diff(traj.t).tolist())
+    )
+    origin = TrajPoint(float(traj.lat[0]), float(traj.lon[0]), int(traj.t[0]))
+    return DeltaSequence(traj_id=traj.id, origin=origin, deltas=deltas)
 
 
 def delta_decode(ds: DeltaSequence) -> Trajectory:
     """Rebuild the trajectory from origin and deltas (inverse of delta_encode)."""
-    pts = [ds.origin]
-    lat, lon, t = ds.origin.lat, ds.origin.lon, ds.origin.t
-    for dlat, dlon, dt in ds.deltas:
-        lat += dlat
-        lon += dlon
-        t += int(dt)
-        pts.append(TrajPoint(lat=lat, lon=lon, t=t))
-    return Trajectory(id=ds.traj_id, points=pts)
+    lat, lon, t = zip(ds.origin, *ds.deltas)
+    return Trajectory.from_columns(ds.traj_id, np.cumsum(lat), np.cumsum(lon), np.cumsum(t))
 
 
 def featurize(traj: Trajectory, params: NormalizationParams) -> FeatureSequence:
@@ -285,19 +311,19 @@ def featurize(traj: Trajectory, params: NormalizationParams) -> FeatureSequence:
     the first point).  Targets are the *next* step per position, normalized
     the same way positions are (spatial deltas by the axis scales, dt by 60 s).
     """
-    ds = delta_encode(traj)
-    s = len(traj.points)
+    s = len(traj)
+    dt = np.diff(traj.t) / DT_DIVISOR_S
+    dow, hod, moh, soh = _calendar(traj.t)
     feats = np.zeros((s, FEATURE_DIM), dtype=np.float64)
+    feats[:, 0] = (traj.lon - params.center_lon) / params.scale_lon
+    feats[:, 1] = (traj.lat - params.center_lat) / params.scale_lat
+    feats[:, 2] = dow / 7.0
+    feats[:, 3] = hod / 24.0
+    feats[:, 4] = moh / 60.0
+    feats[:, 5] = soh / 60.0
+    feats[1:, DT_FEATURE_INDEX] = dt
     targets = np.zeros((s, 3), dtype=np.float64)
-    origin_feats: PointFeatures | None = None
-    for i, p in enumerate(traj.points):
-        pf = point_features(p, params)
-        if i == 0:
-            origin_feats = pf
-        dt_prev = 0.0 if i == 0 else ds.deltas[i - 1][2] / DT_DIVISOR_S
-        feats[i] = (pf.x, pf.y, pf.dow_scaled, pf.hod_scaled, pf.moh_scaled, pf.soh_scaled, dt_prev)
-        if i < s - 1:
-            dlat, dlon, dt = ds.deltas[i]
-            targets[i] = (dlat / params.scale_lat, dlon / params.scale_lon, dt / DT_DIVISOR_S)
-    ds.origin_features = origin_feats
-    return FeatureSequence(traj_id=traj.id, features=feats, targets=targets, deltas=ds)
+    targets[:-1, 0] = np.diff(traj.lat) / params.scale_lat
+    targets[:-1, 1] = np.diff(traj.lon) / params.scale_lon
+    targets[:-1, 2] = dt
+    return FeatureSequence(traj_id=traj.id, features=feats, targets=targets)

@@ -30,6 +30,19 @@ def corpus(tmp_path):
 
 
 @pytest.fixture
+def late_corpus(tmp_path, corpus):
+    """``corpus`` plus two lines timestamped past year 9999 (line 1 and the last)."""
+    path = tmp_path / "late.jsonl"
+    late = [
+        json.dumps({"id": "huge", "points": [[52.5, 13.4, 1], [52.6, 13.5, 2**70]]}),
+        json.dumps({"id": "y33658", "points": [[52.5, 13.4, 1], [52.6, 13.5, 10**12]]}),
+    ]
+    lines = corpus.read_text().splitlines()
+    path.write_text("\n".join([late[0], *lines, late[1]]) + "\n")
+    return path
+
+
+@pytest.fixture
 def model_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(
@@ -138,6 +151,14 @@ class TestFitNorm:
         empty.write_text("")
         assert run("fit-norm", "--data", empty, "--out", tmp_path / "n") == EXIT_DATA
 
+    def test_skips_timestamps_past_year_9999(self, tmp_path, corpus, late_corpus):
+        clean, late = tmp_path / "clean.json", tmp_path / "late.json"
+        assert run("fit-norm", "--data", corpus, "--out", clean) == EXIT_OK
+        with pytest.warns(dt.MalformedLineWarning) as record:
+            assert run("fit-norm", "--data", late_corpus, "--out", late) == EXIT_OK
+        assert len(record) == 2
+        assert late.read_bytes() == clean.read_bytes()
+
 
 # ---------------------------------------------------------------------------
 # train
@@ -205,6 +226,16 @@ class TestTrain:
         )
         assert code == EXIT_OK
         assert resumed.read_bytes() == direct.read_bytes()
+
+    def test_skips_timestamps_past_year_9999(
+        self, tmp_path, checkpoint, late_corpus, model_config
+    ):
+        out = tmp_path / "late.ckpt"
+        with pytest.warns(dt.MalformedLineWarning):
+            code = run("train", "--config", model_config, "--data", late_corpus, "--out", out)
+        assert code == EXIT_OK
+        # the remaining lines are exactly the clean corpus the fixture trained on
+        assert out.read_bytes() == checkpoint.read_bytes()
 
     def test_missing_corpus_is_data_error(self, tmp_path, model_config):
         code = run(

@@ -1,7 +1,6 @@
 """Data pipeline tests: generator determinism and noise statistics, JSONL
 streaming with malformed-line recovery, padding/batching, and hash splits."""
 
-import gc
 import json
 import tracemalloc
 
@@ -170,6 +169,40 @@ def test_malformed_lines_skipped_with_warning(tmp_path):
     assert any(":5:" in m for m in messages)
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[52.5, 13.4, 1], [52.6, 13.5, 2**70]],  # past any int64
+        [[52.5, 13.4, 1], [52.6, 13.5, 10**12]],  # year 33658
+        [[52.5, 13.4, 0.2], [52.6, 13.5, 1.9], [52.7, 13.5, "7"]],
+        [[52.5, 13.4, 0], [52.6, 13.5, 1.0]],  # integral float
+        [[52.5, 13.4, False], [52.6, 13.5, True]],
+        [[52.5, 13.4, 0], [52.6, 13.5, "1"]],
+        [[52.5, 13.4, 0], [1e400, 13.5, 1]],  # JSON overflows to inf
+        [[52.5, 13.4, 0], [10**400, 13.5, 1]],  # int too large for a float
+    ],
+)
+def test_reader_skips_bad_timestamps_and_coordinates(tmp_path, points):
+    good = {"id": "g", "points": [[52.5, 13.4, 0], [52.6, "13.5", 60]]}
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps({"id": "bad", "points": points}) + "\n" + json.dumps(good) + "\n")
+    reader = stream_jsonl(path)
+    with pytest.warns(MalformedLineWarning, match=":1:"):
+        (traj,) = list(reader)
+    assert reader.skipped == 1
+    assert traj.id == "g" and traj.lon.tolist() == [13.4, 13.5]  # coordinates coerced
+    assert traj.t.tolist() == [0, 60]
+
+
+def test_reader_skips_deeply_nested_line(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text("[" * 100_000 + "\n")
+    reader = stream_jsonl(path)
+    with pytest.warns(MalformedLineWarning):
+        assert list(reader) == []
+    assert reader.skipped == 1
+
+
 def test_reader_is_reiterable(tmp_path):
     cfg = SyntheticConfig(n_traj=4, points_per_traj=4, seed=8)
     path = tmp_path / "t.jsonl"
@@ -274,44 +307,6 @@ def test_batchify_validates_arguments():
         batchify([], 0, 4, params)
     with pytest.raises(ValueError):
         batchify([], 2, 1, params)
-
-
-def test_prefetch_preserves_order_and_content():
-    trajs = [_traj(str(i), 5) for i in range(10)]
-    params = make_params(trajs)
-    plain = list(batchify(trajs, 3, 5, params))
-    pre = list(batchify(trajs, 3, 5, params, prefetch=True))
-    assert len(plain) == len(pre)
-    for a, b in zip(plain, pre):
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.targets, b.targets)
-        assert a.ids == b.ids
-
-
-def test_prefetch_worker_exits_after_abandoned_iteration():
-    trajs = [_traj(str(i), 5) for i in range(50)]
-    params = make_params(trajs)
-    it = batchify(trajs, 1, 5, params, prefetch=True)
-    assert next(it).ids == ("0",)
-    worker = it._thread
-    del it  # stop early: the queue stays full
-    gc.collect()
-    worker.join(timeout=5.0)
-    assert not worker.is_alive()
-
-
-def test_prefetch_propagates_worker_errors():
-    params = make_params([_traj("a", 3)])
-
-    def bad_source():
-        yield _traj("ok", 3)
-        raise RuntimeError("upstream failure")
-
-    it = batchify(bad_source(), 1, 4, params, prefetch=True)
-    first = next(it)
-    assert first.ids == ("ok",)
-    with pytest.raises(RuntimeError, match="upstream failure"):
-        next(it)
 
 
 def test_batch_loader_is_reiterable_even_from_generator():

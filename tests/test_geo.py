@@ -24,14 +24,16 @@ def random_trajectory(rng, traj_id="t", n=None, lat0=50.0, lon0=4.0):
 
 
 def test_trajpoint_validates_ranges():
-    with pytest.raises(ValueError):
-        geo.TrajPoint(91.0, 0.0, 0)
-    with pytest.raises(ValueError):
-        geo.TrajPoint(0.0, -181.0, 0)
-    with pytest.raises(ValueError):
-        geo.TrajPoint(0.0, 0.0, -1)
-    with pytest.raises(ValueError):
-        geo.TrajPoint(0.0, 0.0, 1.5)
+    # a TrajPoint is a plain record: its ranges are checked when it joins a trajectory
+    ok = geo.TrajPoint(0.0, 0.0, 10)
+    for bad in (
+        geo.TrajPoint(91.0, 0.0, 0),
+        geo.TrajPoint(0.0, -181.0, 0),
+        geo.TrajPoint(0.0, 0.0, -1),
+        geo.TrajPoint(0.0, 0.0, 1.5),
+    ):
+        with pytest.raises(ValueError):
+            geo.Trajectory(id="bad", points=[bad, ok])
 
 
 def test_trajectory_needs_two_points_and_monotone_time():
@@ -75,6 +77,34 @@ def test_decompose_time_matches_modular_oracle():
 def test_decompose_time_rejects_negative():
     with pytest.raises(ValueError):
         geo.decompose_time(-1)
+
+
+def test_time_range_ends_with_year_9999():
+    # 9999-12-31T23:59:59Z, a Friday, is the last second with calendar features
+    assert geo.decompose_time(geo.MAX_T - 1) == (4, 23, 59, 59)
+    for t in (geo.MAX_T, 10**12, 2**70):
+        with pytest.raises(ValueError):
+            geo.decompose_time(t)
+        with pytest.raises(ValueError, match=str(geo.MAX_T - 1)):
+            geo.Trajectory(id="late", points=[(0.0, 0.0, 1), (0.0, 0.0, t)])
+    geo.Trajectory(id="edge", points=[(0.0, 0.0, 0), (0.0, 0.0, geo.MAX_T - 1)])
+
+
+def test_from_columns_shares_validation():
+    traj = geo.Trajectory.from_columns("c", [50.0, 50.1], [4.0, 4.1], np.array([5, 9]))
+    assert traj == geo.Trajectory(id="c", points=[(50.0, 4.0, 5), (50.1, 4.1, 9)])
+    assert traj.points == (geo.TrajPoint(50.0, 4.0, 5), geo.TrajPoint(50.1, 4.1, 9))
+    assert traj.t.dtype == np.int64 and not traj.t.flags.writeable
+    for lat, lon, t in (
+        ([50.0], [4.0], [5]),  # one point
+        ([91.0, 50.0], [4.0, 4.0], [5, 9]),
+        ([50.0, 50.0], [4.0, np.nan], [5, 9]),
+        ([50.0, 50.0], [4.0, 4.0], [5.0, 9.0]),  # float timestamps
+        ([50.0, 50.0], [4.0, 4.0], [9, 9]),
+        ([50.0, 50.0, 50.0], [4.0, 4.0], [5, 9, 11]),  # ragged columns
+    ):
+        with pytest.raises(ValueError):
+            geo.Trajectory.from_columns("bad", lat, lon, t)
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +197,6 @@ def test_delta_round_trip_exact():
             assert abs(q.lon - p.lon) < 1e-12
 
 
-def test_delta_encode_rejects_non_monotone_with_index():
-    pts = [geo.TrajPoint(50.0, 4.0, 10), geo.TrajPoint(50.0, 4.1, 20), geo.TrajPoint(50.0, 4.2, 15)]
-    traj = geo.Trajectory.__new__(geo.Trajectory)  # bypass constructor validation
-    traj.id = "bad"
-    traj.points = pts
-    with pytest.raises(ValueError) as exc:
-        geo.delta_encode(traj)
-    assert "index 2" in str(exc.value)
-
-
 def test_delta_dt_always_positive():
     rng = np.random.default_rng(17)
     ds = geo.delta_encode(random_trajectory(rng))
@@ -211,8 +231,7 @@ def test_featurize_targets_match_deltas():
     traj = random_trajectory(rng, "g", n=8)
     params = geo.compute_center([traj])
     fs = geo.featurize(traj, params)
-    for i in range(7):
-        dlat, dlon, dt = fs.deltas.deltas[i]
+    for i, (dlat, dlon, dt) in enumerate(geo.delta_encode(traj).deltas):
         np.testing.assert_allclose(
             fs.targets[i],
             [dlat / params.scale_lat, dlon / params.scale_lon, dt / geo.DT_DIVISOR_S],
@@ -224,13 +243,3 @@ def test_featurize_targets_match_deltas():
         fs.features[1:, geo.DT_FEATURE_INDEX], fs.targets[:-1, 2], rtol=0, atol=0
     )
 
-
-def test_featurize_fills_origin_features():
-    rng = np.random.default_rng(31)
-    traj = random_trajectory(rng, "h", n=5)
-    params = geo.compute_center([traj])
-    fs = geo.featurize(traj, params)
-    pf = fs.deltas.origin_features
-    assert pf is not None
-    x, y = geo.normalize(traj.points[0], params)
-    assert (pf.x, pf.y) == (x, y)
