@@ -7,8 +7,9 @@ works on trajectory columns; no per-point objects are built on the way from a
 JSONL line to a batch, and batches are prepared inline on the caller's thread.
 
 JSONL record schema: ``{"id": <string>, "points": [[lat, lon, t], ...]}``,
-where ``t`` is a JSON integer in ``[0, geo.MAX_T)``; a line that breaks the
-schema or any trajectory invariant is skipped with a warning.
+where ``t`` is a JSON integer in ``[0, geo.MAX_T)``; a line that is not
+UTF-8 JSON, breaks the schema or breaks a trajectory invariant is skipped with
+a warning.
 """
 
 from __future__ import annotations
@@ -211,12 +212,14 @@ class JsonlTrajectoryReader:
 
     def __iter__(self) -> Iterator[Trajectory]:
         self.skipped = 0
-        with open(self.path, encoding="utf-8") as fh:
+        # bytes are decoded line by line, so one undecodable line is skipped
+        # like any other malformed line instead of ending the pass
+        with open(self.path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    traj = trajectory_from_record(json.loads(line))
+                    traj = trajectory_from_record(json.loads(line.decode("utf-8")))
                 except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                     self.skipped += 1
                     warnings.warn(

@@ -194,12 +194,17 @@ def test_reader_skips_bad_timestamps_and_coordinates(tmp_path, points):
     assert traj.t.tolist() == [0, 60]
 
 
-def test_reader_skips_deeply_nested_line(tmp_path):
+@pytest.mark.parametrize(
+    "line",
+    [b"[" * 100_000, b'{"id": "\xff", "points": [[1, 2, 0], [1, 2, 5]]}'],
+    ids=["deeply-nested", "invalid-utf8"],
+)
+def test_reader_skips_unparseable_line(tmp_path, line):
     path = tmp_path / "t.jsonl"
-    path.write_text("[" * 100_000 + "\n")
+    path.write_bytes(line + b"\n" + b'{"id": "g", "points": [[1, 2, 0], [1, 2, 5]]}\n')
     reader = stream_jsonl(path)
-    with pytest.warns(MalformedLineWarning):
-        assert list(reader) == []
+    with pytest.warns(MalformedLineWarning, match=":1:"):
+        assert [t.id for t in reader] == ["g"]
     assert reader.skipped == 1
 
 
