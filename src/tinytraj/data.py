@@ -363,7 +363,7 @@ class BatchLoader:
         self.params = params
 
     def __iter__(self) -> Iterator[Batch]:
-        return iter(batchify(self.source, self.batch_size, self.s_max, self.params))
+        return batchify(self.source, self.batch_size, self.s_max, self.params)
 
 
 # ---------------------------------------------------------------------------

@@ -171,9 +171,8 @@ def rollout(
     prev = TrajPoint(lat[-1], lon[-1], t[-1])
     suffix: list[TrajPoint] = []
     for _ in range(horizon):
-        running = Trajectory.from_columns(prefix.id, lat, lon, t)
-        features = featurize(running, norm_params).features
-        preds = np.asarray(predict(features, prefix.id), dtype=np.float64)
+        fs = featurize(Trajectory.from_columns(prefix.id, lat, lon, t), norm_params)
+        preds = np.asarray(predict(fs.features, prefix.id), dtype=np.float64)
         prev = _decode_step(prev, preds[-1], norm_params)
         lat.append(prev.lat)
         lon.append(prev.lon)

@@ -72,35 +72,41 @@ def _validated(traj_id, lat, lon, t) -> tuple[np.ndarray, np.ndarray, np.ndarray
     [-180, 180], integer timestamps in [0, MAX_T), and strictly increasing
     time.  Raises ``ValueError`` naming the first offending index.
     """
-    lat = np.array(lat, dtype=np.float64)
-    lon = np.array(lon, dtype=np.float64)
-    t = np.array(t)  # ints beyond int64 become an object array and fail below
+    # Plain Python checks: cheaper than numpy's per-call cost at trajectory
+    # lengths, and they see each timestamp's own type before numpy would
+    # coerce a bool, float or str to an integer.
     n = len(t)
-    if lat.shape != (n,) or lon.shape != (n,) or t.shape != (n,):
-        raise ValueError(f"trajectory {traj_id!r}: lat, lon and t must be 1-D and equally long")
+    if len(lat) != n or len(lon) != n:
+        raise ValueError(f"trajectory {traj_id!r}: lat, lon and t differ in length")
     if n < 2:
         raise ValueError(f"trajectory {traj_id!r} has {n} points, need >= 2")
-    if t.dtype.kind not in "iu":
-        raise ValueError(f"trajectory {traj_id!r}: timestamps must be integers in [0, {MAX_T - 1}]")
-    for name, col, lo, hi in (
-        ("latitude", lat, -90.0, 90.0),
-        ("longitude", lon, -180.0, 180.0),
-        ("timestamp", t, 0, MAX_T - 1),
-    ):
-        ok = (col >= lo) & (col <= hi)  # False for NaN
-        if not ok.all():
-            i = int(np.argmin(ok))
+    for name, col, lo, hi in (("latitude", lat, -90.0, 90.0), ("longitude", lon, -180.0, 180.0)):
+        if not all(lo <= v <= hi for v in col):  # False for NaN
+            i = next(i for i, v in enumerate(col) if not lo <= v <= hi)
             raise ValueError(
                 f"trajectory {traj_id!r}: {name} {col[i]} at index {i} outside [{lo}, {hi}]"
             )
-    t = t.astype(np.int64, copy=False)
-    ok = np.diff(t) > 0
-    if not ok.all():
-        i = int(np.argmin(ok)) + 1
-        raise ValueError(f"trajectory {traj_id!r}: time not strictly increasing at index {i}")
-    for col in (lat, lon, t):
-        col.flags.writeable = False
-    return lat, lon, t
+    prev = -1
+    for i, s in enumerate(t):
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+            raise ValueError(
+                f"trajectory {traj_id!r}: timestamp {s!r} at index {i} is not an integer"
+            )
+        if not 0 <= s < MAX_T:
+            raise ValueError(
+                f"trajectory {traj_id!r}: timestamp {s} at index {i} outside [0, {MAX_T})"
+            )
+        if s <= prev:
+            raise ValueError(f"trajectory {traj_id!r}: time not strictly increasing at index {i}")
+        prev = s
+    columns = (
+        np.array(lat, dtype=np.float64),
+        np.array(lon, dtype=np.float64),
+        np.array(t, dtype=np.int64),
+    )
+    for col in columns:
+        col.setflags(write=False)
+    return columns
 
 
 class Trajectory:
@@ -114,23 +120,20 @@ class Trajectory:
     __slots__ = ("id", "lat", "lon", "t")
 
     def __init__(self, id: str, points: Iterable[Sequence]):
-        lat, lon, t = [], [], []
-        for a, o, s in points:
-            # numpy would coerce a bool, float or str timestamp; reject it first
-            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-                raise ValueError(f"trajectory {id!r}: timestamp {s!r} is not an integer")
-            lat.append(a)
-            lon.append(o)
-            t.append(s)
+        columns = list(zip(*points, strict=True)) or [(), (), ()]
+        if len(columns) != 3:
+            raise ValueError(f"trajectory {id!r}: points must be (lat, lon, t) triples")
         self.id = id
-        self.lat, self.lon, self.t = _validated(id, lat, lon, t)
+        self.lat, self.lon, self.t = _validated(id, *columns)
 
     @classmethod
     def from_columns(cls, id: str, lat, lon, t) -> "Trajectory":
         """A trajectory over copies of the given ``lat``, ``lon`` and integer ``t`` columns."""
         traj = cls.__new__(cls)
         traj.id = id
-        traj.lat, traj.lon, traj.t = _validated(id, lat, lon, t)
+        # Python scalars iterate faster than numpy ones in the checks
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in (lat, lon, t)]
+        traj.lat, traj.lon, traj.t = _validated(id, *columns)
         return traj
 
     @property
@@ -156,8 +159,6 @@ class Trajectory:
             and np.array_equal(self.lon, other.lon)
             and np.array_equal(self.t, other.t)
         )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"Trajectory(id={self.id!r}, {len(self)} points)"
@@ -275,18 +276,24 @@ def denormalize(x: float, y: float, params: NormalizationParams) -> tuple[float,
     return lat, lon
 
 
-def _calendar(t):
-    """UTC (dow, hod, moh, soh), Monday = 0, of an int or an int64 array."""
-    days, sec = divmod(t, 86400)
-    # day 0, 1970-01-01, was a Thursday
-    return (days + 3) % 7, sec // 3600, sec // 60 % 60, sec % 60
+# Calendar fields of a unix time t: field = (t + shift) // unit % period.
+# The 3-day shift makes Monday 0 (1970-01-01 was a Thursday), and each
+# feature is its field divided by its period (dow/7, hod/24, moh/60, soh/60).
+_CAL_SHIFT = np.array([3 * 86400, 0, 0, 0])
+_CAL_UNIT = np.array([86400, 3600, 60, 1])
+_CAL_PERIOD = np.array([7, 24, 60, 60])
+
+
+def _calendar(t: np.ndarray) -> np.ndarray:
+    """[S, 4] UTC (dow, hod, moh, soh) of [S] int64 timestamps, Monday = 0."""
+    return (t[:, None] + _CAL_SHIFT) // _CAL_UNIT % _CAL_PERIOD
 
 
 def decompose_time(t: int) -> tuple[int, int, int, int]:
     """Split a unix timestamp in [0, MAX_T) into UTC (dow, hod, moh, soh), Monday = 0."""
     if not 0 <= t < MAX_T:
         raise ValueError(f"timestamp {t} outside [0, {MAX_T})")
-    return _calendar(int(t))
+    return tuple(_calendar(np.array([int(t)]))[0].tolist())
 
 
 def delta_encode(traj: Trajectory) -> DeltaSequence:
@@ -312,18 +319,16 @@ def featurize(traj: Trajectory, params: NormalizationParams) -> FeatureSequence:
     the same way positions are (spatial deltas by the axis scales, dt by 60 s).
     """
     s = len(traj)
-    dt = np.diff(traj.t) / DT_DIVISOR_S
-    dow, hod, moh, soh = _calendar(traj.t)
-    feats = np.zeros((s, FEATURE_DIM), dtype=np.float64)
-    feats[:, 0] = (traj.lon - params.center_lon) / params.scale_lon
-    feats[:, 1] = (traj.lat - params.center_lat) / params.scale_lat
-    feats[:, 2] = dow / 7.0
-    feats[:, 3] = hod / 24.0
-    feats[:, 4] = moh / 60.0
-    feats[:, 5] = soh / 60.0
-    feats[1:, DT_FEATURE_INDEX] = dt
+    lat, lon, t = traj.lat, traj.lon, traj.t
+    step = (t[1:] - t[:-1]) / DT_DIVISOR_S
+    feats = np.empty((s, FEATURE_DIM), dtype=np.float64)
+    feats[:, 0] = (lon - params.center_lon) / params.scale_lon
+    feats[:, 1] = (lat - params.center_lat) / params.scale_lat
+    feats[:, 2:6] = _calendar(t) / _CAL_PERIOD
+    feats[0, DT_FEATURE_INDEX] = 0.0
+    feats[1:, DT_FEATURE_INDEX] = step
     targets = np.zeros((s, 3), dtype=np.float64)
-    targets[:-1, 0] = np.diff(traj.lat) / params.scale_lat
-    targets[:-1, 1] = np.diff(traj.lon) / params.scale_lon
-    targets[:-1, 2] = dt
+    targets[:-1, 0] = (lat[1:] - lat[:-1]) / params.scale_lat
+    targets[:-1, 1] = (lon[1:] - lon[:-1]) / params.scale_lon
+    targets[:-1, 2] = step
     return FeatureSequence(traj_id=traj.id, features=feats, targets=targets)

@@ -178,7 +178,7 @@ def test_malformed_lines_skipped_with_warning(tmp_path):
         [[52.5, 13.4, 0], [52.6, 13.5, 1.0]],  # integral float
         [[52.5, 13.4, False], [52.6, 13.5, True]],
         [[52.5, 13.4, 0], [52.6, 13.5, "1"]],
-        [[52.5, 13.4, 0], [1e400, 13.5, 1]],  # JSON overflows to inf
+        [[52.5, 13.4, 0], [float("inf"), 13.5, 1]],  # written as Infinity
         [[52.5, 13.4, 0], [10**400, 13.5, 1]],  # int too large for a float
     ],
 )

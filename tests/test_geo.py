@@ -85,7 +85,7 @@ def test_time_range_ends_with_year_9999():
     for t in (geo.MAX_T, 10**12, 2**70):
         with pytest.raises(ValueError):
             geo.decompose_time(t)
-        with pytest.raises(ValueError, match=str(geo.MAX_T - 1)):
+        with pytest.raises(ValueError, match="outside"):
             geo.Trajectory(id="late", points=[(0.0, 0.0, 1), (0.0, 0.0, t)])
     geo.Trajectory(id="edge", points=[(0.0, 0.0, 0), (0.0, 0.0, geo.MAX_T - 1)])
 
