@@ -49,8 +49,8 @@ TEMPORAL_SLOTS = slice(2, 7)
 DT_FEATURE_INDEX = 6
 DT_DIVISOR_S = 60.0  # fixed interval scale: one minute
 _MIN_SCALE = 1e-6
-# timestamps lie in [0, MAX_T): 1970-01-01 up to the end of year 9999 UTC,
-# the range on which the calendar features are defined
+# accepted timestamps are [0, MAX_T): 1970-01-01 through 9999-12-31 UTC, the
+# four-digit-year calendar range
 MAX_T = 253_402_300_800
 
 
