@@ -1,15 +1,19 @@
 """Command-line interface.
 
 Subcommands: ``synth`` (generate a corpus), ``fit-norm`` (fit normalization
-parameters), ``train``, ``eval``, ``rollout``, and ``pretext-check``. Every
-subcommand accepts ``--config <path>`` pointing at a JSON document whose
-sections mirror the config dataclasses (``synth``, ``model``, ``train`` —
-or a flat document for single-config commands); explicit flags override
-file values.
+parameters), ``train``, ``eval``, ``rollout``, and ``pretext-check``.
+``synth`` and ``train`` accept ``--config <path>``, a JSON object that is
+either sectioned or flat.  A sectioned document names only ``synth``,
+``model`` and ``train``, each holding fields of ``SyntheticConfig``,
+``ModelConfig`` and ``TrainConfig``; a flat one holds only fields of the
+configs the subcommand builds (``synth``: ``SyntheticConfig``; ``train``:
+``ModelConfig`` and ``TrainConfig``).  A config flag's argparse ``dest`` is
+its field name, and a flag overrides the document.
 
-Exit codes: 0 success, 1 usage error, 2 data error (missing or corrupt
-files, empty corpora, mismatched normalization frames), 3 numeric failure
-(non-finite training loss).
+Exit codes: 0 success, 1 usage error (bad flags; unknown config sections,
+keys or mistyped values), 2 data error (missing or corrupt files, empty
+corpora, mismatched normalization frames, a non-finite or malformed
+normalization file), 3 numeric failure (non-finite training loss).
 """
 
 from __future__ import annotations
@@ -67,40 +71,48 @@ def _load_json(path: str | Path) -> dict:
     return doc
 
 
-def _config_section(args, section: str) -> dict:
-    """The named section of --config, or the whole flat document."""
-    if not getattr(args, "config", None):
-        return {}
-    doc = _load_json(args.config)
-    if section in doc and isinstance(doc[section], dict):
-        return dict(doc[section])
-    return dict(doc)
+# the --config sections and the config each one holds
+_SECTIONS = {"synth": dt.SyntheticConfig, "model": tm.ModelConfig, "train": tr.TrainConfig}
 
 
-def _overrides(args, mapping: dict[str, str]) -> dict:
-    out = {}
-    for flag_attr, key in mapping.items():
-        value = getattr(args, flag_attr)
-        if value is not None:
-            out[key] = value
-    return out
+def _configs(args, *sections: str) -> list:
+    """The configs of the named sections: ``--config`` values, then the flags.
 
-
-def _build_config(cls, base: dict, overrides: dict, label: str):
-    merged = {**base, **overrides}
-    try:
-        return cls.from_dict(merged)
-    except TypeError as exc:
-        raise UsageError(f"invalid {label} config: {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(f"invalid {label} config: {exc}") from exc
+    A flag overrides the document when its argparse ``dest`` is a field name
+    of the config.  A sectioned document may name only ``synth``, ``model``
+    and ``train``; a flat one may hold only fields of the configs built here.
+    An entry is ``None`` when neither the document nor a flag sets a field.
+    """
+    doc = _load_json(args.config) if args.config else {}
+    field_names = [{f.name for f in dataclasses.fields(_SECTIONS[s])} for s in sections]
+    if doc.keys() & _SECTIONS.keys():
+        unknown = sorted(doc.keys() - _SECTIONS.keys())
+        if unknown:
+            raise UsageError(f"{args.config}: unknown sections {unknown}; known: {list(_SECTIONS)}")
+        parts = [doc.get(s, {}) for s in sections]
+    else:
+        unknown = sorted(doc.keys() - set().union(*field_names))
+        if unknown:
+            raise UsageError(f"{args.config}: unknown keys {unknown} for {' and '.join(sections)}")
+        parts = [{k: v for k, v in doc.items() if k in names} for names in field_names]
+    configs = []
+    for section, names, values in zip(sections, field_names, parts):
+        if not isinstance(values, dict):
+            raise UsageError(f"{args.config}: section {section!r} must be a JSON object")
+        flags = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+        values = {**values, **flags}
+        try:
+            configs.append(_SECTIONS[section].from_dict(values) if values else None)
+        except ValueError as exc:
+            raise UsageError(f"invalid {section} config: {exc}") from exc
+    return configs
 
 
 def _read_norm(path: str | Path) -> geo.NormalizationParams:
     doc = _load_json(path)
     try:
         return geo.NormalizationParams.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"{path} is not a normalization file: {exc}") from exc
 
 
@@ -137,26 +149,9 @@ def _emit(text: str, out: str | None) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-_SYNTH_FLAGS = {
-    "n_traj": "n_traj",
-    "points": "points_per_traj",
-    "waypoints": "n_waypoints",
-    "speed_min": "speed_min",
-    "speed_max": "speed_max",
-    "noise_sigma": "noise_sigma",
-    "dt_mean": "dt_mean_s",
-    "dt_std": "dt_std_s",
-    "seed": "seed",
-    "bbox": "bbox",
-}
-
-
 def _cmd_synth(args) -> int:
-    base = _config_section(args, "synth")
-    overrides = _overrides(args, _SYNTH_FLAGS)
-    if "bbox" in overrides:
-        overrides["bbox"] = tuple(overrides["bbox"])
-    cfg = _build_config(dt.SyntheticConfig, base, overrides, "synthetic")
+    (cfg,) = _configs(args, "synth")
+    cfg = cfg or dt.SyntheticConfig()
     n = dt.write_jsonl(dt.generate_synthetic(cfg), args.out)
     print(f"wrote {n} trajectories to {args.out}")
     return EXIT_OK
@@ -172,58 +167,17 @@ def _cmd_fit_norm(args) -> int:
     return EXIT_OK
 
 
-_MODEL_FLAGS = {
-    "d_model": "d_model",
-    "n_heads": "n_heads",
-    "n_blocks": "n_blocks",
-    "max_seq": "max_seq",
-    "patch_len": "patch_len",
-    "attention_mode": "attention_mode",
-}
-
-_TRAIN_FLAGS = {
-    "lr": "lr",
-    "epochs": "epochs",
-    "batch_size": "batch_size",
-    "objective": "objective",
-    "mask_ratio": "mask_ratio",
-    "loss": "loss",
-    "clip_norm": "clip_norm",
-    "seed": "seed",
-}
-
-
-_MODEL_KEYS = {f.name for f in dataclasses.fields(tm.ModelConfig)}
-
-
-def _model_config_from_args(args) -> tuple[tm.ModelConfig | None, bool]:
-    base = _config_section(args, "model") if args.config else {}
-    base = {k: v for k, v in base.items() if k in _MODEL_KEYS}
-    overrides = _overrides(args, _MODEL_FLAGS)
-    if args.rope:
-        overrides["rope_enabled"] = True
-    explicit = bool(base or overrides)
-    if not explicit:
-        return None, False
-    return _build_config(tm.ModelConfig, base, overrides, "model"), True
-
-
 def _cmd_train(args) -> int:
-    train_base = _config_section(args, "train")
-    train_base = {k: v for k, v in train_base.items() if k in _TRAIN_KEYS}
-    train_cfg = _build_config(
-        tr.TrainConfig, train_base, _overrides(args, _TRAIN_FLAGS), "train"
-    )
-    model_cfg, explicit_model = _model_config_from_args(args)
+    model_cfg, train_cfg = _configs(args, "model", "train")
+    train_cfg = train_cfg or tr.TrainConfig()
 
     resume_ckpt = None
     adam_state = None
     start_epoch = 0
     history = None
     if args.resume:
-        resume_ckpt = _load_ckpt(
-            args.resume, expect_config=model_cfg if explicit_model else None
-        )
+        # only a model config given by --config or flags must match
+        resume_ckpt = _load_ckpt(args.resume, expect_config=model_cfg)
         model_cfg = resume_ckpt.model_config
         params = tr.restore_params(resume_ckpt)
         adam_state = resume_ckpt.adam
@@ -288,9 +242,6 @@ def _cmd_train(args) -> int:
         )
     print(f"wrote checkpoint to {args.out}")
     return EXIT_OK
-
-
-_TRAIN_KEYS = set(tr.TrainConfig().to_dict())
 
 
 def _cmd_eval(args) -> int:
@@ -383,26 +334,25 @@ def _cmd_pretext_check(args) -> int:
 
 
 def build_parser() -> _Parser:
+    # argparse names a flag's dest after it (--n-traj -> n_traj); a config
+    # flag's dest is its config field, so --config values and flags merge by name
     parser = _Parser(prog="tinytraj", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic trajectory corpus")
     p.add_argument("--config", help="JSON config (synth section or flat)")
     p.add_argument("--out", required=True, help="output JSONL path")
-    p.add_argument("--n-traj", dest="n_traj", type=int)
-    p.add_argument("--points", type=int, help="points per trajectory")
-    p.add_argument("--waypoints", type=int)
-    p.add_argument("--speed-min", dest="speed_min", type=float)
-    p.add_argument("--speed-max", dest="speed_max", type=float)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p.add_argument("--dt-mean", dest="dt_mean", type=float)
-    p.add_argument("--dt-std", dest="dt_std", type=float)
+    p.add_argument("--n-traj", type=int)
+    p.add_argument("--points", dest="points_per_traj", type=int, help="points per trajectory")
+    p.add_argument("--waypoints", dest="n_waypoints", type=int)
+    p.add_argument("--speed-min", type=float)
+    p.add_argument("--speed-max", type=float)
+    p.add_argument("--noise-sigma", type=float)
+    p.add_argument("--dt-mean", dest="dt_mean_s", type=float)
+    p.add_argument("--dt-std", dest="dt_std_s", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument(
-        "--bbox",
-        nargs=4,
-        type=float,
-        metavar=("LAT_MIN", "LON_MIN", "LAT_MAX", "LON_MAX"),
+        "--bbox", nargs=4, type=float, metavar=("LAT_MIN", "LON_MIN", "LAT_MAX", "LON_MAX")
     )
     p.set_defaults(func=_cmd_synth)
 
@@ -412,40 +362,34 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_fit_norm)
 
     p = sub.add_parser("train", help="train a model")
-    p.add_argument("--config", help="JSON config with model/train sections")
+    p.add_argument("--config", help="JSON config (model/train sections or flat)")
     p.add_argument("--data", required=True, help="training JSONL corpus")
-    p.add_argument("--val-data", dest="val_data", help="validation JSONL corpus")
+    p.add_argument("--val-data", help="validation JSONL corpus")
     p.add_argument(
-        "--val-fraction",
-        dest="val_fraction",
-        type=float,
-        help="hash-split this fraction of --data for validation",
+        "--val-fraction", type=float, help="hash-split this fraction of --data for validation"
     )
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--norm", help="normalization JSON (default: fit to --data)")
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--history-csv", dest="history_csv", help="write metrics CSV here")
-    p.add_argument("--s-max", dest="s_max", type=int, help="truncate trajectories")
-    p.add_argument("--d-model", dest="d_model", type=int)
-    p.add_argument("--n-heads", dest="n_heads", type=int)
-    p.add_argument("--n-blocks", dest="n_blocks", type=int)
-    p.add_argument("--max-seq", dest="max_seq", type=int)
-    p.add_argument("--patch-len", dest="patch_len", type=int)
+    p.add_argument("--history-csv", help="write metrics CSV here")
+    p.add_argument("--s-max", type=int, help="truncate trajectories")
+    p.add_argument("--d-model", type=int)
+    p.add_argument("--n-heads", type=int)
+    p.add_argument("--n-blocks", type=int)
+    p.add_argument("--max-seq", type=int)
+    p.add_argument("--patch-len", type=int)
+    p.add_argument("--attention-mode", choices=("causal", "bidirectional"))
     p.add_argument(
-        "--attention-mode",
-        dest="attention_mode",
-        choices=("causal", "bidirectional"),
+        "--rope", dest="rope_enabled", action="store_const", const=True,
+        help="rotary position embedding",
     )
-    p.add_argument("--rope", action="store_true", help="rotary position embedding")
     p.add_argument("--lr", type=float)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument(
-        "--objective", choices=("next_step", "infill", "alternating")
-    )
-    p.add_argument("--mask-ratio", dest="mask_ratio", type=float)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--objective", choices=("next_step", "infill", "alternating"))
+    p.add_argument("--mask-ratio", type=float)
     p.add_argument("--loss", choices=("mse", "huber"))
-    p.add_argument("--clip-norm", dest="clip_norm", type=float)
+    p.add_argument("--clip-norm", type=float)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_train)
 
@@ -454,9 +398,9 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--mode", choices=ev.EVAL_MODES, default="next_step")
     p.add_argument("--horizon", type=int, default=5)
-    p.add_argument("--mask-ratio", dest="mask_ratio", type=float, default=0.15)
+    p.add_argument("--mask-ratio", type=float, default=0.15)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=32)
+    p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--norm", help="cross-check the dataset's normalization")
     p.add_argument("--out", help="write the report here instead of stdout")
@@ -465,26 +409,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("rollout", help="autoregressively extend a trajectory")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--traj-id", dest="traj_id", help="default: first trajectory")
-    p.add_argument(
-        "--prefix-len",
-        dest="prefix_len",
-        type=int,
-        help="use only the first N points as the prefix",
-    )
+    p.add_argument("--traj-id", help="default: first trajectory")
+    p.add_argument("--prefix-len", type=int, help="use only the first N points as the prefix")
     p.add_argument("--horizon", type=int, default=5)
     p.add_argument("--out", help="write the predicted suffix JSON here")
     p.set_defaults(func=_cmd_rollout)
 
-    p = sub.add_parser(
-        "pretext-check", help="autoencoder probe of the feature encoding"
-    )
+    p = sub.add_parser("pretext-check", help="autoencoder probe of the feature encoding")
     p.add_argument("--data", required=True)
     p.add_argument("--norm")
-    p.add_argument("--d-latent", dest="d_latent", type=int, default=64)
+    p.add_argument("--d-latent", type=int, default=64)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-traj", dest="max_traj", type=int)
+    p.add_argument("--max-traj", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pretext_check)
 

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import geo
-from .geo import NormalizationParams, Trajectory
+from .geo import JsonConfig, NormalizationParams, Trajectory
 
 __all__ = [
     "Batch",
@@ -50,7 +50,7 @@ class MalformedLineWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class SyntheticConfig:
+class SyntheticConfig(JsonConfig):
     """Parameters for the synthetic trajectory generator.
 
     Each trajectory samples waypoints uniformly inside ``bbox``, rescales the
@@ -97,27 +97,6 @@ class SyntheticConfig:
         if not (-90 <= lat_min < lat_max <= 90 and -180 <= lon_min < lon_max <= 180):
             raise ValueError(f"bbox must be (lat_min, lon_min, lat_max, lon_max) "
                              f"with positive extent, got {self.bbox}")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_traj": self.n_traj,
-            "points_per_traj": self.points_per_traj,
-            "n_waypoints": self.n_waypoints,
-            "speed_min": self.speed_min,
-            "speed_max": self.speed_max,
-            "noise_sigma": self.noise_sigma,
-            "dt_mean_s": self.dt_mean_s,
-            "dt_std_s": self.dt_std_s,
-            "bbox": list(self.bbox),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticConfig":
-        d = dict(d)
-        if "bbox" in d:
-            d["bbox"] = tuple(d["bbox"])
-        return cls(**d)
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> Iterator[Trajectory]:

@@ -19,7 +19,6 @@ from .autodiff import Tensor
 from . import geo
 
 __all__ = [
-    "PatchConfig",
     "ProjectionLayer",
     "Time2VecLayer",
     "embed_sequence",
@@ -55,21 +54,6 @@ class Time2VecLayer:
     @property
     def k(self) -> int:
         return self.omega.shape[0]
-
-
-@dataclass(frozen=True)
-class PatchConfig:
-    """Group ``patch_len`` consecutive points into one token (stride = len)."""
-
-    patch_len: int
-
-    def __post_init__(self):
-        if self.patch_len < 1:
-            raise ValueError("patch_len must be >= 1")
-
-    @property
-    def stride(self) -> int:
-        return self.patch_len
 
 
 def init_projection(f_in: int, d_model: int, rng: np.random.Generator) -> ProjectionLayer:
@@ -150,13 +134,14 @@ def patchify(x: Tensor | np.ndarray, patch_len: int) -> tuple[Tensor, int]:
     xt = x if isinstance(x, Tensor) else Tensor(x)
     if xt.ndim not in (2, 3):
         raise ValueError(f"patchify expects [S, F] or [B, S, F], got shape {xt.shape}")
+    if patch_len < 1:
+        raise ValueError(f"patch_len must be >= 1, got {patch_len}")
     *lead, s, f = xt.shape
-    p = PatchConfig(patch_len).patch_len
-    n_patches = -(-s // p)  # ceil
-    pad = n_patches * p - s
+    n_patches = -(-s // patch_len)  # ceil
+    pad = n_patches * patch_len - s
     if pad:
         xt = ad.concat([xt, Tensor(np.zeros((*lead, pad, f)))], axis=xt.ndim - 2)
-    return ad.reshape(xt, (*lead, n_patches, p * f)), s
+    return ad.reshape(xt, (*lead, n_patches, patch_len * f)), s
 
 
 def unpatchify(patched: np.ndarray, patch_len: int, valid_len: int, f: int) -> np.ndarray:

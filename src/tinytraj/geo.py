@@ -10,7 +10,13 @@ predicts motion rather than absolute position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+import functools
+import math
+import sys
+import types
+import typing
+from dataclasses import MISSING, astuple, dataclass, fields
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -23,6 +29,7 @@ __all__ = [
     "TEMPORAL_SLOTS",
     "DeltaSequence",
     "FeatureSequence",
+    "JsonConfig",
     "NormalizationParams",
     "TrajPoint",
     "Trajectory",
@@ -164,8 +171,73 @@ class Trajectory:
         return f"Trajectory(id={self.id!r}, {len(self)} points)"
 
 
+def _typed(kind, value):
+    """``value`` read from JSON as the field annotation ``kind``; ``TypeError`` if it is not."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float and number and -sys.float_info.max <= value <= sys.float_info.max:
+        return float(value)  # finite: NaN and out-of-range values fail the bounds
+    if (kind is int and number and isinstance(value, int)) or (
+        kind in (bool, str, type(None)) and isinstance(value, kind)
+    ):
+        return value
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (typing.Union, types.UnionType):
+        for arm in args:
+            with contextlib.suppress(TypeError):
+                return _typed(arm, value)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        arms = (args[0],) * len(value) if args[-1] is Ellipsis else args
+        if len(arms) == len(value):
+            return tuple(map(_typed, arms, value))
+    raise TypeError(f"{value!r} is not {kind}")
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+class JsonConfig:
+    """``to_dict``/``from_dict`` for a config dataclass, typed by its field annotations.
+
+    The keys are the dataclass fields.  ``from_dict`` takes an ``int`` as a
+    JSON integer, a ``float`` as a finite JSON number (an integer becomes a
+    float), ``bool`` and ``str`` as themselves, ``X | None`` as either, and a
+    ``tuple[...]`` as a list of the right length and element types; any other
+    key or value raises ``ValueError`` naming the class, the field and the
+    value.  ``to_dict`` writes tuples as lists.
+    """
+
+    def to_dict(self) -> dict:
+        return {
+            f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+            for f in fields(self)
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        name = cls.__name__
+        if not isinstance(d, dict):
+            raise ValueError(f"{name} needs a JSON object, got {d!r}")
+        kinds = _field_types(cls)
+        values = {}
+        for key, value in d.items():
+            if key not in kinds:
+                raise ValueError(f"{name} has no field {key!r}")
+            try:
+                values[key] = _typed(kinds[key], value)
+            except TypeError:
+                kind = kinds[key].__name__ if isinstance(kinds[key], type) else kinds[key]
+                raise ValueError(f"{name}.{key} must be {kind}, got {value!r}") from None
+        for f in fields(cls):
+            if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{name}.{f.name} is missing")
+        return cls(**values)
+
+
 @dataclass(frozen=True)
-class NormalizationParams:
+class NormalizationParams(JsonConfig):
     """Corpus center and per-axis spread used to map degrees to model units."""
 
     center_lat: float
@@ -174,33 +246,13 @@ class NormalizationParams:
     scale_lon: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise ValueError(f"normalization parameters must be finite, got {astuple(self)}")
         if not (self.scale_lat > 0 and self.scale_lon > 0):
             raise ValueError("scales must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "center_lat": self.center_lat,
-            "center_lon": self.center_lon,
-            "scale_lat": self.scale_lat,
-            "scale_lon": self.scale_lon,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormalizationParams":
-        return cls(
-            center_lat=float(d["center_lat"]),
-            center_lon=float(d["center_lon"]),
-            scale_lat=float(d["scale_lat"]),
-            scale_lon=float(d["scale_lon"]),
-        )
-
     def approx_equal(self, other: "NormalizationParams", tol: float = 1e-9) -> bool:
-        return (
-            abs(self.center_lat - other.center_lat) <= tol
-            and abs(self.center_lon - other.center_lon) <= tol
-            and abs(self.scale_lat - other.scale_lat) <= tol
-            and abs(self.scale_lon - other.scale_lon) <= tol
-        )
+        return all(abs(a - b) <= tol for a, b in zip(astuple(self), astuple(other)))
 
 
 @dataclass

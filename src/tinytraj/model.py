@@ -14,7 +14,7 @@ serves masked infill.  Rotary position embeddings on q/k are optional.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,7 @@ OUT_DIM = 3  # (dlat, dlon, dt) in normalized units
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(geo.JsonConfig):
     """Architecture and feature flags; defaults give the desk-scale model."""
 
     d_model: int = 64
@@ -95,13 +95,6 @@ class ModelConfig:
     @property
     def out_dim(self) -> int:
         return OUT_DIM
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass

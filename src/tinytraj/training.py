@@ -25,7 +25,7 @@ from . import embedding as emb
 from . import masking
 from .autodiff import Tensor
 from .data import Batch
-from .geo import FEATURE_DIM, NormalizationParams
+from .geo import FEATURE_DIM, JsonConfig, NormalizationParams
 from .masking import MaskEmbedding, MaskSpec
 from .model import (
     ModelConfig,
@@ -98,7 +98,7 @@ class NoSupervisionWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(JsonConfig):
     """Optimizer and schedule settings.
 
     ``objective`` selects next-step prediction, masked infill, or a 1:1
@@ -150,30 +150,6 @@ class TrainConfig:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
         if self.huber_delta <= 0:
             raise ValueError(f"huber_delta must be > 0, got {self.huber_delta}")
-
-    def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "clip_norm": self.clip_norm,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "objective": self.objective,
-            "mask_ratio": self.mask_ratio,
-            "mask_kinds": list(self.mask_kinds),
-            "loss": self.loss,
-            "huber_delta": self.huber_delta,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "mask_kinds" in d:
-            d["mask_kinds"] = tuple(d["mask_kinds"])
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -743,10 +719,14 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def _manifest_entry(entry) -> tuple[str, tuple[int, ...]]:
-    name, shape = entry["name"], tuple(int(d) for d in entry["shape"])
-    if not isinstance(name, str) or any(d < 0 for d in shape):
+    name, shape = entry["name"], entry["shape"]
+    if not (
+        isinstance(name, str)
+        and isinstance(shape, list)
+        and all(type(d) is int and d >= 0 for d in shape)
+    ):
         raise ValueError(f"bad array entry {entry!r}")
-    return name, shape
+    return name, tuple(shape)
 
 
 def load_checkpoint(
@@ -755,9 +735,10 @@ def load_checkpoint(
     """Read a checkpoint; fails loudly on corruption, version skew, or a
     model configuration different from ``expect_config``.
 
-    Every malformed header (not an object, missing keys, unknown or invalid
-    ``model_config`` fields) and every non-finite payload value raises
-    :class:`CorruptCheckpointError`.
+    Every malformed header (not an object, missing keys, unknown, mistyped or
+    invalid ``model_config`` or ``normalization`` fields, array shapes that
+    are not lists of non-negative integers) and every non-finite payload
+    value raises :class:`CorruptCheckpointError`.
     """
     raw = Path(path).read_bytes()
     prefix = len(CHECKPOINT_MAGIC) + 4 + 8
@@ -788,7 +769,8 @@ def load_checkpoint(
             else None
         )
         adam_step = header.get("adam_step")
-        adam_step = None if adam_step is None else int(adam_step)
+        if adam_step is not None and (type(adam_step) is not int or adam_step < 0):
+            raise ValueError(f"adam_step {adam_step!r} is not a count")
         rng_state = dict(header.get("rng_state") or {})
         history = list(header.get("history") or [])
     except (KeyError, TypeError, ValueError) as exc:
@@ -799,7 +781,7 @@ def load_checkpoint(
     offset = body_start
     arrays: dict[str, np.ndarray] = {}
     for name, shape in manifest:
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # Python integers: no int64 wrap-around
         nbytes = count * 8
         if offset + nbytes > len(raw):
             raise CorruptCheckpointError(
@@ -808,7 +790,10 @@ def load_checkpoint(
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
         if not np.isfinite(arr).all():
             raise CorruptCheckpointError(f"{path}: non-finite values in array {name!r}")
-        arrays[name] = arr.reshape(shape).astype(np.float64)
+        try:
+            arrays[name] = arr.reshape(shape).astype(np.float64)
+        except ValueError as exc:  # an empty array with dimensions numpy cannot hold
+            raise CorruptCheckpointError(f"{path}: array {name!r} has shape {shape}") from exc
         offset += nbytes
     if offset != len(raw):
         raise CorruptCheckpointError(f"{path}: {len(raw) - offset} trailing bytes")

@@ -277,6 +277,102 @@ class TestTrain:
         )
         assert code == EXIT_USAGE
 
+    def test_infinite_norm_file_is_data_error(self, tmp_path, corpus, model_config, capsys):
+        norm = tmp_path / "norm.json"
+        assert run("fit-norm", "--data", corpus, "--out", norm) == EXIT_OK
+        doc = json.loads(norm.read_text())
+        norm.write_text(json.dumps({**doc, "scale_lat": float("inf")}))
+        out = tmp_path / "m.ckpt"
+        code = run("train", "--config", model_config, "--data", corpus, "--out", out, "--norm", norm)
+        assert code == EXIT_DATA
+        assert "scale_lat" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# --config documents
+# ---------------------------------------------------------------------------
+
+
+def _write_config(tmp_path, doc) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))  # NaN is written as the token NaN
+    return path
+
+
+class TestConfigDocument:
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"train": {"learning_rate": 5}}, "learning_rate"),
+            ({"model": {"dmodel": 16}}, "dmodel"),
+            ({"lr": 0.01, "epochz": 3, "d_model": 8, "n_heads": 2}, "epochz"),
+            ({"modle": {"d_model": 16}}, "modle"),
+            ({"model": {"d_model": 8}, "modle": {"d_model": 16}}, "modle"),
+            ({"train": {"epochs": 1.5}}, "epochs"),
+            ({"model": {"d_model": 8.0, "n_heads": 2}}, "d_model"),
+            ({"train": {"lr": True}}, "lr"),
+            ({"train": {"lr": float("nan")}}, "lr"),
+            ({"train": {"mask_kinds": "dimension"}}, "mask_kinds must be tuple[str, ...]"),
+            ({"train": [1, 2]}, "train"),
+        ],
+    )
+    def test_train_rejects_unknown_or_mistyped_entries(self, tmp_path, corpus, capsys, doc, named):
+        out = tmp_path / "m.ckpt"
+        code = run("train", "--config", _write_config(tmp_path, doc), "--data", corpus, "--out", out)
+        assert code == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"synth": {"n_traj": 2.5}}, "n_traj"),
+            ({"n_traj": 2, "lr": 0.1}, "lr"),
+            ({"synth": {"bbox": [10, 20, 11]}}, "bbox"),
+        ],
+    )
+    def test_synth_rejects_unknown_or_mistyped_entries(self, tmp_path, capsys, doc, named):
+        code = run("synth", "--config", _write_config(tmp_path, doc), "--out", tmp_path / "c.jsonl")
+        assert code == EXIT_USAGE
+        assert named in capsys.readouterr().err
+
+    def test_flat_train_document_sets_both_configs(self, tmp_path, corpus):
+        doc = {"d_model": 8, "n_heads": 2, "n_blocks": 1, "max_seq": 16, "lr": 0.003, "epochs": 2}
+        out = tmp_path / "m.ckpt"
+        code = run("train", "--config", _write_config(tmp_path, doc), "--data", corpus, "--out", out)
+        assert code == EXIT_OK
+        ckpt = tr.load_checkpoint(out)
+        assert ckpt.model_config.d_model == 8 and ckpt.model_config.n_blocks == 1
+        assert ckpt.train_config["lr"] == 0.003 and ckpt.train_config["epochs"] == 2
+
+    def test_flags_bind_to_field_names(self, tmp_path):
+        out = tmp_path / "c.jsonl"
+        code = run(
+            "synth", "--out", out, "--n-traj", 2, "--points", 3, "--waypoints", 3,
+            "--dt-mean", 10, "--dt-std", 0,
+        )
+        assert code == EXIT_OK
+        for line in out.read_text().splitlines():
+            times = [t for _, _, t in json.loads(line)["points"]]
+            assert len(times) == 3 and np.diff(times).tolist() == [10, 10]
+        args = cli.build_parser().parse_args(["train", "--data", "d", "--out", "o", "--rope"])
+        assert args.rope_enabled is True
+        args = cli.build_parser().parse_args(["train", "--data", "d", "--out", "o"])
+        assert args.rope_enabled is None
+
+    def test_rope_from_document_survives_absent_flag(self, tmp_path, corpus):
+        doc = {"model": {"d_model": 8, "n_heads": 2, "n_blocks": 1, "max_seq": 16, "rope_enabled": True}}
+        out = tmp_path / "m.ckpt"
+        code = run("train", "--config", _write_config(tmp_path, doc), "--data", corpus, "--out", out)
+        assert code == EXIT_OK
+        assert tr.load_checkpoint(out).model_config.rope_enabled is True
+
+    def test_eval_has_no_config_flag(self, tmp_path, corpus, checkpoint, capsys):
+        cfg = _write_config(tmp_path, {})
+        assert run("eval", "--ckpt", checkpoint, "--data", corpus, "--config", cfg) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # eval

@@ -139,9 +139,8 @@ def test_patchify_round_trip_exact():
 
 
 def test_patch_config_validates():
-    with pytest.raises(ValueError):
-        emb.PatchConfig(0)
-    assert emb.PatchConfig(4).stride == 4
+    with pytest.raises(ValueError, match="patch_len"):
+        emb.patchify(np.zeros((4, geo.FEATURE_DIM)), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,16 @@ def test_constant_axis_floors_scale():
     assert params.scale_lon == 1e-6
 
 
+@pytest.mark.parametrize("field", ["center_lat", "center_lon", "scale_lat", "scale_lon"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_normalization_params_must_be_finite(field, bad):
+    good = {"center_lat": 52.5, "center_lon": 13.4, "scale_lat": 0.1, "scale_lon": 0.2}
+    with pytest.raises(ValueError, match="finite"):
+        geo.NormalizationParams(**{**good, field: bad})
+    with pytest.raises(ValueError, match=field):
+        geo.NormalizationParams.from_dict({**good, field: bad})
+
+
 def test_normalize_denormalize_round_trip():
     rng = np.random.default_rng(3)
     trajs = [random_trajectory(rng, str(i)) for i in range(20)]

@@ -531,12 +531,43 @@ def _nan_payload(blob: bytes) -> bytes:
     return bytes(out)
 
 
+def _set(path, value):
+    """A header edit that sets the field at ``path`` (keys and list indices)."""
+
+    def edit(header):
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return header
+
+    return edit
+
+
+def _float_shape(header):
+    entry = header["arrays"][0]
+    entry["shape"] = [float(d) for d in entry["shape"]]
+    return header
+
+
 # each yields a checkpoint that must load as CorruptCheckpointError
 CORRUPTIONS = {
     "missing_arrays": lambda blob: _rewrite_header(blob, _drop_arrays),
     "non_object_header": lambda blob: _rewrite_header(blob, lambda h: [h]),
     "unknown_model_config_key": lambda blob: _rewrite_header(blob, _unknown_config_key),
     "nan_payload": _nan_payload,
+    "infinite_normalization": lambda blob: _rewrite_header(
+        blob, _set(("normalization", "scale_lat"), float("inf"))
+    ),
+    "float_model_config_value": lambda blob: _rewrite_header(
+        blob, _set(("model_config", "n_blocks"), 1.0)
+    ),
+    # np.prod wraps to 0 elements in int64
+    "overflowing_shape": lambda blob: _rewrite_header(
+        blob, _set(("arrays", 0, "shape"), [2**32, 2**32])
+    ),
+    "infinite_adam_step": lambda blob: _rewrite_header(blob, _set(("adam_step",), float("inf"))),
+    "float_shape": lambda blob: _rewrite_header(blob, _float_shape),
 }
 
 
