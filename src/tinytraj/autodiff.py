@@ -331,25 +331,43 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return record_op((x, b), x.data + b.data, vjp)
 
 
+def _is_constant(t: Tensor) -> bool:
+    # No active tape and no gradient wanted: backward can neither report nor
+    # pass on a gradient for it (the feature input, Time2Vec's taus).
+    return not t.requires_grad and (t.tape is None or not t.tape.active)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with deterministic, truncation-stable accumulation.
 
     Three forms: ``[m, k] @ [k, n]``; ``[B, S, k] @ [k, n]``, a weight shared
     by every sequence of a batch (its gradient is folded per sequence); and
     ``[..., m, k] @ [..., k, n]`` with equal leading axes, one independent
-    product per leading index (attention heads).
+    product per leading index (attention heads).  The VJP skips the product
+    for a constant operand and returns None for it.
     """
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(f"matmul: inner dimensions of {a.shape} and {b.shape} differ")
     ad, bd = a.data, b.data
+    const_a, const_b = _is_constant(a), _is_constant(b)
     if a.ndim == b.ndim:
         if a.shape[:-2] != b.shape[:-2]:
             raise ShapeMismatchError(f"matmul: leading axes of {a.shape} and {b.shape} differ")
         if a.ndim == 2:
-            return record_op((a, b), _mm(ad, bd), lambda g: (_mm(g, bd.T), _mm(ad.T, g)))
+
+            def vjp_2d(g: np.ndarray):
+                return (
+                    None if const_a else _mm(g, bd.T),
+                    None if const_b else _mm(ad.T, g),
+                )
+
+            return record_op((a, b), _mm(ad, bd), vjp_2d)
 
         def vjp_batched(g: np.ndarray):
-            return _bmm(g, np.swapaxes(bd, -1, -2)), _bmm(np.swapaxes(ad, -1, -2), g)
+            return (
+                None if const_a else _bmm(g, np.swapaxes(bd, -1, -2)),
+                None if const_b else _bmm(np.swapaxes(ad, -1, -2), g),
+            )
 
         return record_op((a, b), _bmm(ad, bd), vjp_batched)
     if a.ndim != 3 or b.ndim != 2:
@@ -358,8 +376,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     rows = ad.reshape(-1, k)  # [B*S, k]: each row's product is row-local
 
     def vjp_shared(g: np.ndarray):
-        da = _mm(g.reshape(-1, n), bd.T).reshape(ad.shape)
-        return da, _fold(_bmm(np.swapaxes(ad, 1, 2), g))
+        da = None if const_a else _mm(g.reshape(-1, n), bd.T).reshape(ad.shape)
+        return da, None if const_b else _fold(_bmm(np.swapaxes(ad, 1, 2), g))
 
     return record_op((a, b), _mm(rows, bd).reshape(ad.shape[:-1] + (n,)), vjp_shared)
 
@@ -482,8 +500,9 @@ def softmax_rows(x: Tensor) -> Tensor:
     if x.ndim < 2:
         raise ShapeMismatchError(f"softmax_rows: expected at least 2 axes, got {x.shape}")
     m = np.max(x.data, axis=-1, keepdims=True)  # subtract the row max first
-    e = np.exp(x.data - m)
-    y = e / _row_sums(e)
+    y = x.data - m
+    np.exp(y, out=y)  # in place: one score-sized array fewer at the peak
+    y /= _row_sums(y)
 
     def vjp(g: np.ndarray):
         dot = _row_sums(g * y)

@@ -181,7 +181,7 @@ def _cmd_train(args) -> int:
         model_cfg = resume_ckpt.model_config
         params = tr.restore_params(resume_ckpt)
         adam_state = resume_ckpt.adam
-        start_epoch = int(resume_ckpt.rng_state.get("next_epoch", 0))
+        start_epoch = resume_ckpt.rng_state.get("next_epoch", 0)
         history = resume_ckpt.history
     else:
         if model_cfg is None:
@@ -400,7 +400,10 @@ def build_parser() -> _Parser:
     p.add_argument("--horizon", type=int, default=5)
     p.add_argument("--mask-ratio", type=float, default=0.15)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument(
+        "--batch-size", type=int, default=12,
+        help="trajectories per forward pass; sets memory use, never the report (default 12)",
+    )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--norm", help="cross-check the dataset's normalization")
     p.add_argument("--out", help="write the report here instead of stdout")

@@ -161,6 +161,7 @@ def embed_sequence(
     patch_len: int = 1,
     use_dt_feature: bool = True,
     lengths=None,
+    positions: np.ndarray | None = None,
 ) -> Tensor:
     """Full input pipeline: [S, 7] point features -> [S', d_model] embeddings,
     or a [B, S, 7] batch -> [B, S', d_model] in one pass.
@@ -171,6 +172,8 @@ def embed_sequence(
     ``lengths`` gives each batch row's number of real points; the Time2Vec
     channels of the zero padding after them are zeroed, so a patch that
     straddles a row's end sees the same zeros as a single-sequence pass.
+    ``positions`` ([B, S'] integers) gives each row its own position
+    indices, as in incremental decoding; None means 0 .. S'-1 for every row.
     """
     x = features if isinstance(features, Tensor) else Tensor(features)
     if x.ndim not in (2, 3) or x.shape[-1] != geo.FEATURE_DIM:
@@ -198,10 +201,13 @@ def embed_sequence(
     out = project(x, proj)
 
     if pe_table is not None:
-        s = out.shape[1]
-        if s > pe_table.shape[0]:
-            raise ValueError(f"sequence of {s} positions exceeds table of {pe_table.shape[0]}")
-        out = ad.add(out, Tensor(np.broadcast_to(pe_table[:s], out.shape)))
+        if positions is None:
+            positions = np.arange(out.shape[1])
+        if positions.max() >= pe_table.shape[0]:
+            raise ValueError(
+                f"position {positions.max()} outside a table of {pe_table.shape[0]} positions"
+            )
+        out = ad.add(out, Tensor(np.broadcast_to(pe_table[positions], out.shape)))
     return ad.reshape(out, out.shape[1:]) if single else out
 
 

@@ -7,26 +7,36 @@ previous point, so a perfect predictor (one that emits the exact target
 deltas) scores exactly 0.0 on every metric — no tolerance involved.
 Rollout scoring compares against the delta-decoded ground-truth suffix,
 which matches the original points to within a few float ulps.
+
+The model path reads ``batch_size`` trajectories per forward pass: one
+padded pass for next-step and infill scoring, and for rollout a prefill of
+the padded prefixes followed by one K/V-cached decode step per generated
+point.  Padding, batching and the cache change no bit, so every report and
+every rollout point equals the per-trajectory full recompute.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import masking
 from .geo import (
     DT_DIVISOR_S,
+    FEATURE_DIM,
     NormalizationParams,
     TrajPoint,
     Trajectory,
     featurize,
+    featurize_next,
+    step_targets,
 )
-from .model import ModelConfig, ModelParams, forward_features
+from .model import KVCache, ModelConfig, ModelParams, forward_features
 
 __all__ = [
     "CSV_COLUMNS",
@@ -130,11 +140,78 @@ def _decode_step(
     return TrajPoint(lat=lat, lon=lon, t=prev.t + dt)
 
 
-def _model_predict(params: ModelParams, model_cfg: ModelConfig) -> PredictFn:
-    def predict(features: np.ndarray, traj_id: str) -> np.ndarray:
-        return forward_features(features, params, model_cfg).data
+def _last_rows(predict_fn: PredictFn, feats: np.ndarray, lengths, ids) -> list[np.ndarray]:
+    """Each trajectory's final prediction from ``predict_fn`` called on its
+    running [S, 7] feature matrix."""
+    return [
+        np.asarray(predict_fn(feats[b, :n].copy(), traj_id), dtype=np.float64)[-1]
+        for b, (n, traj_id) in enumerate(zip(lengths, ids))
+    ]
 
-    return predict
+
+def _rollout_batch(
+    params: ModelParams,
+    model_cfg: ModelConfig,
+    norm: NormalizationParams,
+    prefixes: Sequence[Trajectory],
+    horizon: int,
+    predict_fn: PredictFn | None,
+) -> list[list[TrajPoint]]:
+    """Extend every prefix by ``horizon`` points, all of them in step.
+
+    The model path prefills a :class:`KVCache` with the padded prefixes and
+    then decodes one new row per trajectory per step; an injected
+    ``predict_fn`` is called instead on each trajectory's running feature
+    matrix.  Only the new points are featurized (the features are row-local),
+    and each one passes the trajectory check first.
+    """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if model_cfg.attention_mode != "causal":
+        raise ValueError("rollout requires a causal model")
+    if model_cfg.patch_len != 1:
+        raise ValueError("rollout requires patch_len == 1")
+    for prefix in prefixes:
+        if len(prefix) < 2:
+            raise ValueError(f"prefix needs at least 2 points, got {len(prefix)}")
+        if len(prefix) + horizon > model_cfg.max_seq:
+            raise ValueError(
+                f"prefix of {len(prefix)} plus horizon {horizon} exceeds the "
+                f"model's max_seq {model_cfg.max_seq}"
+            )
+    if horizon == 0:
+        return [[] for _ in prefixes]
+    ids = [p.id for p in prefixes]
+    n = np.array([len(p) for p in prefixes])
+    rows = np.arange(len(prefixes))
+    # every position a prediction reads: the prefix and all but the last new point
+    feats = np.zeros((len(prefixes), n.max() + horizon - 1, FEATURE_DIM))
+    for b, prefix in enumerate(prefixes):
+        feats[b, : n[b]] = featurize(prefix, norm).features
+    if predict_fn is None:
+        cache = KVCache(model_cfg, len(prefixes), feats.shape[1])
+        prefill = forward_features(feats[:, : n.max()], params, model_cfg, lengths=n, cache=cache)
+        preds = prefill.data[rows, n - 1]
+    else:
+        preds = _last_rows(predict_fn, feats, n, ids)
+    prev = [TrajPoint(float(p.lat[-1]), float(p.lon[-1]), int(p.t[-1])) for p in prefixes]
+    suffixes: list[list[TrajPoint]] = [[] for _ in prefixes]
+    for k in range(horizon):
+        new = [_decode_step(p, row, norm) for p, row in zip(prev, preds)]
+        for suffix, point in zip(suffixes, new):
+            suffix.append(point)
+        if k == horizon - 1:
+            break
+        at = n + k
+        new_feats = featurize_next(ids, at.tolist(), new, [p.t for p in prev], norm)
+        feats[rows, at] = new_feats
+        prev = new
+        if predict_fn is None:
+            step = forward_features(new_feats[:, None], params, model_cfg, cache=cache)
+            preds = step.data[:, 0]
+        else:
+            preds = _last_rows(predict_fn, feats, at + 1, ids)
+    return suffixes
 
 
 def rollout(
@@ -148,37 +225,13 @@ def rollout(
 ) -> list[TrajPoint]:
     """Autoregressively extend ``prefix`` by ``horizon`` points.
 
-    Each step featurizes the running trajectory, takes the final position's
-    predicted (dlat, dlon, dt), and decodes it onto the last point with the
-    interval floored at one second — so timestamps always strictly increase.
-    Returns the predicted suffix (empty for horizon 0).
+    Each step takes the final position's predicted (dlat, dlon, dt) and
+    decodes it onto the last point with the interval floored at one second,
+    so timestamps always strictly increase.  The model decodes through a
+    K/V cache, bit for bit what a full forward pass over the running
+    trajectory gives.  Returns the predicted suffix (empty for horizon 0).
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if model_cfg.attention_mode != "causal":
-        raise ValueError("rollout requires a causal model")
-    if model_cfg.patch_len != 1:
-        raise ValueError("rollout requires patch_len == 1")
-    if len(prefix) < 2:
-        raise ValueError(f"prefix needs at least 2 points, got {len(prefix)}")
-    if len(prefix) + horizon > model_cfg.max_seq:
-        raise ValueError(
-            f"prefix of {len(prefix)} plus horizon {horizon} exceeds the "
-            f"model's max_seq {model_cfg.max_seq}"
-        )
-    predict = predict_fn or _model_predict(params, model_cfg)
-    lat, lon, t = prefix.lat.tolist(), prefix.lon.tolist(), prefix.t.tolist()
-    prev = TrajPoint(lat[-1], lon[-1], t[-1])
-    suffix: list[TrajPoint] = []
-    for _ in range(horizon):
-        fs = featurize(Trajectory.from_columns(prefix.id, lat, lon, t), norm_params)
-        preds = np.asarray(predict(fs.features, prefix.id), dtype=np.float64)
-        prev = _decode_step(prev, preds[-1], norm_params)
-        lat.append(prev.lat)
-        lon.append(prev.lon)
-        t.append(prev.t)
-        suffix.append(prev)
-    return suffix
+    return _rollout_batch(params, model_cfg, norm_params, [prefix], horizon, predict_fn)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -227,87 +280,113 @@ def _spatial_error_m(
     return haversine(p_hat, p_true)
 
 
-def _eval_next_step(
-    trajs, norm, predict: PredictFn, acc: _Accumulator
-) -> None:
-    for traj in trajs:
-        fs = featurize(traj, norm)
-        preds = np.asarray(predict(fs.features, traj.id), dtype=np.float64)
-        lat, lon = traj.lat.tolist(), traj.lon.tolist()
-        errs = []
-        for i in range(len(traj) - 1):
-            errs.append(_spatial_error_m(lat[i], lon[i], preds[i], fs.targets[i], norm))
-            acc.time_errs.append(
-                DT_DIVISOR_S * abs(float(preds[i, 2]) - float(fs.targets[i, 2]))
-            )
-        acc.point_errs.extend(errs)
-        acc.final_errs.append(errs[-1])
-        acc.n_positions += len(errs)
-        acc.n_traj += 1
+def _chunks(items: Iterable, size: int) -> Iterator[list]:
+    """Consecutive lists of at most ``size`` items, read lazily."""
+    it = iter(items)
+    while chunk := list(itertools.islice(it, size)):
+        yield chunk
+
+
+def _predict(
+    seqs: list[np.ndarray], ids: list[str], params, model_cfg, predict_fn: PredictFn | None
+) -> list[np.ndarray]:
+    """[S_b, 3] predictions for each [S_b, 7] input: ``predict_fn`` per
+    sequence, or one padded forward pass over all of them."""
+    if predict_fn is not None:
+        return [np.asarray(predict_fn(f, i), dtype=np.float64) for f, i in zip(seqs, ids)]
+    lengths = [len(f) for f in seqs]
+    batch = np.zeros((len(seqs), max(lengths), FEATURE_DIM))
+    for b, f in enumerate(seqs):
+        batch[b, : len(f)] = f
+    preds = forward_features(batch, params, model_cfg, lengths=lengths).data
+    return [preds[b, :n] for b, n in enumerate(lengths)]
+
+
+def _eval_next_step(trajs, norm, params, model_cfg, predict_fn, batch_size, acc) -> None:
+    for chunk in _chunks(trajs, batch_size):
+        seqs = [featurize(traj, norm) for traj in chunk]
+        all_preds = _predict(
+            [fs.features for fs in seqs], [t.id for t in chunk], params, model_cfg, predict_fn
+        )
+        for traj, fs, preds in zip(chunk, seqs, all_preds):
+            lat, lon = traj.lat.tolist(), traj.lon.tolist()
+            errs = []
+            for i in range(len(traj) - 1):
+                errs.append(_spatial_error_m(lat[i], lon[i], preds[i], fs.targets[i], norm))
+                acc.time_errs.append(
+                    DT_DIVISOR_S * abs(float(preds[i, 2]) - float(fs.targets[i, 2]))
+                )
+            acc.point_errs.extend(errs)
+            acc.final_errs.append(errs[-1])
+            acc.n_positions += len(errs)
+            acc.n_traj += 1
 
 
 def _eval_infill(
-    trajs, norm, params, predict: PredictFn, mask_ratio, seed, acc: _Accumulator
+    trajs, norm, params, model_cfg, predict_fn, mask_ratio, seed, batch_size, acc
 ) -> None:
-    for idx, traj in enumerate(trajs):
-        # one substream per trajectory: the draw depends only on (seed, idx),
-        # never on batch grouping
-        rng = np.random.default_rng([seed, idx])
-        length = len(traj)
-        fs = featurize(traj, norm)
-        # the final position has no successor step, so it is never scored
-        spec = masking.sample_dimension_mask(length - 1, mask_ratio, rng)
-        acc.n_traj += 1
-        if not spec.positions:
+    idx = 0
+    for chunk in _chunks(trajs, batch_size):
+        scored, inputs = [], []
+        for traj in chunk:
+            # one substream per trajectory: the draw depends only on (seed, idx),
+            # never on batch grouping
+            rng = np.random.default_rng([seed, idx])
+            idx += 1
+            fs = featurize(traj, norm)
+            # the final position has no successor step, so it is never scored
+            spec = masking.sample_dimension_mask(len(traj) - 1, mask_ratio, rng)
+            acc.n_traj += 1
+            if spec.positions:
+                scored.append((traj, fs, spec))
+                inputs.append(masking.apply_mask(fs.features, spec, params.mask_emb).data)
+        if not scored:
             continue
-        model_input = masking.apply_mask(fs.features, spec, params.mask_emb).data
-        preds = np.asarray(predict(model_input, traj.id), dtype=np.float64)
-        lat, lon = traj.lat.tolist(), traj.lon.tolist()
-        last_spatial: float | None = None
-        for pos in sorted(spec.position_dims):
-            dims = spec.position_dims[pos]
-            if masking.SPATIAL in dims:
-                err = _spatial_error_m(lat[pos], lon[pos], preds[pos], fs.targets[pos], norm)
-                acc.point_errs.append(err)
-                last_spatial = err
-            if masking.TEMPORAL in dims:
-                acc.time_errs.append(
-                    DT_DIVISOR_S * abs(float(preds[pos, 2]) - float(fs.targets[pos, 2]))
-                )
-            acc.n_positions += 1
-        if last_spatial is not None:
-            acc.final_errs.append(last_spatial)
+        all_preds = _predict(inputs, [t.id for t, _, _ in scored], params, model_cfg, predict_fn)
+        for (traj, fs, spec), preds in zip(scored, all_preds):
+            lat, lon = traj.lat.tolist(), traj.lon.tolist()
+            last_spatial: float | None = None
+            for pos in sorted(spec.position_dims):
+                dims = spec.position_dims[pos]
+                if masking.SPATIAL in dims:
+                    err = _spatial_error_m(lat[pos], lon[pos], preds[pos], fs.targets[pos], norm)
+                    acc.point_errs.append(err)
+                    last_spatial = err
+                if masking.TEMPORAL in dims:
+                    acc.time_errs.append(
+                        DT_DIVISOR_S * abs(float(preds[pos, 2]) - float(fs.targets[pos, 2]))
+                    )
+                acc.n_positions += 1
+            if last_spatial is not None:
+                acc.final_errs.append(last_spatial)
 
 
 def _eval_rollout(
-    trajs, norm, params, model_cfg, predict: PredictFn, horizon, acc: _Accumulator
+    trajs, norm, params, model_cfg, predict_fn, horizon, batch_size, acc
 ) -> None:
     if horizon < 1:
         raise ValueError(f"rollout evaluation needs horizon >= 1, got {horizon}")
-    for traj in trajs:
-        length = len(traj)
-        if length < horizon + 2:  # prefix of >= 2 plus the scored suffix
+    for chunk in _chunks(trajs, batch_size):
+        # a prefix of >= 2 plus the scored suffix
+        chunk = [traj for traj in chunk if len(traj) >= horizon + 2]
+        if not chunk:
             continue
-        split_at = length - horizon
-        fs = featurize(traj, norm)
-        predicted = rollout(
-            params, model_cfg, norm, traj.head(split_at), horizon, predict_fn=predict
-        )
-        # ground truth decoded through the same arithmetic as the rollout
-        truth: list[TrajPoint] = []
-        last = split_at - 1
-        prev = TrajPoint(float(traj.lat[last]), float(traj.lon[last]), int(traj.t[last]))
-        for k in range(horizon):
-            prev = _decode_step(prev, fs.targets[split_at - 1 + k], norm)
-            truth.append(prev)
-        errs = [haversine(p, t) for p, t in zip(predicted, truth)]
-        acc.point_errs.extend(errs)
-        acc.final_errs.append(errs[-1])
-        acc.time_errs.extend(
-            float(abs(p.t - t.t)) for p, t in zip(predicted, truth)
-        )
-        acc.n_positions += horizon
-        acc.n_traj += 1
+        prefixes = [traj.head(len(traj) - horizon) for traj in chunk]
+        predicted = _rollout_batch(params, model_cfg, norm, prefixes, horizon, predict_fn)
+        for traj, suffix in zip(chunk, predicted):
+            # ground truth decoded through the same arithmetic as the rollout
+            last = len(traj) - horizon - 1
+            prev = TrajPoint(float(traj.lat[last]), float(traj.lon[last]), int(traj.t[last]))
+            truth: list[TrajPoint] = []
+            for step in step_targets(traj, norm, last):
+                prev = _decode_step(prev, step, norm)
+                truth.append(prev)
+            errs = [haversine(p, t) for p, t in zip(suffix, truth)]
+            acc.point_errs.extend(errs)
+            acc.final_errs.append(errs[-1])
+            acc.time_errs.extend(float(abs(p.t - t.t)) for p, t in zip(suffix, truth))
+            acc.n_positions += horizon
+            acc.n_traj += 1
 
 
 def evaluate(
@@ -320,7 +399,7 @@ def evaluate(
     horizon: int = 5,
     mask_ratio: float = masking.DEFAULT_MASK_RATIO,
     seed: int = 0,
-    batch_size: int = 32,
+    batch_size: int = 12,
     dataset_norm: NormalizationParams | None = None,
     predict_fn: PredictFn | None = None,
 ) -> MetricsReport:
@@ -332,10 +411,14 @@ def evaluate(
     ``horizon``-step autoregressive continuation of each trajectory's
     prefix; trajectories too short for the horizon are skipped.
 
-    ``batch_size`` only sets traversal granularity — every metric is
-    computed per trajectory, so results are independent of it. Passing the
-    corpus's own ``dataset_norm`` asserts it matches the model's frame;
-    a mismatch raises :class:`NormalizationMismatchError`.
+    ``batch_size`` is the number of trajectories per forward pass: the
+    corpus is read lazily, ``batch_size`` trajectories at a time, and each
+    group runs as one padded forward pass (next_step, infill) or one
+    K/V-cached decode (rollout).  Padding and batching change no bit, so
+    every report is independent of ``batch_size``; a larger value trades
+    memory (the [B, H, S, S] attention temporaries) for fewer passes.
+    Passing the corpus's own ``dataset_norm`` asserts it matches the
+    model's frame; a mismatch raises :class:`NormalizationMismatchError`.
     """
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
@@ -349,11 +432,14 @@ def evaluate(
             "score predictions in the wrong frame"
         )
     acc = _Accumulator()
-    predict = predict_fn or _model_predict(params, model_cfg)
     if mode == "next_step":
-        _eval_next_step(trajs, norm_params, predict, acc)
+        _eval_next_step(trajs, norm_params, params, model_cfg, predict_fn, batch_size, acc)
     elif mode == "infill":
-        _eval_infill(trajs, norm_params, params, predict, mask_ratio, seed, acc)
+        _eval_infill(
+            trajs, norm_params, params, model_cfg, predict_fn, mask_ratio, seed, batch_size, acc
+        )
     else:
-        _eval_rollout(trajs, norm_params, params, model_cfg, predict, horizon, acc)
+        _eval_rollout(
+            trajs, norm_params, params, model_cfg, predict_fn, horizon, batch_size, acc
+        )
     return acc.report(mode)

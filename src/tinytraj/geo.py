@@ -39,7 +39,9 @@ __all__ = [
     "delta_decode",
     "denormalize",
     "featurize",
+    "featurize_next",
     "normalize",
+    "step_targets",
 ]
 
 # Feature layout for one point:
@@ -72,29 +74,21 @@ class TrajPoint(NamedTuple):
     t: int
 
 
-def _validated(traj_id, lat, lon, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one trajectory check; returns read-only float64/float64/int64 columns.
-
-    Needs at least two fixes, latitudes in [-90, 90], longitudes in
-    [-180, 180], integer timestamps in [0, MAX_T), and strictly increasing
-    time.  Raises ``ValueError`` naming the first offending index.
-    """
+def _check_fixes(traj_id, lat, lon, t, start: int = 0, prev: int = -1) -> None:
+    """Range, type and order checks of fixes that sit at index ``start`` on,
+    after a fix at time ``prev``; raises ``ValueError`` naming the first
+    offending index."""
     # Plain Python checks: cheaper than numpy's per-call cost at trajectory
     # lengths, and they see each timestamp's own type before numpy would
     # coerce a bool, float or str to an integer.
-    n = len(t)
-    if len(lat) != n or len(lon) != n:
-        raise ValueError(f"trajectory {traj_id!r}: lat, lon and t differ in length")
-    if n < 2:
-        raise ValueError(f"trajectory {traj_id!r} has {n} points, need >= 2")
     for name, col, lo, hi in (("latitude", lat, -90.0, 90.0), ("longitude", lon, -180.0, 180.0)):
         if not all(lo <= v <= hi for v in col):  # False for NaN
             i = next(i for i, v in enumerate(col) if not lo <= v <= hi)
             raise ValueError(
-                f"trajectory {traj_id!r}: {name} {col[i]} at index {i} outside [{lo}, {hi}]"
+                f"trajectory {traj_id!r}: {name} {col[i]} at index {start + i} "
+                f"outside [{lo}, {hi}]"
             )
-    prev = -1
-    for i, s in enumerate(t):
+    for i, s in enumerate(t, start):
         if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
             raise ValueError(
                 f"trajectory {traj_id!r}: timestamp {s!r} at index {i} is not an integer"
@@ -106,6 +100,21 @@ def _validated(traj_id, lat, lon, t) -> tuple[np.ndarray, np.ndarray, np.ndarray
         if s <= prev:
             raise ValueError(f"trajectory {traj_id!r}: time not strictly increasing at index {i}")
         prev = s
+
+
+def _validated(traj_id, lat, lon, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one trajectory check; returns read-only float64/float64/int64 columns.
+
+    Needs at least two fixes, latitudes in [-90, 90], longitudes in
+    [-180, 180], integer timestamps in [0, MAX_T), and strictly increasing
+    time.  Raises ``ValueError`` naming the first offending index.
+    """
+    n = len(t)
+    if len(lat) != n or len(lon) != n:
+        raise ValueError(f"trajectory {traj_id!r}: lat, lon and t differ in length")
+    if n < 2:
+        raise ValueError(f"trajectory {traj_id!r} has {n} points, need >= 2")
+    _check_fixes(traj_id, lat, lon, t)
     columns = (
         np.array(lat, dtype=np.float64),
         np.array(lon, dtype=np.float64),
@@ -363,24 +372,70 @@ def delta_decode(ds: DeltaSequence) -> Trajectory:
     return Trajectory.from_columns(ds.traj_id, np.cumsum(lat), np.cumsum(lon), np.cumsum(t))
 
 
+def _fill_fix_features(feats, lat, lon, t, params: NormalizationParams) -> None:
+    # feature columns 0-5, each entry a function of its own fix only
+    feats[:, 0] = (lon - params.center_lon) / params.scale_lon
+    feats[:, 1] = (lat - params.center_lat) / params.scale_lat
+    feats[:, 2:6] = _calendar(t) / _CAL_PERIOD
+
+
+def _fill_steps(out, lat, lon, t, params: NormalizationParams) -> None:
+    # out[i] is the normalized step from fix i to fix i + 1
+    out[:, 0] = (lat[1:] - lat[:-1]) / params.scale_lat
+    out[:, 1] = (lon[1:] - lon[:-1]) / params.scale_lon
+    out[:, 2] = (t[1:] - t[:-1]) / DT_DIVISOR_S
+
+
 def featurize(traj: Trajectory, params: NormalizationParams) -> FeatureSequence:
     """Build the [S, 7] model input matrix and [S, 3] normalized delta targets.
 
     Feature columns: x, y, dow/7, hod/24, moh/60, soh/60, dt_prev/60 (0 for
     the first point).  Targets are the *next* step per position, normalized
     the same way positions are (spatial deltas by the axis scales, dt by 60 s).
+    Every feature row depends only on its fix and the one before it.
     """
     s = len(traj)
-    lat, lon, t = traj.lat, traj.lon, traj.t
-    step = (t[1:] - t[:-1]) / DT_DIVISOR_S
-    feats = np.empty((s, FEATURE_DIM), dtype=np.float64)
-    feats[:, 0] = (lon - params.center_lon) / params.scale_lon
-    feats[:, 1] = (lat - params.center_lat) / params.scale_lat
-    feats[:, 2:6] = _calendar(t) / _CAL_PERIOD
-    feats[0, DT_FEATURE_INDEX] = 0.0
-    feats[1:, DT_FEATURE_INDEX] = step
     targets = np.zeros((s, 3), dtype=np.float64)
-    targets[:-1, 0] = (lat[1:] - lat[:-1]) / params.scale_lat
-    targets[:-1, 1] = (lon[1:] - lon[:-1]) / params.scale_lon
-    targets[:-1, 2] = step
+    _fill_steps(targets[:-1], traj.lat, traj.lon, traj.t, params)
+    feats = np.empty((s, FEATURE_DIM), dtype=np.float64)
+    _fill_fix_features(feats, traj.lat, traj.lon, traj.t, params)
+    feats[0, DT_FEATURE_INDEX] = 0.0
+    feats[1:, DT_FEATURE_INDEX] = targets[:-1, 2]
     return FeatureSequence(traj_id=traj.id, features=feats, targets=targets)
+
+
+def step_targets(traj: Trajectory, params: NormalizationParams, start: int = 0) -> np.ndarray:
+    """The normalized steps out of fixes ``start`` to ``len(traj) - 2``:
+    ``featurize(traj, params).targets[start:-1]`` bit for bit, computed from
+    those fixes alone."""
+    lat, lon, t = traj.lat[start:], traj.lon[start:], traj.t[start:]
+    out = np.empty((len(t) - 1, 3), dtype=np.float64)
+    _fill_steps(out, lat, lon, t, params)
+    return out
+
+
+def featurize_next(
+    traj_ids: Sequence[str],
+    index: Sequence[int],
+    fixes: Sequence[TrajPoint],
+    prev_t: Sequence[int],
+    params: NormalizationParams,
+) -> np.ndarray:
+    """[B, 7] feature rows of one new fix per trajectory.
+
+    Row ``b`` is the row ``featurize`` gives ``fixes[b]`` at position
+    ``index[b]`` of trajectory ``traj_ids[b]`` whose previous fix is at time
+    ``prev_t[b]``, bit for bit.  Each fix first passes the trajectory check
+    (coordinate ranges, an integer time in [0, MAX_T) after ``prev_t[b]``);
+    ``ValueError`` names the trajectory and the index.
+    """
+    for traj_id, i, (lat, lon, t), before in zip(traj_ids, index, fixes, prev_t):
+        _check_fixes(traj_id, (lat,), (lon,), (t,), start=i, prev=before)
+    lat, lon, t = zip(*fixes)
+    t = np.array(t, dtype=np.int64)
+    feats = np.empty((len(t), FEATURE_DIM), dtype=np.float64)
+    _fill_fix_features(
+        feats, np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64), t, params
+    )
+    feats[:, DT_FEATURE_INDEX] = (t - np.array(prev_t, dtype=np.int64)) / DT_DIVISOR_S
+    return feats

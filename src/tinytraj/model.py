@@ -9,6 +9,14 @@ attention never reaches the padding, and bidirectional attention masks
 padded keys with -inf, so every real position equals its single-sequence
 result bit for bit.  Attention is causal by default; a bidirectional mode
 serves masked infill.  Rotary position embeddings on q/k are optional.
+
+Incremental decoding runs the same blocks with a :class:`KVCache`: a
+prefill pass over a padded batch of prefixes stores every block's keys and
+values, and each later pass embeds one new row per sequence at that row's
+own position, appends its keys and values, and attends over the cache with
+the keys past each row's length masked to -inf.  The kernels are row-local
+and sum in a fixed order, so a decoded row equals the last row of a full
+forward pass over the whole sequence bit for bit, whatever the batch.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from . import geo, masking
 
 __all__ = [
     "BlockParams",
+    "KVCache",
     "ModelConfig",
     "ModelParams",
     "apply_rope",
@@ -36,6 +45,8 @@ __all__ = [
     "model_forward",
     "multi_head_attention",
     "named_parameters",
+    "parameter_shapes",
+    "params_from_arrays",
     "transformer_block",
 ]
 
@@ -169,6 +180,13 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
     )
 
 
+BLOCK_FIELDS = (
+    "wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo",
+    "w_ff1", "b_ff1", "w_ff2", "b_ff2",
+    "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
+)
+
+
 def named_parameters(params: ModelParams) -> dict[str, Tensor]:
     """Stable name -> tensor map (drives the optimizer and checkpoints)."""
     out: dict[str, Tensor] = {"proj.w": params.proj.w, "proj.b": params.proj.b}
@@ -179,17 +197,62 @@ def named_parameters(params: ModelParams) -> dict[str, Tensor]:
         out["mask.spatial"] = params.mask_emb.m_spatial
         out["mask.temporal"] = params.mask_emb.m_temporal
     for i, b in enumerate(params.blocks):
-        for name in (
-            "wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo",
-            "w_ff1", "b_ff1", "w_ff2", "b_ff2",
-            "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
-        ):
+        for name in BLOCK_FIELDS:
             out[f"blocks.{i}.{name}"] = getattr(b, name)
     out["ln_f.gain"] = params.ln_f_gain
     out["ln_f.bias"] = params.ln_f_bias
     out["head.w"] = params.w_out
     out["head.b"] = params.b_out
     return out
+
+
+def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The name -> shape map of ``named_parameters(init_params(cfg, rng))``,
+    computed without allocating a parameter."""
+    d, dff = cfg.d_model, cfg.ff_dim
+    out: dict[str, tuple[int, ...]] = {"proj.w": (cfg.in_features, d), "proj.b": (d,)}
+    if cfg.use_time2vec:
+        out["time2vec.omega"] = out["time2vec.phi"] = (cfg.time2vec_k,)
+    out["mask.spatial"] = (geo.SPATIAL_SLOTS.stop - geo.SPATIAL_SLOTS.start,)
+    out["mask.temporal"] = (geo.TEMPORAL_SLOTS.stop - geo.TEMPORAL_SLOTS.start,)
+    block = {
+        "wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
+        "bq": (d,), "bk": (d,), "bv": (d,), "bo": (d,),
+        "w_ff1": (d, dff), "b_ff1": (dff,), "w_ff2": (dff, d), "b_ff2": (d,),
+        "ln1_gain": (d,), "ln1_bias": (d,), "ln2_gain": (d,), "ln2_bias": (d,),
+    }
+    for i in range(cfg.n_blocks):
+        out.update({f"blocks.{i}.{name}": shape for name, shape in block.items()})
+    out["ln_f.gain"] = out["ln_f.bias"] = (d,)
+    out["head.w"] = (d, OUT_DIM)
+    out["head.b"] = (OUT_DIM,)
+    return out
+
+
+def params_from_arrays(cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelParams:
+    """A parameter tree for ``cfg`` over copies of ``arrays``, whose names
+    and shapes must be those of :func:`parameter_shapes`."""
+
+    def t(name: str) -> Tensor:
+        return Tensor(np.array(arrays[name], dtype=np.float64), requires_grad=True)
+
+    return ModelParams(
+        proj=emb.ProjectionLayer(w=t("proj.w"), b=t("proj.b")),
+        blocks=[
+            BlockParams(**{name: t(f"blocks.{i}.{name}") for name in BLOCK_FIELDS})
+            for i in range(cfg.n_blocks)
+        ],
+        ln_f_gain=t("ln_f.gain"),
+        ln_f_bias=t("ln_f.bias"),
+        w_out=t("head.w"),
+        b_out=t("head.b"),
+        time2vec=(
+            emb.Time2VecLayer(omega=t("time2vec.omega"), phi=t("time2vec.phi"))
+            if cfg.use_time2vec
+            else None
+        ),
+        mask_emb=masking.MaskEmbedding(m_spatial=t("mask.spatial"), m_temporal=t("mask.temporal")),
+    )
 
 
 def bind_params(params: ModelParams, tape: ad.Tape) -> None:
@@ -210,25 +273,31 @@ def _rope_cos_sin(head_dim: int, positions: np.ndarray) -> tuple[np.ndarray, np.
         raise ValueError(f"rotary embedding needs an even head_dim, got {head_dim}")
     i2 = np.arange(0, head_dim, 2, dtype=np.float64)
     theta = np.power(ROPE_BASE, -i2 / head_dim)  # [head_dim/2]
-    ang = np.asarray(positions, dtype=np.float64)[:, None] * theta  # [S, head_dim/2]
+    ang = np.asarray(positions, dtype=np.float64)[..., None] * theta  # [..., S, head_dim/2]
     return np.cos(ang), np.sin(ang)
 
 
 def apply_rope(x: Tensor, positions: np.ndarray) -> Tensor:
     """Rotate consecutive channel pairs (2i, 2i+1) by pos * 10000^(-2i/d).
 
-    ``x`` is [..., S, head_dim]; every leading index shares ``positions``.
-    A pure rotation: norms are preserved and q/k dot products depend on
-    relative position only.  Differentiable (the backward pass rotates the
-    gradient by the opposite angle).
+    ``x`` is [..., S, head_dim].  ``positions`` is [S], shared by every
+    leading index, or [B, S] for an ``x`` of [B, ..., S, head_dim]: one row
+    of positions per batch row, as in incremental decoding.  A pure
+    rotation: norms are preserved and q/k dot products depend on relative
+    position only.  Differentiable (the backward pass rotates the gradient
+    by the opposite angle).
     """
     if x.ndim < 2:
         raise ad.ShapeMismatchError(f"apply_rope expects [..., S, head_dim], got {x.shape}")
     s, hd = x.shape[-2:]
     positions = np.asarray(positions)
-    if positions.shape != (s,):
+    per_row = positions.ndim == 2 and x.ndim >= 3 and positions.shape == (x.shape[0], s)
+    if positions.shape != (s,) and not per_row:
         raise ad.ShapeMismatchError(f"positions shape {positions.shape} != ({s},)")
     cos, sin_ = _rope_cos_sin(hd, positions)
+    if per_row:  # [B, S, hd/2] -> [B, 1, ..., S, hd/2]
+        lead = (positions.shape[0],) + (1,) * (x.ndim - 3)
+        cos, sin_ = cos.reshape(lead + cos.shape[1:]), sin_.reshape(lead + sin_.shape[1:])
     xe, xo = x.data[..., 0::2], x.data[..., 1::2]
     out = np.empty_like(x.data)
     out[..., 0::2] = xe * cos - xo * sin_
@@ -253,11 +322,40 @@ def _key_padding_mask(lengths, seq_len: int) -> np.ndarray | None:
     return np.where(np.arange(seq_len) >= valid, -np.inf, 0.0)
 
 
+class KVCache:
+    """Every block's keys and values for a batch being decoded.
+
+    Plain forward-only arrays of [B, H, capacity, head_dim] per block, never
+    on a tape.  ``lengths[b]`` counts the positions of row ``b`` held so
+    far; the next :func:`forward_features` pass with this cache places row
+    ``b``'s points from that position on.
+    """
+
+    def __init__(self, cfg: ModelConfig, batch: int, capacity: int):
+        if not 1 <= capacity <= cfg.max_seq:
+            raise ValueError(f"cache capacity {capacity} outside [1, max_seq {cfg.max_seq}]")
+        shape = (batch, cfg.n_heads, capacity, cfg.head_dim)
+        self.keys = [np.zeros(shape) for _ in range(cfg.n_blocks)]
+        self.values = [np.zeros(shape) for _ in range(cfg.n_blocks)]
+        self.lengths = np.zeros(batch, dtype=np.int64)
+
+    @property
+    def capacity(self) -> int:
+        return self.keys[0].shape[2]
+
+
+def _cache_write(store: np.ndarray, t: Tensor, positions: np.ndarray) -> Tensor:
+    """Write a [B, H, S, hd] pass into ``store`` at each row's [B, S]
+    positions; return every row's entries up to the furthest position."""
+    store[np.arange(store.shape[0])[:, None], :, positions] = t.data.transpose(0, 2, 1, 3)
+    return Tensor(store[:, :, : positions.max() + 1])
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """softmax(q k^T / sqrt(head_dim) + mask) v over the last two axes: one
     head [S, hd], or every head of a batch [B, H, S, hd] at once.
 
-    ``mask`` is an additive array broadcastable to the [..., S, S] scores.
+    ``mask`` is an additive array broadcastable to the [..., S, S_keys] scores.
     """
     hd = q.shape[-1]
     scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(hd))
@@ -277,11 +375,15 @@ def multi_head_attention(
     cfg: ModelConfig,
     mask: np.ndarray | None,
     positions: np.ndarray,
+    kv: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
     """Project to q/k/v, attend in every head at once, merge, project out.
 
     ``x`` is one [S, d_model] sequence or a [B, S, d_model] batch; ``mask``
-    is an additive array broadcastable to [B, H, S, S] (None: no mask).
+    is an additive array broadcastable to [B, H, S, S_keys] (None: no mask).
+    ``kv`` is one block's (keys, values) of a :class:`KVCache`: this pass's
+    keys and values are written there at ``positions`` ([B, S]) and the
+    queries attend over everything the cache holds.
     """
     single = x.ndim == 2
     if single:
@@ -293,6 +395,8 @@ def multi_head_attention(
     if cfg.rope_enabled:
         qh = apply_rope(qh, positions)
         kh = apply_rope(kh, positions)
+    if kv is not None:
+        kh, vh = _cache_write(kv[0], kh, positions), _cache_write(kv[1], vh, positions)
     heads = attention(qh, kh, vh, mask)  # [B, H, S, hd]
     merged = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), x.shape)
     out = ad.add_bias(ad.matmul(merged, bp.wo), bp.bo)
@@ -305,9 +409,13 @@ def transformer_block(
     cfg: ModelConfig,
     mask: np.ndarray | None,
     positions: np.ndarray,
+    kv: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
     """Pre-norm residual block: x + MHA(LN(x)), then h + FF(LN(h))."""
-    h = ad.add(x, multi_head_attention(ad.layer_norm(x, bp.ln1_gain, bp.ln1_bias), bp, cfg, mask, positions))
+    attn = multi_head_attention(
+        ad.layer_norm(x, bp.ln1_gain, bp.ln1_bias), bp, cfg, mask, positions, kv
+    )
+    h = ad.add(x, attn)
     ff_in = ad.layer_norm(h, bp.ln2_gain, bp.ln2_bias)
     ff = ad.add_bias(ad.matmul(ad.gelu(ad.add_bias(ad.matmul(ff_in, bp.w_ff1), bp.b_ff1)), bp.w_ff2), bp.b_ff2)
     return ad.add(h, ff)
@@ -318,12 +426,21 @@ def forward_features(
     params: ModelParams,
     cfg: ModelConfig,
     lengths=None,
+    cache: KVCache | None = None,
 ) -> Tensor:
     """The model end to end: [S, 7] features -> [S', 3] predictions, or a
     [B, S, 7] batch -> [B, S', 3] in one pass.
 
     ``lengths`` holds each batch row's number of real points (the rest of
     the row is zero padding); None means every row is full.
+
+    With a ``cache`` (causal models with ``patch_len`` 1 only) the pass
+    continues each row where the cache left off: row ``b``'s points take
+    positions ``cache.lengths[b]`` on, their keys and values join the cache,
+    they attend over every key the cache holds for their row up to their own
+    position, and ``cache.lengths`` grows by the row's real points.  The
+    first pass over a padded batch of prefixes is the prefill; each later
+    pass of [B, 1, 7] new rows is one decode step.
     """
     x = features if isinstance(features, Tensor) else Tensor(features)
     single = x.ndim == 2
@@ -331,12 +448,24 @@ def forward_features(
         x = ad.reshape(x, (1,) + x.shape)
     b, s_in = x.shape[:2]
     s_out = -(-s_in // cfg.patch_len)  # positions after patching
-    if s_out > cfg.max_seq:
-        raise ValueError(
-            f"sequence of {s_in} points ({s_out} positions) exceeds max_seq {cfg.max_seq}"
-        )
     if lengths is not None and len(lengths) != b:
         raise ValueError(f"{len(lengths)} lengths for a batch of {b} rows")
+    if cache is None:
+        if s_out > cfg.max_seq:
+            raise ValueError(
+                f"sequence of {s_in} points ({s_out} positions) exceeds max_seq {cfg.max_seq}"
+            )
+        positions = np.arange(s_out)
+    else:
+        if cfg.attention_mode != "causal" or cfg.patch_len != 1:
+            raise ValueError("a K/V cache needs a causal model with patch_len 1")
+        if cache.lengths.shape != (b,):
+            raise ValueError(f"a cache of {len(cache.lengths)} rows for a batch of {b}")
+        positions = cache.lengths[:, None] + np.arange(s_out)  # [B, S]
+        if positions.max() >= cache.capacity:
+            raise ValueError(
+                f"position {positions.max()} exceeds the cache's {cache.capacity} positions"
+            )
     pe = emb.sinusoidal_table(cfg.max_seq, cfg.d_model) if cfg.use_positional_encoding else None
     x = emb.embed_sequence(
         x,
@@ -346,18 +475,24 @@ def forward_features(
         patch_len=cfg.patch_len,
         use_dt_feature=cfg.use_dt_feature,
         lengths=lengths,
+        positions=None if cache is None else positions,
     )
-    positions = np.arange(s_out)
-    if cfg.attention_mode == "causal":
+    if cache is not None:  # -inf on keys after each query's own position
+        keys = np.arange(positions.max() + 1)
+        mask = np.where(keys > positions[:, None, :, None], -np.inf, 0.0)
+    elif cfg.attention_mode == "causal":
         mask = causal_mask(s_out)  # padding sits after every real position
     elif lengths is None:
         mask = None
     else:
         mask = _key_padding_mask(-(-np.asarray(lengths) // cfg.patch_len), s_out)
-    for bp in params.blocks:
-        x = transformer_block(x, bp, cfg, mask, positions)
+    for i, bp in enumerate(params.blocks):
+        kv = None if cache is None else (cache.keys[i], cache.values[i])
+        x = transformer_block(x, bp, cfg, mask, positions, kv)
     x = ad.layer_norm(x, params.ln_f_gain, params.ln_f_bias)
     out = ad.add_bias(ad.matmul(x, params.w_out), params.b_out)
+    if cache is not None:
+        cache.lengths += s_out if lengths is None else np.asarray(lengths, dtype=np.int64)
     return ad.reshape(out, out.shape[1:]) if single else out
 
 

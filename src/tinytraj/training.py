@@ -32,8 +32,9 @@ from .model import (
     ModelParams,
     bind_params,
     forward_features,
-    init_params,
     named_parameters,
+    parameter_shapes,
+    params_from_arrays,
 )
 
 __all__ = [
@@ -661,22 +662,25 @@ def make_checkpoint(
 
 
 def restore_params(ckpt: Checkpoint) -> ModelParams:
-    """Rebuild a parameter tree carrying the checkpoint's exact values."""
-    params = init_params(ckpt.model_config, np.random.default_rng(0))
-    named = named_parameters(params)
-    if set(named) != set(ckpt.arrays):
-        missing = sorted(set(named) ^ set(ckpt.arrays))
+    """Rebuild a parameter tree carrying the checkpoint's exact values.
+
+    Every stored array's name and shape is checked against the shapes the
+    model configuration implies before anything is allocated, so a header
+    that claims a larger model than its arrays fails at the cost of the file.
+    """
+    expected = parameter_shapes(ckpt.model_config)
+    if set(expected) != set(ckpt.arrays):
+        missing = sorted(set(expected) ^ set(ckpt.arrays))
         raise CorruptCheckpointError(
             f"checkpoint arrays do not match the configuration: {missing}"
         )
-    for name, tensor in named.items():
+    for name, shape in expected.items():
         stored = ckpt.arrays[name]
-        if stored.shape != tensor.shape:
+        if stored.shape != shape:
             raise CorruptCheckpointError(
-                f"array {name!r} has shape {stored.shape}, expected {tensor.shape}"
+                f"array {name!r} has shape {stored.shape}, expected {shape}"
             )
-        tensor.data[:] = stored
-    return params
+    return params_from_arrays(ckpt.model_config, ckpt.arrays)
 
 
 def _array_entries(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
@@ -737,8 +741,9 @@ def load_checkpoint(
 
     Every malformed header (not an object, missing keys, unknown, mistyped or
     invalid ``model_config`` or ``normalization`` fields, array shapes that
-    are not lists of non-negative integers) and every non-finite payload
-    value raises :class:`CorruptCheckpointError`.
+    are not lists of non-negative integers, an ``rng_state`` that is not an
+    object or whose ``next_epoch`` is not a non-negative integer) and every
+    non-finite payload value raises :class:`CorruptCheckpointError`.
     """
     raw = Path(path).read_bytes()
     prefix = len(CHECKPOINT_MAGIC) + 4 + 8
@@ -771,7 +776,12 @@ def load_checkpoint(
         adam_step = header.get("adam_step")
         if adam_step is not None and (type(adam_step) is not int or adam_step < 0):
             raise ValueError(f"adam_step {adam_step!r} is not a count")
-        rng_state = dict(header.get("rng_state") or {})
+        rng_state = header["rng_state"]
+        if not isinstance(rng_state, dict):
+            raise TypeError(f"rng_state {rng_state!r} is not an object")
+        next_epoch = rng_state.get("next_epoch", 0)
+        if type(next_epoch) is not int or next_epoch < 0:
+            raise ValueError(f"next_epoch {next_epoch!r} is not a count")
         history = list(header.get("history") or [])
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpointError(

@@ -2,6 +2,7 @@
 
 import json
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import tinytraj.training as tr
 
 from tinytraj.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
 
-from test_training import CORRUPTIONS
+from test_training import CORRUPTIONS, _rewrite_header, _set
 
 
 def run(*argv):
@@ -226,6 +227,18 @@ class TestTrain:
         )
         assert code == EXIT_OK
         assert resumed.read_bytes() == direct.read_bytes()
+
+    @pytest.mark.parametrize("next_epoch", ["x", -1, 1.5, True])
+    def test_resume_from_mistyped_next_epoch_is_data_error(
+        self, tmp_path, corpus, checkpoint, next_epoch
+    ):
+        bad = tmp_path / "bad.ckpt"
+        edit = _set(("rng_state", "next_epoch"), next_epoch)
+        bad.write_bytes(_rewrite_header(checkpoint.read_bytes(), edit))
+        code = run(
+            "train", "--data", corpus, "--out", tmp_path / "out.ckpt", "--resume", bad
+        )
+        assert code == EXIT_DATA
 
     def test_skips_timestamps_past_year_9999(
         self, tmp_path, checkpoint, late_corpus, model_config
@@ -442,6 +455,35 @@ class TestEval:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(CORRUPTIONS[corruption](checkpoint.read_bytes()))
         assert run("eval", "--ckpt", bad, "--data", corpus) == EXIT_DATA
+
+    def test_header_claiming_a_larger_model_fails_before_allocating_it(
+        self, tmp_path, corpus, checkpoint
+    ):
+        # the stored arrays are for d_model 8; at d_model 1024 one block's
+        # parameters alone would take about 100 MB
+        bad = tmp_path / "big.ckpt"
+        bad.write_bytes(
+            _rewrite_header(checkpoint.read_bytes(), _set(("model_config", "d_model"), 1024))
+        )
+        tracemalloc.start()
+        try:
+            code = run("eval", "--ckpt", bad, "--data", corpus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_DATA
+        assert peak < 4e6
+
+    def test_batch_size_does_not_change_the_report(self, corpus, checkpoint, capsys):
+        reports = set()
+        for batch_size in (1, 3, 64):
+            code = run(
+                "eval", "--ckpt", checkpoint, "--data", corpus,
+                "--mode", "rollout", "--horizon", 3, "--batch-size", batch_size,
+            )
+            assert code == EXIT_OK
+            reports.add(capsys.readouterr().out)
+        assert len(reports) == 1
 
     def test_bad_mode_is_usage_error(self, tmp_path, corpus, checkpoint):
         assert run("eval", "--ckpt", checkpoint, "--data", corpus, "--mode", "zigzag") == EXIT_USAGE

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tinytraj import geo, model as tm, training as tr
+from tinytraj import evaluation as ev, geo, model as tm, training as tr
 from tinytraj.data import BatchLoader, SyntheticConfig, generate_synthetic
 from tinytraj.evaluation import (
     CSV_COLUMNS,
@@ -239,6 +239,23 @@ def test_rollout_evaluation_skips_short_trajectories():
         evaluate(params, TINY, trajs, norm, "rollout", horizon=4)  # none qualify
 
 
+def test_rollout_featurizing_a_time_past_max_t_raises():
+    start = geo.MAX_T - 3
+    prefix = Trajectory(id="late", points=[(52.5, 13.4, start), (52.5, 13.4, start + 1)])
+    norm = NormalizationParams(52.5, 13.4, 0.1, 0.1)
+    params = tm.init_params(TINY, np.random.default_rng(39))  # one-second steps
+    # the second decoded point lands on MAX_T; only a point that is fed back is checked
+    assert [p.t for p in rollout(params, TINY, norm, prefix, 2)] == [start + 2, start + 3]
+    with pytest.raises(ValueError, match="outside"):
+        rollout(params, TINY, norm, prefix, 3)
+    corpus = [Trajectory(id="late", points=[*prefix.points, (52.5, 13.4, start + 2)])]
+    oracle = lambda features, traj_id: np.zeros((len(features), 3))  # noqa: E731
+    for predict_fn in (None, oracle):
+        with pytest.raises(ValueError, match="outside"):
+            rollout(params, TINY, norm, prefix, 3, predict_fn=predict_fn)
+    evaluate(params, TINY, corpus, norm, "rollout", horizon=1)
+
+
 def test_trained_rollout_beats_untrained_on_straight_lines():
     trajs, norm = make_corpus(n_traj=16, points=10, seed=36)
     loader = BatchLoader(trajs, 4, 10, norm)
@@ -268,3 +285,117 @@ def test_normalization_mismatch_is_fatal():
         evaluate(params, TINY, trajs, norm, "next_step", dataset_norm=other)
     rep = evaluate(params, TINY, trajs, norm, "next_step", dataset_norm=norm)
     assert rep.n_traj == len(trajs)
+
+
+# ---------------------------------------------------------------------------
+# batched, K/V-cached evaluation equals the per-trajectory full recompute
+# ---------------------------------------------------------------------------
+
+ROLLOUT_CONFIGS = {
+    "plain": {},
+    "rope": {"rope_enabled": True},
+    "time2vec": {"use_time2vec": True, "time2vec_k": 4},
+    "no_pe": {"use_positional_encoding": False},
+    "no_dt": {"use_dt_feature": False},
+}
+
+
+def random_params(cfg, seed):
+    """Every parameter drawn at a scale where rollouts move and curve."""
+    params = tm.init_params(cfg, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    for t in tm.named_parameters(params).values():
+        t.data[:] = rng.normal(0.0, 0.3, t.shape)
+    params.b_out.data[2] = 1.0  # steps of about a minute, not the one-second floor
+    return params
+
+
+def ragged_corpus(lengths, seed=40):
+    out = []
+    for i, n in enumerate(lengths):
+        cfg = SyntheticConfig(n_traj=1, points_per_traj=n, noise_sigma=1e-4, seed=seed + i)
+        (traj,) = generate_synthetic(cfg)
+        out.append(Trajectory(id=f"r{i}", points=traj.points))
+    return out, geo.compute_center(out)
+
+
+def reference_rollout(params, cfg, norm, prefix, horizon):
+    """Full recompute: featurize the whole running trajectory and run a full
+    forward pass for every generated point, one trajectory at a time."""
+    lat, lon, t = prefix.lat.tolist(), prefix.lon.tolist(), prefix.t.tolist()
+    for _ in range(horizon):
+        fs = geo.featurize(Trajectory.from_columns(prefix.id, lat, lon, t), norm)
+        row = tm.forward_features(fs.features, params, cfg).data[-1]
+        lat.append(min(90.0, max(-90.0, lat[-1] + float(row[0]) * norm.scale_lat)))
+        lon.append(min(180.0, max(-180.0, lon[-1] + float(row[1]) * norm.scale_lon)))
+        t.append(t[-1] + max(1, int(round(float(row[2]) * geo.DT_DIVISOR_S))))
+    n = len(prefix)
+    return np.array(lat[n:]), np.array(lon[n:]), np.array(t[n:])
+
+
+@pytest.mark.parametrize("name", sorted(ROLLOUT_CONFIGS))
+def test_cached_batched_rollout_equals_full_recompute(name):
+    cfg = tm.ModelConfig(d_model=8, n_heads=2, n_blocks=2, max_seq=24, **ROLLOUT_CONFIGS[name])
+    params = random_params(cfg, seed=41)
+    trajs, norm = ragged_corpus([2, 9, 4, 15, 7, 2, 12, 19, 5, 3, 11])
+    horizon = 5
+    expected = [reference_rollout(params, cfg, norm, traj, horizon) for traj in trajs]
+    assert len({e[2][-1] - traj.t[-1] for e, traj in zip(expected, trajs)}) > 1
+    assert len({e[0][-1] - traj.lat[-1] for e, traj in zip(expected, trajs)}) > 1
+    for batch_size in (1, 3, 8, 64):
+        got = []
+        for i in range(0, len(trajs), batch_size):
+            got += ev._rollout_batch(params, cfg, norm, trajs[i : i + batch_size], horizon, None)
+        for (lat, lon, t), suffix in zip(expected, got):
+            np.testing.assert_array_equal(
+                np.array([p.lat for p in suffix]).view(np.int64), lat.view(np.int64)
+            )
+            np.testing.assert_array_equal(
+                np.array([p.lon for p in suffix]).view(np.int64), lon.view(np.int64)
+            )
+            assert [p.t for p in suffix] == t.tolist()
+    single = rollout(params, cfg, norm, trajs[3], horizon)
+    assert [p.t for p in single] == expected[3][2].tolist()
+
+
+@pytest.mark.parametrize(
+    "mode, attention_mode",
+    [(m, "causal") for m in ("next_step", "infill", "rollout")]
+    + [(m, "bidirectional") for m in ("next_step", "infill")],
+)
+def test_model_path_reports_independent_of_batch_size_on_ragged_corpus(mode, attention_mode):
+    cfg = tm.ModelConfig(
+        d_model=8, n_heads=2, n_blocks=2, max_seq=24, rope_enabled=True,
+        use_time2vec=True, time2vec_k=3, attention_mode=attention_mode,
+    )
+    params = random_params(cfg, seed=42)
+    trajs, norm = ragged_corpus([3, 17, 6, 2, 24, 9, 11, 4, 20, 8, 13])
+
+    def full_forward(features, traj_id):  # one trajectory, no batch, no cache
+        return tm.forward_features(features, params, cfg).data
+
+    kw = dict(horizon=4, mask_ratio=0.3, seed=7)
+    reference = evaluate(params, cfg, trajs, norm, mode, predict_fn=full_forward, **kw)
+    assert reference.n_traj >= 8
+    for batch_size in (1, 3, 8, 64):
+        report = evaluate(params, cfg, iter(trajs), norm, mode, batch_size=batch_size, **kw)
+        assert report.to_json() == reference.to_json()
+
+
+def test_evaluate_reads_the_corpus_batch_by_batch():
+    trajs, norm = ragged_corpus([5, 6, 7, 8, 9, 10, 11])
+    params = random_params(TINY, seed=43)
+    pulled = []
+    seen_before_predict = []
+
+    def stream():
+        for traj in trajs:
+            pulled.append(traj.id)
+            yield traj
+
+    def predict(features, traj_id):
+        seen_before_predict.append(len(pulled))
+        return np.zeros((len(features), 3))
+
+    evaluate(params, TINY, stream(), norm, "next_step", batch_size=3, predict_fn=predict)
+    assert seen_before_predict == [3, 3, 3, 6, 6, 6, 7]

@@ -335,3 +335,150 @@ def test_full_model_gradients_match_finite_differences():
         numeric = central_diff_grad(f, base.copy())
         err = max_rel_error(t.grad, numeric)
         assert err < 1e-3, f"{name}: rel err {err:.2e}"
+
+
+# ---------------------------------------------------------------------------
+# parameter shapes, and a tree over stored arrays
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [{}, {"use_time2vec": True, "time2vec_k": 3}, {"patch_len": 2, "d_ff": 24},
+     {"use_dt_feature": False, "n_blocks": 3}],
+)
+def test_parameter_shapes_match_init_params(kw):
+    cfg = small_config(**kw)
+    params = tm.init_params(cfg, np.random.default_rng(19))
+    named = tm.named_parameters(params)
+    assert tm.parameter_shapes(cfg) == {n: t.shape for n, t in named.items()}
+    assert list(tm.parameter_shapes(cfg)) == list(named)
+    rebuilt = tm.named_parameters(
+        tm.params_from_arrays(cfg, {n: t.data for n, t in named.items()})
+    )
+    assert list(rebuilt) == list(named)
+    for name, t in named.items():
+        np.testing.assert_array_equal(rebuilt[name].data, t.data)
+        assert rebuilt[name].data is not t.data and rebuilt[name].requires_grad
+
+
+# ---------------------------------------------------------------------------
+# K/V-cached decoding
+# ---------------------------------------------------------------------------
+
+DECODE_CONFIGS = {
+    "plain": {},
+    "rope": {"rope_enabled": True},
+    "time2vec": {"use_time2vec": True, "time2vec_k": 3},
+    "no_pe": {"use_positional_encoding": False},
+    "no_dt": {"use_dt_feature": False, "rope_enabled": True, "use_time2vec": True},
+}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("name", sorted(DECODE_CONFIGS))
+def test_cached_decode_equals_full_forward_bit_for_bit(name):
+    cfg = small_config(max_seq=16, **DECODE_CONFIGS[name])
+    params = _randomized_params(cfg, seed=500)
+    rng = np.random.default_rng(501)
+    prefix_lens = np.array([1, 6, 3, 9])
+    steps = 5
+    seqs = [random_features(n + steps, rng) for n in prefix_lens]
+    padded = np.zeros((len(seqs), prefix_lens.max(), geo.FEATURE_DIM))
+    for b, n in enumerate(prefix_lens):
+        padded[b, :n] = seqs[b][:n]
+    cache = tm.KVCache(cfg, len(seqs), prefix_lens.max() + steps)
+    prefill = tm.forward_features(padded, params, cfg, lengths=prefix_lens, cache=cache).data
+    for b, n in enumerate(prefix_lens):
+        full = tm.forward_features(seqs[b][:n], params, cfg).data
+        np.testing.assert_array_equal(_bits(prefill[b, :n]), _bits(full))
+    np.testing.assert_array_equal(cache.lengths, prefix_lens)
+    for k in range(steps):
+        rows = np.stack([seq[n + k] for seq, n in zip(seqs, prefix_lens)])[:, None]
+        step = tm.forward_features(rows, params, cfg, cache=cache).data
+        assert step.shape == (len(seqs), 1, 3)
+        for b, n in enumerate(prefix_lens):
+            last = tm.forward_features(seqs[b][: n + k + 1], params, cfg).data[-1]
+            np.testing.assert_array_equal(_bits(step[b, 0]), _bits(last))
+    np.testing.assert_array_equal(cache.lengths, prefix_lens + steps)
+
+
+def test_cache_is_forward_only_and_checks_its_bounds():
+    cfg = small_config(max_seq=8)
+    params = _randomized_params(cfg, seed=502)
+    with pytest.raises(ValueError, match="capacity"):
+        tm.KVCache(cfg, 2, 9)
+    cache = tm.KVCache(cfg, 1, 4)
+    x = random_features(4)
+    tape = ad.Tape()
+    tm.bind_params(params, tape)
+    tm.forward_features(x[:3], params, cfg, cache=cache)
+    tape.close()
+    assert all(isinstance(k, np.ndarray) for k in cache.keys + cache.values)
+    tm.forward_features(x[3:], params, cfg, cache=cache)
+    with pytest.raises(ValueError, match="cache"):
+        tm.forward_features(x[3:], params, cfg, cache=cache)  # position 4 of 4
+    with pytest.raises(ValueError, match="rows"):
+        tm.forward_features(x[None, :1].repeat(2, axis=0), params, cfg, cache=tm.KVCache(cfg, 1, 4))
+    for kw in ({"attention_mode": "bidirectional"}, {"patch_len": 2}):
+        other = small_config(max_seq=8, **kw)
+        with pytest.raises(ValueError, match="causal"):
+            tm.forward_features(
+                x, tm.init_params(other, np.random.default_rng(3)), other,
+                cache=tm.KVCache(other, 1, 4),
+            )
+
+
+# ---------------------------------------------------------------------------
+# constant matmul operands
+# ---------------------------------------------------------------------------
+
+
+def _train_step_grads(cfg, params, x, targets, monkeypatch, skip):
+    if not skip:  # treat every operand as needing its gradient
+        monkeypatch.setattr(ad, "_is_constant", lambda t: False)
+    shapes = []
+    real_mm = ad._mm
+
+    def recording_mm(a, b):
+        shapes.append((a.shape, b.shape))
+        return real_mm(a, b)
+
+    monkeypatch.setattr(ad, "_mm", recording_mm)
+    tape = ad.Tape()
+    tm.bind_params(params, tape)
+    pred = tm.forward_features(x, params, cfg, lengths=[5, 3])
+    diff = ad.sub(pred, ad.Tensor(targets))
+    loss = ad.mean(ad.mul(diff, diff))
+    del shapes[:]  # keep the backward pass's products only
+    ad.backward(loss)
+    monkeypatch.undo()
+    return {n: t.grad.copy() for n, t in tm.named_parameters(params).items()}, shapes
+
+
+@pytest.mark.parametrize("time2vec", [False, True])
+def test_constant_matmul_operands_get_no_vjp_product(monkeypatch, time2vec):
+    cfg = small_config(use_time2vec=time2vec, time2vec_k=3)
+    params = _randomized_params(cfg, seed=503)
+    rng = np.random.default_rng(504)
+    x = np.stack([random_features(5, rng), random_features(5, rng)])
+    x[1, 3:] = 0.0
+    targets = rng.normal(0, 1, (2, 5, 3))
+    skipped, shapes = _train_step_grads(cfg, params, x, targets, monkeypatch, skip=True)
+    full, full_shapes = _train_step_grads(cfg, params, x, targets, monkeypatch, skip=False)
+    assert list(skipped) == list(full)
+    for name in full:
+        np.testing.assert_array_equal(_bits(skipped[name]), _bits(full[name]))
+    # the input gradient of Time2Vec's taus, [B*S, k] @ [k, 1]; without
+    # Time2Vec, that of the feature projection, [B*S, d] @ [d, 7] (with it,
+    # the projection input carries the Time2Vec channels and needs one)
+    if time2vec:
+        constant = ((10, 3), (3, 1))
+    else:
+        constant = ((10, cfg.d_model), (cfg.d_model, geo.FEATURE_DIM))
+    assert full_shapes.count(constant) == 1
+    assert constant not in shapes
+    assert len(shapes) == len(full_shapes) - 1

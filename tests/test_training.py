@@ -568,6 +568,7 @@ CORRUPTIONS = {
     ),
     "infinite_adam_step": lambda blob: _rewrite_header(blob, _set(("adam_step",), float("inf"))),
     "float_shape": lambda blob: _rewrite_header(blob, _float_shape),
+    "bad_next_epoch": lambda blob: _rewrite_header(blob, _set(("rng_state", "next_epoch"), "x")),
 }
 
 
