@@ -29,8 +29,9 @@ norm = compute_center(trajs)
 feats = featurize(trajs[0], norm).features
 spec = sample_dimension_mask(len(feats), mask_ratio=0.3, rng=np.random.default_rng(5))
 print(f"masked positions: {spec.positions}")
+print("hidden[pos] = [spatial, temporal]:")
 for pos in spec.positions:
-    print(f"  position {pos}: hides {sorted(spec.position_dims[pos])} slots")
+    print(f"  position {pos}: {spec.hidden[pos].tolist()}")
 weights = build_loss_mask(spec, "infill", len(feats))
 print(f"supervised entries: {int(weights.sum())} of {weights.size}")
 

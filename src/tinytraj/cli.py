@@ -13,7 +13,9 @@ its field name, and a flag overrides the document.
 Exit codes: 0 success, 1 usage error (bad flags; unknown config sections,
 keys or mistyped values), 2 data error (missing or corrupt files, empty
 corpora, mismatched normalization frames, a non-finite or malformed
-normalization file), 3 numeric failure (non-finite training loss).
+normalization file), 3 numeric failure (a non-finite training loss or
+gradient norm; an ``eval`` or ``rollout`` prediction that is not finite in
+degrees and seconds).
 """
 
 from __future__ import annotations
@@ -245,6 +247,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.batch_size < 1:
+        raise UsageError(f"--batch-size must be >= 1, got {args.batch_size}")
+    if args.mode == "infill" and not 0.0 < args.mask_ratio < 1.0:
+        raise UsageError(f"--mask-ratio must lie in (0, 1), got {args.mask_ratio}")
+    if args.mode == "rollout" and args.horizon < 1:
+        raise UsageError(f"--horizon must be >= 1, got {args.horizon}")
     ckpt = _load_ckpt(args.ckpt)
     if ckpt.norm_params is None:
         raise DataError(f"{args.ckpt} carries no normalization parameters")

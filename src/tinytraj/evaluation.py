@@ -12,7 +12,9 @@ The model path reads ``batch_size`` trajectories per forward pass: one
 padded pass for next-step and infill scoring, and for rollout a prefill of
 the padded prefixes followed by one K/V-cached decode step per generated
 point.  Padding, batching and the cache change no bit, so every report and
-every rollout point equals the per-trajectory full recompute.
+every rollout point equals the per-trajectory full recompute.  A prediction
+that is not finite once read in degrees and seconds raises
+:class:`~tinytraj.training.NumericsError` naming its trajectory.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from . import masking
 from .geo import (
     DT_DIVISOR_S,
     FEATURE_DIM,
+    MAX_T,
     NormalizationParams,
     TrajPoint,
     Trajectory,
@@ -37,6 +40,7 @@ from .geo import (
     step_targets,
 )
 from .model import KVCache, ModelConfig, ModelParams, forward_features
+from .training import NumericsError
 
 __all__ = [
     "CSV_COLUMNS",
@@ -134,19 +138,12 @@ def _decode_step(
     """One predicted (dlat, dlon, dt) row decoded onto the running point."""
     lat = prev.lat + float(pred_row[0]) * norm.scale_lat
     lon = prev.lon + float(pred_row[1]) * norm.scale_lon
-    dt = max(1, int(round(float(pred_row[2]) * DT_DIVISOR_S)))
+    # an interval past MAX_T cannot be a real one; capping it keeps round()
+    # finite and leaves the point for the trajectory check to reject
+    dt = max(1, round(min(float(pred_row[2]) * DT_DIVISOR_S, MAX_T)))
     lat = min(90.0, max(-90.0, lat))
     lon = min(180.0, max(-180.0, lon))
     return TrajPoint(lat=lat, lon=lon, t=prev.t + dt)
-
-
-def _last_rows(predict_fn: PredictFn, feats: np.ndarray, lengths, ids) -> list[np.ndarray]:
-    """Each trajectory's final prediction from ``predict_fn`` called on its
-    running [S, 7] feature matrix."""
-    return [
-        np.asarray(predict_fn(feats[b, :n].copy(), traj_id), dtype=np.float64)[-1]
-        for b, (n, traj_id) in enumerate(zip(lengths, ids))
-    ]
 
 
 def _rollout_batch(
@@ -193,24 +190,26 @@ def _rollout_batch(
         prefill = forward_features(feats[:, : n.max()], params, model_cfg, lengths=n, cache=cache)
         preds = prefill.data[rows, n - 1]
     else:
-        preds = _last_rows(predict_fn, feats, n, ids)
+        preds = _predict(feats, n, ids, norm, params, model_cfg, predict_fn)[rows, n - 1]
     prev = [TrajPoint(float(p.lat[-1]), float(p.lon[-1]), int(p.t[-1])) for p in prefixes]
     suffixes: list[list[TrajPoint]] = [[] for _ in prefixes]
     for k in range(horizon):
+        _check_finite(preds[:, None], ids, norm)
         new = [_decode_step(p, row, norm) for p, row in zip(prev, preds)]
+        at = n + k
+        # every new point, the final one too, passes the trajectory check here
+        new_feats = featurize_next(ids, at.tolist(), new, [p.t for p in prev], norm)
         for suffix, point in zip(suffixes, new):
             suffix.append(point)
         if k == horizon - 1:
             break
-        at = n + k
-        new_feats = featurize_next(ids, at.tolist(), new, [p.t for p in prev], norm)
         feats[rows, at] = new_feats
         prev = new
         if predict_fn is None:
             step = forward_features(new_feats[:, None], params, model_cfg, cache=cache)
             preds = step.data[:, 0]
         else:
-            preds = _last_rows(predict_fn, feats, at + 1, ids)
+            preds = _predict(feats, at + 1, ids, norm, params, model_cfg, predict_fn)[rows, at]
     return suffixes
 
 
@@ -287,76 +286,73 @@ def _chunks(items: Iterable, size: int) -> Iterator[list]:
         yield chunk
 
 
+def _check_finite(preds: np.ndarray, ids: Sequence[str], norm, lengths=None) -> None:
+    """Raise :class:`NumericsError` naming the first trajectory whose
+    predictions [B, S, 3] are not finite once read in degrees and seconds;
+    only each row's first ``lengths[b]`` positions count."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = np.isfinite(preds * (norm.scale_lat, norm.scale_lon, DT_DIVISOR_S)).all(axis=-1)
+    if lengths is not None:
+        ok |= np.arange(ok.shape[1]) >= np.asarray(lengths)[:, None]
+    bad = np.flatnonzero(~ok.all(axis=1))
+    if bad.size:
+        raise NumericsError(f"trajectory {ids[bad[0]]!r}: non-finite prediction")
+
+
 def _predict(
-    seqs: list[np.ndarray], ids: list[str], params, model_cfg, predict_fn: PredictFn | None
-) -> list[np.ndarray]:
-    """[S_b, 3] predictions for each [S_b, 7] input: ``predict_fn`` per
-    sequence, or one padded forward pass over all of them."""
-    if predict_fn is not None:
-        return [np.asarray(predict_fn(f, i), dtype=np.float64) for f, i in zip(seqs, ids)]
-    lengths = [len(f) for f in seqs]
-    batch = np.zeros((len(seqs), max(lengths), FEATURE_DIM))
-    for b, f in enumerate(seqs):
-        batch[b, : len(f)] = f
-    preds = forward_features(batch, params, model_cfg, lengths=lengths).data
-    return [preds[b, :n] for b, n in enumerate(lengths)]
+    batch: np.ndarray, lengths, ids, norm, params, model_cfg, predict_fn: PredictFn | None
+) -> np.ndarray:
+    """[B, S, 3] predictions for a padded [B, S, 7] input batch:
+    ``predict_fn`` on each row's real positions, or one forward pass."""
+    if predict_fn is None:
+        preds = forward_features(batch, params, model_cfg, lengths=lengths).data
+    else:
+        preds = np.zeros(batch.shape[:2] + (3,))
+        for b, (n, traj_id) in enumerate(zip(lengths, ids)):
+            preds[b, :n] = np.asarray(predict_fn(batch[b, :n].copy(), traj_id), dtype=np.float64)
+    _check_finite(preds, ids, norm, lengths)
+    return preds
 
 
-def _eval_next_step(trajs, norm, params, model_cfg, predict_fn, batch_size, acc) -> None:
-    for chunk in _chunks(trajs, batch_size):
-        seqs = [featurize(traj, norm) for traj in chunk]
-        all_preds = _predict(
-            [fs.features for fs in seqs], [t.id for t in chunk], params, model_cfg, predict_fn
-        )
-        for traj, fs, preds in zip(chunk, seqs, all_preds):
-            lat, lon = traj.lat.tolist(), traj.lon.tolist()
-            errs = []
-            for i in range(len(traj) - 1):
-                errs.append(_spatial_error_m(lat[i], lon[i], preds[i], fs.targets[i], norm))
-                acc.time_errs.append(
-                    DT_DIVISOR_S * abs(float(preds[i, 2]) - float(fs.targets[i, 2]))
-                )
-            acc.point_errs.extend(errs)
-            acc.final_errs.append(errs[-1])
-            acc.n_positions += len(errs)
-            acc.n_traj += 1
-
-
-def _eval_infill(
-    trajs, norm, params, model_cfg, predict_fn, mask_ratio, seed, batch_size, acc
+def _eval_masked(
+    trajs, norm, params, model_cfg, predict_fn, batch_size, acc, draw, corrupt
 ) -> None:
+    """Score the spatial error where ``draw(idx, n)``, the [n - 1, 2] mask of
+    the idx-th trajectory (n points), hides the spatial slots and the interval
+    error where it hides the temporal ones; ``corrupt`` also hides them from
+    the model.  The final position has no successor step, so it is never
+    scored."""
     idx = 0
     for chunk in _chunks(trajs, batch_size):
-        scored, inputs = [], []
-        for traj in chunk:
-            # one substream per trajectory: the draw depends only on (seed, idx),
-            # never on batch grouping
-            rng = np.random.default_rng([seed, idx])
-            idx += 1
-            fs = featurize(traj, norm)
-            # the final position has no successor step, so it is never scored
-            spec = masking.sample_dimension_mask(len(traj) - 1, mask_ratio, rng)
-            acc.n_traj += 1
-            if spec.positions:
-                scored.append((traj, fs, spec))
-                inputs.append(masking.apply_mask(fs.features, spec, params.mask_emb).data)
+        hidden = [draw(idx + b, len(traj)) for b, traj in enumerate(chunk)]
+        idx += len(chunk)
+        acc.n_traj += len(chunk)
+        scored = [(traj, h) for traj, h in zip(chunk, hidden) if h.any()]
         if not scored:
             continue
-        all_preds = _predict(inputs, [t.id for t, _, _ in scored], params, model_cfg, predict_fn)
-        for (traj, fs, spec), preds in zip(scored, all_preds):
+        seqs = [featurize(traj, norm) for traj, _ in scored]
+        lengths = [len(traj) for traj, _ in scored]
+        batch = np.zeros((len(scored), max(lengths), FEATURE_DIM))
+        spec = np.zeros(batch.shape[:2] + (2,), dtype=bool)
+        for b, (fs, (_, h)) in enumerate(zip(seqs, scored)):
+            batch[b, : lengths[b]], spec[b, : lengths[b] - 1] = fs.features, h
+        if corrupt:
+            batch = masking.apply_mask(batch, masking.MaskSpec(spec), params.mask_emb).data
+        ids = [traj.id for traj, _ in scored]
+        preds = _predict(batch, lengths, ids, norm, params, model_cfg, predict_fn)
+        for (traj, h), fs, pred in zip(scored, seqs, preds):
             lat, lon = traj.lat.tolist(), traj.lon.tolist()
             last_spatial: float | None = None
-            for pos in sorted(spec.position_dims):
-                dims = spec.position_dims[pos]
-                if masking.SPATIAL in dims:
-                    err = _spatial_error_m(lat[pos], lon[pos], preds[pos], fs.targets[pos], norm)
+            for pos, (spatial, temporal) in enumerate(h.tolist()):
+                if spatial:
+                    err = _spatial_error_m(lat[pos], lon[pos], pred[pos], fs.targets[pos], norm)
                     acc.point_errs.append(err)
                     last_spatial = err
-                if masking.TEMPORAL in dims:
+                if temporal:
                     acc.time_errs.append(
-                        DT_DIVISOR_S * abs(float(preds[pos, 2]) - float(fs.targets[pos, 2]))
+                        DT_DIVISOR_S * abs(float(pred[pos, 2]) - float(fs.targets[pos, 2]))
                     )
-                acc.n_positions += 1
+            acc.n_positions += int(h.any(axis=1).sum())
             if last_spatial is not None:
                 acc.final_errs.append(last_spatial)
 
@@ -405,9 +401,10 @@ def evaluate(
 ) -> MetricsReport:
     """Score a model over a trajectory corpus.
 
-    next_step: teacher-forced one-step errors at every supervised position.
-    infill: errors only at positions hidden by a per-trajectory seeded
-    dimension mask (never the final position). rollout: errors over an
+    next_step: teacher-forced one-step errors at every position with a
+    successor.  infill: errors only at the slots a per-trajectory seeded
+    dimension mask hides from the model (never the final position); the two
+    share one scorer.  rollout: errors over an
     ``horizon``-step autoregressive continuation of each trajectory's
     prefix; trajectories too short for the horizon are skipped.
 
@@ -432,14 +429,18 @@ def evaluate(
             "score predictions in the wrong frame"
         )
     acc = _Accumulator()
-    if mode == "next_step":
-        _eval_next_step(trajs, norm_params, params, model_cfg, predict_fn, batch_size, acc)
-    elif mode == "infill":
-        _eval_infill(
-            trajs, norm_params, params, model_cfg, predict_fn, mask_ratio, seed, batch_size, acc
-        )
-    else:
-        _eval_rollout(
-            trajs, norm_params, params, model_cfg, predict_fn, horizon, batch_size, acc
-        )
+    if mode == "rollout":
+        _eval_rollout(trajs, norm_params, params, model_cfg, predict_fn, horizon, batch_size, acc)
+        return acc.report(mode)
+
+    def draw(idx: int, n: int) -> np.ndarray:
+        if mode == "next_step":
+            return masking.successor_mask([n], n - 1).hidden[0]
+        # one substream per trajectory: the draw depends only on (seed, idx),
+        # never on batch grouping
+        rng = np.random.default_rng([seed, idx])
+        return masking.sample_dimension_mask(n - 1, mask_ratio, rng).hidden
+
+    corrupt = mode == "infill"
+    _eval_masked(trajs, norm_params, params, model_cfg, predict_fn, batch_size, acc, draw, corrupt)
     return acc.report(mode)

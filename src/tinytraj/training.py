@@ -26,7 +26,7 @@ from . import masking
 from .autodiff import Tensor
 from .data import Batch
 from .geo import FEATURE_DIM, JsonConfig, NormalizationParams
-from .masking import MaskEmbedding, MaskSpec
+from .masking import MaskSpec
 from .model import (
     ModelConfig,
     ModelParams,
@@ -329,14 +329,20 @@ class TrainResult:
     step_losses: list[float]
 
 
-def _sample_mask_spec(
-    length: int, kind: str, ratio: float, rng: np.random.Generator
-) -> MaskSpec:
-    # segment masks need room for a run; short sequences fall back to
-    # per-position masking
-    if kind == "segment" and length >= 4:
-        return masking.sample_segment_mask(length, ratio, rng)
-    return masking.sample_dimension_mask(length, ratio, rng)
+def _infill_mask(lengths: Sequence[int], s: int, cfg: TrainConfig, rng) -> MaskSpec:
+    """One [B, s, 2] mask, each row drawn in row order with its own kind.
+
+    The final position has no successor step (its target row is a zero
+    placeholder), so it is never masked, as in evaluation.  Segment masks
+    need room for a run; shorter rows fall back to per-position masking.
+    """
+    hidden = np.zeros((len(lengths), s, 2), dtype=bool)
+    for row, length in enumerate(lengths):
+        kind = cfg.mask_kinds[rng.integers(0, len(cfg.mask_kinds))]
+        segment = kind == "segment" and length - 1 >= 4
+        sample = masking.sample_segment_mask if segment else masking.sample_dimension_mask
+        hidden[row, : length - 1] = sample(length - 1, cfg.mask_ratio, rng).hidden
+    return MaskSpec(hidden)
 
 
 def _batch_loss(
@@ -350,48 +356,38 @@ def _batch_loss(
     """Forward one batch under ``objective`` in a single batched pass;
     returns (loss, total weight).
 
-    The loss sees the real positions of every row in (row, position) order.
-    Returns ``(None, 0.0)`` when no entry is supervised (e.g. an infill
-    draw that masked nothing).
+    Both objectives supervise what one [B, s, 2] mask hides: an infill draw,
+    corrupted into the input, or the next-step mask of every position with a
+    successor over the clean input.  The loss sees the real positions of
+    every row in (row, position) order.  Returns ``(None, 0.0)`` when no
+    entry is supervised (e.g. an infill draw that masked nothing).
     """
     s = max(batch.lengths)  # columns past every row's end are padding only
     features = batch.features[:, :s]
-    target_rows: list[np.ndarray] = []
-    weight_rows: list[np.ndarray] = []
-    masked: list[Tensor] = []
-    for row, length in enumerate(batch.lengths):
-        targets = batch.targets[row, :length]
+    if model_cfg.patch_len > 1:  # next-step only: infill needs patch_len 1
+        parts = [
+            aggregate_patch_targets(batch.targets[row, :length], length, model_cfg.patch_len)
+            for row, length in enumerate(batch.lengths)
+        ]
+        all_targets = np.concatenate([targets for targets, _ in parts], axis=0)
+        all_weights = np.concatenate([np.repeat(w[:, None], 3, axis=1) for _, w in parts])
+    else:
         if objective == "infill":
-            kind = cfg.mask_kinds[rng.integers(0, len(cfg.mask_kinds))]
-            # the final position has no successor step (its target row is a
-            # zero placeholder), so it is never masked, as in evaluation
-            spec = _sample_mask_spec(length - 1, kind, cfg.mask_ratio, rng)
-            masked.append(masking.apply_mask(features[row], spec, params.mask_emb))
-            weights = masking.build_loss_mask(spec, "infill", length)
-        elif model_cfg.patch_len > 1:
-            targets, patch_w = aggregate_patch_targets(
-                targets, length, model_cfg.patch_len
-            )
-            weights = np.repeat(patch_w[:, None], targets.shape[1], axis=1)
+            spec = _infill_mask(batch.lengths, s, cfg, rng)
         else:
-            weights = masking.build_loss_mask(None, "next_step", length)
-        target_rows.append(targets)
-        weight_rows.append(weights)
-    all_targets = np.concatenate(target_rows, axis=0)
-    all_weights = np.concatenate(weight_rows, axis=0)
+            spec = masking.successor_mask(batch.lengths, s)
+        real = batch.pad_mask[:, :s]
+        all_targets, all_weights = batch.targets[:, :s][real], spec.weights[real]
     total = float(all_weights.sum())
     if total == 0.0:
         return None, 0.0
-    x = ad.stack(masked, axis=0) if masked else features
+    x = masking.apply_mask(features, spec, params.mask_emb) if objective == "infill" else features
     pred = forward_features(x, params, model_cfg, lengths=batch.lengths)
     b, s_out, out_dim = pred.shape
     valid = [-(-length // model_cfg.patch_len) for length in batch.lengths]
     rows = np.concatenate([row * s_out + np.arange(n) for row, n in enumerate(valid)])
     pred = ad.gather_rows(ad.reshape(pred, (b * s_out, out_dim)), rows)
-    value = loss(
-        pred, all_targets, all_weights, kind=cfg.loss, huber_delta=cfg.huber_delta
-    )
-    return value, total
+    return loss(pred, all_targets, all_weights, kind=cfg.loss, huber_delta=cfg.huber_delta), total
 
 
 def _resolve_objective(cfg_objective: str, batch_idx: int) -> str:

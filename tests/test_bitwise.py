@@ -187,7 +187,12 @@ def test_ragged_batch_equals_separate_single_sequence_passes(model_kw, masked):
     # one batched pass
     tape = ad.Tape()
     tm.bind_params(params, tape)
-    x = ad.stack([model_input(row, s) for row in range(len(lengths))]) if masked else features
+    x = features
+    if masked:
+        hidden = np.zeros((len(lengths), s, 2), dtype=bool)
+        for row, spec in enumerate(specs):
+            hidden[row, : len(spec.hidden)] = spec.hidden
+        x = masking.apply_mask(features, masking.MaskSpec(hidden), params.mask_emb)
     pred = tm.forward_features(x, params, cfg, lengths=lengths)
     for row, v in enumerate(valid):
         np.testing.assert_array_equal(bits(pred.data[row, :v]), bits(outs[row]))

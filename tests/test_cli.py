@@ -488,6 +488,28 @@ class TestEval:
     def test_bad_mode_is_usage_error(self, tmp_path, corpus, checkpoint):
         assert run("eval", "--ckpt", checkpoint, "--data", corpus, "--mode", "zigzag") == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--mode", "infill", "--mask-ratio", 1.5),
+            ("--mode", "infill", "--mask-ratio", 0),
+            ("--mode", "rollout", "--horizon", 0),
+            ("--mode", "rollout", "--horizon", -3),
+            ("--batch-size", 0),
+        ],
+    )
+    def test_bad_flag_value_is_usage_error(self, corpus, checkpoint, capsys, flags):
+        assert run("eval", "--ckpt", checkpoint, "--data", corpus, *flags) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
+    def test_empty_or_unscorable_corpus_is_data_error(self, tmp_path, corpus, checkpoint):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert run("eval", "--ckpt", checkpoint, "--data", empty) == EXIT_DATA
+        # every trajectory has 6 points: too short for a horizon of 5
+        code = run("eval", "--ckpt", checkpoint, "--data", corpus, "--mode", "rollout")
+        assert code == EXIT_DATA
+
 
 # ---------------------------------------------------------------------------
 # rollout
@@ -543,6 +565,32 @@ class TestRollout:
             "rollout", "--ckpt", checkpoint, "--data", corpus, "--horizon", 1000
         )
         assert code == EXIT_USAGE
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate overflow
+@pytest.mark.parametrize("name,index", [("head.b", 2), ("head.w", None)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval",),
+        ("eval", "--mode", "infill", "--mask-ratio", 0.5),
+        ("eval", "--mode", "rollout", "--horizon", 3),
+        ("rollout",),
+    ],
+)
+def test_nonfinite_prediction_is_numeric_error(
+    tmp_path, corpus, checkpoint, capsys, name, index, argv
+):
+    # head.b[2] = 1e308 predicts a finite interval that overflows in seconds;
+    # head.w = 1e308 makes every prediction infinite
+    ckpt = tr.load_checkpoint(checkpoint)
+    array = ckpt.arrays[name].copy()
+    array[..., index if index is not None else slice(None)] = 1e308
+    ckpt.arrays[name] = array
+    bad = tmp_path / "bad.ckpt"
+    tr.save_checkpoint(ckpt, bad)
+    assert run(*argv, "--ckpt", bad, "--data", corpus) == EXIT_NUMERIC
+    assert "trajectory 'syn-3-00000': non-finite prediction" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -244,16 +244,60 @@ def test_rollout_featurizing_a_time_past_max_t_raises():
     prefix = Trajectory(id="late", points=[(52.5, 13.4, start), (52.5, 13.4, start + 1)])
     norm = NormalizationParams(52.5, 13.4, 0.1, 0.1)
     params = tm.init_params(TINY, np.random.default_rng(39))  # one-second steps
-    # the second decoded point lands on MAX_T; only a point that is fed back is checked
-    assert [p.t for p in rollout(params, TINY, norm, prefix, 2)] == [start + 2, start + 3]
+    # the second decoded point lands on MAX_T; every decoded point is checked,
+    # the final one too
+    assert [p.t for p in rollout(params, TINY, norm, prefix, 1)] == [start + 2]
     with pytest.raises(ValueError, match="outside"):
-        rollout(params, TINY, norm, prefix, 3)
+        rollout(params, TINY, norm, prefix, 2)
     corpus = [Trajectory(id="late", points=[*prefix.points, (52.5, 13.4, start + 2)])]
     oracle = lambda features, traj_id: np.zeros((len(features), 3))  # noqa: E731
     for predict_fn in (None, oracle):
         with pytest.raises(ValueError, match="outside"):
             rollout(params, TINY, norm, prefix, 3, predict_fn=predict_fn)
     evaluate(params, TINY, corpus, norm, "rollout", horizon=1)
+
+
+def test_decoding_an_interval_too_long_for_a_float_fails_the_trajectory_check():
+    # 1e308 is finite, but 1e308 * 60 s overflows
+    norm = NormalizationParams(52.5, 13.4, 0.1, 0.1)
+    prev = TrajPoint(52.5, 13.4, 100)
+    point = ev._decode_step(prev, np.array([0.0, 0.0, 1e308]), norm)
+    with pytest.raises(ValueError, match="'big': timestamp .* outside"):
+        geo.featurize_next(["big"], [2], [point], [prev.t], norm)
+
+
+@pytest.mark.parametrize("path", ["model", "predict_fn"])
+def test_rollout_checks_the_final_decoded_point(path):
+    prefix = Trajectory(id="far", points=[(52.5, 13.4, 0), (52.5, 13.4, 60)])
+    norm = NormalizationParams(52.5, 13.4, 0.1, 0.1)
+    params = tm.init_params(TINY, np.random.default_rng(40))
+    params.b_out.data[2] = 1e300  # a finite interval of 6e301 s
+    huge = lambda features, traj_id: np.tile([0.0, 0.0, 1e300], (len(features), 1))  # noqa: E731
+    predict_fn = huge if path == "predict_fn" else None
+    with pytest.raises(ValueError, match="'far': timestamp .* at index 2 outside"):
+        rollout(params, TINY, norm, prefix, 1, predict_fn=predict_fn)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate overflow
+@pytest.mark.parametrize("mode", ["next_step", "infill", "rollout"])
+@pytest.mark.parametrize("channel,value", [(2, 1e308), (0, np.nan), (1, np.inf)])
+def test_nonfinite_prediction_raises_numerics_error_naming_the_trajectory(mode, channel, value):
+    trajs, norm = make_corpus(n_traj=4, points=8, seed=41)
+    bad = trajs[2].id
+
+    def predict(features, traj_id):
+        out = np.zeros((len(features), 3))
+        if traj_id == bad:
+            out[:, channel] = value  # 1e308 is finite, but not once read in seconds
+        return out
+
+    params = tm.init_params(TINY, np.random.default_rng(42))
+    kw = dict(horizon=2, mask_ratio=0.9, seed=3, batch_size=3)
+    with pytest.raises(tr.NumericsError, match=f"{bad!r}: non-finite prediction"):
+        evaluate(params, TINY, trajs, norm, mode, predict_fn=predict, **kw)
+    params.b_out.data[channel] = value
+    with pytest.raises(tr.NumericsError, match=f"{trajs[0].id!r}: non-finite prediction"):
+        evaluate(params, TINY, trajs, norm, mode, **kw)
 
 
 def test_trained_rollout_beats_untrained_on_straight_lines():

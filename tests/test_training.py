@@ -70,8 +70,10 @@ def test_train_config_validation():
         dict(batch_size=0),
         dict(objective="rollout"),
         dict(mask_ratio=1.0),
+        dict(mask_ratio=1.5),
         dict(mask_kinds=()),
         dict(mask_kinds=("patch",)),
+        dict(mask_kinds=("other",)),
         dict(loss="mae"),
         dict(huber_delta=0.0),
     ):
@@ -309,21 +311,26 @@ def test_infill_training_updates_mask_embeddings():
 
 def test_infill_training_never_masks_the_final_position(monkeypatch):
     # the final position's target is a zero placeholder (no successor step)
-    drawn = []
-    real = tr.masking.build_loss_mask
+    drawn, lengths = [], []
+    real_loss, real_mask = tr._batch_loss, tr.masking.apply_mask
 
-    def recording(spec, mode, seq_len):
-        drawn.append((spec, seq_len))
-        return real(spec, mode, seq_len)
+    def batch_loss(batch, *args):
+        lengths.append(batch.lengths)
+        return real_loss(batch, *args)
 
-    monkeypatch.setattr(tr.masking, "build_loss_mask", recording)
+    def apply_mask(features, spec, emb):  # one [B, S, 2] mask per infill batch
+        drawn.extend(zip(spec.hidden, lengths[-1]))
+        return real_mask(features, spec, emb)
+
+    monkeypatch.setattr(tr, "_batch_loss", batch_loss)
+    monkeypatch.setattr(tr.masking, "apply_mask", apply_mask)
     loader, norm = straight_line_loader(n_traj=40, points=6, batch_size=8)
     params = tm.init_params(TINY, np.random.default_rng(9))
     cfg = TrainConfig(lr=1e-3, epochs=3, objective="infill", mask_ratio=0.5, seed=5)
     train(params, TINY, cfg, loader)
     assert len(drawn) == 3 * 40
-    assert sum(len(spec.positions) for spec, _ in drawn) > 0
-    assert all(max(spec.positions, default=-1) < n - 1 for spec, n in drawn)
+    assert sum(int(hidden.any(axis=1).sum()) for hidden, _ in drawn) > 0
+    assert all(not hidden[n - 1 :].any() for hidden, n in drawn)
 
 
 def test_alternating_objective_runs_both_modes():
