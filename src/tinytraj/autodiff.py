@@ -13,6 +13,16 @@ Design notes:
     how many other rows/columns are present.  This keeps causal-model outputs
     bit-identical when a sequence is truncated or a future position is
     perturbed, which plain BLAS kernels do not guarantee.
+  * The contraction rule: each element of a matrix product starts from +0.0
+    and adds its ``k`` terms in order, each term one rounded multiply then one
+    rounded add.  ``_bmm`` runs it in C (``_kernel.c``, compiled on first use
+    with the interpreter's C compiler, ``-O3 -ffp-contract=off``: no fused
+    multiply-add, no fast-math) and falls back to the numpy loop
+    ``_bmm_numpy`` by itself when there is no compiler or the compiled kernel
+    fails its check against that loop on load.  Both give the same bits; a
+    NaN's sign and payload are not part of the rule (numpy's own loop picks
+    them differently for different row lengths).  ``KERNEL`` reads
+    ``"native"`` or ``"numpy"``: which of the two this process runs.
   * A leading batch axis changes no bit.  Gradients of parameters shared by
     the sequences of a ``[B, S, ...]`` batch are per-sequence partial sums
     folded last sequence first, which is exactly how a tape holding one
@@ -235,7 +245,7 @@ def backward(loss: Tensor, tape: Tape | None = None) -> dict[Tensor, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _bmm_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Rank-1 accumulation, strictly sequential over the contraction axis.
     # Each output element is summed in an order that depends only on its own
     # row of `a` and column of `b`, never on how many other rows/columns are
@@ -248,6 +258,32 @@ def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(k):
         out += a[..., i : i + 1] * b[..., i : i + 1, :]
     return out
+
+
+_contract: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None  # chosen on first use
+
+
+def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # [..., m, k] @ [..., k, n] by the contraction rule of the module
+    # docstring, on the compiled kernel when this host can build it
+    return (_contract or _choose_contraction())(a, b)
+
+
+def _choose_contraction() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    # the compiled kernel, else the numpy loop; the choice holds for the
+    # process (_kernel imports this module, hence the import in here)
+    global _contract
+    from . import _kernel
+
+    _contract = _kernel.load() or _bmm_numpy
+    return _contract
+
+
+def __getattr__(name: str):
+    # KERNEL is computed on each read, never stored: "native" or "numpy"
+    if name == "KERNEL":
+        return "numpy" if (_contract or _choose_contraction()) is _bmm_numpy else "native"
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

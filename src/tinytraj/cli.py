@@ -15,7 +15,8 @@ keys or mistyped values), 2 data error (missing or corrupt files, empty
 corpora, mismatched normalization frames, a non-finite or malformed
 normalization file), 3 numeric failure (a non-finite training loss or
 gradient norm; an ``eval`` or ``rollout`` prediction that is not finite in
-degrees and seconds).
+degrees and seconds, or a generated rollout point outside the trajectory
+ranges, such as a time past ``MAX_T``).
 """
 
 from __future__ import annotations

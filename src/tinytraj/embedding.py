@@ -9,6 +9,7 @@ takes one ``[S, 7]`` sequence or a ``[B, S, 7]`` batch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,11 +78,15 @@ def project(x: Tensor | np.ndarray, layer: ProjectionLayer) -> Tensor:
     return ad.add_bias(ad.matmul(xt, layer.w), layer.b)
 
 
+@functools.lru_cache(maxsize=8)
 def sinusoidal_table(max_seq: int, d_model: int) -> np.ndarray:
     """Fixed position-encoding table: sin on even dims, cos on odd dims.
 
     table[pos, 2i]   = sin(pos / 10000^(2i/d_model))
     table[pos, 2i+1] = cos(pos / 10000^(2i/d_model))
+
+    Built once per ``(max_seq, d_model)`` and shared by every caller, so the
+    array is read-only.
     """
     if max_seq < 1 or d_model < 2 or d_model % 2:
         raise ValueError("need max_seq >= 1 and even d_model >= 2")
@@ -92,6 +97,7 @@ def sinusoidal_table(max_seq: int, d_model: int) -> np.ndarray:
     table = np.zeros((max_seq, d_model), dtype=np.float64)
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles)
+    table.flags.writeable = False
     return table
 
 

@@ -13,7 +13,8 @@ padded pass for next-step and infill scoring, and for rollout a prefill of
 the padded prefixes followed by one K/V-cached decode step per generated
 point.  Padding, batching and the cache change no bit, so every report and
 every rollout point equals the per-trajectory full recompute.  A prediction
-that is not finite once read in degrees and seconds raises
+that is not finite once read in degrees and seconds, and a generated rollout
+point that fails the trajectory check (a time past ``MAX_T``, say), raise
 :class:`~tinytraj.training.NumericsError` naming its trajectory.
 """
 
@@ -197,8 +198,12 @@ def _rollout_batch(
         _check_finite(preds[:, None], ids, norm)
         new = [_decode_step(p, row, norm) for p, row in zip(prev, preds)]
         at = n + k
-        # every new point, the final one too, passes the trajectory check here
-        new_feats = featurize_next(ids, at.tolist(), new, [p.t for p in prev], norm)
+        # every new point, the final one too, passes the trajectory check here;
+        # the prefixes passed it already, so a failure is the model's
+        try:
+            new_feats = featurize_next(ids, at.tolist(), new, [p.t for p in prev], norm)
+        except ValueError as exc:
+            raise NumericsError(f"model-made point: {exc}") from exc
         for suffix, point in zip(suffixes, new):
             suffix.append(point)
         if k == horizon - 1:

@@ -593,6 +593,21 @@ def test_nonfinite_prediction_is_numeric_error(
     assert "trajectory 'syn-3-00000': non-finite prediction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [("eval", "--mode", "rollout"), ("rollout",)])
+def test_rollout_point_past_max_t_is_numeric_error(tmp_path, corpus, checkpoint, capsys, argv):
+    # head.b[2] = 1e300 predicts a finite interval of 6e301 s: the generated
+    # point's time lies past MAX_T, which is the model's failure, not the data's
+    ckpt = tr.load_checkpoint(checkpoint)
+    array = ckpt.arrays["head.b"].copy()
+    array[2] = 1e300
+    ckpt.arrays["head.b"] = array
+    bad = tmp_path / "bad.ckpt"
+    tr.save_checkpoint(ckpt, bad)
+    assert run(*argv, "--horizon", 1, "--ckpt", bad, "--data", corpus) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numeric failure: model-made point: trajectory 'syn-3-00000': timestamp" in err
+
+
 # ---------------------------------------------------------------------------
 # pretext-check
 # ---------------------------------------------------------------------------

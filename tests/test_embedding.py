@@ -56,6 +56,18 @@ def test_positional_encoding_range_check():
     np.testing.assert_array_equal(row, emb.sinusoidal_table(16, 8)[3])
 
 
+def test_sinusoid_table_is_built_once_and_read_only():
+    table = emb.sinusoidal_table(32, 16)
+    assert emb.sinusoidal_table(32, 16) is table
+    fresh = emb.sinusoidal_table.__wrapped__(32, 16)
+    assert fresh is not table
+    np.testing.assert_array_equal(table.view(np.int64), fresh.view(np.int64))
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        emb.positional_encoding(3, 16, max_seq=32)[0] = 1.0
+
+
 def test_distinct_positions_get_distinct_rows():
     table = emb.sinusoidal_table(max_seq=256, d_model=64)
     # no two of the first 256 rows coincide

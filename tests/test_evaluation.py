@@ -247,12 +247,12 @@ def test_rollout_featurizing_a_time_past_max_t_raises():
     # the second decoded point lands on MAX_T; every decoded point is checked,
     # the final one too
     assert [p.t for p in rollout(params, TINY, norm, prefix, 1)] == [start + 2]
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(tr.NumericsError, match="'late': timestamp .* outside"):
         rollout(params, TINY, norm, prefix, 2)
     corpus = [Trajectory(id="late", points=[*prefix.points, (52.5, 13.4, start + 2)])]
     oracle = lambda features, traj_id: np.zeros((len(features), 3))  # noqa: E731
     for predict_fn in (None, oracle):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(tr.NumericsError, match="'late': timestamp .* outside"):
             rollout(params, TINY, norm, prefix, 3, predict_fn=predict_fn)
     evaluate(params, TINY, corpus, norm, "rollout", horizon=1)
 
@@ -274,7 +274,7 @@ def test_rollout_checks_the_final_decoded_point(path):
     params.b_out.data[2] = 1e300  # a finite interval of 6e301 s
     huge = lambda features, traj_id: np.tile([0.0, 0.0, 1e300], (len(features), 1))  # noqa: E731
     predict_fn = huge if path == "predict_fn" else None
-    with pytest.raises(ValueError, match="'far': timestamp .* at index 2 outside"):
+    with pytest.raises(tr.NumericsError, match="'far': timestamp .* at index 2 outside"):
         rollout(params, TINY, norm, prefix, 1, predict_fn=predict_fn)
 
 
