@@ -17,7 +17,9 @@ Design notes:
     and adds its ``k`` terms in order, each term one rounded multiply then one
     rounded add.  ``_bmm`` runs it in C (``_kernel.c``, compiled on first use
     with the interpreter's C compiler, ``-O3 -ffp-contract=off``: no fused
-    multiply-add, no fast-math) and falls back to the numpy loop
+    multiply-add, no fast-math), register-tiled without reordering any
+    element's terms and reading ``a`` through its strides, so the transposed
+    operands of a VJP are not copied.  It falls back to the numpy loop
     ``_bmm_numpy`` by itself when there is no compiler or the compiled kernel
     fails its check against that loop on load.  Both give the same bits; a
     NaN's sign and payload are not part of the rule (numpy's own loop picks
@@ -25,8 +27,9 @@ Design notes:
     ``"native"`` or ``"numpy"``: which of the two this process runs.
   * A leading batch axis changes no bit.  Gradients of parameters shared by
     the sequences of a ``[B, S, ...]`` batch are per-sequence partial sums
-    folded last sequence first, which is exactly how a tape holding one
-    forward pass per sequence accumulates them.  So a batched pass equals
+    folded last sequence first (``_fold``: a copy of the last part, then each
+    earlier part added onto it in place), which is exactly how a tape holding
+    one forward pass per sequence accumulates them.  So a batched pass equals
     ``B`` single-sequence passes bit for bit, and zero-padded positions
     whose output gradient is zero add exact zeros after every valid term.
 """
@@ -295,9 +298,12 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _fold(parts: np.ndarray) -> np.ndarray:
     # parts[b] is sequence b's share of a shared parameter's gradient.  A
     # reverse tape visits the last sequence first and adds the earlier ones
-    # onto it; cumsum over the reversed axis is that same sequential chain.
-    # The copy lets the [B, ...] running sums go.
-    return np.cumsum(parts[::-1], axis=0)[-1].copy()
+    # onto it, in place: the chain cumsum over the reversed axis computes,
+    # without its B running sums.
+    out = parts[-1].copy()
+    for part in parts[-2::-1]:
+        out += part
+    return out
 
 
 def _seq_sums(g: np.ndarray) -> np.ndarray:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import secrets
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -694,6 +696,11 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     history, array manifest), then each array's raw little-endian float64
     bytes in manifest order. Identical checkpoints serialize to identical
     bytes.
+
+    The write is atomic: the bytes go to a temporary file beside ``path``,
+    which is flushed to disk and then renamed over ``path``.  A write that
+    fails or is interrupted leaves any previous file at ``path`` as it was
+    and removes the temporary file.
     """
     entries = _array_entries(ckpt)
     header = {
@@ -709,13 +716,23 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode(
         "utf-8"
     )
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", ckpt.version))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for _, arr in entries:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", ckpt.version))
+            fh.write(struct.pack("<Q", len(header_bytes)))
+            fh.write(header_bytes)
+            for _, arr in entries:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:  # an interrupt too: never leave the temporary file behind
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _manifest_entry(entry) -> tuple[str, tuple[int, ...]]:

@@ -181,6 +181,33 @@ def test_backward_is_deterministic():
     np.testing.assert_array_equal(g1, g2)
 
 
+FOLD_RNG = np.random.default_rng(3)  # its own generator: RNG's draws feed the oracle below
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        FOLD_RNG.normal(size=(1, 3, 4)),
+        FOLD_RNG.choice([0.0, -0.0], (6, 4, 5)),
+        FOLD_RNG.normal(size=(25, 32, 128)),
+        FOLD_RNG.normal(size=(25, 32)),
+    ],
+    ids=["one_sequence", "signed_zeros", "b25_32x128", "b25_32"],
+)
+def test_fold_is_the_reversed_cumsum_chain(parts):
+    # the reference: the last sequence first, each earlier one added onto it
+    expected = np.cumsum(parts[::-1], axis=0)[-1]
+    got = ad._fold(parts)
+    assert got.shape == parts.shape[1:] and not np.shares_memory(got, parts)
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_fold_keeps_minus_zero_only_when_every_part_is_minus_zero():
+    # -0.0 + -0.0 stays -0.0; -0.0 + 0.0 is +0.0
+    assert np.signbit(ad._fold(np.full((3, 2), -0.0))).all()
+    assert not np.signbit(ad._fold(np.array([[-0.0], [0.0], [-0.0]]))).any()
+
+
 # ---------------------------------------------------------------------------
 # finite-difference oracle across every differentiable op
 # ---------------------------------------------------------------------------

@@ -475,6 +475,40 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_failed_checkpoint_write_leaves_the_previous_file(tmp_path, monkeypatch):
+    ckpt = trained_checkpoint(tmp_path)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, path)
+    before = path.read_bytes()
+
+    class FailingFile:
+        # the writes are magic, version, header length, header, then one per
+        # array: the sixth is the second array's
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 6:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(tr, "open", lambda *a, **k: FailingFile(open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(make_checkpoint(restore_params(ckpt), TINY), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
 def test_checkpoint_round_trips_values_exactly(tmp_path):
     ckpt = trained_checkpoint(tmp_path)
     path = tmp_path / "c.ckpt"
