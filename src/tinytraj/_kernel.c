@@ -1,19 +1,24 @@
-/* The contraction behind tinytraj.autodiff._bmm: out = a @ b over float64
- * [batch, m, k] by [batch, k, n] operands.
+/* The compiled kernels behind tinytraj.autodiff: the contraction of _bmm, and
+ * the row-wise passes of softmax_rows, layer_norm, the per-sequence gradient
+ * sums and the GELU gradient.  Every entry point gives the bits of the numpy
+ * body it replaces (autodiff._bmm_numpy, _softmax_numpy, ...): the same IEEE
+ * operations, each one rounded, in the same order.  Build with
+ * -ffp-contract=off (no fused multiply-add) and without -ffast-math or -march.
  *
- * The rule: each output element starts from +0.0 and adds its k terms
+ * Contraction.  out = a @ b over float64 [batch, m, k] by [batch, k, n]
+ * operands.  Each output element starts from +0.0 and adds its k terms
  * a[i,p]*b[p,j] for p = 0 .. k-1 in order, each term one rounded multiply
- * then one rounded add: the order of the numpy rank-1 loop _bmm_numpy, so the
- * results carry the same bits.  Build with -ffp-contract=off (no fused
- * multiply-add) and without -ffast-math or -march.
+ * then one rounded add: the order of the numpy rank-1 loop _bmm_numpy.
  *
  * Tile.  The output is cut into MR x NR tiles (NR = 8 columns).  A tile's
  * MR x NR partial sums stay in vector registers across the whole k loop;
  * step p adds a[i,p] * b[p, j0 .. j0+7] to row i's sums, for each of the MR
  * rows.  Register blocking only changes where the partial sums are held,
  * never the order of any element's own terms, so every element still sees
- * the chain above; lanes never mix.  Rows and columns that do not fill a
- * tile run the plain scalar loop, which keeps the same per-element order.
+ * the chain above; lanes never mix.  The last n % NR columns run a narrow
+ * tile of the same shape whose unused lanes multiply zeros and are never
+ * stored, so a product with n < 8 (the output head) is tiled too.  Rows that
+ * do not fill a tile run the plain scalar loop, in the same per-element order.
  *
  * Strides.  a is read through its element strides (batch, row, column), so a
  * transposed or sliced view needs no copy: a tile reads one scalar of a per
@@ -25,7 +30,21 @@
  * sums take 8 of the 16 vector registers.  tinytraj_bmm runs the AVX2 body
  * when the CPU has AVX2 and the baseline body otherwise;
  * tinytraj_bmm_baseline is exported too, so that one host can test both.
- * Neither body uses FMA, and both give the same bits. */
+ * Neither body uses FMA, and both give the same bits.
+ *
+ * Row passes.  All arrays are C-contiguous; a row is the last axis.  The
+ * summation rules they keep are numpy's:
+ *   - a softmax row sum is np.cumsum's chain: it starts from the row's first
+ *     element (so an all -0.0 row sums to -0.0) and adds the rest in order;
+ *   - np.mean over a row is (+0.0 + pairwise8(row)) / d, where pairwise8 is
+ *     numpy's pairwise sum (pairwise() below);
+ *   - a per-sequence sum adds the positions in order from +0.0, and the
+ *     sequences are folded last first, as autodiff._fold does.
+ * np.exp and scipy's erf stay numpy's and scipy's: the softmax forward is
+ * softmax_shift, np.exp, softmax_scale (with 0.0 in place of each -inf that
+ * np.exp would see, and exp(-inf) = +0.0 put back after it), and the GELU
+ * gradient gets its exponential from numpy.  The row passes are compiled for
+ * the baseline target only. */
 #include <stddef.h>
 
 #define NR 8 /* columns in a tile */
@@ -52,49 +71,70 @@ scalar_block(const double *a, ptrdiff_t as_row, ptrdiff_t as_col, const double *
     }
 }
 
-/* The tile body, defined once for every instance: NAME, with function
- * attributes ATTR, keeps MR x NR partial sums in NR / LANES vectors of type
- * VEC per row.  b and out are read and written through memcpy, so they need
- * no alignment beyond a double's. */
-#define DEFINE_BMM(NAME, ATTR, VEC, MR)                                                       \
-    ATTR void NAME(const double *a, ptrdiff_t as_batch, ptrdiff_t as_row, ptrdiff_t as_col,   \
-                   const double *b, double *restrict out, ptrdiff_t batch, ptrdiff_t m,       \
-                   ptrdiff_t k, ptrdiff_t n)                                                  \
-    {                                                                                         \
-        enum { LANES = sizeof(VEC) / sizeof(double), NV = NR / LANES };                       \
-        const ptrdiff_t m_tiles = m - m % MR, n_tiles = n - n % NR;                           \
-        for (ptrdiff_t l = 0; l < batch; l++, a += as_batch, b += k * n, out += m * n) {      \
-            for (ptrdiff_t i0 = 0; i0 < m_tiles; i0 += MR) {                                  \
-                for (ptrdiff_t j0 = 0; j0 < n_tiles; j0 += NR) {                              \
-                    VEC acc[MR][NV], bv[NV];                                                  \
-                    for (int r = 0; r < MR; r++)                                              \
-                        for (int v = 0; v < NV; v++)                                          \
-                            acc[r][v] = (VEC){0.0}; /* +0.0 in every lane */                  \
-                    const double *ap = a + i0 * as_row, *bp = b + j0;                         \
-                    for (ptrdiff_t p = 0; p < k; p++, ap += as_col, bp += n) {                \
-                        for (int v = 0; v < NV; v++)                                          \
-                            __builtin_memcpy(&bv[v], bp + v * LANES, sizeof bv[v]);           \
-                        for (int r = 0; r < MR; r++) {                                        \
-                            const double air = ap[r * as_row];                                \
-                            for (int v = 0; v < NV; v++)                                      \
-                                acc[r][v] += air * bv[v];                                     \
-                        }                                                                     \
-                    }                                                                         \
-                    for (int r = 0; r < MR; r++)                                              \
-                        for (int v = 0; v < NV; v++)                                          \
-                            __builtin_memcpy(out + (i0 + r) * n + j0 + v * LANES, &acc[r][v], \
-                                             sizeof acc[r][v]);                               \
-                }                                                                             \
-                scalar_block(a, as_row, as_col, b, out, k, n, i0, i0 + MR, n_tiles, n);       \
-            }                                                                                 \
-            scalar_block(a, as_row, as_col, b, out, k, n, m_tiles, m, 0, n);                  \
-        }                                                                                     \
+/* The tile body, defined once for every instance: NAME, with linkage LINKAGE
+ * and target attribute TARGET, keeps MR x W partial sums (W <= NR columns) in
+ * the first ceil(W / LANES) of NR / LANES vectors of type VEC per row; a
+ * narrow tile's unused lanes start from b's zeros and are never stored.  b and
+ * out are read and written through memcpy, so they need no alignment beyond a
+ * double's.  NAME##_tile is inlined with a constant W, once per width. */
+#define DEFINE_BMM(NAME, LINKAGE, TARGET, VEC, MR)                                               \
+    static inline __attribute__((always_inline)) TARGET void NAME##_tile(                        \
+        const double *a, ptrdiff_t as_row, ptrdiff_t as_col, const double *b,                    \
+        double *restrict out, ptrdiff_t k, ptrdiff_t n, ptrdiff_t i0, ptrdiff_t j0, const int w) \
+    {                                                                                            \
+        enum { LANES = sizeof(VEC) / sizeof(double), NV = NR / LANES };                          \
+        const int nv = (w + LANES - 1) / LANES; /* vectors that hold a column */                 \
+        VEC acc[MR][NV], bv[NV];                                                                 \
+        for (int r = 0; r < MR; r++)                                                             \
+            for (int v = 0; v < nv; v++)                                                         \
+                acc[r][v] = (VEC){0.0}; /* +0.0 in every lane */                                 \
+        const double *ap = a + i0 * as_row, *bp = b + j0;                                        \
+        for (ptrdiff_t p = 0; p < k; p++, ap += as_col, bp += n) {                               \
+            if (w == NR) {                                                                       \
+                for (int v = 0; v < NV; v++)                                                     \
+                    __builtin_memcpy(&bv[v], bp + v * LANES, sizeof bv[v]);                      \
+            } else {                                                                             \
+                for (int v = 0; v < nv; v++)                                                     \
+                    for (int l = 0; l < LANES; l++)                                              \
+                        bv[v][l] = v * LANES + l < w ? bp[v * LANES + l] : 0.0;                  \
+            }                                                                                    \
+            for (int r = 0; r < MR; r++) {                                                       \
+                const double air = ap[r * as_row];                                               \
+                for (int v = 0; v < nv; v++)                                                     \
+                    acc[r][v] += air * bv[v];                                                    \
+            }                                                                                    \
+        }                                                                                        \
+        for (int r = 0; r < MR; r++)                                                             \
+            __builtin_memcpy(out + (i0 + r) * n + j0, acc[r], w * sizeof(double));               \
+    }                                                                                            \
+                                                                                                 \
+    LINKAGE TARGET void NAME(const double *a, ptrdiff_t as_batch, ptrdiff_t as_row,              \
+                             ptrdiff_t as_col, const double *b, double *restrict out,            \
+                             ptrdiff_t batch, ptrdiff_t m, ptrdiff_t k, ptrdiff_t n)             \
+    {                                                                                            \
+        const ptrdiff_t m_tiles = m - m % MR, n_tiles = n - n % NR;                              \
+        for (ptrdiff_t l = 0; l < batch; l++, a += as_batch, b += k * n, out += m * n) {         \
+            for (ptrdiff_t i0 = 0; i0 < m_tiles; i0 += MR) {                                     \
+                for (ptrdiff_t j0 = 0; j0 < n_tiles; j0 += NR)                                   \
+                    NAME##_tile(a, as_row, as_col, b, out, k, n, i0, j0, NR);                    \
+                switch (n - n_tiles) { /* a constant width for each narrow tile */               \
+                case 1: NAME##_tile(a, as_row, as_col, b, out, k, n, i0, n_tiles, 1); break;     \
+                case 2: NAME##_tile(a, as_row, as_col, b, out, k, n, i0, n_tiles, 2); break;     \
+                case 3: NAME##_tile(a, as_row, as_col, b, out, k, n, i0, n_tiles, 3); break;     \
+                case 4: NAME##_tile(a, as_row, as_col, b, out, k, n, i0, n_tiles, 4); break;     \
+                case 5: NAME##_tile(a, as_row, as_col, b, out, k, n, i0, n_tiles, 5); break;     \
+                case 6: NAME##_tile(a, as_row, as_col, b, out, k, n, i0, n_tiles, 6); break;     \
+                case 7: NAME##_tile(a, as_row, as_col, b, out, k, n, i0, n_tiles, 7); break;     \
+                }                                                                                \
+            }                                                                                    \
+            scalar_block(a, as_row, as_col, b, out, k, n, m_tiles, m, 0, n);                     \
+        }                                                                                        \
     }
 
-DEFINE_BMM(tinytraj_bmm_baseline, , vec2, 2)
+DEFINE_BMM(tinytraj_bmm_baseline, , , vec2, 2)
 
 #if defined(__x86_64__)
-DEFINE_BMM(bmm_avx2, __attribute__((target("avx2"))) static, vec4, 4)
+DEFINE_BMM(bmm_avx2, static, __attribute__((target("avx2"))), vec4, 4)
 #endif
 
 void tinytraj_bmm(const double *a, ptrdiff_t as_batch, ptrdiff_t as_row, ptrdiff_t as_col,
@@ -109,4 +149,232 @@ void tinytraj_bmm(const double *a, ptrdiff_t as_batch, ptrdiff_t as_row, ptrdiff
     }
 #endif
     tinytraj_bmm_baseline(a, as_batch, as_row, as_col, b, out, batch, m, k, n);
+}
+
+/* numpy's pairwise sum of TERM(i) for i in [0, n): under 8 terms in order;
+ * up to 128, eight accumulators started from the first eight terms, combined
+ * as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in order; above 128,
+ * the two halves (the first a multiple of 8 long) summed apart and added.
+ * A short sum's start is never seen: np.mean adds the result onto +0.0. */
+#define DEFINE_PAIRWISE(NAME, TERM)                                                          \
+    static double NAME(const double *x, const double *y, ptrdiff_t n)                        \
+    {                                                                                        \
+        if (n < 8) {                                                                         \
+            double s = -0.0;                                                                 \
+            for (ptrdiff_t i = 0; i < n; i++)                                                \
+                s += TERM(i);                                                                \
+            return s;                                                                        \
+        }                                                                                    \
+        if (n <= 128) {                                                                      \
+            double r[8];                                                                     \
+            ptrdiff_t i;                                                                     \
+            for (int j = 0; j < 8; j++)                                                      \
+                r[j] = TERM(j);                                                              \
+            for (i = 8; i < n - n % 8; i += 8)                                               \
+                for (int j = 0; j < 8; j++)                                                  \
+                    r[j] += TERM(i + j);                                                     \
+            double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));    \
+            for (; i < n; i++)                                                               \
+                s += TERM(i);                                                                \
+            return s;                                                                        \
+        }                                                                                    \
+        ptrdiff_t n2 = n / 2;                                                                \
+        n2 -= n2 % 8;                                                                        \
+        return NAME(x, y, n2) + NAME(x + n2, y + n2, n - n2);                                \
+    }
+
+#define PLAIN(i) x[i]
+#define PRODUCT(i) (x[i] * y[i])
+DEFINE_PAIRWISE(pairwise, PLAIN)
+DEFINE_PAIRWISE(pairwise_product, PRODUCT)
+
+/* np.mean of a row of d: +0.0 plus the pairwise sum, over d */
+static inline double row_mean(const double *x, ptrdiff_t d)
+{
+    return (0.0 + pairwise(x, x, d)) / (double)d;
+}
+
+static inline double row_mean_product(const double *x, const double *y, ptrdiff_t d)
+{
+    return (0.0 + pairwise_product(x, y, d)) / (double)d;
+}
+
+#define RB 4 /* rows whose chains run side by side; their sums never mix */
+
+/* m[i] = the max of row i of the k rows at x, n apart, without a branch.
+ * Unlike np.max it may miss a NaN; no output bit depends on that, as a NaN
+ * in a row makes its sum, and so every entry of its softmax, NaN. */
+static inline __attribute__((always_inline)) void row_max(const double *x, ptrdiff_t n,
+                                                          const int k, double *m)
+{
+    for (int i = 0; i < k; i++)
+        m[i] = x[i * n];
+    for (ptrdiff_t j = 1; j < n; j++)
+        for (int i = 0; i < k; i++)
+            m[i] = m[i] > x[i * n + j] ? m[i] : x[i * n + j];
+}
+
+/* s[i] = the cumsum chain of row i of the k rows at y (times g's row when g
+ * is not NULL), n apart */
+static inline __attribute__((always_inline)) void
+row_chain(const double *y, const double *g, ptrdiff_t n, const int k, double *s)
+{
+    for (int i = 0; i < k; i++)
+        s[i] = g ? g[i * n] * y[i * n] : y[i * n];
+    for (ptrdiff_t j = 1; j < n; j++)
+        for (int i = 0; i < k; i++)
+            s[i] += g ? g[i * n + j] * y[i * n + j] : y[i * n + j];
+}
+
+static inline __attribute__((always_inline)) void
+shift_rows(const double *x, double *restrict y, double *restrict m, ptrdiff_t n, const int k)
+{
+    row_max(x, n, k, m);
+    for (int i = 0; i < k; i++)
+        for (ptrdiff_t j = 0; j < n; j++) {
+            const double v = x[i * n + j] - m[i];
+            y[i * n + j] = v == -__builtin_inf() ? 0.0 : v;
+        }
+}
+
+/* Softmax forward, before np.exp, per row of n >= 1: mx[r] = the row max and
+ * y = x - mx[r], but 0.0 where that is -inf.  exp(-inf) is exactly +0.0, and
+ * numpy's exp takes a slow path for every vector that holds a -inf (a
+ * causal mask is half -inf); softmax_scale puts the +0.0 back. */
+void tinytraj_softmax_shift(const double *x, double *restrict y, double *restrict mx,
+                            ptrdiff_t rows, ptrdiff_t n)
+{
+    ptrdiff_t r = 0;
+    for (; r + RB <= rows; r += RB)
+        shift_rows(x + r * n, y + r * n, mx + r, n, RB);
+    for (; r < rows; r++)
+        shift_rows(x + r * n, y + r * n, mx + r, n, 1);
+}
+
+static inline __attribute__((always_inline)) void
+scale_rows(const double *x, const double *m, double *y, ptrdiff_t n, const int k)
+{
+    double s[RB];
+    for (int i = 0; i < k; i++)
+        for (ptrdiff_t j = 0; j < n; j++)
+            y[i * n + j] = x[i * n + j] - m[i] == -__builtin_inf() ? 0.0 : y[i * n + j];
+    row_chain(y, NULL, n, k, s);
+    for (int i = 0; i < k; i++)
+        for (ptrdiff_t j = 0; j < n; j++)
+            y[i * n + j] /= s[i];
+}
+
+/* Softmax forward, after np.exp of softmax_shift's y: +0.0 where x - mx is
+ * -inf, then each row divided by its cumsum chain */
+void tinytraj_softmax_scale(const double *x, const double *mx, double *y, ptrdiff_t rows,
+                            ptrdiff_t n)
+{
+    ptrdiff_t r = 0;
+    for (; r + RB <= rows; r += RB)
+        scale_rows(x + r * n, mx + r, y + r * n, n, RB);
+    for (; r < rows; r++)
+        scale_rows(x + r * n, mx + r, y + r * n, n, 1);
+}
+
+static inline __attribute__((always_inline)) void
+softmax_vjp_rows(const double *y, const double *g, double *restrict dx, ptrdiff_t n, const int k)
+{
+    double s[RB];
+    row_chain(y, g, n, k, s);
+    for (int i = 0; i < k; i++)
+        for (ptrdiff_t j = 0; j < n; j++)
+            dx[i * n + j] = y[i * n + j] * (g[i * n + j] - s[i]);
+}
+
+/* Softmax VJP: dx = y * (g - chain(g * y)) per row */
+void tinytraj_softmax_vjp(const double *y, const double *g, double *restrict dx, ptrdiff_t rows,
+                          ptrdiff_t n)
+{
+    ptrdiff_t r = 0;
+    for (; r + RB <= rows; r += RB)
+        softmax_vjp_rows(y + r * n, g + r * n, dx + r * n, n, RB);
+    for (; r < rows; r++)
+        softmax_vjp_rows(y + r * n, g + r * n, dx + r * n, n, 1);
+}
+
+/* Layer norm forward over rows of d >= 1: xhat = (x - mean) * inv with
+ * inv = 1 / sqrt(mean((x - mean)^2) + eps), out = xhat * gain + bias; xhat
+ * and the per-row inv are kept for the VJP. */
+void tinytraj_layer_norm(const double *x, const double *gain, const double *bias, double eps,
+                         double *restrict out, double *restrict xhat, double *restrict inv,
+                         ptrdiff_t rows, ptrdiff_t d)
+{
+    for (ptrdiff_t r = 0; r < rows; r++, x += d, out += d, xhat += d) {
+        const double mu = row_mean(x, d);
+        for (ptrdiff_t j = 0; j < d; j++)
+            xhat[j] = x[j] - mu;
+        const double s = 1.0 / __builtin_sqrt(row_mean_product(xhat, xhat, d) + eps);
+        inv[r] = s;
+        for (ptrdiff_t j = 0; j < d; j++) {
+            xhat[j] *= s;
+            out[j] = xhat[j] * gain[j] + bias[j];
+        }
+    }
+}
+
+/* Layer norm VJP for x: with dxhat = g * gain,
+ * dx = inv * ((dxhat - mean(dxhat)) - xhat * mean(dxhat * xhat)) */
+void tinytraj_layer_norm_dx(const double *g, const double *gain, const double *xhat,
+                            const double *inv, double *restrict dx, ptrdiff_t rows, ptrdiff_t d)
+{
+    for (ptrdiff_t r = 0; r < rows; r++, g += d, xhat += d, dx += d) {
+        for (ptrdiff_t j = 0; j < d; j++)
+            dx[j] = g[j] * gain[j]; /* dxhat, overwritten below */
+        const double m1 = row_mean(dx, d), m2 = row_mean_product(dx, xhat, d);
+        for (ptrdiff_t j = 0; j < d; j++)
+            dx[j] = inv[r] * ((dx[j] - m1) - xhat[j] * m2);
+    }
+}
+
+#define SEQ_COLS 64 /* columns summed at once */
+
+/* s = one sequence's sum over its seq positions, from +0.0 in order, of
+ * cols columns of g (or of g * w) */
+static inline void seq_sum(const double *g, const double *w, double *restrict s, ptrdiff_t seq,
+                           ptrdiff_t d, ptrdiff_t cols)
+{
+    for (ptrdiff_t j = 0; j < cols; j++)
+        s[j] = 0.0;
+    if (w)
+        for (ptrdiff_t p = 0; p < seq; p++)
+            for (ptrdiff_t j = 0; j < cols; j++)
+                s[j] += g[p * d + j] * w[p * d + j];
+    else
+        for (ptrdiff_t p = 0; p < seq; p++)
+            for (ptrdiff_t j = 0; j < cols; j++)
+                s[j] += g[p * d + j];
+}
+
+/* The gradient of a parameter shared by the sequences of a [batch, seq, d]
+ * batch, batch >= 1: out[j] is the fold, last sequence first, of each
+ * sequence's sum of g (or of g * w when w is not NULL). */
+void tinytraj_seq_sums(const double *g, const double *w, double *restrict out, ptrdiff_t batch,
+                       ptrdiff_t seq, ptrdiff_t d)
+{
+    const ptrdiff_t stride = seq * d;
+    for (ptrdiff_t j0 = 0; j0 < d; j0 += SEQ_COLS) {
+        const ptrdiff_t cols = d - j0 < SEQ_COLS ? d - j0 : SEQ_COLS;
+        double s[SEQ_COLS];
+        seq_sum(g + (batch - 1) * stride + j0, w ? w + (batch - 1) * stride + j0 : NULL,
+                out + j0, seq, d, cols);
+        for (ptrdiff_t b = batch - 2; b >= 0; b--) {
+            seq_sum(g + b * stride + j0, w ? w + b * stride + j0 : NULL, s, seq, d, cols);
+            for (ptrdiff_t j = 0; j < cols; j++)
+                out[j0 + j] += s[j];
+        }
+    }
+}
+
+/* GELU VJP, given e = np.exp((-0.5 * x) * x) and c = 1 / sqrt(2 pi):
+ * dx = g * (cdf + x * (e * c)); dx may be e */
+void tinytraj_gelu_vjp(const double *g, const double *x, const double *cdf, const double *e,
+                       double c, double *dx, ptrdiff_t size)
+{
+    for (ptrdiff_t i = 0; i < size; i++)
+        dx[i] = g[i] * (cdf[i] + x[i] * (e[i] * c));
 }

@@ -13,6 +13,19 @@ Design notes:
     how many other rows/columns are present.  This keeps causal-model outputs
     bit-identical when a sequence is truncated or a future position is
     perturbed, which plain BLAS kernels do not guarantee.
+  * The summation rules of the row-wise ops, which are numpy's:
+      - a softmax row sum (forward and VJP) is ``np.cumsum``'s chain: it
+        starts from the row's first element, so an all ``-0.0`` row sums to
+        ``-0.0``, and adds the rest left to right (``_row_sums``);
+      - a layer-norm mean is ``np.mean``: ``+0.0`` plus numpy's pairwise sum
+        of the row (eight accumulators, ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``,
+        then the tail in order; halved above 128 terms), divided by ``d``;
+      - the gradient of a parameter shared by the sequences of a batch (layer
+        norm's gain and bias, ``add_bias``) is each sequence's sum over its
+        positions, from ``+0.0`` in order, folded last sequence first.
+    ``softmax_rows``, ``layer_norm`` and the GELU VJP run these in C too,
+    one pass where numpy takes several; ``np.exp`` and scipy's ``erf`` stay
+    numpy's and scipy's.
   * The contraction rule: each element of a matrix product starts from +0.0
     and adds its ``k`` terms in order, each term one rounded multiply then one
     rounded add.  ``_bmm`` runs it in C (``_kernel.c``, compiled on first use
@@ -21,10 +34,11 @@ Design notes:
     element's terms and reading ``a`` through its strides, so the transposed
     operands of a VJP are not copied.  It falls back to the numpy loop
     ``_bmm_numpy`` by itself when there is no compiler or the compiled kernel
-    fails its check against that loop on load.  Both give the same bits; a
-    NaN's sign and payload are not part of the rule (numpy's own loop picks
-    them differently for different row lengths).  ``KERNEL`` reads
-    ``"native"`` or ``"numpy"``: which of the two this process runs.
+    fails its check against the numpy bodies on load.  Both give the same
+    bits; a NaN's sign and payload are not part of the rule (numpy's own loop
+    picks them differently for different row lengths).  ``KERNEL`` reads
+    ``"native"`` or ``"numpy"``: which of the two this process runs, for
+    every op at once (``Ops``).
   * A leading batch axis changes no bit.  Gradients of parameters shared by
     the sequences of a ``[B, S, ...]`` batch are per-sequence partial sums
     folded last sequence first (``_fold``: a copy of the last part, then each
@@ -37,7 +51,7 @@ Design notes:
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -263,38 +277,6 @@ def _bmm_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-_contract: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None  # chosen on first use
-
-
-def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # [..., m, k] @ [..., k, n] by the contraction rule of the module
-    # docstring, on the compiled kernel when this host can build it
-    return (_contract or _choose_contraction())(a, b)
-
-
-def _choose_contraction() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    # the compiled kernel, else the numpy loop; the choice holds for the
-    # process (_kernel imports this module, hence the import in here)
-    global _contract
-    from . import _kernel
-
-    _contract = _kernel.load() or _bmm_numpy
-    return _contract
-
-
-def __getattr__(name: str):
-    # KERNEL is computed on each read, never stored: "native" or "numpy"
-    if name == "KERNEL":
-        return "numpy" if (_contract or _choose_contraction()) is _bmm_numpy else "native"
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # The 2-D product [m, k] @ [k, n]: every projection of a batch runs
-    # through here with its [B, S] rows folded into m, which is row-local.
-    return _bmm(a, b)
-
-
 def _fold(parts: np.ndarray) -> np.ndarray:
     # parts[b] is sequence b's share of a shared parameter's gradient.  A
     # reverse tape visits the last sequence first and adds the earlier ones
@@ -314,10 +296,119 @@ def _seq_sums(g: np.ndarray) -> np.ndarray:
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
-    # Left-to-right sum over the last axis via cumsum: appending zeros to a
-    # row (masked positions) can never change the sum of its prefix, unlike
+    # [..., n] -> [..., 1]: np.cumsum's chain over the last axis, from the
+    # first column, added left to right in place.  Appending zeros to a row
+    # (masked positions) can never change the sum of its prefix, unlike
     # pairwise summation whose grouping depends on the row length.
-    return np.cumsum(x, axis=-1)[..., -1:]
+    out = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        out += x[..., j : j + 1]
+    return out
+
+
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# The numpy bodies of the row-wise kernels: the fallback when there is no
+# compiled kernel, and the oracle it is checked against.
+
+
+def _softmax_numpy(x: np.ndarray) -> np.ndarray:
+    y = x - np.max(x, axis=-1, keepdims=True)  # subtract the row max first
+    np.exp(y, out=y)  # in place: one score-sized array fewer at the peak
+    y /= _row_sums(y)
+    return y
+
+
+def _softmax_vjp_numpy(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return y * (g - _row_sums(g * y))
+
+
+def _layer_norm_numpy(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    # (output, xhat, inv) over the last axis; the VJP needs xhat and inv
+    xc = x - np.mean(x, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def _layer_norm_dx_numpy(
+    g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv: np.ndarray
+) -> np.ndarray:
+    dxhat = g * gain
+    return inv * (
+        dxhat
+        - np.mean(dxhat, axis=-1, keepdims=True)
+        - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
+    )
+
+
+def _seq_sums_numpy(g: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    # [B, S, d] -> [d]: the gradient of a parameter shared by a batch's
+    # sequences, from its per-position terms g (or g * w)
+    return _fold(_seq_sums(g if w is None else g * w))
+
+
+def _gelu_vjp_numpy(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    return g * (cdf + x * pdf)
+
+
+class Ops(NamedTuple):
+    """One implementation of every deterministic kernel: ``_NUMPY``, the
+    numpy bodies, or the compiled kernel ``_kernel.load`` checks against
+    them.  Both give the same bits."""
+
+    bmm: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    softmax: Callable[[np.ndarray], np.ndarray]
+    softmax_vjp: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    layer_norm: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
+    layer_norm_dx: Callable[..., np.ndarray]
+    seq_sums: Callable[..., np.ndarray]
+    gelu_vjp: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+_NUMPY = Ops(
+    _bmm_numpy,
+    _softmax_numpy,
+    _softmax_vjp_numpy,
+    _layer_norm_numpy,
+    _layer_norm_dx_numpy,
+    _seq_sums_numpy,
+    _gelu_vjp_numpy,
+)
+_ops: Ops | None = None  # chosen on first use
+
+
+def _kernels() -> Ops:
+    # the compiled kernel, else the numpy bodies, chosen on first use; the
+    # choice holds for every op and for the process (_kernel imports this
+    # module, hence the import in here)
+    global _ops
+    if _ops is None:
+        from . import _kernel
+
+        _ops = _kernel.load() or _NUMPY
+    return _ops
+
+
+def _bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # [..., m, k] @ [..., k, n] by the contraction rule of the module
+    # docstring, on the compiled kernel when this host can build it
+    return _kernels().bmm(a, b)
+
+
+def __getattr__(name: str):
+    # KERNEL is computed on each read, never stored: "native" or "numpy"
+    if name == "KERNEL":
+        return "numpy" if _kernels() is _NUMPY else "native"
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The 2-D product [m, k] @ [k, n]: every projection of a batch runs
+    # through here with its [B, S] rows folded into m, which is row-local.
+    return _bmm(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +458,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g: np.ndarray):
         if g.ndim == 3:
-            return g, _fold(_seq_sums(g))
+            return g, _kernels().seq_sums(g)
         return g, g.reshape(-1, d).sum(axis=0)
 
     return record_op((x, b), x.data + b.data, vjp)
@@ -541,14 +632,11 @@ def softmax_rows(x: Tensor) -> Tensor:
     """
     if x.ndim < 2:
         raise ShapeMismatchError(f"softmax_rows: expected at least 2 axes, got {x.shape}")
-    m = np.max(x.data, axis=-1, keepdims=True)  # subtract the row max first
-    y = x.data - m
-    np.exp(y, out=y)  # in place: one score-sized array fewer at the peak
-    y /= _row_sums(y)
+    ops = _kernels()
+    y = ops.softmax(x.data)
 
     def vjp(g: np.ndarray):
-        dot = _row_sums(g * y)
-        return (y * (g - dot),)
+        return (ops.softmax_vjp(y, g),)
 
     return record_op((x,), y, vjp)
 
@@ -564,42 +652,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         )
     if not eps > 0:
         raise ValueError("layer_norm: eps must be positive")
-    mu = np.mean(x.data, axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    ops = _kernels()
+    out, xhat, inv = ops.layer_norm(x.data, gain.data, bias.data, eps)
     gd = gain.data
 
     def vjp(g: np.ndarray):
         if g.ndim == 3:  # [B, S, d]: fold per sequence
-            dgain, dbias = _fold(_seq_sums(g * xhat)), _fold(_seq_sums(g))
+            dgain, dbias = ops.seq_sums(g, xhat), ops.seq_sums(g)
         else:
             dgain = (g * xhat).reshape(-1, d).sum(axis=0)
             dbias = g.reshape(-1, d).sum(axis=0)
-        dxhat = g * gd
-        dx = inv * (
-            dxhat
-            - np.mean(dxhat, axis=-1, keepdims=True)
-            - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
-        )
-        return dx, dgain, dbias
+        return ops.layer_norm_dx(g, gd, xhat, inv), dgain, dbias
 
-    return record_op((x, gain, bias), xhat * gd + bias.data, vjp)
-
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+    return record_op((x, gain, bias), out, vjp)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit."""
     xd = x.data
     cdf = 0.5 * (1.0 + erf(xd / _SQRT2))
+    ops = _kernels()
 
     def vjp(g: np.ndarray):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
-        return (g * (cdf + xd * pdf),)
+        return (ops.gelu_vjp(g, xd, cdf),)
 
     return record_op((x,), xd * cdf, vjp)
 

@@ -208,6 +208,30 @@ def test_fold_keeps_minus_zero_only_when_every_part_is_minus_zero():
     assert not np.signbit(ad._fold(np.array([[-0.0], [0.0], [-0.0]]))).any()
 
 
+def _minus_zero_rows(x):  # an all -0.0 row sums to -0.0, not to +0.0
+    x = x.copy()
+    x[..., 0, :] = -0.0
+    return x
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        FOLD_RNG.normal(size=(3, 1)),
+        _minus_zero_rows(FOLD_RNG.choice([0.0, -0.0, 1e-310, -1.5], (6, 4, 9))),
+        _minus_zero_rows(FOLD_RNG.normal(size=(25, 4, 32, 32))),
+        np.zeros((2, 0)),
+    ],
+    ids=["one_column", "signed_zeros", "scores_25x4x32x32", "no_columns"],
+)
+def test_row_sums_is_the_cumsum_chain(x):
+    # the reference: np.cumsum's last column, a chain from the first element
+    expected = np.cumsum(x, axis=-1)[..., -1:]
+    got = ad._row_sums(x)
+    assert got.shape == expected.shape and not np.shares_memory(got, x)
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # finite-difference oracle across every differentiable op
 # ---------------------------------------------------------------------------

@@ -215,10 +215,10 @@ def test_training_matches_recorded_goldens(name, tmp_path):
 
 def test_numpy_contraction_matches_recorded_goldens(monkeypatch, tmp_path):
     # the goldens above run on the compiled kernel where the host builds it;
-    # one case again on the numpy loop, which must give the same bits
+    # one case again on the numpy bodies, which must give the same bits
     if host_fingerprint() != GOLDEN_HOST:
         pytest.skip(f"goldens were recorded on {GOLDEN_HOST}, not this host")
-    monkeypatch.setattr(ad, "_contract", ad._bmm_numpy)
+    monkeypatch.setattr(ad, "_ops", ad._NUMPY)
     assert ad.KERNEL == "numpy"
     assert run_case("time2vec_alternating", tmp_path) == GOLDENS["time2vec_alternating"]
 

@@ -1,10 +1,13 @@
-"""The compiled contraction kernel behind ``autodiff._bmm``.
+"""The compiled kernel behind ``autodiff``: the contraction of ``_bmm`` and
+the row-wise ops of softmax, layer norm, the per-sequence sums and the GELU
+gradient.
 
-The numpy rank-1 loop ``_bmm_numpy`` is the oracle: the compiled kernel,
-both the entry point this CPU dispatches to and the baseline body, must give
-its bits (int64 patterns; a NaN's sign and payload aside, which
-numpy's own loop sets differently for different row lengths), and when the
-kernel cannot be built or loaded, ``_bmm`` runs the numpy loop instead.
+The numpy bodies (``_bmm_numpy``, ``_softmax_numpy``, ...) are the oracle:
+every compiled op, and both bodies of the contraction (the one this CPU
+dispatches to and the baseline), must give their bits (int64 patterns; a
+NaN's sign and payload aside, which numpy itself sets differently for
+different row lengths), and when the kernel cannot be built, loaded or
+checked, every op runs its numpy body instead.
 """
 
 from __future__ import annotations
@@ -31,10 +34,14 @@ def bits(x: np.ndarray) -> np.ndarray:  # int64 patterns, one pattern for every 
     return np.where(np.isnan(x), np.nan, x).view(np.int64)
 
 
-def native_kernel(symbol="tinytraj_bmm"):
+def native_ops() -> ad.Ops:
     if ad.KERNEL != "native":
         pytest.skip("no compiled kernel on this host")
-    return ad._contract if symbol == "tinytraj_bmm" else _kernel.native(symbol)
+    return ad._ops
+
+
+def native_kernel(symbol="tinytraj_bmm"):
+    return native_ops().bmm if symbol == "tinytraj_bmm" else _kernel.native(symbol).bmm
 
 
 def _layout(draw, x):
@@ -73,6 +80,9 @@ def gives_the_numpy_loops_bits(symbol):
     @example((np.full((9, 3), -0.0), np.ones((3, 19))))  # -0.0 terms through whole tiles
     # two whole tiles and a tail each way, where another summation order rounds differently
     @example((NORMAL[:9, :13], NORMAL[9:22]))
+    # narrower than a tile: the output head's 3 columns, and 5
+    @example((NORMAL[:9, :13], NORMAL[9:22, :3]))
+    @example((NORMAL[:13, :9].T, NORMAL[:13, 9:14]))
     @example((np.zeros((9, 0)), np.zeros((0, 19))))  # k = 0
     def test(ops):
         a, b = ops
@@ -136,37 +146,67 @@ def _last_two_terms_swapped(a, b):  # swapping the first two would change nothin
     return ad._bmm_numpy(a[..., order], b[..., order, :])
 
 
+def with_bmm(bmm) -> ad.Ops:
+    return ad._NUMPY._replace(bmm=bmm)
+
+
 def test_self_check_catches_another_summation_order():
-    assert _kernel.agrees_with_numpy(ad._bmm_numpy)
+    assert _kernel.agrees_with_numpy(ad._NUMPY)
     reversed_order = lambda a, b: ad._bmm_numpy(a[..., ::-1], b[..., ::-1, :])  # noqa: E731
-    assert not _kernel.agrees_with_numpy(reversed_order)
-    assert not _kernel.agrees_with_numpy(_minus_zero_start)
+    assert not _kernel.agrees_with_numpy(with_bmm(reversed_order))
+    assert not _kernel.agrees_with_numpy(with_bmm(_minus_zero_start))
 
 
-@pytest.mark.parametrize("mr", [2, 4])  # rows in a tile: the baseline and the AVX2 body
-@pytest.mark.parametrize("mutation", [_minus_zero_start, _last_two_terms_swapped])
-def test_self_check_reaches_the_tiles(mr, mutation):
-    # a kernel whose whole mr x 8 tiles are wrong and whose row and column
-    # tails are right must not pass the check
-    def tile_mutant(a, b):
+def _tile_mutant(mr, mutation, narrow):
+    # a kernel whose whole mr x 8 tiles (or narrow tiles: the last n % 8
+    # columns of whole tile rows) are wrong and whose other elements are right
+    def bmm(a, b):
         out = ad._bmm_numpy(a, b)
         m, n = out.shape[-2:]
-        rows, cols = m - m % mr, n - n % 8
-        out[..., :rows, :cols] = mutation(a[..., :rows, :], b[..., :cols])
+        rows, cols = m - m % mr, slice(n - n % 8, n) if narrow else slice(0, n - n % 8)
+        out[..., :rows, cols] = mutation(a[..., :rows, :], b[..., cols])
         return out
 
-    assert not _kernel.agrees_with_numpy(tile_mutant)
+    return with_bmm(bmm)
 
 
-def _forward_bits():
+TILE_MUTANTS = pytest.mark.parametrize("mutation", [_minus_zero_start, _last_two_terms_swapped])
+TILE_ROWS = pytest.mark.parametrize("mr", [2, 4])  # the baseline and the AVX2 body
+
+
+@TILE_ROWS
+@TILE_MUTANTS
+def test_self_check_reaches_the_tiles(mr, mutation):
+    assert not _kernel.agrees_with_numpy(_tile_mutant(mr, mutation, narrow=False))
+
+
+@TILE_ROWS
+@TILE_MUTANTS
+def test_self_check_reaches_the_narrow_tiles(mr, mutation):
+    assert not _kernel.agrees_with_numpy(_tile_mutant(mr, mutation, narrow=True))
+
+
+def _pass_bits():
+    # a ragged batch's output and every parameter gradient: each op and VJP
     cfg = tm.ModelConfig(d_model=8, n_heads=2, n_blocks=2, max_seq=12)
     params = tm.init_params(cfg, np.random.default_rng(7))
     x = np.random.default_rng(8).normal(0.0, 1.0, (3, 12, 7))
-    return bits(tm.forward_features(x, params, cfg, lengths=[12, 5, 9]).data)
+    tm.bind_params(params, ad.Tape())
+    pred = tm.forward_features(x, params, cfg, lengths=[12, 5, 9])
+    weights = np.random.default_rng(9).normal(size=pred.shape)
+    ad.backward(ad.tensor_sum(ad.mul(pred, ad.Tensor(weights))))
+    grads = [t.grad for t in tm.named_parameters(params).values()]
+    return np.concatenate([bits(a).ravel() for a in [pred.data, *grads]])
 
 
 def _compile_fails():
     raise subprocess.CalledProcessError(1, ["cc"])
+
+
+def _one_row_op_disagrees(mp):
+    # every other op is right: the kernel must still not be used
+    real = _kernel.row_ops
+    mp.setattr(_kernel, "row_ops", lambda lib: {**real(lib), "softmax_vjp": _softmax_vjp_plus_zero})
 
 
 @pytest.mark.parametrize(
@@ -174,29 +214,237 @@ def _compile_fails():
     [
         lambda mp: mp.setattr(_kernel, "compile_kernel", _compile_fails),
         lambda mp: mp.setattr(sysconfig, "get_config_var", lambda name: "/nonexistent/cc"),
-        lambda mp: mp.setattr(_kernel, "agrees_with_numpy", lambda bmm: False),
+        lambda mp: mp.setattr(_kernel, "agrees_with_numpy", lambda ops: False),
+        _one_row_op_disagrees,
     ],
-    ids=["compile_fails", "no_compiler", "self_check_fails"],
+    ids=["compile_fails", "no_compiler", "self_check_fails", "one_row_op_disagrees"],
 )
 def test_without_a_usable_kernel_bmm_falls_back_to_numpy_with_the_same_bits(
     monkeypatch, break_step
 ):
-    before = _forward_bits()  # on whichever kernel this host runs
-    monkeypatch.setattr(ad, "_contract", None)  # choose again on the next call
+    before = _pass_bits()  # on whichever kernel this host runs
+    called = set()
+
+    def spy(name, fn):
+        def run(*args):
+            called.add(name)
+            return fn(*args)
+
+        return run
+
+    numpy_ops = ad.Ops(*(spy(name, fn) for name, fn in zip(ad.Ops._fields, ad._NUMPY)))
+    monkeypatch.setattr(ad, "_NUMPY", numpy_ops)
+    monkeypatch.setattr(ad, "_ops", None)  # choose again on the next call
     break_step(monkeypatch)
-    after = _forward_bits()
-    assert ad.KERNEL == "numpy" and ad._contract is ad._bmm_numpy
+    after = _pass_bits()
+    assert ad.KERNEL == "numpy" and ad._ops is numpy_ops
+    assert called == set(ad.Ops._fields)  # every op ran its numpy body
     np.testing.assert_array_equal(after, before)
 
 
 def test_kernel_is_reported_and_cached(tmp_path, monkeypatch):
     native_kernel()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(ad, "_contract", None)
+    monkeypatch.setattr(ad, "_ops", None)
     assert ad.KERNEL == "native"
     (lib,) = (tmp_path / "tinytraj").iterdir()  # no temp file left behind
     built = lib.stat().st_mtime_ns
-    monkeypatch.setattr(ad, "_contract", None)
+    monkeypatch.setattr(ad, "_ops", None)
     assert _kernel.compile_kernel() == lib and lib.stat().st_mtime_ns == built
     with pytest.raises(AttributeError):
         ad.NO_SUCH_NAME  # noqa: B018
+
+
+# ---------------------------------------------------------------------------
+# the row-wise ops
+
+
+def assert_same_bits(got, expected):
+    if isinstance(expected, tuple):
+        assert isinstance(got, tuple) and len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert_same_bits(g, e)
+        return
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(bits(got), bits(expected))
+
+
+def _rows(x: np.ndarray, row: list) -> np.ndarray:  # x with every row set to ``row``
+    return np.broadcast_to(np.array(row, dtype=np.float64), x.shape).copy()
+
+
+ROW_SHAPE = st.builds(
+    lambda lead, n: lead + (n,),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3),
+    st.one_of(st.integers(1, 12), st.sampled_from([32, 127, 128, 129, 136]), st.integers(1, 140)),
+)
+
+
+def arrays(shape):
+    return hnp.arrays(np.float64, shape, elements=VALUES)
+
+
+@st.composite
+def rows_like(draw, count):
+    # ``count`` arrays of one shape whose last axis is the row
+    shape = draw(ROW_SHAPE)
+    return tuple(draw(arrays(shape)) for _ in range(count))
+
+
+# -inf but for one finite entry, all -0.0, and a width of 129 (pairwise halves)
+MINUS_INF_ROW = np.array([[-np.inf, -np.inf, 0.5, -np.inf], [-np.inf, 3.0, -np.inf, -np.inf]])
+MINUS_ZERO_ROWS = np.full((2, 2, 3, 9), -0.0)
+WIDE = np.random.default_rng(5).normal(size=(3, 129)) * 2.0 ** np.arange(-64, 65)
+
+
+def row_op_test(name, strategy, *examples):
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(strategy)
+    def test(args):
+        op = getattr(native_ops(), name)
+        with np.errstate(all="ignore"):
+            assert_same_bits(op(*args), getattr(ad._NUMPY, name)(*args))
+
+    for args in examples:
+        test = example(args)(test)
+    return test
+
+
+@st.composite
+def layer_norm_args(draw):
+    (x,) = draw(rows_like(1))
+    d = x.shape[-1]
+    eps = draw(st.sampled_from([1e-5, 1e-12, 0.5, 5e-324]))
+    return x, draw(arrays((d,))), draw(arrays((d,))), eps
+
+
+@st.composite
+def layer_norm_dx_args(draw):
+    g, xhat = draw(rows_like(2))
+    return g, draw(arrays(g.shape[-1:])), xhat, draw(arrays(g.shape[:-1] + (1,)))
+
+
+@st.composite
+def seq_sums_args(draw):
+    shape = (draw(st.integers(1, 4)), draw(st.integers(0, 12)), draw(st.integers(1, 70)))
+    g = draw(arrays(shape))
+    return (g, draw(arrays(shape))) if draw(st.booleans()) else (g,)
+
+
+def _gelu_args(x):
+    g = np.random.default_rng(6).normal(size=x.shape)
+    return g, x, 0.5 * (1.0 + ad.erf(x / ad._SQRT2))
+
+
+test_native_softmax_gives_the_numpy_bits = row_op_test(
+    "softmax", rows_like(1), (MINUS_INF_ROW,), (MINUS_ZERO_ROWS,), (WIDE,)
+)
+test_native_softmax_vjp_gives_the_numpy_bits = row_op_test(
+    "softmax_vjp",
+    rows_like(2),
+    (np.abs(WIDE), _rows(WIDE, [-0.0])),  # g * y all -0.0: the chain keeps its sign
+    (MINUS_ZERO_ROWS, MINUS_ZERO_ROWS),
+)
+test_native_layer_norm_gives_the_numpy_bits = row_op_test(
+    "layer_norm",
+    layer_norm_args(),
+    (MINUS_ZERO_ROWS, np.ones(9), np.full(9, -0.0), 1e-5),  # the mean is +0.0, not -0.0
+    (WIDE, np.ones(129), np.zeros(129), 1e-5),
+)
+test_native_layer_norm_dx_gives_the_numpy_bits = row_op_test(
+    "layer_norm_dx",
+    layer_norm_dx_args(),
+    (WIDE, np.ones(129), WIDE[::-1], np.ones((3, 1))),
+    (MINUS_ZERO_ROWS, np.ones(9), MINUS_ZERO_ROWS, np.ones((2, 2, 3, 1))),
+)
+test_native_seq_sums_gives_the_numpy_bits = row_op_test(
+    "seq_sums",
+    seq_sums_args(),
+    (np.full((3, 4, 5), -0.0),),  # each sequence's sum starts from +0.0
+    (WIDE.reshape(3, 1, 129),),  # more columns than one block
+    (WIDE.reshape(3, 1, 129), WIDE[::-1].reshape(3, 1, 129)),
+    (np.ones((2, 5, 1)) * [[[1e16]], [[1.0]]],),  # one column: numpy sums it pairwise
+)
+test_native_gelu_vjp_gives_the_numpy_bits = row_op_test(
+    "gelu_vjp",
+    rows_like(3),
+    _gelu_args(WIDE),
+    _gelu_args(np.array([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 40.0, -40.0])),
+)
+
+
+def _chain_from_plus_zero(x):  # +0.0 + -0.0 is +0.0: an all -0.0 row loses its sign
+    out = np.zeros(x.shape[:-1] + (1,))
+    for j in range(x.shape[-1]):
+        out += x[..., j : j + 1]
+    return out
+
+
+def _softmax_plus_zero(x):
+    y = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return y / _chain_from_plus_zero(y)
+
+
+def _softmax_vjp_plus_zero(y, g):
+    return y * (g - _chain_from_plus_zero(g * y))
+
+
+def _plain_mean(x):  # left to right, where numpy sums 8 or more terms pairwise
+    return _chain_from_plus_zero(x) / x.shape[-1]
+
+
+def _layer_norm_plain_mean(x, gain, bias, eps):
+    xc = x - _plain_mean(x)
+    inv = 1.0 / np.sqrt(_plain_mean(xc * xc) + eps)
+    return xc * inv * gain + bias, xc * inv, inv
+
+
+def _layer_norm_dx_plain_mean(g, gain, xhat, inv):
+    dxhat = g * gain
+    return inv * (dxhat - _plain_mean(dxhat) - xhat * _plain_mean(dxhat * xhat))
+
+
+def _seq_sums_first_to_last(g, w=None):  # the fold in the other order
+    return np.cumsum(ad._seq_sums(g if w is None else g * w), axis=0)[-1]
+
+
+def _seq_sums_from_first_position(g, w=None):  # not from +0.0
+    g = g if w is None else g * w
+    return ad._fold(np.cumsum(g, axis=1)[:, -1])
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        {"softmax": _softmax_plus_zero, "softmax_vjp": _softmax_vjp_plus_zero},
+        {"layer_norm": _layer_norm_plain_mean},
+        {"layer_norm_dx": _layer_norm_dx_plain_mean},
+        {"seq_sums": _seq_sums_first_to_last},
+        {"seq_sums": _seq_sums_from_first_position},
+    ],
+    ids=[
+        "softmax_sum_from_plus_zero",
+        "layer_norm_plain_mean",
+        "layer_norm_dx_plain_mean",
+        "seq_sums_first_to_last",
+        "seq_sums_from_first_position",
+    ],
+)
+def test_self_check_catches_another_row_summation(mutant):
+    assert not _kernel.agrees_with_numpy(ad._NUMPY._replace(**mutant))
+
+
+def test_row_ops_reject_mismatched_shapes():
+    ops = native_ops()
+    with pytest.raises(ad.ShapeMismatchError):
+        ops.softmax_vjp(np.zeros((2, 3)), np.zeros((3, 2)))
+    with pytest.raises(ad.ShapeMismatchError):
+        ops.layer_norm(np.zeros((2, 3)), np.zeros(2), np.zeros(3), 1e-5)
+    with pytest.raises(ad.ShapeMismatchError):
+        ops.layer_norm_dx(np.zeros((2, 3)), np.zeros(3), np.zeros((2, 3)), np.zeros((3, 1)))
+    with pytest.raises(ad.ShapeMismatchError):
+        ops.seq_sums(np.zeros((2, 3, 4)), np.zeros((2, 3, 5)))
+    with pytest.raises(ad.ShapeMismatchError):
+        ops.seq_sums(np.zeros((3, 4)))
+    with pytest.raises(ad.ShapeMismatchError):
+        ops.gelu_vjp(np.zeros(3), np.zeros(3), np.zeros(4))
