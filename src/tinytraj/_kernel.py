@@ -130,8 +130,8 @@ def _same_shape(op: str, *arrays: np.ndarray) -> None:
 def row_ops(lib: ctypes.CDLL) -> dict[str, Callable]:
     """The row-wise ops of ``Ops`` on the C functions of ``lib``.  Shapes are
     checked and every array is made C-contiguous float64 before a pointer is
-    passed; a shape the C side does not cover (an empty row, one column of
-    per-sequence sums, no sequence) runs the numpy body."""
+    passed; a shape the C side does not cover (an empty row, no sequence)
+    runs the numpy body."""
     ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
     shift, scale, softmax_vjp_c, layer_norm_c, layer_norm_dx_c, seq_sums_c, gelu_vjp_c = (
         getattr(lib, f"tinytraj_{name}")
@@ -208,8 +208,7 @@ def row_ops(lib: ctypes.CDLL) -> dict[str, Callable]:
             raise ShapeMismatchError(f"seq_sums: expected [B, S, d], got {g.shape}")
         if w is not None:
             _same_shape("seq_sums", g, w)
-        # numpy sums a single column pairwise, not position by position
-        if g.shape[0] == 0 or g.shape[2] < 2:
+        if g.shape[0] == 0:
             return _seq_sums_numpy(g, w)
         g, w = _c(g), None if w is None else _c(w)
         out = np.empty(g.shape[2])
@@ -298,8 +297,9 @@ def agrees_with_numpy(ops: Ops) -> bool:
     and 129, 2-D and 4-D, with ±0, all -0.0 rows, -inf rows with one finite
     entry, subnormals and NaN; softmax up to width 32; the per-sequence sums
     of three sequences at every width and, at 129, of ordinary values times a
-    second factor and of all -0.0 (each sequence's sum starts from +0.0); the
-    GELU gradient at 129."""
+    second factor, of ordinary values one column wide over 129 positions, and
+    of all -0.0 (each sequence's sum starts from +0.0); the GELU gradient at
+    129."""
     rng = np.random.default_rng(0)
     a, b = rng.choice(SPECIAL, (2, 3, 5)), rng.choice(SPECIAL, (5, 9))
     x, y = rng.normal(size=(9, 26)), rng.normal(size=(13, 19))
@@ -344,6 +344,8 @@ def agrees_with_numpy(ops: Ops) -> bool:
                 cdf = 0.5 * (1.0 + erf(x / _SQRT2))
                 checks += [
                     (ops.seq_sums, _seq_sums_numpy, (plain, np.roll(plain, 1, axis=0))),
+                    # one column, which numpy's own sum would add pairwise
+                    (ops.seq_sums, _seq_sums_numpy, (plain.reshape(3, d, 1),)),
                     (ops.seq_sums, _seq_sums_numpy, (np.full((3, 2, d), -0.0),)),
                     (ops.gelu_vjp, _gelu_vjp_numpy, (g, x, cdf)),
                 ]

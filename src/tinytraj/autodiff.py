@@ -21,8 +21,10 @@ Design notes:
         of the row (eight accumulators, ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``,
         then the tail in order; halved above 128 terms), divided by ``d``;
       - the gradient of a parameter shared by the sequences of a batch (layer
-        norm's gain and bias, ``add_bias``) is each sequence's sum over its
-        positions, from ``+0.0`` in order, folded last sequence first.
+        norm's gain and bias, ``add_bias``, the mask fill values) is each
+        sequence's sum over its positions, from ``+0.0`` in order at every
+        width, folded last sequence first (``Ops.seq_sums``); an unbatched
+        input is one sequence.
     ``softmax_rows``, ``layer_norm`` and the GELU VJP run these in C too,
     one pass where numpy takes several; ``np.exp`` and scipy's ``erf`` stay
     numpy's and scipy's.
@@ -289,10 +291,12 @@ def _fold(parts: np.ndarray) -> np.ndarray:
 
 
 def _seq_sums(g: np.ndarray) -> np.ndarray:
-    # [B, S, d] -> [B, d]: each sequence's sum over its positions.  On a
-    # C-contiguous array numpy adds whole position rows in order, as it does
-    # for one [S, d] sequence; a strided view could be summed pairwise.
-    return np.ascontiguousarray(g).sum(axis=1)
+    # [B, S, d] -> [B, d]: each sequence's sum over its positions, from +0.0
+    # in order at every width (numpy's own sum goes pairwise over one column)
+    out = np.zeros((g.shape[0], g.shape[2]))
+    for p in range(g.shape[1]):
+        out += g[:, p]
+    return out
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -457,9 +461,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     d = b.shape[0]
 
     def vjp(g: np.ndarray):
-        if g.ndim == 3:
-            return g, _kernels().seq_sums(g)
-        return g, g.reshape(-1, d).sum(axis=0)
+        return g, _kernels().seq_sums(g if g.ndim == 3 else g.reshape(1, -1, d))
 
     return record_op((x, b), x.data + b.data, vjp)
 
@@ -657,12 +659,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     gd = gain.data
 
     def vjp(g: np.ndarray):
-        if g.ndim == 3:  # [B, S, d]: fold per sequence
-            dgain, dbias = ops.seq_sums(g, xhat), ops.seq_sums(g)
-        else:
-            dgain = (g * xhat).reshape(-1, d).sum(axis=0)
-            dbias = g.reshape(-1, d).sum(axis=0)
-        return ops.layer_norm_dx(g, gd, xhat, inv), dgain, dbias
+        seqs = g.shape if g.ndim == 3 else (1, -1, d)  # [B, S, d], else one sequence
+        gs, xs = g.reshape(seqs), xhat.reshape(seqs)
+        return ops.layer_norm_dx(g, gd, xhat, inv), ops.seq_sums(gs, xs), ops.seq_sums(gs)
 
     return record_op((x, gain, bias), out, vjp)
 

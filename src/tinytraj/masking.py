@@ -126,14 +126,14 @@ def successor_mask(lengths: Sequence[int], seq_len: int) -> MaskSpec:
 
 
 def _group_grad(g: np.ndarray, hit: np.ndarray) -> np.ndarray | None:
-    # Each sequence's sum over its hidden positions, then folded last sequence
-    # first as a reverse tape would fold one fill per sequence.  Unhidden
-    # entries add 0.0, which moves no bit of a numpy sum (it starts at +0.0,
-    # so it is never -0.0); a group hidden nowhere passes no gradient at all.
+    # Each sequence's sum over its hidden positions, folded last sequence first
+    # as a reverse tape would fold one fill per sequence (``Ops.seq_sums``).
+    # Unhidden entries add 0.0, which moves no bit of a sum that starts at
+    # +0.0 (it is never -0.0); a group hidden nowhere passes no gradient at all.
     if not hit.any():
         return None
-    sums = np.where(hit, g, 0.0).sum(axis=-2)
-    return sums if sums.ndim == 1 else ad._fold(sums)
+    terms = np.where(hit, g, 0.0)
+    return ad._kernels().seq_sums(terms.reshape((-1,) + terms.shape[-2:]))
 
 
 def apply_mask(features: np.ndarray | Tensor, spec: MaskSpec, emb: MaskEmbedding) -> Tensor:

@@ -52,7 +52,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "adam_step",
-    "aggregate_patch_targets",
     "autoencoder_rmse",
     "clip_gradients",
     "global_grad_norm",
@@ -288,38 +287,6 @@ def adam_step(
 
 
 # ---------------------------------------------------------------------------
-# patch-level supervision
-# ---------------------------------------------------------------------------
-
-
-def aggregate_patch_targets(
-    targets: np.ndarray, length: int, patch_len: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse per-point step targets to per-patch displacement targets.
-
-    Patch ``j`` covers points ``[j*P, (j+1)*P)``; its target is the summed
-    step sequence from the patch's first point to the next patch's first
-    point, supervised only when that anchor point actually exists.
-    Returns ``(patch_targets [S', 3], weights [S'])`` with S' = ceil(S / P).
-    """
-    if patch_len < 1:
-        raise ValueError(f"patch_len must be >= 1, got {patch_len}")
-    s = targets.shape[0]
-    if not (2 <= length <= s):
-        raise ValueError(f"length {length} out of range for {s} target rows")
-    n_patches = -(-s // patch_len)
-    out = np.zeros((n_patches, targets.shape[1]), dtype=np.float64)
-    weights = np.zeros(n_patches, dtype=np.float64)
-    for j in range(n_patches):
-        lo = j * patch_len
-        hi = min(lo + patch_len, s)
-        if hi < length:  # the first point of patch j+1 is a real point
-            out[j] = targets[lo:hi].sum(axis=0)
-            weights[j] = 1.0
-    return out, weights
-
-
-# ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
 
@@ -354,42 +321,37 @@ def _batch_loss(
     cfg: TrainConfig,
     objective: str,
     rng: np.random.Generator | None,
-) -> tuple[Tensor | None, float]:
-    """Forward one batch under ``objective`` in a single batched pass;
-    returns (loss, total weight).
+) -> Tensor | None:
+    """Forward one batch under ``objective`` in a single batched pass and
+    return its loss, or None when no entry is supervised (e.g. an infill draw
+    that masked nothing).
 
-    Both objectives supervise what one [B, s, 2] mask hides: an infill draw,
-    corrupted into the input, or the next-step mask of every position with a
-    successor over the clean input.  The loss sees the real positions of
-    every row in (row, position) order.  Returns ``(None, 0.0)`` when no
-    entry is supervised (e.g. an infill draw that masked nothing).
+    A model position is a patch of P = ``patch_len`` points (P = 1 unpatched)
+    and its target is its points' steps summed: the step to the next patch's
+    first point.  Both objectives supervise what one [B, S', 2] mask hides
+    over the patch positions: an infill draw (P = 1), corrupted into the
+    input, or the successor mask, which hides each patch whose next patch
+    exists, over the clean input.  The loss sees the ``ceil(length / P)``
+    real positions of every row in (row, position) order.
     """
     s = max(batch.lengths)  # columns past every row's end are padding only
+    p = model_cfg.patch_len
+    patches = -(-np.asarray(batch.lengths) // p)
+    n = int(patches.max())
+    steps = np.pad(batch.targets[:, :s], ((0, 0), (0, n * p - s), (0, 0)))  # whole patches
+    successor = masking.successor_mask(patches, n)
+    # a patch with no successor has no target: the last of each row, and padding
+    targets = np.where(successor.hidden[..., :1], steps.reshape(-1, n, p, 3).sum(axis=2), 0.0)
+    spec = _infill_mask(batch.lengths, n, cfg, rng) if objective == "infill" else successor
+    real = np.arange(n) < patches[:, None]
+    all_targets, all_weights = targets[real], spec.weights[real]
+    if not all_weights.any():
+        return None
     features = batch.features[:, :s]
-    if model_cfg.patch_len > 1:  # next-step only: infill needs patch_len 1
-        parts = [
-            aggregate_patch_targets(batch.targets[row, :length], length, model_cfg.patch_len)
-            for row, length in enumerate(batch.lengths)
-        ]
-        all_targets = np.concatenate([targets for targets, _ in parts], axis=0)
-        all_weights = np.concatenate([np.repeat(w[:, None], 3, axis=1) for _, w in parts])
-    else:
-        if objective == "infill":
-            spec = _infill_mask(batch.lengths, s, cfg, rng)
-        else:
-            spec = masking.successor_mask(batch.lengths, s)
-        real = batch.pad_mask[:, :s]
-        all_targets, all_weights = batch.targets[:, :s][real], spec.weights[real]
-    total = float(all_weights.sum())
-    if total == 0.0:
-        return None, 0.0
     x = masking.apply_mask(features, spec, params.mask_emb) if objective == "infill" else features
     pred = forward_features(x, params, model_cfg, lengths=batch.lengths)
-    b, s_out, out_dim = pred.shape
-    valid = [-(-length // model_cfg.patch_len) for length in batch.lengths]
-    rows = np.concatenate([row * s_out + np.arange(n) for row, n in enumerate(valid)])
-    pred = ad.gather_rows(ad.reshape(pred, (b * s_out, out_dim)), rows)
-    return loss(pred, all_targets, all_weights, kind=cfg.loss, huber_delta=cfg.huber_delta), total
+    pred = ad.gather_rows(ad.reshape(pred, (-1, pred.shape[-1])), np.flatnonzero(real))
+    return loss(pred, all_targets, all_weights, kind=cfg.loss, huber_delta=cfg.huber_delta)
 
 
 def _resolve_objective(cfg_objective: str, batch_idx: int) -> str:
@@ -435,9 +397,7 @@ def train(
             rng = np.random.default_rng([cfg.seed, 0, epoch, batch_idx])
             tape = ad.Tape()
             bind_params(params, tape)
-            value, total = _batch_loss(
-                batch, params, model_cfg, cfg, objective, rng
-            )
+            value = _batch_loss(batch, params, model_cfg, cfg, objective, rng)
             if value is None:
                 tape.close()
                 continue
@@ -472,9 +432,7 @@ def train(
             for batch_idx, batch in enumerate(val_loader):
                 objective = _resolve_objective(cfg.objective, batch_idx)
                 rng = np.random.default_rng([cfg.seed, 1, epoch, batch_idx])
-                value, total = _batch_loss(
-                    batch, params, model_cfg, cfg, objective, rng
-                )
+                value = _batch_loss(batch, params, model_cfg, cfg, objective, rng)
                 if value is not None:
                     val_losses.append(float(value.data))
             if val_losses:
@@ -634,7 +592,6 @@ class Checkpoint:
     rng_state: dict = field(default_factory=dict)
     history: list = field(default_factory=list)
     train_config: dict | None = None
-    version: int = CHECKPOINT_VERSION
 
 
 def make_checkpoint(
@@ -704,7 +661,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """
     entries = _array_entries(ckpt)
     header = {
-        "version": ckpt.version,
+        "version": CHECKPOINT_VERSION,
         "model_config": ckpt.model_config.to_dict(),
         "normalization": ckpt.norm_params.to_dict() if ckpt.norm_params else None,
         "adam_step": ckpt.adam.step if ckpt.adam is not None else None,
@@ -722,7 +679,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     try:
         with fh:
             fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", ckpt.version))
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
             fh.write(struct.pack("<Q", len(header_bytes)))
             fh.write(header_bytes)
             for _, arr in entries:
@@ -844,5 +801,4 @@ def load_checkpoint(
         rng_state=rng_state,
         history=history,
         train_config=header.get("train_config"),
-        version=version,
     )

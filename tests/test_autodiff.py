@@ -208,6 +208,36 @@ def test_fold_keeps_minus_zero_only_when_every_part_is_minus_zero():
     assert not np.signbit(ad._fold(np.array([[-0.0], [0.0], [-0.0]]))).any()
 
 
+@pytest.mark.parametrize("kernel", ["numpy", "native"])
+def test_one_wide_bias_gradient_of_a_padded_batch_equals_single_passes(kernel, monkeypatch):
+    # numpy's own sum adds one column pairwise, so its grouping depends on the
+    # padded length; the per-sequence sums add positions in order at every width
+    if kernel == "native" and ad.KERNEL != "native":
+        pytest.skip("no compiled kernel on this host")
+    monkeypatch.setattr(ad, "_ops", ad._NUMPY if kernel == "numpy" else ad._kernels())
+    rng = np.random.default_rng(17)
+    lengths, s = [9, 20, 14], 24
+    w = rng.normal(size=(3, s, 1)) * 2.0 ** rng.integers(-40, 40, size=(3, s, 1))
+    w[np.arange(s) >= np.array(lengths)[:, None]] = 0.0  # padding passes zero gradient
+
+    def bias_grad(rows):  # one tape, one add_bias pass per [S, 1] sequence or [B, S, 1] batch
+        tape = ad.Tape()
+        b = tape.watch(ad.Tensor(rng.normal(size=1), requires_grad=True))
+        terms = [
+            ad.tensor_sum(ad.mul(ad.add_bias(ad.Tensor(np.zeros(r.shape)), b), ad.Tensor(r)))
+            for r in rows
+        ]
+        total = terms[0]
+        for term in terms[1:]:
+            total = ad.add(total, term)
+        ad.backward(total)
+        return b.grad
+
+    batched = bias_grad([w])
+    single = bias_grad([w[row, :length] for row, length in enumerate(lengths)])
+    np.testing.assert_array_equal(batched.view(np.int64), single.view(np.int64))
+
+
 def _minus_zero_rows(x):  # an all -0.0 row sums to -0.0, not to +0.0
     x = x.copy()
     x[..., 0, :] = -0.0

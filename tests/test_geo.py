@@ -236,6 +236,16 @@ def test_featurize_layout_and_ranges():
     np.testing.assert_array_equal(fs.targets[-1], np.zeros(3))
 
 
+def test_step_targets_are_the_featurized_targets_from_every_start():
+    traj = random_trajectory(np.random.default_rng(31), "s", n=13)
+    params = geo.compute_center([traj])
+    targets = geo.featurize(traj, params).targets
+    for start in range(len(traj) - 1):
+        got = geo.step_targets(traj, params, start)
+        assert got.shape == (len(traj) - 1 - start, 3)
+        np.testing.assert_array_equal(got.view(np.int64), targets[start:-1].view(np.int64))
+
+
 def test_featurize_targets_match_deltas():
     rng = np.random.default_rng(29)
     traj = random_trajectory(rng, "g", n=8)

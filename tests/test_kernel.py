@@ -363,7 +363,8 @@ test_native_seq_sums_gives_the_numpy_bits = row_op_test(
     (np.full((3, 4, 5), -0.0),),  # each sequence's sum starts from +0.0
     (WIDE.reshape(3, 1, 129),),  # more columns than one block
     (WIDE.reshape(3, 1, 129), WIDE[::-1].reshape(3, 1, 129)),
-    (np.ones((2, 5, 1)) * [[[1e16]], [[1.0]]],),  # one column: numpy sums it pairwise
+    (np.ones((2, 5, 1)) * [[[1e16]], [[1.0]]],),  # one column: in order too
+    (WIDE.reshape(3, 129, 1),),  # where numpy's own sum would go pairwise
 )
 test_native_gelu_vjp_gives_the_numpy_bits = row_op_test(
     "gelu_vjp",
@@ -413,6 +414,10 @@ def _seq_sums_from_first_position(g, w=None):  # not from +0.0
     return ad._fold(np.cumsum(g, axis=1)[:, -1])
 
 
+def _seq_sums_numpy_sum(g, w=None):  # numpy's sum: pairwise over one column
+    return ad._fold((g if w is None else g * w).sum(axis=1))
+
+
 @pytest.mark.parametrize(
     "mutant",
     [
@@ -421,6 +426,7 @@ def _seq_sums_from_first_position(g, w=None):  # not from +0.0
         {"layer_norm_dx": _layer_norm_dx_plain_mean},
         {"seq_sums": _seq_sums_first_to_last},
         {"seq_sums": _seq_sums_from_first_position},
+        {"seq_sums": _seq_sums_numpy_sum},
     ],
     ids=[
         "softmax_sum_from_plus_zero",
@@ -428,6 +434,7 @@ def _seq_sums_from_first_position(g, w=None):  # not from +0.0
         "layer_norm_dx_plain_mean",
         "seq_sums_first_to_last",
         "seq_sums_from_first_position",
+        "seq_sums_pairwise_one_column",
     ],
 )
 def test_self_check_catches_another_row_summation(mutant):

@@ -23,7 +23,6 @@ from tinytraj.training import (
     NumericsError,
     TrainConfig,
     adam_step,
-    aggregate_patch_targets,
     autoencoder_rmse,
     clip_gradients,
     init_adam_state,
@@ -244,31 +243,60 @@ def test_adam_constant_gradient_moves_monotonically():
 # ---------------------------------------------------------------------------
 
 
-def test_aggregate_patch_targets_sums_and_weights():
-    targets = np.arange(15.0).reshape(5, 3)
-    targets[4] = 0.0  # last point has no successor
-    out, w = aggregate_patch_targets(targets, length=5, patch_len=2)
-    assert out.shape == (3, 3) and w.tolist() == [1.0, 1.0, 0.0]
-    np.testing.assert_array_equal(out[0], targets[0] + targets[1])
-    np.testing.assert_array_equal(out[1], targets[2] + targets[3])
-    np.testing.assert_array_equal(out[2], 0.0)
+def _per_patch_loop(targets, length, patch_len):
+    # the oracle: patch j covers points [j*P, (j+1)*P) and its target is their
+    # summed steps, supervised only when the first point of patch j+1 exists
+    s = targets.shape[0]
+    n_patches = -(-s // patch_len)
+    out = np.zeros((n_patches, targets.shape[1]), dtype=np.float64)
+    weights = np.zeros(n_patches, dtype=np.float64)
+    for j in range(n_patches):
+        lo = j * patch_len
+        hi = min(lo + patch_len, s)
+        if hi < length:
+            out[j] = targets[lo:hi].sum(axis=0)
+            weights[j] = 1.0
+    return out, weights
 
 
-def test_aggregate_patch_targets_short_tail_unsupervised():
-    targets = np.ones((6, 3))
-    out, w = aggregate_patch_targets(targets, length=4, patch_len=3)
-    # patch 1 starts at point 3 (valid), but its anchor-successor point 6
-    # does not exist in a length-4 trajectory
-    assert w.tolist() == [1.0, 0.0]
-    np.testing.assert_array_equal(out[0], 3.0)
+# an s_max of 7 is no multiple of 2 to 6: the last patch runs past batch.seq_len
+@pytest.mark.parametrize("s_max", [7, 16])
+def test_patch_targets_and_weights_match_the_per_patch_loop(s_max, monkeypatch):
+    cfg = SyntheticConfig(n_traj=11, points_per_traj=18, n_waypoints=3, noise_sigma=1e-4, seed=4)
+    lengths = [2, 3, 4, 5, 6, 7, 9, 11, 13, 16, 18]  # ragged, some cut at s_max
+    trajs = [t.head(n) for t, n in zip(generate_synthetic(cfg), lengths)]
+    loader = BatchLoader(trajs, 4, s_max, geo.compute_center(trajs))
+    seen = []
 
+    def spy(pred, targets, weights, **kwargs):
+        seen.append((pred.shape, targets, weights))
+        return loss(pred, targets, weights, **kwargs)
 
-def test_aggregate_patch_targets_identity_at_patch_one():
-    targets = np.arange(12.0).reshape(4, 3)
-    out, w = aggregate_patch_targets(targets, length=4, patch_len=1)
-    assert w.tolist() == [1.0, 1.0, 1.0, 0.0]
-    np.testing.assert_array_equal(out[:3], targets[:3])
-    np.testing.assert_array_equal(out[3], 0.0)  # unsupervised rows zero-fill
+    monkeypatch.setattr(tr, "loss", spy)
+    for patch_len in range(1, 10):
+        model_cfg = tm.ModelConfig(d_model=8, n_heads=2, n_blocks=1, max_seq=16, patch_len=patch_len)
+        params = tm.init_params(model_cfg, np.random.default_rng(0))
+        for batch in loader:
+            seen.clear()
+            tr._batch_loss(batch, params, model_cfg, TrainConfig(), "next_step", None)
+            parts = [
+                _per_patch_loop(batch.targets[row, :length], length, patch_len)
+                for row, length in enumerate(batch.lengths)
+            ]
+            expected = np.concatenate([t for t, _ in parts])
+            weights = np.concatenate([np.repeat(w[:, None], 3, axis=1) for _, w in parts])
+            if not weights.any():  # every row fits in one patch: nothing to supervise
+                assert seen == []
+                continue
+            (pred_shape, got, got_weights), = seen
+            assert pred_shape == (len(expected), 3)
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+            np.testing.assert_array_equal(got_weights, weights)
+            # a row of L points supervises all its ceil(L / P) patches but the last
+            assert got_weights[:, 0].sum() == sum(-(-n // patch_len) - 1 for n in batch.lengths)
+            if patch_len == 1:  # patching by one point is the identity on the steps
+                steps = batch.targets[batch.pad_mask]
+                np.testing.assert_array_equal(got.view(np.int64), steps.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
