@@ -259,6 +259,60 @@ def _per_patch_loop(targets, length, patch_len):
     return out, weights
 
 
+def _one_row_patch_targets(targets, length, patch_len, monkeypatch):
+    # the targets and per-patch weights _batch_loss hands the loss for one row
+    seen = []
+
+    def spy(pred, targets, weights, **kwargs):
+        seen.append((targets, weights[:, 0]))
+        return loss(pred, targets, weights, **kwargs)
+
+    monkeypatch.setattr(tr, "loss", spy)
+    s = targets.shape[0]
+    batch = data.Batch(
+        features=np.zeros((1, s, geo.FEATURE_DIM)),
+        targets=targets[None],
+        pad_mask=(np.arange(s) < length)[None],
+        ids=("t",),
+        lengths=(length,),
+    )
+    model_cfg = tm.ModelConfig(d_model=8, n_heads=2, n_blocks=1, max_seq=16, patch_len=patch_len)
+    params = tm.init_params(model_cfg, np.random.default_rng(0))
+    tr._batch_loss(batch, params, model_cfg, TrainConfig(), "next_step", None)
+    (out, w), = seen
+    return out, w
+
+
+def test_aggregate_patch_targets_sums_and_weights(monkeypatch):
+    targets = np.arange(15.0).reshape(5, 3)
+    targets[4] = 0.0  # last point has no successor
+    out, w = _one_row_patch_targets(targets, length=5, patch_len=2, monkeypatch=monkeypatch)
+    assert out.shape == (3, 3) and w.tolist() == [1.0, 1.0, 0.0]
+    np.testing.assert_array_equal(out[0], targets[0] + targets[1])
+    np.testing.assert_array_equal(out[1], targets[2] + targets[3])
+    np.testing.assert_array_equal(out[2], 0.0)
+
+
+def test_aggregate_patch_targets_short_tail_unsupervised(monkeypatch):
+    targets = np.ones((6, 3))
+    targets[4:] = 0.0  # padded slots carry zero targets
+    out, w = _one_row_patch_targets(targets, length=4, patch_len=3, monkeypatch=monkeypatch)
+    # patch 1 starts at point 3 (valid), but its anchor-successor point 6
+    # does not exist in a length-4 trajectory
+    assert w.tolist() == [1.0, 0.0]
+    np.testing.assert_array_equal(out[0], 3.0)
+    np.testing.assert_array_equal(out[1], 0.0)
+
+
+def test_aggregate_patch_targets_identity_at_patch_one(monkeypatch):
+    targets = np.arange(12.0).reshape(4, 3)
+    targets[3] = 0.0  # last point has no successor
+    out, w = _one_row_patch_targets(targets, length=4, patch_len=1, monkeypatch=monkeypatch)
+    assert w.tolist() == [1.0, 1.0, 1.0, 0.0]
+    np.testing.assert_array_equal(out[:3], targets[:3])
+    np.testing.assert_array_equal(out[3], 0.0)  # unsupervised rows zero-fill
+
+
 # an s_max of 7 is no multiple of 2 to 6: the last patch runs past batch.seq_len
 @pytest.mark.parametrize("s_max", [7, 16])
 def test_patch_targets_and_weights_match_the_per_patch_loop(s_max, monkeypatch):
