@@ -1,11 +1,11 @@
 /* The compiled kernels behind tinytraj.autodiff: the contraction of _bmm, and
  * the row-wise passes of softmax_rows, layer_norm, the per-sequence gradient
- * sums and the GELU gradient.  Every entry point gives the bits of the numpy
+ * sums, GELU and its gradient.  Every entry point gives the bits of the numpy
  * body it replaces (autodiff._bmm_numpy, _softmax_numpy, ...): the same IEEE
  * operations, each one rounded, in the same order.  Build with
  * -ffp-contract=off (no fused multiply-add) and without -ffast-math or -march.
  *
- * Contraction.  out = a @ b over float64 [batch, m, k] by [batch, k, n]
+ * Contraction.  out = a @ b over float64 [l0, l1, m, k] by [l0, l1, k, n]
  * operands.  Each output element starts from +0.0 and adds its k terms
  * a[i,p]*b[p,j] for p = 0 .. k-1 in order, each term one rounded multiply
  * then one rounded add: the order of the numpy rank-1 loop _bmm_numpy.
@@ -20,9 +20,12 @@
  * stored, so a product with n < 8 (the output head) is tiled too.  Rows that
  * do not fill a tile run the plain scalar loop, in the same per-element order.
  *
- * Strides.  a is read through its element strides (batch, row, column), so a
- * transposed or sliced view needs no copy: a tile reads one scalar of a per
- * row and term.  b and out are C-contiguous.
+ * Strides.  a and b are read through their element strides: two leading
+ * axes (batch, heads), then row and column, so a transposed or sliced view
+ * needs no copy.  A tile reads one scalar of a per row and term, and one row
+ * of b per term; when b's columns are not adjacent (k^T, a transposed
+ * weight) each product's b is first packed into a k x n buffer, which
+ * moves values but rounds nothing.  out is C-contiguous.
  *
  * Dispatch.  One tile body (DEFINE_BMM) is compiled twice: for the baseline
  * target, with 2-double vectors and MR = 2, and on x86-64 under
@@ -43,8 +46,8 @@
  * np.exp and scipy's erf stay numpy's and scipy's: the softmax forward is
  * softmax_shift, np.exp, softmax_scale (with 0.0 in place of each -inf that
  * np.exp would see, and exp(-inf) = +0.0 put back after it), and the GELU
- * gradient gets its exponential from numpy.  The row passes are compiled for
- * the baseline target only. */
+ * pass and its gradient get erf and the exponential from scipy and numpy.
+ * The row passes are compiled for the baseline target only. */
 #include <stddef.h>
 
 #define NR 8 /* columns in a tile */
@@ -55,8 +58,8 @@ typedef double vec4 __attribute__((vector_size(32)));
 /* rows [i0, i1) by columns [j0, j1) of one product, one element at a time */
 static inline __attribute__((always_inline)) void
 scalar_block(const double *a, ptrdiff_t as_row, ptrdiff_t as_col, const double *b,
-             double *restrict out, ptrdiff_t k, ptrdiff_t n, ptrdiff_t i0, ptrdiff_t i1,
-             ptrdiff_t j0, ptrdiff_t j1)
+             ptrdiff_t bs_row, ptrdiff_t bs_col, double *restrict out, ptrdiff_t k, ptrdiff_t n,
+             ptrdiff_t i0, ptrdiff_t i1, ptrdiff_t j0, ptrdiff_t j1)
 {
     for (ptrdiff_t i = i0; i < i1; i++) {
         double *o = out + i * n;
@@ -64,9 +67,9 @@ scalar_block(const double *a, ptrdiff_t as_row, ptrdiff_t as_col, const double *
             o[j] = 0.0;
         for (ptrdiff_t p = 0; p < k; p++) {
             const double aip = a[i * as_row + p * as_col];
-            const double *bp = b + p * n;
+            const double *bp = b + p * bs_row;
             for (ptrdiff_t j = j0; j < j1; j++)
-                o[j] += aip * bp[j];
+                o[j] += aip * bp[j * bs_col];
         }
     }
 }
@@ -74,12 +77,13 @@ scalar_block(const double *a, ptrdiff_t as_row, ptrdiff_t as_col, const double *
 /* The tile body, defined once for every instance: NAME, with linkage LINKAGE
  * and target attribute TARGET, keeps MR x W partial sums (W <= NR columns) in
  * the first ceil(W / LANES) of NR / LANES vectors of type VEC per row; a
- * narrow tile's unused lanes start from b's zeros and are never stored.  b and
- * out are read and written through memcpy, so they need no alignment beyond a
- * double's.  NAME##_tile is inlined with a constant W, once per width. */
+ * narrow tile's unused lanes start from b's zeros and are never stored.  b's
+ * columns are adjacent here (b_row apart, row by row); b and out are read and
+ * written through memcpy, so they need no alignment beyond a double's.
+ * NAME##_tile is inlined with a constant W, once per width. */
 #define DEFINE_BMM(NAME, LINKAGE, TARGET, VEC, MR)                                               \
     static inline __attribute__((always_inline)) TARGET void NAME##_tile(                        \
-        const double *a, ptrdiff_t as_row, ptrdiff_t as_col, const double *b,                    \
+        const double *a, ptrdiff_t as_row, ptrdiff_t as_col, const double *b, ptrdiff_t b_row,   \
         double *restrict out, ptrdiff_t k, ptrdiff_t n, ptrdiff_t i0, ptrdiff_t j0, const int w) \
     {                                                                                            \
         enum { LANES = sizeof(VEC) / sizeof(double), NV = NR / LANES };                          \
@@ -89,7 +93,7 @@ scalar_block(const double *a, ptrdiff_t as_row, ptrdiff_t as_col, const double *
             for (int v = 0; v < nv; v++)                                                         \
                 acc[r][v] = (VEC){0.0}; /* +0.0 in every lane */                                 \
         const double *ap = a + i0 * as_row, *bp = b + j0;                                        \
-        for (ptrdiff_t p = 0; p < k; p++, ap += as_col, bp += n) {                               \
+        for (ptrdiff_t p = 0; p < k; p++, ap += as_col, bp += b_row) {                           \
             if (w == NR) {                                                                       \
                 for (int v = 0; v < NV; v++)                                                     \
                     __builtin_memcpy(&bv[v], bp + v * LANES, sizeof bv[v]);                      \
@@ -108,27 +112,52 @@ scalar_block(const double *a, ptrdiff_t as_row, ptrdiff_t as_col, const double *
             __builtin_memcpy(out + (i0 + r) * n + j0, acc[r], w * sizeof(double));               \
     }                                                                                            \
                                                                                                  \
-    LINKAGE TARGET void NAME(const double *a, ptrdiff_t as_batch, ptrdiff_t as_row,              \
-                             ptrdiff_t as_col, const double *b, double *restrict out,            \
-                             ptrdiff_t batch, ptrdiff_t m, ptrdiff_t k, ptrdiff_t n)             \
+    /* one [m, k] @ [k, n] product whose b columns are adjacent */                               \
+    static TARGET void NAME##_product(const double *a, ptrdiff_t as_row, ptrdiff_t as_col,       \
+                                      const double *b, ptrdiff_t b_row, double *restrict out,    \
+                                      ptrdiff_t m, ptrdiff_t k, ptrdiff_t n)                     \
     {                                                                                            \
         const ptrdiff_t m_tiles = m - m % MR, n_tiles = n - n % NR;                              \
-        for (ptrdiff_t l = 0; l < batch; l++, a += as_batch, b += k * n, out += m * n) {         \
-            for (ptrdiff_t i0 = 0; i0 < m_tiles; i0 += MR) {                                     \
-                for (ptrdiff_t j0 = 0; j0 < n_tiles; j0 += NR)                                   \
-                    NAME##_tile(a, as_row, as_col, b, out, k, n, i0, j0, NR);                    \
-                switch (n - n_tiles) { /* a constant width for each narrow tile */               \
-                case 1: NAME##_tile(a, as_row, as_col, b, out, k, n, i0, n_tiles, 1); break;     \
-                case 2: NAME##_tile(a, as_row, as_col, b, out, k, n, i0, n_tiles, 2); break;     \
-                case 3: NAME##_tile(a, as_row, as_col, b, out, k, n, i0, n_tiles, 3); break;     \
-                case 4: NAME##_tile(a, as_row, as_col, b, out, k, n, i0, n_tiles, 4); break;     \
-                case 5: NAME##_tile(a, as_row, as_col, b, out, k, n, i0, n_tiles, 5); break;     \
-                case 6: NAME##_tile(a, as_row, as_col, b, out, k, n, i0, n_tiles, 6); break;     \
-                case 7: NAME##_tile(a, as_row, as_col, b, out, k, n, i0, n_tiles, 7); break;     \
+        for (ptrdiff_t i0 = 0; i0 < m_tiles; i0 += MR) {                                         \
+            for (ptrdiff_t j0 = 0; j0 < n_tiles; j0 += NR)                                       \
+                NAME##_tile(a, as_row, as_col, b, b_row, out, k, n, i0, j0, NR);                 \
+            switch (n - n_tiles) { /* a constant width for each narrow tile */                   \
+            case 1: NAME##_tile(a, as_row, as_col, b, b_row, out, k, n, i0, n_tiles, 1); break;  \
+            case 2: NAME##_tile(a, as_row, as_col, b, b_row, out, k, n, i0, n_tiles, 2); break;  \
+            case 3: NAME##_tile(a, as_row, as_col, b, b_row, out, k, n, i0, n_tiles, 3); break;  \
+            case 4: NAME##_tile(a, as_row, as_col, b, b_row, out, k, n, i0, n_tiles, 4); break;  \
+            case 5: NAME##_tile(a, as_row, as_col, b, b_row, out, k, n, i0, n_tiles, 5); break;  \
+            case 6: NAME##_tile(a, as_row, as_col, b, b_row, out, k, n, i0, n_tiles, 6); break;  \
+            case 7: NAME##_tile(a, as_row, as_col, b, b_row, out, k, n, i0, n_tiles, 7); break;  \
+            }                                                                                    \
+        }                                                                                        \
+        scalar_block(a, as_row, as_col, b, b_row, 1, out, k, n, m_tiles, m, 0, n);               \
+    }                                                                                            \
+                                                                                                 \
+    LINKAGE TARGET void NAME(const double *a, ptrdiff_t as0, ptrdiff_t as1, ptrdiff_t as_row,    \
+                             ptrdiff_t as_col, const double *b, ptrdiff_t bs0, ptrdiff_t bs1,    \
+                             ptrdiff_t bs_row, ptrdiff_t bs_col, double *restrict out,           \
+                             ptrdiff_t l0, ptrdiff_t l1, ptrdiff_t m, ptrdiff_t k, ptrdiff_t n)  \
+    {                                                                                            \
+        /* b's columns not adjacent: pack each product's b, or read it element by element */     \
+        double *packed = NULL;                                                                   \
+        if (bs_col != 1 && k * n > 0)                                                            \
+            packed = __builtin_malloc(k * n * sizeof(double));                                   \
+        for (ptrdiff_t i = 0; i < l0; i++)                                                       \
+            for (ptrdiff_t j = 0; j < l1; j++, out += m * n) {                                   \
+                const double *ai = a + i * as0 + j * as1, *bi = b + i * bs0 + j * bs1;           \
+                if (bs_col == 1) {                                                               \
+                    NAME##_product(ai, as_row, as_col, bi, bs_row, out, m, k, n);                \
+                } else if (packed) {                                                             \
+                    for (ptrdiff_t p = 0; p < k; p++)                                            \
+                        for (ptrdiff_t c = 0; c < n; c++)                                        \
+                            packed[p * n + c] = bi[p * bs_row + c * bs_col];                     \
+                    NAME##_product(ai, as_row, as_col, packed, n, out, m, k, n);                 \
+                } else {                                                                         \
+                    scalar_block(ai, as_row, as_col, bi, bs_row, bs_col, out, k, n, 0, m, 0, n); \
                 }                                                                                \
             }                                                                                    \
-            scalar_block(a, as_row, as_col, b, out, k, n, m_tiles, m, 0, n);                     \
-        }                                                                                        \
+        __builtin_free(packed);                                                                  \
     }
 
 DEFINE_BMM(tinytraj_bmm_baseline, , , vec2, 2)
@@ -137,18 +166,22 @@ DEFINE_BMM(tinytraj_bmm_baseline, , , vec2, 2)
 DEFINE_BMM(bmm_avx2, static, __attribute__((target("avx2"))), vec4, 4)
 #endif
 
-void tinytraj_bmm(const double *a, ptrdiff_t as_batch, ptrdiff_t as_row, ptrdiff_t as_col,
-                  const double *b, double *restrict out, ptrdiff_t batch, ptrdiff_t m,
-                  ptrdiff_t k, ptrdiff_t n)
+/* out = a @ b over [l0, l1, m, k] by [l0, l1, k, n] operands, each read
+ * through its four element strides; out is C-contiguous */
+void tinytraj_bmm(const double *a, ptrdiff_t as0, ptrdiff_t as1, ptrdiff_t as_row,
+                  ptrdiff_t as_col, const double *b, ptrdiff_t bs0, ptrdiff_t bs1,
+                  ptrdiff_t bs_row, ptrdiff_t bs_col, double *restrict out, ptrdiff_t l0,
+                  ptrdiff_t l1, ptrdiff_t m, ptrdiff_t k, ptrdiff_t n)
 {
 #if defined(__x86_64__)
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx2")) {
-        bmm_avx2(a, as_batch, as_row, as_col, b, out, batch, m, k, n);
+        bmm_avx2(a, as0, as1, as_row, as_col, b, bs0, bs1, bs_row, bs_col, out, l0, l1, m, k, n);
         return;
     }
 #endif
-    tinytraj_bmm_baseline(a, as_batch, as_row, as_col, b, out, batch, m, k, n);
+    tinytraj_bmm_baseline(a, as0, as1, as_row, as_col, b, bs0, bs1, bs_row, bs_col, out, l0, l1,
+                          m, k, n);
 }
 
 /* numpy's pairwise sum of TERM(i) for i in [0, n): under 8 terms in order;
@@ -377,4 +410,17 @@ void tinytraj_gelu_vjp(const double *g, const double *x, const double *cdf, cons
 {
     for (ptrdiff_t i = 0; i < size; i++)
         dx[i] = g[i] * (cdf[i] + x[i] * (e[i] * c));
+}
+
+/* GELU forward, given e = erf(x / sqrt 2) from scipy: cdf = 0.5 * (1.0 + e)
+ * and y = x * cdf.  cdf may be e, and y may be e when cdf is not kept (then
+ * cdf is NULL). */
+void tinytraj_gelu(const double *x, const double *e, double *cdf, double *y, ptrdiff_t size)
+{
+    for (ptrdiff_t i = 0; i < size; i++) {
+        const double c = 0.5 * (1.0 + e[i]);
+        if (cdf)
+            cdf[i] = c;
+        y[i] = x[i] * c;
+    }
 }

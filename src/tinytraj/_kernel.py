@@ -1,7 +1,7 @@
 """Build, cache and load ``_kernel.c``, the compiled kernel behind
 ``autodiff``: the contraction of ``_bmm`` and the row-wise passes of
-``softmax_rows``, ``layer_norm``, the per-sequence gradient sums and the GELU
-gradient.
+``softmax_rows``, ``layer_norm``, the per-sequence gradient sums, GELU and
+its gradient.
 
 The source is compiled with the C compiler Python was built with
 (``sysconfig``'s ``CC``) into ``$XDG_CACHE_HOME/tinytraj`` (default
@@ -11,13 +11,16 @@ compiler's version, and loaded with ``ctypes``.  ``load`` returns an
 its numpy body's bits on a short check; otherwise, or when there is no
 compiler, it returns None and every op runs numpy.
 
-The C side reads ``a`` through its strides, so the transposed operands of the
-backward pass are not copied; ``b``, usually a small weight, is made
-C-contiguous.  ``tinytraj_bmm`` runs the AVX2 tile on CPUs that have it and
-the baseline tile otherwise; ``native("tinytraj_bmm_baseline")`` gives the
-baseline on any CPU, for the tests.  The row ops check shapes and make every
-array C-contiguous float64 before a pointer is passed; ``np.exp`` stays
-numpy's, between two C passes.
+The C side reads both operands through their strides, over two leading axes
+(batch and heads) and the row and column, so the transposed operands of the
+backward pass, attention's split heads and ``kᵀ`` are not copied; a ``b``
+whose columns are not adjacent is packed into a ``k x n`` buffer inside the
+call, one product at a time.  ``tinytraj_bmm`` runs the AVX2 tile on CPUs
+that have it and the baseline tile otherwise;
+``native("tinytraj_bmm_baseline")`` gives the baseline on any CPU, for the
+tests.  The row ops check shapes and make every array C-contiguous float64
+before a pointer is passed; ``np.exp`` and scipy's ``erf`` stay numpy's and
+scipy's, each between C passes.
 
 Per call on a shared 2-vCPU x86-64 host (best of 5; numpy body → compiled):
 softmax of causal ``[25, 4, 32, 32]`` scores 1.35–1.42 → 0.46–0.47 ms, its VJP
@@ -41,14 +44,14 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 from .autodiff import (
     _INV_SQRT_2PI,
-    _SQRT2,
     Ops,
     ShapeMismatchError,
     _bmm_numpy,
+    _erf_of_scaled,
+    _gelu_numpy,
     _gelu_vjp_numpy,
     _layer_norm_dx_numpy,
     _layer_norm_numpy,
@@ -89,12 +92,25 @@ def compile_kernel() -> Path:
     return lib
 
 
+def _four_axes(x: np.ndarray, lead: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``x`` and its element strides as [L0, L1, rows, cols], where a missing
+    leading axis has length 1.  ``x`` is itself, a view, or, for more than two
+    leading axes that do not fold into one stride or strides that are not
+    whole elements, a copy."""
+    if len(lead) > 2:
+        x = x.reshape((1, math.prod(lead)) + x.shape[-2:])
+    s = (0, 0, *x.strides)[-4:]
+    if (s[0] | s[1] | s[2] | s[3]) % 8 or not x.flags.aligned:
+        x = np.ascontiguousarray(x)
+        s = (0, 0, *x.strides)[-4:]
+    return x, (s[0] // 8, s[1] // 8, s[2] // 8, s[3] // 8)
+
+
 def contraction(fn: Callable) -> Contraction:
-    """``_bmm`` on the C function ``fn``, contracting [L, m, k] @ [L, k, n]
-    after broadcasting the operands.  ``a`` is passed with its element
-    strides, so a transposed or sliced view is read in place; it is copied
-    only when its leading axes do not fold into one stride.  ``b`` and the
-    output are C-contiguous."""
+    """``_bmm`` on the C function ``fn``, contracting [..., m, k] @ [..., k, n]
+    after broadcasting the operands.  Both are passed with their element
+    strides over two leading axes, so a transposed, sliced or broadcast view
+    is read in place; the output is C-contiguous."""
 
     def bmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
@@ -103,16 +119,11 @@ def contraction(fn: Callable) -> Contraction:
         if b.shape[:-2] != lead:  # broadcasting costs microseconds; skip it when it is a no-op
             lead = np.broadcast_shapes(lead, b.shape[:-2])
             a, b = np.broadcast_to(a, lead + (m, k)), np.broadcast_to(b, lead + (k, n))
-        batch = math.prod(lead)
-        # reshape is a view wherever the leading axes fold into one stride
-        a = np.asarray(a, dtype=np.float64).reshape(batch, m, k)
-        s0, s1, s2 = a.strides
-        if (s0 | s1 | s2) % 8 or not a.flags.aligned:  # strides that are not whole elements
-            a = np.ascontiguousarray(a)
-            s0, s1, s2 = a.strides
-        b = np.ascontiguousarray(b, dtype=np.float64)
+        a, a_strides = _four_axes(np.asarray(a, dtype=np.float64), lead)
+        b, b_strides = _four_axes(np.asarray(b, dtype=np.float64), lead)
         out = np.empty(lead + (m, n), dtype=np.float64)
-        fn(a.ctypes.data, s0 // 8, s1 // 8, s2 // 8, b.ctypes.data, out.ctypes.data, batch, m, k, n)
+        l0, l1 = (1, 1, *a.shape[:-2])[-2:]
+        fn(a.ctypes.data, *a_strides, b.ctypes.data, *b_strides, out.ctypes.data, l0, l1, m, k, n)
         return out
 
     return bmm
@@ -133,11 +144,11 @@ def row_ops(lib: ctypes.CDLL) -> dict[str, Callable]:
     passed; a shape the C side does not cover (an empty row, no sequence)
     runs the numpy body."""
     ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
-    shift, scale, softmax_vjp_c, layer_norm_c, layer_norm_dx_c, seq_sums_c, gelu_vjp_c = (
+    shift, scale, softmax_vjp_c, layer_norm_c, layer_norm_dx_c, seq_sums_c, gelu_c, gelu_vjp_c = (
         getattr(lib, f"tinytraj_{name}")
         for name in (
             "softmax_shift", "softmax_scale", "softmax_vjp", "layer_norm", "layer_norm_dx",
-            "seq_sums", "gelu_vjp",
+            "seq_sums", "gelu", "gelu_vjp",
         )
     )
     for fn, args in [
@@ -148,6 +159,7 @@ def row_ops(lib: ctypes.CDLL) -> dict[str, Callable]:
         (layer_norm_c, [ptr, ptr, ptr, ctypes.c_double, ptr, ptr, ptr, size, size]),
         (layer_norm_dx_c, [ptr, ptr, ptr, ptr, ptr, size, size]),  # g, gain, xhat, inv, dx, rows, d
         (seq_sums_c, [ptr, ptr, ptr, size, size, size]),  # g, w or NULL, out, batch, seq, d
+        (gelu_c, [ptr, ptr, ptr, ptr, size]),  # x, e, cdf or NULL, y, size
         (gelu_vjp_c, [ptr, ptr, ptr, ptr, ctypes.c_double, ptr, size]),  # g, x, cdf, e, c, dx, size
     ]:
         fn.argtypes, fn.restype = args, None
@@ -215,6 +227,14 @@ def row_ops(lib: ctypes.CDLL) -> dict[str, Callable]:
         seq_sums_c(g.ctypes.data, None if w is None else w.ctypes.data, out.ctypes.data, *g.shape)
         return out
 
+    def gelu(x: np.ndarray, keep_cdf: bool = True):
+        x = _c(x)
+        e = _erf_of_scaled(x)  # scipy's erf; the C pass writes cdf over it
+        y = np.empty_like(x) if keep_cdf else e
+        cdf = e.ctypes.data if keep_cdf else None
+        gelu_c(x.ctypes.data, e.ctypes.data, cdf, y.ctypes.data, e.size)
+        return y, e if keep_cdf else None
+
     def gelu_vjp(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
         g, x, cdf = _c(g), _c(x), _c(cdf)
         _same_shape("gelu_vjp", g, x, cdf)
@@ -233,6 +253,7 @@ def row_ops(lib: ctypes.CDLL) -> dict[str, Callable]:
         "layer_norm": layer_norm,
         "layer_norm_dx": layer_norm_dx,
         "seq_sums": seq_sums,
+        "gelu": gelu,
         "gelu_vjp": gelu_vjp,
     }
 
@@ -244,9 +265,11 @@ def bits(x: np.ndarray) -> np.ndarray:
 
 
 def _arrays(results) -> list[np.ndarray]:
+    # every array of a list of results, tuples flattened; a None result (a
+    # GELU cdf that was not kept) has no array
     out = []
     for r in results:
-        out += _arrays(r) if isinstance(r, tuple) else [np.asarray(r)]
+        out += _arrays(r) if isinstance(r, tuple) else [] if r is None else [np.asarray(r)]
     return out
 
 
@@ -291,18 +314,23 @@ def agrees_with_numpy(ops: Ops) -> bool:
 
     The contraction, against ``_bmm_numpy``: ±0, a subnormal, ±inf, NaN and
     ordinary values; a broadcast leading axis (stride 0), a transposed and a
-    sliced operand; 9 x 13 @ 13 x 19 products, which fill two tiles each way
-    and leave a row and a column tail; 3 and 5 columns, narrower than a tile;
-    and k = 0.  The row ops on ``_row_cases``: rows of widths 2, 3, 8, 9, 32
-    and 129, 2-D and 4-D, with ±0, all -0.0 rows, -inf rows with one finite
-    entry, subnormals and NaN; softmax up to width 32; the per-sequence sums
-    of three sequences at every width and, at 129, of ordinary values times a
-    second factor, of ordinary values one column wide over 129 positions, and
-    of all -0.0 (each sequence's sum starts from +0.0); the GELU gradient at
-    129."""
+    sliced ``a``, a transposed and a column-strided ``b``, and two leading
+    axes split out of the rows of ``[B, S, H, hd]`` arrays, as attention
+    reads them; 9 x 13 @ 13 x 19 products, which fill two tiles each way and
+    leave a row and a column tail; 3 and 5 columns, narrower than a tile; and
+    k = 0.  The row ops on ``_row_cases``: rows of widths 2, 3, 8, 9, 32 and
+    129, 2-D and 4-D, with ±0, all -0.0 rows, -inf rows with one finite
+    entry, subnormals and NaN; softmax up to width 32; the GELU forward, with
+    and without its ``cdf``, and the per-sequence sums of three sequences at
+    every width and, at 129, of ordinary values times a second factor, of
+    ordinary values one column wide over 129 positions, and of all -0.0 (each
+    sequence's sum starts from +0.0); the GELU gradient at 129."""
     rng = np.random.default_rng(0)
     a, b = rng.choice(SPECIAL, (2, 3, 5)), rng.choice(SPECIAL, (5, 9))
     x, y = rng.normal(size=(9, 26)), rng.normal(size=(13, 19))
+    more = np.random.default_rng(1)  # its own draws: rng's feed the row cases
+    heads, keys = more.normal(size=(2, 9, 3, 13)), more.choice(SPECIAL, (2, 11, 3, 13))
+    values = more.normal(size=(2, 3, 3, 11))
     products = [
         (SPECIAL[:, None], SPECIAL[None, :]),  # k = 1: every pair, -0.0 products too
         (a, b),
@@ -315,6 +343,11 @@ def agrees_with_numpy(ops: Ops) -> bool:
         (np.broadcast_to(x[:, 1:14], (2, 9, 13)), np.stack([y, -y])),  # a batch stride of 0
         (x[:, :13], y[:, :3]),  # narrow tiles
         (x[:, :13].T.reshape(1, 13, 9), rng.choice(SPECIAL, (1, 9, 5))),
+        (x[:, :13], y[:, ::2]),  # b's columns 2 apart
+        (x[:, :13], np.ascontiguousarray(y.T).T),  # a transposed b
+        # [B, H, S, hd] heads of [B, S, H, hd] rows, and k^T: strided leading axes
+        (heads.transpose(0, 2, 1, 3), keys.transpose(0, 2, 3, 1)),
+        (heads.transpose(0, 2, 1, 3)[:, :, :, :3], values.transpose(0, 2, 1, 3)),
         (np.full((9, 3), -0.0), np.abs(y[:3])),  # -0.0 terms: +0.0 + -0.0 is +0.0
         (np.full((9, 3), -0.0), np.abs(y[:3, :5])),
         (x[:, :0], y[:0]),  # k = 0: every element is the +0.0 it starts from
@@ -330,7 +363,11 @@ def agrees_with_numpy(ops: Ops) -> bool:
             ln = _layer_norm_numpy(x, gain, bias, 1e-5)
             got += [ops.layer_norm(x, gain, bias, 1e-5), ops.layer_norm_dx(g, gain, *ln[1:])]
             expected += [ln, _layer_norm_dx_numpy(g, gain, *ln[1:])]
-            checks = [(ops.seq_sums, _seq_sums_numpy, (x.reshape(3, 2, d),))]  # 3 sequences
+            checks = [
+                (ops.seq_sums, _seq_sums_numpy, (x.reshape(3, 2, d),)),  # 3 sequences
+                (ops.gelu, _gelu_numpy, (x,)),
+                (ops.gelu, _gelu_numpy, (x, False)),
+            ]
             if d < 129:  # the softmax passes have no path that depends on the width
                 # g's all -0.0 row times |x| >= +0.0 is all -0.0: the chain keeps its sign
                 checks += [
@@ -341,7 +378,7 @@ def agrees_with_numpy(ops: Ops) -> bool:
                 # three sequences of ordinary values, where another fold order rounds
                 # differently, times a second factor; then all -0.0
                 plain = np.stack([x[0], g[0], gain])[:, None]
-                cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+                cdf = _gelu_numpy(x)[1]
                 checks += [
                     (ops.seq_sums, _seq_sums_numpy, (plain, np.roll(plain, 1, axis=0))),
                     # one column, which numpy's own sum would add pairwise
@@ -362,8 +399,8 @@ def native(bmm_symbol: str = "tinytraj_bmm") -> Ops:
     lib = ctypes.CDLL(str(compile_kernel()))
     bmm = getattr(lib, bmm_symbol)
     ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
-    # a and its three strides, b, out, batch, m, k, n
-    bmm.argtypes = [ptr, size, size, size, ptr, ptr, size, size, size, size]
+    # a and its four strides, b and its four strides, out, l0, l1, m, k, n
+    bmm.argtypes = [ptr, *[size] * 4, ptr, *[size] * 4, ptr, *[size] * 5]
     bmm.restype = None
     return Ops(bmm=contraction(bmm), **row_ops(lib))
 

@@ -1,10 +1,11 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 Design notes:
-  * Storage is a C-contiguous float64 numpy array; shapes are explicit and the
-    only broadcasting allowed is trailing-axis bias addition (``add_bias``)
-    and a 2-D weight shared by every sequence of a ``[B, S, k]`` batch
-    (``matmul``).
+  * Storage is a float64 numpy array, possibly a strided view (a transpose
+    or reshape is not copied); shapes are explicit and the only broadcasting
+    allowed is trailing-axis bias addition (``add_bias``, ``linear``) and a
+    2-D weight shared by every sequence of a ``[B, S, k]`` batch (``matmul``,
+    ``linear``).
   * One ``Tape`` per forward pass.  Operations record nodes eagerly, so the
     tape is already topologically ordered; ``backward`` walks it once in
     reverse, accumulating vector-Jacobian products.
@@ -21,22 +22,23 @@ Design notes:
         of the row (eight accumulators, ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``,
         then the tail in order; halved above 128 terms), divided by ``d``;
       - the gradient of a parameter shared by the sequences of a batch (layer
-        norm's gain and bias, ``add_bias``, the mask fill values) is each
-        sequence's sum over its positions, from ``+0.0`` in order at every
-        width, folded last sequence first (``Ops.seq_sums``); an unbatched
-        input is one sequence.
-    ``softmax_rows``, ``layer_norm`` and the GELU VJP run these in C too,
+        norm's gain and bias, the bias of ``add_bias`` and ``linear``, the
+        mask fill values) is each sequence's sum over its positions, from
+        ``+0.0`` in order at every width, folded last sequence first
+        (``Ops.seq_sums``); an unbatched input is one sequence.
+    ``softmax_rows``, ``layer_norm``, GELU and its VJP run these in C too,
     one pass where numpy takes several; ``np.exp`` and scipy's ``erf`` stay
-    numpy's and scipy's.
+    numpy's and scipy's.  scipy is imported on the first GELU, not with this
+    module: reading and batching data never pays for it.
   * The contraction rule: each element of a matrix product starts from +0.0
     and adds its ``k`` terms in order, each term one rounded multiply then one
     rounded add.  ``_bmm`` runs it in C (``_kernel.c``, compiled on first use
     with the interpreter's C compiler, ``-O3 -ffp-contract=off``: no fused
     multiply-add, no fast-math), register-tiled without reordering any
-    element's terms and reading ``a`` through its strides, so the transposed
-    operands of a VJP are not copied.  It falls back to the numpy loop
-    ``_bmm_numpy`` by itself when there is no compiler or the compiled kernel
-    fails its check against the numpy bodies on load.  Both give the same
+    element's terms and reading both operands through their strides, so the
+    transposed operands of a VJP and of attention are not copied.  It falls
+    back to the numpy loop ``_bmm_numpy`` by itself when there is no compiler
+    or the compiled kernel fails its check against the numpy bodies on load.  Both give the same
     bits; a NaN's sign and payload are not part of the rule (numpy's own loop
     picks them differently for different row lengths).  ``KERNEL`` reads
     ``"native"`` or ``"numpy"``: which of the two this process runs, for
@@ -56,7 +58,6 @@ import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "ShapeMismatchError",
@@ -71,6 +72,7 @@ __all__ = [
     "gelu",
     "huber",
     "layer_norm",
+    "linear",
     "matmul",
     "mean",
     "mul",
@@ -130,8 +132,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "tape")
 
     def __init__(self, data, requires_grad: bool = False, tape: Tape | None = None):
-        # note: np.asarray keeps 0-d scalars 0-d, unlike ascontiguousarray
-        self.data: np.ndarray = np.asarray(data, dtype=np.float64, order="C")
+        # a view stays a view: the kernels read strides or make their own copies
+        self.data: np.ndarray = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self.tape = tape
@@ -353,6 +355,27 @@ def _seq_sums_numpy(g: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     return _fold(_seq_sums(g if w is None else g * w))
 
 
+def _erf_of_scaled(x: np.ndarray) -> np.ndarray:
+    # erf(x / sqrt(2)) in one fresh array.  scipy is imported here, on first
+    # use: 0.3 s and about 26 MB that a process never running GELU does not pay.
+    from scipy.special import erf
+
+    t = x / _SQRT2
+    erf(t, out=t)
+    return t
+
+
+def _gelu_numpy(x: np.ndarray, keep_cdf: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    # (x * cdf, cdf) with cdf = 0.5 * (1.0 + erf(x / sqrt 2)); without
+    # keep_cdf the output takes cdf's buffer and cdf is None
+    cdf = _erf_of_scaled(x)
+    cdf += 1.0
+    cdf *= 0.5
+    if not keep_cdf:
+        return np.multiply(x, cdf, out=cdf), None
+    return x * cdf, cdf
+
+
 def _gelu_vjp_numpy(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
     return g * (cdf + x * pdf)
@@ -369,6 +392,7 @@ class Ops(NamedTuple):
     layer_norm: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
     layer_norm_dx: Callable[..., np.ndarray]
     seq_sums: Callable[..., np.ndarray]
+    gelu: Callable[..., tuple[np.ndarray, np.ndarray | None]]
     gelu_vjp: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -379,6 +403,7 @@ _NUMPY = Ops(
     _layer_norm_numpy,
     _layer_norm_dx_numpy,
     _seq_sums_numpy,
+    _gelu_numpy,
     _gelu_vjp_numpy,
 )
 _ops: Ops | None = None  # chosen on first use
@@ -472,6 +497,44 @@ def _is_constant(t: Tensor) -> bool:
     return not t.requires_grad and (t.tape is None or not t.tape.active)
 
 
+def _product(a: Tensor, b: Tensor, op: str) -> tuple[np.ndarray, Callable]:
+    # a @ b in a fresh array, and its VJP: (da, db), None for a constant operand
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ShapeMismatchError(f"{op}: inner dimensions of {a.shape} and {b.shape} differ")
+    ad, bd = a.data, b.data
+    const_a, const_b = _is_constant(a), _is_constant(b)
+    if a.ndim == b.ndim:
+        if a.shape[:-2] != b.shape[:-2]:
+            raise ShapeMismatchError(f"{op}: leading axes of {a.shape} and {b.shape} differ")
+        if a.ndim == 2:
+
+            def vjp_2d(g: np.ndarray):
+                return (
+                    None if const_a else _mm(g, bd.T),
+                    None if const_b else _mm(ad.T, g),
+                )
+
+            return _mm(ad, bd), vjp_2d
+
+        def vjp_batched(g: np.ndarray):
+            return (
+                None if const_a else _bmm(g, np.swapaxes(bd, -1, -2)),
+                None if const_b else _bmm(np.swapaxes(ad, -1, -2), g),
+            )
+
+        return _bmm(ad, bd), vjp_batched
+    if a.ndim != 3 or b.ndim != 2:
+        raise ShapeMismatchError(f"{op}: cannot multiply {a.shape} by {b.shape}")
+    k, n = bd.shape
+    rows = ad.reshape(-1, k)  # [B*S, k]: each row's product is row-local
+
+    def vjp_shared(g: np.ndarray):
+        da = None if const_a else _mm(g.reshape(-1, n), bd.T).reshape(ad.shape)
+        return da, None if const_b else _fold(_bmm(np.swapaxes(ad, 1, 2), g))
+
+    return _mm(rows, bd).reshape(ad.shape[:-1] + (n,)), vjp_shared
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with deterministic, truncation-stable accumulation.
 
@@ -481,40 +544,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     product per leading index (attention heads).  The VJP skips the product
     for a constant operand and returns None for it.
     """
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatchError(f"matmul: inner dimensions of {a.shape} and {b.shape} differ")
-    ad, bd = a.data, b.data
-    const_a, const_b = _is_constant(a), _is_constant(b)
-    if a.ndim == b.ndim:
-        if a.shape[:-2] != b.shape[:-2]:
-            raise ShapeMismatchError(f"matmul: leading axes of {a.shape} and {b.shape} differ")
-        if a.ndim == 2:
+    return record_op((a, b), *_product(a, b, "matmul"))
 
-            def vjp_2d(g: np.ndarray):
-                return (
-                    None if const_a else _mm(g, bd.T),
-                    None if const_b else _mm(ad.T, g),
-                )
 
-            return record_op((a, b), _mm(ad, bd), vjp_2d)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``add_bias(matmul(x, w), b)`` as one op: the bias is added onto the
+    fresh product in place, so every bit of the value and of the three
+    gradients is the same, one pass and one array fewer."""
+    if b.ndim != 1 or w.ndim != 2 or w.shape[-1] != b.shape[0]:
+        raise ShapeMismatchError(f"linear: weight {w.shape} and bias {b.shape} are incompatible")
+    out, product_vjp = _product(x, w, "linear")
+    out += b.data
+    d = b.shape[0]
 
-        def vjp_batched(g: np.ndarray):
-            return (
-                None if const_a else _bmm(g, np.swapaxes(bd, -1, -2)),
-                None if const_b else _bmm(np.swapaxes(ad, -1, -2), g),
-            )
+    def vjp(g: np.ndarray):
+        return (*product_vjp(g), _kernels().seq_sums(g if g.ndim == 3 else g.reshape(1, -1, d)))
 
-        return record_op((a, b), _bmm(ad, bd), vjp_batched)
-    if a.ndim != 3 or b.ndim != 2:
-        raise ShapeMismatchError(f"matmul: cannot multiply {a.shape} by {b.shape}")
-    k, n = bd.shape
-    rows = ad.reshape(-1, k)  # [B*S, k]: each row's product is row-local
-
-    def vjp_shared(g: np.ndarray):
-        da = None if const_a else _mm(g.reshape(-1, n), bd.T).reshape(ad.shape)
-        return da, None if const_b else _fold(_bmm(np.swapaxes(ad, 1, 2), g))
-
-    return record_op((a, b), _mm(rows, bd).reshape(ad.shape[:-1] + (n,)), vjp_shared)
+    return record_op((x, w, b), out, vjp)
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -667,15 +713,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) Gaussian error linear unit."""
+    """Exact (erf-based) Gaussian error linear unit.
+
+    ``cdf = 0.5 * (1.0 + erf(x / sqrt 2))`` is kept for the VJP only when
+    ``x`` is on an active tape; otherwise the output ``x * cdf`` is written
+    over cdf's array, one array of ``x``'s size fewer.
+    """
     xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd / _SQRT2))
     ops = _kernels()
+    if _resolve_tape((x,)) is None:
+        return Tensor(ops.gelu(xd, False)[0])
+    out, cdf = ops.gelu(xd)
 
     def vjp(g: np.ndarray):
         return (ops.gelu_vjp(g, xd, cdf),)
 
-    return record_op((x,), xd * cdf, vjp)
+    return record_op((x,), out, vjp)
 
 
 def sin(x: Tensor) -> Tensor:

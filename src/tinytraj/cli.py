@@ -31,7 +31,7 @@ import numpy as np
 
 from . import data as dt
 from . import evaluation as ev
-from . import geo
+from . import geo, masking
 from . import model as tm
 from . import training as tr
 
@@ -407,11 +407,12 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--mode", choices=ev.EVAL_MODES, default="next_step")
     p.add_argument("--horizon", type=int, default=5)
-    p.add_argument("--mask-ratio", type=float, default=0.15)
+    p.add_argument("--mask-ratio", type=float, default=masking.DEFAULT_MASK_RATIO)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--batch-size", type=int, default=12,
-        help="trajectories per forward pass; sets memory use, never the report (default 12)",
+        "--batch-size", type=int, default=ev.DEFAULT_BATCH_SIZE,
+        help="trajectories per forward pass; sets memory use, never the report "
+        "(default %(default)s)",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--norm", help="cross-check the dataset's normalization")

@@ -75,7 +75,7 @@ def project(x: Tensor | np.ndarray, layer: ProjectionLayer) -> Tensor:
     """Apply the learnable projection to a [S, f_in] sequence or a
     [B, S, f_in] batch."""
     xt = x if isinstance(x, Tensor) else Tensor(x)
-    return ad.add_bias(ad.matmul(xt, layer.w), layer.b)
+    return ad.linear(xt, layer.w, layer.b)
 
 
 @functools.lru_cache(maxsize=8)
@@ -123,7 +123,7 @@ def time2vec_sequence(taus: np.ndarray, layer: Time2VecLayer) -> Tensor:
     taus = np.asarray(taus, dtype=np.float64)[..., None]  # [..., S, 1]
     k = layer.k
     # outer product via matmul keeps the op differentiable in omega
-    angles = ad.add_bias(ad.matmul(Tensor(taus), ad.reshape(layer.omega, (1, k))), layer.phi)
+    angles = ad.linear(Tensor(taus), ad.reshape(layer.omega, (1, k)), layer.phi)
     last = angles.ndim - 1
     linear = ad.slice_axis(angles, last, 0, 1)
     periodic = ad.sin(ad.slice_axis(angles, last, 1, k - 1))

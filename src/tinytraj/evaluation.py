@@ -11,8 +11,9 @@ which matches the original points to within a few float ulps.
 The model path reads ``batch_size`` trajectories per forward pass: one
 padded pass for next-step and infill scoring, and for rollout a prefill of
 the padded prefixes followed by one K/V-cached decode step per generated
-point.  Padding, batching and the cache change no bit, so every report and
-every rollout point equals the per-trajectory full recompute.  A prediction
+point, decoded for the whole batch at once.  Padding, batching and the
+cache change no bit, so every report and every rollout point equals the
+per-trajectory full recompute.  A prediction
 that is not finite once read in degrees and seconds, and a generated rollout
 point that fails the trajectory check (a time past ``MAX_T``, say), raise
 :class:`~tinytraj.training.NumericsError` naming its trajectory.
@@ -45,6 +46,7 @@ from .training import NumericsError
 
 __all__ = [
     "CSV_COLUMNS",
+    "DEFAULT_BATCH_SIZE",
     "EARTH_RADIUS_M",
     "EVAL_MODES",
     "MetricsReport",
@@ -58,6 +60,10 @@ __all__ = [
 EARTH_RADIUS_M = 6_371_000.0
 EVAL_MODES = ("next_step", "infill", "rollout")
 CSV_COLUMNS = ("ade_m", "fde_m", "time_mae_s", "n_points", "n_traj", "objective")
+# trajectories per forward pass: enough that the per-op costs of a pass are
+# spread over many trajectories, few enough that a padded pass of 32-point
+# trajectories stays near 5 MB
+DEFAULT_BATCH_SIZE = 32
 
 # predict_fn(model_input_features [S, F], traj_id) -> predictions [S, 3];
 # defaults to the transformer forward pass. Injectable so tests can score a
@@ -133,18 +139,28 @@ def haversine(p, q) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _decode_step(
-    prev: TrajPoint, pred_row: np.ndarray, norm: NormalizationParams
-) -> TrajPoint:
-    """One predicted (dlat, dlon, dt) row decoded onto the running point."""
-    lat = prev.lat + float(pred_row[0]) * norm.scale_lat
-    lon = prev.lon + float(pred_row[1]) * norm.scale_lon
-    # an interval past MAX_T cannot be a real one; capping it keeps round()
-    # finite and leaves the point for the trajectory check to reject
-    dt = max(1, round(min(float(pred_row[2]) * DT_DIVISOR_S, MAX_T)))
-    lat = min(90.0, max(-90.0, lat))
-    lon = min(180.0, max(-180.0, lon))
-    return TrajPoint(lat=lat, lon=lon, t=prev.t + dt)
+def _decode(
+    lat: np.ndarray, lon: np.ndarray, t: np.ndarray, preds: np.ndarray, norm: NormalizationParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One predicted (dlat, dlon, dt) row of ``preds`` [B, 3] decoded onto
+    each running point of the [B] columns ``lat``, ``lon`` and ``t``."""
+    lat = np.minimum(90.0, np.maximum(-90.0, lat + preds[:, 0] * norm.scale_lat))
+    lon = np.minimum(180.0, np.maximum(-180.0, lon + preds[:, 1] * norm.scale_lon))
+    # an interval past MAX_T cannot be a real one; capping it keeps the
+    # rounding (half to even) finite and leaves the point for the trajectory
+    # check to reject
+    with np.errstate(over="ignore"):
+        dt = np.maximum(1.0, np.rint(np.minimum(preds[:, 2] * DT_DIVISOR_S, MAX_T)))
+    return lat, lon, t + dt.astype(np.int64)
+
+
+def _last_fixes(trajs: Sequence[Trajectory], index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The [B] columns of each trajectory's fix at ``index[b]``."""
+    return (
+        np.array([traj.lat[i] for traj, i in zip(trajs, index)]),
+        np.array([traj.lon[i] for traj, i in zip(trajs, index)]),
+        np.array([traj.t[i] for traj, i in zip(trajs, index)], dtype=np.int64),
+    )
 
 
 def _rollout_batch(
@@ -154,8 +170,9 @@ def _rollout_batch(
     prefixes: Sequence[Trajectory],
     horizon: int,
     predict_fn: PredictFn | None,
-) -> list[list[TrajPoint]]:
-    """Extend every prefix by ``horizon`` points, all of them in step.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extend every prefix by ``horizon`` points, all of them in step; returns
+    the new points' ``lat``, ``lon`` and ``t`` as [B, horizon] arrays.
 
     The model path prefills a :class:`KVCache` with the padded prefixes and
     then decodes one new row per trajectory per step; an injected
@@ -177,11 +194,13 @@ def _rollout_batch(
                 f"prefix of {len(prefix)} plus horizon {horizon} exceeds the "
                 f"model's max_seq {model_cfg.max_seq}"
             )
-    if horizon == 0:
-        return [[] for _ in prefixes]
     ids = [p.id for p in prefixes]
     n = np.array([len(p) for p in prefixes])
     rows = np.arange(len(prefixes))
+    shape = (len(rows), horizon)
+    new = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=np.int64)
+    if horizon == 0:
+        return new
     # every position a prediction reads: the prefix and all but the last new point
     feats = np.zeros((len(prefixes), n.max() + horizon - 1, FEATURE_DIM))
     for b, prefix in enumerate(prefixes):
@@ -192,30 +211,28 @@ def _rollout_batch(
         preds = prefill.data[rows, n - 1]
     else:
         preds = _predict(feats, n, ids, norm, params, model_cfg, predict_fn)[rows, n - 1]
-    prev = [TrajPoint(float(p.lat[-1]), float(p.lon[-1]), int(p.t[-1])) for p in prefixes]
-    suffixes: list[list[TrajPoint]] = [[] for _ in prefixes]
+    lat, lon, t = _last_fixes(prefixes, n - 1)
     for k in range(horizon):
         _check_finite(preds[:, None], ids, norm)
-        new = [_decode_step(p, row, norm) for p, row in zip(prev, preds)]
+        step = _decode(lat, lon, t, preds, norm)
         at = n + k
         # every new point, the final one too, passes the trajectory check here;
         # the prefixes passed it already, so a failure is the model's
         try:
-            new_feats = featurize_next(ids, at.tolist(), new, [p.t for p in prev], norm)
+            new_feats = featurize_next(ids, at, *step, t, norm)
         except ValueError as exc:
             raise NumericsError(f"model-made point: {exc}") from exc
-        for suffix, point in zip(suffixes, new):
-            suffix.append(point)
+        for column, value in zip(new, step):
+            column[:, k] = value
         if k == horizon - 1:
             break
         feats[rows, at] = new_feats
-        prev = new
+        lat, lon, t = step
         if predict_fn is None:
-            step = forward_features(new_feats[:, None], params, model_cfg, cache=cache)
-            preds = step.data[:, 0]
+            preds = forward_features(new_feats[:, None], params, model_cfg, cache=cache).data[:, 0]
         else:
             preds = _predict(feats, at + 1, ids, norm, params, model_cfg, predict_fn)[rows, at]
-    return suffixes
+    return new
 
 
 def rollout(
@@ -235,7 +252,8 @@ def rollout(
     K/V cache, bit for bit what a full forward pass over the running
     trajectory gives.  Returns the predicted suffix (empty for horizon 0).
     """
-    return _rollout_batch(params, model_cfg, norm_params, [prefix], horizon, predict_fn)[0]
+    lat, lon, t = _rollout_batch(params, model_cfg, norm_params, [prefix], horizon, predict_fn)
+    return list(map(TrajPoint, lat[0].tolist(), lon[0].tolist(), t[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -373,19 +391,21 @@ def _eval_rollout(
         if not chunk:
             continue
         prefixes = [traj.head(len(traj) - horizon) for traj in chunk]
-        predicted = _rollout_batch(params, model_cfg, norm, prefixes, horizon, predict_fn)
-        for traj, suffix in zip(chunk, predicted):
-            # ground truth decoded through the same arithmetic as the rollout
-            last = len(traj) - horizon - 1
-            prev = TrajPoint(float(traj.lat[last]), float(traj.lon[last]), int(traj.t[last]))
-            truth: list[TrajPoint] = []
-            for step in step_targets(traj, norm, last):
-                prev = _decode_step(prev, step, norm)
-                truth.append(prev)
-            errs = [haversine(p, t) for p, t in zip(suffix, truth)]
+        lat, lon, t = _rollout_batch(params, model_cfg, norm, prefixes, horizon, predict_fn)
+        # ground truth decoded through the same arithmetic as the rollout
+        last = [len(traj) - horizon - 1 for traj in chunk]
+        steps = np.stack([step_targets(traj, norm, i) for traj, i in zip(chunk, last)])
+        truth = [_last_fixes(chunk, last)]
+        for k in range(horizon):
+            truth.append(_decode(*truth[-1], steps[:, k], norm))
+        true_lat, true_lon, true_t = (np.stack(c[1:], axis=1) for c in zip(*truth))
+        predicted = np.stack([lat, lon], axis=-1).tolist()  # [B, horizon, 2]
+        true = np.stack([true_lat, true_lon], axis=-1).tolist()
+        for p, q, dt in zip(predicted, true, np.abs(t - true_t).tolist()):
+            errs = list(map(haversine, p, q))
             acc.point_errs.extend(errs)
             acc.final_errs.append(errs[-1])
-            acc.time_errs.extend(float(abs(p.t - t.t)) for p, t in zip(suffix, truth))
+            acc.time_errs.extend(map(float, dt))
             acc.n_positions += horizon
             acc.n_traj += 1
 
@@ -400,7 +420,7 @@ def evaluate(
     horizon: int = 5,
     mask_ratio: float = masking.DEFAULT_MASK_RATIO,
     seed: int = 0,
-    batch_size: int = 12,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     dataset_norm: NormalizationParams | None = None,
     predict_fn: PredictFn | None = None,
 ) -> MetricsReport:
@@ -413,12 +433,15 @@ def evaluate(
     ``horizon``-step autoregressive continuation of each trajectory's
     prefix; trajectories too short for the horizon are skipped.
 
-    ``batch_size`` is the number of trajectories per forward pass: the
-    corpus is read lazily, ``batch_size`` trajectories at a time, and each
-    group runs as one padded forward pass (next_step, infill) or one
-    K/V-cached decode (rollout).  Padding and batching change no bit, so
-    every report is independent of ``batch_size``; a larger value trades
-    memory (the [B, H, S, S] attention temporaries) for fewer passes.
+    ``batch_size`` (default ``DEFAULT_BATCH_SIZE``, 32) is the number of
+    trajectories per forward pass: the corpus is read lazily, ``batch_size``
+    trajectories at a time, and each group runs as one padded forward pass
+    (next_step, infill) or one K/V-cached decode (rollout), whose decode
+    steps run on [B] arrays.  Padding and batching change no bit, so every
+    report is independent of ``batch_size``; a larger value trades memory
+    (the [B, H, S, S] attention scores, the feed-forward activations and the
+    K/V cache) for fewer passes, each of whose per-op costs is then spread
+    over more trajectories.
     Passing the corpus's own ``dataset_norm`` asserts it matches the
     model's frame; a mismatch raises :class:`NormalizationMismatchError`.
     """

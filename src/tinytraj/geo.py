@@ -158,10 +158,16 @@ class Trajectory:
         return tuple(map(TrajPoint, self.lat.tolist(), self.lon.tolist(), self.t.tolist()))
 
     def head(self, n: int) -> "Trajectory":
-        """The first ``n`` fixes (``self`` when there are no more than ``n``)."""
+        """The first ``n`` fixes (``self`` when there are no more than ``n``),
+        as read-only views of this trajectory's columns: a prefix of checked
+        fixes needs no second check, only at least two fixes."""
         if n >= len(self):
             return self
-        return Trajectory.from_columns(self.id, self.lat[:n], self.lon[:n], self.t[:n])
+        if n < 2:
+            raise ValueError(f"trajectory {self.id!r} has {n} points, need >= 2")
+        traj = Trajectory.__new__(Trajectory)
+        traj.id, traj.lat, traj.lon, traj.t = self.id, self.lat[:n], self.lon[:n], self.t[:n]
+        return traj
 
     def __len__(self) -> int:
         return len(self.t)
@@ -416,26 +422,35 @@ def step_targets(traj: Trajectory, params: NormalizationParams, start: int = 0) 
 
 def featurize_next(
     traj_ids: Sequence[str],
-    index: Sequence[int],
-    fixes: Sequence[TrajPoint],
-    prev_t: Sequence[int],
+    index: np.ndarray,
+    lat: np.ndarray,
+    lon: np.ndarray,
+    t: np.ndarray,
+    prev_t: np.ndarray,
     params: NormalizationParams,
 ) -> np.ndarray:
-    """[B, 7] feature rows of one new fix per trajectory.
+    """[B, 7] feature rows of one new fix per trajectory, from [B] columns.
 
-    Row ``b`` is the row ``featurize`` gives ``fixes[b]`` at position
-    ``index[b]`` of trajectory ``traj_ids[b]`` whose previous fix is at time
-    ``prev_t[b]``, bit for bit.  Each fix first passes the trajectory check
-    (coordinate ranges, an integer time in [0, MAX_T) after ``prev_t[b]``);
-    ``ValueError`` names the trajectory and the index.
+    Row ``b`` is the row ``featurize`` gives the fix ``(lat[b], lon[b], t[b])``
+    at position ``index[b]`` of trajectory ``traj_ids[b]`` whose previous fix
+    is at time ``prev_t[b]``, bit for bit.  Each fix first passes the
+    trajectory check (coordinate ranges, an integer time in [0, MAX_T) after
+    ``prev_t[b]``); ``ValueError`` names the trajectory and the index.
     """
-    for traj_id, i, (lat, lon, t), before in zip(traj_ids, index, fixes, prev_t):
-        _check_fixes(traj_id, (lat,), (lon,), (t,), start=i, prev=before)
-    lat, lon, t = zip(*fixes)
-    t = np.array(t, dtype=np.int64)
+    lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
+    t, prev_t = np.asarray(t), np.asarray(prev_t)
+    if t.dtype.kind in "iu":
+        ok = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
+        ok &= (0 <= t) & (t < MAX_T) & (t > prev_t)
+    else:
+        ok = np.zeros(len(t), dtype=bool)
+    for b in np.flatnonzero(~ok):  # _check_fixes raises, naming what failed
+        at = slice(b, b + 1)
+        _check_fixes(
+            traj_ids[b], lat[at].tolist(), lon[at].tolist(), t[at].tolist(),
+            start=int(index[b]), prev=int(prev_t[b]),
+        )
     feats = np.empty((len(t), FEATURE_DIM), dtype=np.float64)
-    _fill_fix_features(
-        feats, np.array(lat, dtype=np.float64), np.array(lon, dtype=np.float64), t, params
-    )
-    feats[:, DT_FEATURE_INDEX] = (t - np.array(prev_t, dtype=np.int64)) / DT_DIVISOR_S
+    _fill_fix_features(feats, lat, lon, t, params)
+    feats[:, DT_FEATURE_INDEX] = (t - prev_t) / DT_DIVISOR_S
     return feats

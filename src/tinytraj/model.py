@@ -357,10 +357,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
 
     ``mask`` is an additive array broadcastable to the [..., S, S_keys] scores.
     """
-    hd = q.shape[-1]
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(hd))
+    c = 1.0 / math.sqrt(q.shape[-1])
+    product = ad.matmul(q, ad.transpose(k))
+    # scaled, then masked, in place: the fresh product is read by nothing else
+    scores = product.data
+    scores *= c
     if mask is not None:  # a constant: the gradient passes through unchanged
-        scores = ad.record_op((scores,), scores.data + mask, lambda g: (g,))
+        scores += mask
+    scores = ad.record_op((product,), scores, lambda g: (g * c,))
     return ad.matmul(ad.softmax_rows(scores), v)
 
 
@@ -388,9 +392,9 @@ def multi_head_attention(
     single = x.ndim == 2
     if single:
         x = ad.reshape(x, (1,) + x.shape)
-    q = ad.add_bias(ad.matmul(x, bp.wq), bp.bq)  # [B, S, d_model]
-    k = ad.add_bias(ad.matmul(x, bp.wk), bp.bk)
-    v = ad.add_bias(ad.matmul(x, bp.wv), bp.bv)
+    q = ad.linear(x, bp.wq, bp.bq)  # [B, S, d_model]
+    k = ad.linear(x, bp.wk, bp.bk)
+    v = ad.linear(x, bp.wv, bp.bv)
     qh, kh, vh = (_split_heads(t, cfg.n_heads) for t in (q, k, v))
     if cfg.rope_enabled:
         qh = apply_rope(qh, positions)
@@ -399,7 +403,7 @@ def multi_head_attention(
         kh, vh = _cache_write(kv[0], kh, positions), _cache_write(kv[1], vh, positions)
     heads = attention(qh, kh, vh, mask)  # [B, H, S, hd]
     merged = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), x.shape)
-    out = ad.add_bias(ad.matmul(merged, bp.wo), bp.bo)
+    out = ad.linear(merged, bp.wo, bp.bo)
     return ad.reshape(out, out.shape[1:]) if single else out
 
 
@@ -417,7 +421,7 @@ def transformer_block(
     )
     h = ad.add(x, attn)
     ff_in = ad.layer_norm(h, bp.ln2_gain, bp.ln2_bias)
-    ff = ad.add_bias(ad.matmul(ad.gelu(ad.add_bias(ad.matmul(ff_in, bp.w_ff1), bp.b_ff1)), bp.w_ff2), bp.b_ff2)
+    ff = ad.linear(ad.gelu(ad.linear(ff_in, bp.w_ff1, bp.b_ff1)), bp.w_ff2, bp.b_ff2)
     return ad.add(h, ff)
 
 
@@ -490,7 +494,7 @@ def forward_features(
         kv = None if cache is None else (cache.keys[i], cache.values[i])
         x = transformer_block(x, bp, cfg, mask, positions, kv)
     x = ad.layer_norm(x, params.ln_f_gain, params.ln_f_bias)
-    out = ad.add_bias(ad.matmul(x, params.w_out), params.b_out)
+    out = ad.linear(x, params.w_out, params.b_out)
     if cache is not None:
         cache.lengths += s_out if lengths is None else np.asarray(lengths, dtype=np.int64)
     return ad.reshape(out, out.shape[1:]) if single else out

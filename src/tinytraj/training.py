@@ -525,8 +525,7 @@ def autoencoder_rmse(
     ones = np.ones_like(y_fit)
 
     def reconstruct(x: Tensor) -> Tensor:
-        hidden = ad.gelu(ad.add_bias(ad.matmul(x, w1), b1))
-        return ad.add_bias(ad.matmul(hidden, w2), b2)
+        return ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
 
     for _ in range(steps):
         tape = ad.Tape()

@@ -238,6 +238,44 @@ def test_one_wide_bias_gradient_of_a_padded_batch_equals_single_passes(kernel, m
     np.testing.assert_array_equal(batched.view(np.int64), single.view(np.int64))
 
 
+@pytest.mark.parametrize("kernel", ["numpy", "native"])
+def test_linear_is_add_bias_of_matmul_bit_for_bit(kernel, monkeypatch):
+    # a ragged padded batch, wide-ranging values, and both the shared-weight
+    # and the 2-D form: the value and all three gradients, every bit
+    if kernel == "native" and ad.KERNEL != "native":
+        pytest.skip("no compiled kernel on this host")
+    monkeypatch.setattr(ad, "_ops", ad._NUMPY if kernel == "numpy" else ad._kernels())
+    rng = np.random.default_rng(23)
+    lengths, s, k, n = [7, 12, 3], 12, 9, 13
+    x = rng.normal(size=(3, s, k)) * 2.0 ** rng.integers(-20, 20, size=(3, s, k))
+    padded = np.arange(s) >= np.array(lengths)[:, None]
+    x[padded] = 0.0
+    weights = rng.normal(size=(3, s, n))
+    weights[padded] = 0.0  # padding passes zero gradient
+    w, bias = rng.normal(size=(k, n)), rng.normal(size=n) * 1e3
+
+    def run(op, xs, ws):
+        tape = ad.Tape()
+        ts = [tape.watch(ad.Tensor(a.copy(), requires_grad=True)) for a in (xs, w, bias)]
+        out = op(*ts)
+        ad.backward(ad.tensor_sum(ad.mul(out, ad.Tensor(ws))))
+        return [out.data] + [t.grad for t in ts]
+
+    def composed(xt, wt, bt):
+        return ad.add_bias(ad.matmul(xt, wt), bt)
+
+    for xs, ws in ((x, weights), (x[1], weights[1])):
+        got, expected = run(ad.linear, xs, ws), run(composed, xs, ws)
+        for g, e in zip(got, expected):
+            assert g.shape == e.shape
+            np.testing.assert_array_equal(g.view(np.int64), e.view(np.int64))
+
+
+def test_linear_rejects_a_bias_of_the_wrong_width():
+    with pytest.raises(ad.ShapeMismatchError):
+        ad.linear(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 4))), ad.Tensor(np.zeros(3)))
+
+
 def _minus_zero_rows(x):  # an all -0.0 row sums to -0.0, not to +0.0
     x = x.copy()
     x[..., 0, :] = -0.0
@@ -328,6 +366,8 @@ OP_CASES = [
     ("gelu", _loss(ad.gelu), [rand(4, 4)]),
     ("sin", _loss(ad.sin), [rand(3, 3)]),
     ("huber", _loss(lambda t: ad.huber(t, delta=0.9)), [rand(4, 4)]),
+    ("linear", _loss(ad.linear), [rand(3, 4), rand(4, 2), rand(2)]),
+    ("linear_shared_weight", _loss(ad.linear), [rand(2, 3, 4), rand(4, 2), rand(2)]),
 ]
 
 

@@ -1,8 +1,13 @@
 """End-to-end command-line tests: every subcommand, flag overrides, exit codes."""
 
-import json
 import hashlib
+import inspect
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +17,14 @@ import tinytraj.cli as cli
 import tinytraj.data as dt
 import tinytraj.evaluation as ev
 import tinytraj.geo as geo
+import tinytraj.masking as masking
 import tinytraj.training as tr
 
 from tinytraj.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE
 
 from test_training import CORRUPTIONS, _rewrite_header, _set
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(*argv):
@@ -665,3 +673,49 @@ class TestTopLevel:
         row = capsys.readouterr().out.strip().splitlines()[1].split(",")
         assert float(row[0]) >= 0.0  # ade_m
         assert int(row[4]) == 6  # n_traj
+
+
+def test_eval_flag_defaults_are_the_librarys():
+    parser = cli.build_parser()
+    args = parser.parse_args(["eval", "--ckpt", "c", "--data", "d"])
+    assert args.batch_size == ev.DEFAULT_BATCH_SIZE
+    assert args.mask_ratio == masking.DEFAULT_MASK_RATIO
+    defaults = inspect.signature(ev.evaluate).parameters
+    assert defaults["batch_size"].default == ev.DEFAULT_BATCH_SIZE
+    assert defaults["mask_ratio"].default == masking.DEFAULT_MASK_RATIO
+
+
+NO_SCIPY = """
+import json
+import sys
+from importlib.abc import MetaPathFinder
+
+
+class NoScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from tinytraj import cli, data, geo
+
+out, norm = sys.argv[1] + "/corpus.jsonl", sys.argv[1] + "/norm.json"
+assert cli.main(["synth", "--out", out, "--n-traj", "9", "--points", "7", "--seed", "2"]) == 0
+assert cli.main(["fit-norm", "--data", out, "--out", norm]) == 0
+with open(norm) as fh:
+    params = geo.NormalizationParams.from_dict(json.load(fh))
+batches = list(data.batchify(data.stream_jsonl(out), 4, 8, params))
+assert sum(b.features.shape[0] for b in batches) == 9
+assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
+"""
+
+
+def test_reading_and_batching_data_never_imports_scipy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -260,10 +260,10 @@ def test_rollout_featurizing_a_time_past_max_t_raises():
 def test_decoding_an_interval_too_long_for_a_float_fails_the_trajectory_check():
     # 1e308 is finite, but 1e308 * 60 s overflows
     norm = NormalizationParams(52.5, 13.4, 0.1, 0.1)
-    prev = TrajPoint(52.5, 13.4, 100)
-    point = ev._decode_step(prev, np.array([0.0, 0.0, 1e308]), norm)
-    with pytest.raises(ValueError, match="'big': timestamp .* outside"):
-        geo.featurize_next(["big"], [2], [point], [prev.t], norm)
+    prev = np.array([52.5]), np.array([13.4]), np.array([100])
+    point = ev._decode(*prev, np.array([[0.0, 0.0, 1e308]]), norm)
+    with pytest.raises(ValueError, match="'big': timestamp .* at index 2 outside"):
+        geo.featurize_next(["big"], [2], *point, prev[2], norm)
 
 
 @pytest.mark.parametrize("path", ["model", "predict_fn"])
@@ -387,17 +387,13 @@ def test_cached_batched_rollout_equals_full_recompute(name):
     assert len({e[2][-1] - traj.t[-1] for e, traj in zip(expected, trajs)}) > 1
     assert len({e[0][-1] - traj.lat[-1] for e, traj in zip(expected, trajs)}) > 1
     for batch_size in (1, 3, 8, 64):
-        got = []
-        for i in range(0, len(trajs), batch_size):
-            got += ev._rollout_batch(params, cfg, norm, trajs[i : i + batch_size], horizon, None)
-        for (lat, lon, t), suffix in zip(expected, got):
-            np.testing.assert_array_equal(
-                np.array([p.lat for p in suffix]).view(np.int64), lat.view(np.int64)
-            )
-            np.testing.assert_array_equal(
-                np.array([p.lon for p in suffix]).view(np.int64), lon.view(np.int64)
-            )
-            assert [p.t for p in suffix] == t.tolist()
+        batches = [
+            ev._rollout_batch(params, cfg, norm, trajs[i : i + batch_size], horizon, None)
+            for i in range(0, len(trajs), batch_size)
+        ]
+        got = [np.concatenate(column) for column in zip(*batches)]  # lat, lon, t: [B, horizon]
+        for column, want in zip(got, zip(*expected)):
+            np.testing.assert_array_equal(column.view(np.int64), np.stack(want).view(np.int64))
     single = rollout(params, cfg, norm, trajs[3], horizon)
     assert [p.t for p in single] == expected[3][2].tolist()
 
@@ -443,3 +439,54 @@ def test_evaluate_reads_the_corpus_batch_by_batch():
 
     evaluate(params, TINY, stream(), norm, "next_step", batch_size=3, predict_fn=predict)
     assert seen_before_predict == [3, 3, 3, 6, 6, 6, 7]
+
+
+def _decode_step(prev, pred_row, norm):
+    """The per-point decode the array step replaced, kept as its oracle."""
+    lat = prev.lat + float(pred_row[0]) * norm.scale_lat
+    lon = prev.lon + float(pred_row[1]) * norm.scale_lon
+    dt = max(1, round(min(float(pred_row[2]) * geo.DT_DIVISOR_S, geo.MAX_T)))
+    lat = min(90.0, max(-90.0, lat))
+    lon = min(180.0, max(-180.0, lon))
+    return TrajPoint(lat=lat, lon=lon, t=prev.t + dt)
+
+
+def test_array_decode_equals_the_per_point_decode():
+    norm = NormalizationParams(10.0, 20.0, 0.5, 2.0)
+    prev = [
+        TrajPoint(89.9, 179.5, 100),
+        TrajPoint(-89.9, -179.5, 200),
+        TrajPoint(0.0, 0.0, 300),
+        TrajPoint(45.0, -170.0, geo.MAX_T - 10),
+        TrajPoint(-0.0, 12.5, 7),
+    ]
+    preds = np.array([
+        [1.0, 2.0, 0.001],  # clipped at +90 and +180; a 0.06 s interval floors to 1 s
+        [-1.0, -2.0, -5.0],  # clipped at -90 and -180; a negative interval floors to 1 s
+        [0.25, -0.125, 2.5 / 60.0],  # an interval of 2.5 s rounds half to even: 2 s
+        [0.0, 0.0, 1e300],  # capped at MAX_T, past which the trajectory check rejects it
+        [1e-9, 3.0, 3.5 / 60.0],  # 3.5 s rounds to 4 s
+    ])
+    preds = np.concatenate([preds, [[0.1, 0.2, k + 0.5] for k in range(-3, 9)]])
+    preds[-12:, 2] /= geo.DT_DIVISOR_S  # intervals that end in .5 s, both parities
+    prev += [TrajPoint(1.0, 2.0, 1_000)] * 12
+    assert {float(x * geo.DT_DIVISOR_S) % 1 for x in preds[-12:, 2]} == {0.5}
+    columns = (np.array([p[i] for p in prev]) for i in range(3))
+    lat, lon, t = ev._decode(*columns, preds, norm)
+    expected = [_decode_step(p, row, norm) for p, row in zip(prev, preds)]
+    got = list(map(TrajPoint, lat.tolist(), lon.tolist(), t.tolist()))
+    assert [tuple(map(float.hex, p[:2])) + (p.t,) for p in got] == [
+        tuple(map(float.hex, p[:2])) + (p.t,) for p in expected
+    ]
+    assert t.dtype == np.int64 and got[3].t == geo.MAX_T - 10 + geo.MAX_T
+
+
+@pytest.mark.parametrize("mode", ["next_step", "infill", "rollout"])
+def test_evaluate_at_the_default_batch_equals_one_trajectory_per_pass(mode):
+    cfg = tm.ModelConfig(d_model=8, n_heads=2, n_blocks=2, max_seq=24)
+    params = random_params(cfg, seed=44)
+    trajs, norm = ragged_corpus([3 + (7 * i) % 20 for i in range(ev.DEFAULT_BATCH_SIZE + 5)])
+    assert ev.DEFAULT_BATCH_SIZE == 32
+    kw = dict(horizon=3, mask_ratio=0.3, seed=11)
+    single = evaluate(params, cfg, trajs, norm, mode, batch_size=1, **kw)
+    assert evaluate(params, cfg, trajs, norm, mode, **kw).to_json() == single.to_json()

@@ -107,6 +107,22 @@ def test_from_columns_shares_validation():
             geo.Trajectory.from_columns("bad", lat, lon, t)
 
 
+def test_head_is_a_read_only_prefix_checked_once():
+    traj = geo.Trajectory(id="h", points=[(50.0 + i / 8, 4.0 - i / 16, 10 * i) for i in range(34)])
+    for n in (2, 17, 32, 33):
+        head = traj.head(n)
+        assert head == geo.Trajectory.from_columns("h", traj.lat[:n], traj.lon[:n], traj.t[:n])
+        assert len(head) == n and head.t.dtype == np.int64
+        for column in (head.lat, head.lon, head.t):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+    assert traj.head(34) is traj and traj.head(99) is traj
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="need >= 2"):
+            traj.head(n)
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------

@@ -45,10 +45,13 @@ def native_kernel(symbol="tinytraj_bmm"):
 
 
 def _layout(draw, x):
-    # C order, transposed, or every other row of a twice-as-tall array
-    layout = draw(st.sampled_from(["c", "transposed", "sliced"]))
+    # C order, transposed, every other row of a twice-as-tall array, or (with a
+    # leading axis) heads split out of rows, as attention reads [B, S, H, hd]
+    layout = draw(st.sampled_from(["c", "transposed", "sliced", "heads"]))
     if layout == "transposed":
         return np.swapaxes(np.ascontiguousarray(np.swapaxes(x, -1, -2)), -1, -2)
+    if layout == "heads" and x.ndim >= 3:
+        return np.swapaxes(np.ascontiguousarray(np.swapaxes(x, -3, -2)), -3, -2)
     if layout == "sliced":
         tall = np.repeat(x, 2, axis=-2)
         tall[..., 1::2, :] = np.nan  # never read
@@ -117,6 +120,26 @@ def test_transposed_a_is_read_in_place():
         tracemalloc.stop()
     # the output, and far less than a's 800 KiB
     assert out.nbytes <= peak < out.nbytes + 64 * 1024
+
+
+def test_transposed_b_and_split_heads_are_read_in_place():
+    native = native_kernel()
+    rng = np.random.default_rng(5)
+    # q [B, H, S, hd] and k^T [B, H, hd, S] of [B, S, H, hd] projections
+    q, k = (rng.normal(size=(25, 32, 4, 8)).transpose(0, 2, 1, 3) for _ in range(2))
+    kt = np.swapaxes(k, -1, -2)
+    w = rng.normal(size=(128, 32))
+    g = rng.normal(size=(800, 32))
+    for a, b in ((q, kt), (g, w.T)):
+        native(a, b)
+        tracemalloc.start()
+        try:
+            out = native(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes <= peak < out.nbytes + 16 * 1024  # no copy of an operand
+        np.testing.assert_array_equal(bits(out), bits(ad._bmm_numpy(a, b)))
 
 
 def test_a_whose_strides_are_not_whole_elements_is_copied_first():
@@ -265,6 +288,9 @@ def assert_same_bits(got, expected):
         for g, e in zip(got, expected):
             assert_same_bits(g, e)
         return
+    if expected is None:  # a GELU cdf that was not kept
+        assert got is None
+        return
     assert got.shape == expected.shape
     np.testing.assert_array_equal(bits(got), bits(expected))
 
@@ -333,7 +359,11 @@ def seq_sums_args(draw):
 
 def _gelu_args(x):
     g = np.random.default_rng(6).normal(size=x.shape)
-    return g, x, 0.5 * (1.0 + ad.erf(x / ad._SQRT2))
+    with np.errstate(invalid="ignore"):  # inf * 0.0
+        return g, x, ad._gelu_numpy(x)[1]
+
+
+GELU_SPECIAL = np.array([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 40.0, -40.0])
 
 
 test_native_softmax_gives_the_numpy_bits = row_op_test(
@@ -370,7 +400,16 @@ test_native_gelu_vjp_gives_the_numpy_bits = row_op_test(
     "gelu_vjp",
     rows_like(3),
     _gelu_args(WIDE),
-    _gelu_args(np.array([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 40.0, -40.0])),
+    _gelu_args(GELU_SPECIAL),
+)
+# with its cdf kept for the VJP, and without (the output takes cdf's buffer)
+test_native_gelu_gives_the_numpy_bits = row_op_test(
+    "gelu",
+    st.tuples(rows_like(1).map(lambda x: x[0]), st.booleans()),
+    (WIDE, True),
+    (WIDE, False),
+    (GELU_SPECIAL, True),
+    (np.swapaxes(WIDE, 0, 1), False),  # a transposed x
 )
 
 
@@ -418,6 +457,13 @@ def _seq_sums_numpy_sum(g, w=None):  # numpy's sum: pairwise over one column
     return ad._fold((g if w is None else g * w).sum(axis=1))
 
 
+def _gelu_erfc(x, keep_cdf=True):  # the same function, rounded differently
+    from scipy.special import erfc
+
+    cdf = 0.5 * erfc(-x / ad._SQRT2)
+    return x * cdf, cdf if keep_cdf else None
+
+
 @pytest.mark.parametrize(
     "mutant",
     [
@@ -427,6 +473,7 @@ def _seq_sums_numpy_sum(g, w=None):  # numpy's sum: pairwise over one column
         {"seq_sums": _seq_sums_first_to_last},
         {"seq_sums": _seq_sums_from_first_position},
         {"seq_sums": _seq_sums_numpy_sum},
+        {"gelu": _gelu_erfc},
     ],
     ids=[
         "softmax_sum_from_plus_zero",
@@ -435,6 +482,7 @@ def _seq_sums_numpy_sum(g, w=None):  # numpy's sum: pairwise over one column
         "seq_sums_first_to_last",
         "seq_sums_from_first_position",
         "seq_sums_pairwise_one_column",
+        "gelu_erfc",
     ],
 )
 def test_self_check_catches_another_row_summation(mutant):
