@@ -24,8 +24,8 @@
  * axes (batch, heads), then row and column, so a transposed or sliced view
  * needs no copy.  A tile reads one scalar of a per row and term, and one row
  * of b per term; when b's columns are not adjacent (k^T, a transposed
- * weight) each product's b is first packed into a k x n buffer, which
- * moves values but rounds nothing.  out is C-contiguous.
+ * weight) each product's b is first packed into the caller's k x n buffer,
+ * which moves values but rounds nothing.  out is C-contiguous.
  *
  * Dispatch.  One tile body (DEFINE_BMM) is compiled twice: for the baseline
  * target, with 2-double vectors and MR = 2, and on x86-64 under
@@ -57,9 +57,9 @@ typedef double vec4 __attribute__((vector_size(32)));
 
 /* rows [i0, i1) by columns [j0, j1) of one product, one element at a time */
 static inline __attribute__((always_inline)) void
-scalar_block(const double *a, ptrdiff_t as_row, ptrdiff_t as_col, const double *b,
-             ptrdiff_t bs_row, ptrdiff_t bs_col, double *restrict out, ptrdiff_t k, ptrdiff_t n,
-             ptrdiff_t i0, ptrdiff_t i1, ptrdiff_t j0, ptrdiff_t j1)
+scalar_block(const double *a, ptrdiff_t as_row, ptrdiff_t as_col, const double *b, ptrdiff_t b_row,
+             double *restrict out, ptrdiff_t k, ptrdiff_t n, ptrdiff_t i0, ptrdiff_t i1,
+             ptrdiff_t j0, ptrdiff_t j1)
 {
     for (ptrdiff_t i = i0; i < i1; i++) {
         double *o = out + i * n;
@@ -67,9 +67,9 @@ scalar_block(const double *a, ptrdiff_t as_row, ptrdiff_t as_col, const double *
             o[j] = 0.0;
         for (ptrdiff_t p = 0; p < k; p++) {
             const double aip = a[i * as_row + p * as_col];
-            const double *bp = b + p * bs_row;
+            const double *bp = b + p * b_row;
             for (ptrdiff_t j = j0; j < j1; j++)
-                o[j] += aip * bp[j * bs_col];
+                o[j] += aip * bp[j];
         }
     }
 }
@@ -131,33 +131,27 @@ scalar_block(const double *a, ptrdiff_t as_row, ptrdiff_t as_col, const double *
             case 7: NAME##_tile(a, as_row, as_col, b, b_row, out, k, n, i0, n_tiles, 7); break;  \
             }                                                                                    \
         }                                                                                        \
-        scalar_block(a, as_row, as_col, b, b_row, 1, out, k, n, m_tiles, m, 0, n);               \
+        scalar_block(a, as_row, as_col, b, b_row, out, k, n, m_tiles, m, 0, n);               \
     }                                                                                            \
                                                                                                  \
     LINKAGE TARGET void NAME(const double *a, ptrdiff_t as0, ptrdiff_t as1, ptrdiff_t as_row,    \
                              ptrdiff_t as_col, const double *b, ptrdiff_t bs0, ptrdiff_t bs1,    \
-                             ptrdiff_t bs_row, ptrdiff_t bs_col, double *restrict out,           \
-                             ptrdiff_t l0, ptrdiff_t l1, ptrdiff_t m, ptrdiff_t k, ptrdiff_t n)  \
+                             ptrdiff_t bs_row, ptrdiff_t bs_col, double *restrict pack,          \
+                             double *restrict out, ptrdiff_t l0, ptrdiff_t l1, ptrdiff_t m,      \
+                             ptrdiff_t k, ptrdiff_t n)                                           \
     {                                                                                            \
-        /* b's columns not adjacent: pack each product's b, or read it element by element */     \
-        double *packed = NULL;                                                                   \
-        if (bs_col != 1 && k * n > 0)                                                            \
-            packed = __builtin_malloc(k * n * sizeof(double));                                   \
         for (ptrdiff_t i = 0; i < l0; i++)                                                       \
             for (ptrdiff_t j = 0; j < l1; j++, out += m * n) {                                   \
                 const double *ai = a + i * as0 + j * as1, *bi = b + i * bs0 + j * bs1;           \
-                if (bs_col == 1) {                                                               \
-                    NAME##_product(ai, as_row, as_col, bi, bs_row, out, m, k, n);                \
-                } else if (packed) {                                                             \
+                if (bs_col != 1) { /* b's columns are not adjacent: pack them */                 \
                     for (ptrdiff_t p = 0; p < k; p++)                                            \
                         for (ptrdiff_t c = 0; c < n; c++)                                        \
-                            packed[p * n + c] = bi[p * bs_row + c * bs_col];                     \
-                    NAME##_product(ai, as_row, as_col, packed, n, out, m, k, n);                 \
+                            pack[p * n + c] = bi[p * bs_row + c * bs_col];                       \
+                    NAME##_product(ai, as_row, as_col, pack, n, out, m, k, n);                   \
                 } else {                                                                         \
-                    scalar_block(ai, as_row, as_col, bi, bs_row, bs_col, out, k, n, 0, m, 0, n); \
+                    NAME##_product(ai, as_row, as_col, bi, bs_row, out, m, k, n);                \
                 }                                                                                \
             }                                                                                    \
-        __builtin_free(packed);                                                                  \
     }
 
 DEFINE_BMM(tinytraj_bmm_baseline, , , vec2, 2)
@@ -167,21 +161,23 @@ DEFINE_BMM(bmm_avx2, static, __attribute__((target("avx2"))), vec4, 4)
 #endif
 
 /* out = a @ b over [l0, l1, m, k] by [l0, l1, k, n] operands, each read
- * through its four element strides; out is C-contiguous */
+ * through its four element strides; pack holds k x n doubles when b's
+ * column stride is not 1 (and may be NULL otherwise); out is C-contiguous */
 void tinytraj_bmm(const double *a, ptrdiff_t as0, ptrdiff_t as1, ptrdiff_t as_row,
                   ptrdiff_t as_col, const double *b, ptrdiff_t bs0, ptrdiff_t bs1,
-                  ptrdiff_t bs_row, ptrdiff_t bs_col, double *restrict out, ptrdiff_t l0,
-                  ptrdiff_t l1, ptrdiff_t m, ptrdiff_t k, ptrdiff_t n)
+                  ptrdiff_t bs_row, ptrdiff_t bs_col, double *restrict pack, double *restrict out,
+                  ptrdiff_t l0, ptrdiff_t l1, ptrdiff_t m, ptrdiff_t k, ptrdiff_t n)
 {
 #if defined(__x86_64__)
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx2")) {
-        bmm_avx2(a, as0, as1, as_row, as_col, b, bs0, bs1, bs_row, bs_col, out, l0, l1, m, k, n);
+        bmm_avx2(a, as0, as1, as_row, as_col, b, bs0, bs1, bs_row, bs_col, pack, out, l0, l1, m,
+                 k, n);
         return;
     }
 #endif
-    tinytraj_bmm_baseline(a, as0, as1, as_row, as_col, b, bs0, bs1, bs_row, bs_col, out, l0, l1,
-                          m, k, n);
+    tinytraj_bmm_baseline(a, as0, as1, as_row, as_col, b, bs0, bs1, bs_row, bs_col, pack, out,
+                          l0, l1, m, k, n);
 }
 
 /* numpy's pairwise sum of TERM(i) for i in [0, n): under 8 terms in order;

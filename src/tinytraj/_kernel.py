@@ -14,8 +14,8 @@ compiler, it returns None and every op runs numpy.
 The C side reads both operands through their strides, over two leading axes
 (batch and heads) and the row and column, so the transposed operands of the
 backward pass, attention's split heads and ``kᵀ`` are not copied; a ``b``
-whose columns are not adjacent is packed into a ``k x n`` buffer inside the
-call, one product at a time.  ``tinytraj_bmm`` runs the AVX2 tile on CPUs
+whose columns are not adjacent is packed into a ``k x n`` buffer, one
+product at a time.  ``tinytraj_bmm`` runs the AVX2 tile on CPUs
 that have it and the baseline tile otherwise;
 ``native("tinytraj_bmm_baseline")`` gives the baseline on any CPU, for the
 tests.  The row ops check shapes and make every array C-contiguous float64
@@ -26,8 +26,10 @@ Per call on a shared 2-vCPU x86-64 host (best of 5; numpy body → compiled):
 softmax of causal ``[25, 4, 32, 32]`` scores 1.35–1.42 → 0.46–0.47 ms, its VJP
 0.56–0.62 → 0.17 ms; layer norm of ``[25, 32, 32]`` 0.25–0.27 → 0.09 ms, its
 ``dx`` 0.28–0.29 → 0.07 ms; the GELU VJP of ``[25, 32, 128]`` 1.33–1.50 →
-0.45–0.46 ms; the output head ``(800, 32) @ (32, 3)`` 93 → 39–41 µs with its
-narrow tile.
+0.45–0.46 ms, its forward 1.86 → 1.75 ms keeping ``cdf`` and 1.35 → 1.32 ms
+without (scipy's ``erf`` alone takes 1.23 ms; five numpy passes took 1.83
+ms); the output head ``(800, 32) @ (32, 3)`` 93 → 39–41 µs with its narrow
+tile.
 """
 
 from __future__ import annotations
@@ -121,9 +123,14 @@ def contraction(fn: Callable) -> Contraction:
             a, b = np.broadcast_to(a, lead + (m, k)), np.broadcast_to(b, lead + (k, n))
         a, a_strides = _four_axes(np.asarray(a, dtype=np.float64), lead)
         b, b_strides = _four_axes(np.asarray(b, dtype=np.float64), lead)
+        # where b's columns are not adjacent, the C side packs one product's b at a time here
+        pack = None if b_strides[3] == 1 else np.empty(k * n)
         out = np.empty(lead + (m, n), dtype=np.float64)
         l0, l1 = (1, 1, *a.shape[:-2])[-2:]
-        fn(a.ctypes.data, *a_strides, b.ctypes.data, *b_strides, out.ctypes.data, l0, l1, m, k, n)
+        fn(
+            a.ctypes.data, *a_strides, b.ctypes.data, *b_strides,
+            None if pack is None else pack.ctypes.data, out.ctypes.data, l0, l1, m, k, n,
+        )
         return out
 
     return bmm
@@ -229,11 +236,13 @@ def row_ops(lib: ctypes.CDLL) -> dict[str, Callable]:
 
     def gelu(x: np.ndarray, keep_cdf: bool = True):
         x = _c(x)
-        e = _erf_of_scaled(x)  # scipy's erf; the C pass writes cdf over it
-        y = np.empty_like(x) if keep_cdf else e
-        cdf = e.ctypes.data if keep_cdf else None
-        gelu_c(x.ctypes.data, e.ctypes.data, cdf, y.ctypes.data, e.size)
-        return y, e if keep_cdf else None
+        e = _erf_of_scaled(x)  # scipy's erf; the C pass writes cdf, or the output, over it
+        if not keep_cdf:
+            gelu_c(x.ctypes.data, e.ctypes.data, None, e.ctypes.data, e.size)
+            return e, None
+        y = np.empty_like(x)
+        gelu_c(x.ctypes.data, e.ctypes.data, e.ctypes.data, y.ctypes.data, e.size)
+        return y, e
 
     def gelu_vjp(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
         g, x, cdf = _c(g), _c(x), _c(cdf)
@@ -399,8 +408,8 @@ def native(bmm_symbol: str = "tinytraj_bmm") -> Ops:
     lib = ctypes.CDLL(str(compile_kernel()))
     bmm = getattr(lib, bmm_symbol)
     ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
-    # a and its four strides, b and its four strides, out, l0, l1, m, k, n
-    bmm.argtypes = [ptr, *[size] * 4, ptr, *[size] * 4, ptr, *[size] * 5]
+    # a and its four strides, b and its four strides, pack or NULL, out, l0, l1, m, k, n
+    bmm.argtypes = [ptr, *[size] * 4, ptr, *[size] * 4, ptr, ptr, *[size] * 5]
     bmm.restype = None
     return Ops(bmm=contraction(bmm), **row_ops(lib))
 

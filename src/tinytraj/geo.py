@@ -437,19 +437,11 @@ def featurize_next(
     trajectory check (coordinate ranges, an integer time in [0, MAX_T) after
     ``prev_t[b]``); ``ValueError`` names the trajectory and the index.
     """
+    columns = [np.asarray(c).tolist() for c in (index, lat, lon, t, prev_t)]
+    for traj_id, i, fix_lat, fix_lon, fix_t, before in zip(traj_ids, *columns):
+        _check_fixes(traj_id, (fix_lat,), (fix_lon,), (fix_t,), start=i, prev=before)
     lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
-    t, prev_t = np.asarray(t), np.asarray(prev_t)
-    if t.dtype.kind in "iu":
-        ok = (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
-        ok &= (0 <= t) & (t < MAX_T) & (t > prev_t)
-    else:
-        ok = np.zeros(len(t), dtype=bool)
-    for b in np.flatnonzero(~ok):  # _check_fixes raises, naming what failed
-        at = slice(b, b + 1)
-        _check_fixes(
-            traj_ids[b], lat[at].tolist(), lon[at].tolist(), t[at].tolist(),
-            start=int(index[b]), prev=int(prev_t[b]),
-        )
+    t, prev_t = np.asarray(t, dtype=np.int64), np.asarray(prev_t, dtype=np.int64)
     feats = np.empty((len(t), FEATURE_DIM), dtype=np.float64)
     _fill_fix_features(feats, lat, lon, t, params)
     feats[:, DT_FEATURE_INDEX] = (t - prev_t) / DT_DIVISOR_S
