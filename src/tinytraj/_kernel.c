@@ -131,7 +131,7 @@ scalar_block(const double *a, ptrdiff_t as_row, ptrdiff_t as_col, const double *
             case 7: NAME##_tile(a, as_row, as_col, b, b_row, out, k, n, i0, n_tiles, 7); break;  \
             }                                                                                    \
         }                                                                                        \
-        scalar_block(a, as_row, as_col, b, b_row, out, k, n, m_tiles, m, 0, n);               \
+        scalar_block(a, as_row, as_col, b, b_row, out, k, n, m_tiles, m, 0, n);                  \
     }                                                                                            \
                                                                                                  \
     LINKAGE TARGET void NAME(const double *a, ptrdiff_t as0, ptrdiff_t as1, ptrdiff_t as_row,    \
