@@ -156,33 +156,6 @@ class Tensor:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Small operator sugar; tensor-tensor only, except scalars for * and +.
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            if other.ndim == 1 and self.ndim >= 2 and self.shape[-1] == other.shape[0]:
-                return add_bias(self, other)
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _resolve_tape(inputs: Iterable[Tensor]) -> Tape | None:
     """Pick the single active tape among the inputs (None means untracked)."""
@@ -503,18 +476,9 @@ def _product(a: Tensor, b: Tensor, op: str) -> tuple[np.ndarray, Callable]:
         raise ShapeMismatchError(f"{op}: inner dimensions of {a.shape} and {b.shape} differ")
     ad, bd = a.data, b.data
     const_a, const_b = _is_constant(a), _is_constant(b)
-    if a.ndim == b.ndim:
+    if b.ndim > 2:
         if a.shape[:-2] != b.shape[:-2]:
             raise ShapeMismatchError(f"{op}: leading axes of {a.shape} and {b.shape} differ")
-        if a.ndim == 2:
-
-            def vjp_2d(g: np.ndarray):
-                return (
-                    None if const_a else _mm(g, bd.T),
-                    None if const_b else _mm(ad.T, g),
-                )
-
-            return _mm(ad, bd), vjp_2d
 
         def vjp_batched(g: np.ndarray):
             return (
@@ -523,14 +487,16 @@ def _product(a: Tensor, b: Tensor, op: str) -> tuple[np.ndarray, Callable]:
             )
 
         return _bmm(ad, bd), vjp_batched
-    if a.ndim != 3 or b.ndim != 2:
+    if a.ndim > 3:
         raise ShapeMismatchError(f"{op}: cannot multiply {a.shape} by {b.shape}")
     k, n = bd.shape
     rows = ad.reshape(-1, k)  # [B*S, k]: each row's product is row-local
+    seqs = ad.reshape(-1, *ad.shape[-2:])  # an [S, k] sequence is one [1, S, k]
 
     def vjp_shared(g: np.ndarray):
         da = None if const_a else _mm(g.reshape(-1, n), bd.T).reshape(ad.shape)
-        return da, None if const_b else _fold(_bmm(np.swapaxes(ad, 1, 2), g))
+        gs = g.reshape(seqs.shape[:-1] + (n,))
+        return da, None if const_b else _fold(_bmm(np.swapaxes(seqs, 1, 2), gs))
 
     return _mm(rows, bd).reshape(ad.shape[:-1] + (n,)), vjp_shared
 
@@ -538,11 +504,12 @@ def _product(a: Tensor, b: Tensor, op: str) -> tuple[np.ndarray, Callable]:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with deterministic, truncation-stable accumulation.
 
-    Three forms: ``[m, k] @ [k, n]``; ``[B, S, k] @ [k, n]``, a weight shared
-    by every sequence of a batch (its gradient is folded per sequence); and
-    ``[..., m, k] @ [..., k, n]`` with equal leading axes, one independent
-    product per leading index (attention heads).  The VJP skips the product
-    for a constant operand and returns None for it.
+    Two forms: ``[B, S, k] @ [k, n]``, a weight shared by every sequence of a
+    batch (its gradient is folded per sequence), of which ``[S, k] @ [k, n]``
+    is the one-sequence case; and ``[..., m, k] @ [..., k, n]`` with equal
+    leading axes, one independent product per leading index (attention
+    heads).  The VJP skips the product for a constant operand and returns
+    None for it.
     """
     return record_op((a, b), *_product(a, b, "matmul"))
 

@@ -171,6 +171,8 @@ def _cmd_fit_norm(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.s_max is not None and args.s_max < 2:
+        raise UsageError(f"--s-max must be >= 2, got {args.s_max}")
     model_cfg, train_cfg = _configs(args, "model", "train")
     train_cfg = train_cfg or tr.TrainConfig()
 
@@ -206,7 +208,7 @@ def _cmd_train(args) -> int:
             "--norm differs from the checkpoint's normalization parameters"
         )
 
-    s_max = args.s_max or model_cfg.max_seq * model_cfg.patch_len
+    s_max = model_cfg.max_seq * model_cfg.patch_len if args.s_max is None else args.s_max
     loader = dt.BatchLoader(_load_corpus_stream(args.data), train_cfg.batch_size, s_max, norm)
     val_loader = None
     if args.val_data:
@@ -296,7 +298,7 @@ def _cmd_rollout(args) -> int:
         wanted = f"trajectory {args.traj_id!r}" if args.traj_id else "any trajectory"
         raise DataError(f"{args.data}: {wanted} not found")
     prefix = chosen
-    if args.prefix_len:
+    if args.prefix_len is not None:
         if args.prefix_len < 2 or args.prefix_len > len(chosen):
             raise UsageError(
                 f"--prefix-len must lie in [2, {len(chosen)}], got {args.prefix_len}"
@@ -318,11 +320,13 @@ def _cmd_rollout(args) -> int:
 
 
 def _cmd_pretext_check(args) -> int:
-    trajs = list(_load_corpus_stream(args.data))
+    if args.steps < 1:
+        raise UsageError(f"--steps must be >= 1, got {args.steps}")
+    if args.max_traj is not None and args.max_traj < 1:
+        raise UsageError(f"--max-traj must be >= 1, got {args.max_traj}")
+    trajs = list(_load_corpus_stream(args.data))[: args.max_traj]
     if not trajs:
         raise DataError(f"{args.data}: empty corpus")
-    if args.max_traj:
-        trajs = trajs[: args.max_traj]
     norm = _read_norm(args.norm) if args.norm else geo.compute_center(trajs)
     seqs = [geo.featurize(t, norm).features for t in trajs]
     report = tr.pretext_autoencoder_check(

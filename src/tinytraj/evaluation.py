@@ -11,9 +11,12 @@ which matches the original points to within a few float ulps.
 The model path reads ``batch_size`` trajectories per forward pass: one
 padded pass for next-step and infill scoring, and for rollout a prefill of
 the padded prefixes followed by one K/V-cached decode step per generated
-point, decoded for the whole batch at once.  Padding, batching and the
-cache change no bit, so every report and every rollout point equals the
-per-trajectory full recompute.  A prediction
+point, decoded for the whole batch at once.  Each padded input is a
+:func:`~tinytraj.data.batchify` batch.  Padding, batching and the cache
+change no bit, so every report and every rollout point equals the
+per-trajectory full recompute.  Every mode hands its decoded points to one
+array scorer, whose running totals add in scoring order (trajectory by
+trajectory, position by position) from 0.0.  A prediction
 that is not finite once read in degrees and seconds, and a generated rollout
 point that fails the trajectory check (a time past ``MAX_T``, say), raise
 :class:`~tinytraj.training.NumericsError` naming its trajectory.
@@ -30,14 +33,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import masking
+from .data import batchify
 from .geo import (
     DT_DIVISOR_S,
-    FEATURE_DIM,
     MAX_T,
     NormalizationParams,
     TrajPoint,
     Trajectory,
-    featurize,
     featurize_next,
     step_targets,
 )
@@ -202,9 +204,7 @@ def _rollout_batch(
     if horizon == 0:
         return new
     # every position a prediction reads: the prefix and all but the last new point
-    feats = np.zeros((len(prefixes), n.max() + horizon - 1, FEATURE_DIM))
-    for b, prefix in enumerate(prefixes):
-        feats[b, : n[b]] = featurize(prefix, norm).features
+    feats = next(batchify(prefixes, len(prefixes), n.max() + horizon - 1, norm)).features
     if predict_fn is None:
         cache = KVCache(model_cfg, len(prefixes), feats.shape[1])
         prefill = forward_features(feats[:, : n.max()], params, model_cfg, lengths=n, cache=cache)
@@ -262,21 +262,31 @@ def rollout(
 
 
 class _Accumulator:
-    """Order-fixed metric reduction shared by all modes."""
+    """Order-fixed metric reduction shared by all modes: running totals, each
+    added in scoring order from 0.0.  (``sum()`` is compensated from Python
+    3.12 on, so it would round differently on different interpreters.)"""
 
     def __init__(self) -> None:
-        self.point_errs: list[float] = []
-        self.final_errs: list[float] = []
-        self.time_errs: list[float] = []
+        self.totals = [0.0, 0.0, 0.0]  # spatial, final spatial, interval errors
+        self.counts = [0, 0, 0]
         self.n_positions = 0
         self.n_traj = 0
+
+    def add(self, rows: np.ndarray, predicted: np.ndarray, true: np.ndarray, dt: np.ndarray):
+        """Score the decoded ``predicted`` and ``true`` [N, 2] (lat, lon) pairs
+        in row-major order, ``rows[i]`` being pair i's trajectory, whose last
+        pair is its final error; ``dt`` holds the interval errors in seconds."""
+        errs = list(map(haversine, predicted.tolist(), true.tolist()))
+        last = np.flatnonzero(np.diff(rows, append=-1)).tolist()  # each trajectory's last pair
+        for i, values in enumerate((errs, [errs[j] for j in last], dt.tolist())):
+            for value in values:
+                self.totals[i] += value
+            self.counts[i] += len(values)
 
     def report(self, objective: str) -> MetricsReport:
         if self.n_positions == 0:
             raise ValueError("evaluation scored no positions")
-        ade = sum(self.point_errs) / len(self.point_errs) if self.point_errs else 0.0
-        fde = sum(self.final_errs) / len(self.final_errs) if self.final_errs else 0.0
-        tmae = sum(self.time_errs) / len(self.time_errs) if self.time_errs else 0.0
+        ade, fde, tmae = (t / c if c else 0.0 for t, c in zip(self.totals, self.counts))
         return MetricsReport(
             ade_m=ade,
             fde_m=fde,
@@ -285,21 +295,6 @@ class _Accumulator:
             n_traj=self.n_traj,
             objective=objective,
         )
-
-
-def _spatial_error_m(
-    lat: float, lon: float, pred: np.ndarray, target: np.ndarray, norm: NormalizationParams
-) -> float:
-    """Distance between the predicted and true steps taken from (lat, lon)."""
-    p_hat = (
-        lat + float(pred[0]) * norm.scale_lat,
-        lon + float(pred[1]) * norm.scale_lon,
-    )
-    p_true = (
-        lat + float(target[0]) * norm.scale_lat,
-        lon + float(target[1]) * norm.scale_lon,
-    )
-    return haversine(p_hat, p_true)
 
 
 def _chunks(items: Iterable, size: int) -> Iterator[list]:
@@ -353,31 +348,27 @@ def _eval_masked(
         scored = [(traj, h) for traj, h in zip(chunk, hidden) if h.any()]
         if not scored:
             continue
-        seqs = [featurize(traj, norm) for traj, _ in scored]
-        lengths = [len(traj) for traj, _ in scored]
-        batch = np.zeros((len(scored), max(lengths), FEATURE_DIM))
-        spec = np.zeros(batch.shape[:2] + (2,), dtype=bool)
-        for b, (fs, (_, h)) in enumerate(zip(seqs, scored)):
-            batch[b, : lengths[b]], spec[b, : lengths[b] - 1] = fs.features, h
+        s = max(len(traj) for traj, _ in scored)
+        batch = next(batchify([traj for traj, _ in scored], len(scored), s, norm))
+        spec = np.zeros((len(scored), s, 2), dtype=bool)
+        start = np.zeros((len(scored), s, 2))  # each scored step's (lat, lon)
+        for b, (traj, h) in enumerate(scored):
+            spec[b, : len(h)] = h
+            start[b, : len(traj)] = np.column_stack((traj.lat, traj.lon))
+        features = batch.features
         if corrupt:
-            batch = masking.apply_mask(batch, masking.MaskSpec(spec), params.mask_emb).data
-        ids = [traj.id for traj, _ in scored]
-        preds = _predict(batch, lengths, ids, norm, params, model_cfg, predict_fn)
-        for (traj, h), fs, pred in zip(scored, seqs, preds):
-            lat, lon = traj.lat.tolist(), traj.lon.tolist()
-            last_spatial: float | None = None
-            for pos, (spatial, temporal) in enumerate(h.tolist()):
-                if spatial:
-                    err = _spatial_error_m(lat[pos], lon[pos], pred[pos], fs.targets[pos], norm)
-                    acc.point_errs.append(err)
-                    last_spatial = err
-                if temporal:
-                    acc.time_errs.append(
-                        DT_DIVISOR_S * abs(float(pred[pos, 2]) - float(fs.targets[pos, 2]))
-                    )
-            acc.n_positions += int(h.any(axis=1).sum())
-            if last_spatial is not None:
-                acc.final_errs.append(last_spatial)
+            features = masking.apply_mask(features, masking.MaskSpec(spec), params.mask_emb).data
+        preds = _predict(features, batch.lengths, batch.ids, norm, params, model_cfg, predict_fn)
+        rows, pos = np.nonzero(spec[..., 0])  # the spatial slots, row-major
+        at, scale = start[rows, pos], np.array([norm.scale_lat, norm.scale_lon])
+        temporal = spec[..., 1]
+        acc.add(
+            rows,
+            at + preds[rows, pos, :2] * scale,
+            at + batch.targets[rows, pos, :2] * scale,
+            DT_DIVISOR_S * np.abs(preds[temporal, 2] - batch.targets[temporal, 2]),
+        )
+        acc.n_positions += int(spec.any(axis=-1).sum())
 
 
 def _eval_rollout(
@@ -399,15 +390,14 @@ def _eval_rollout(
         for k in range(horizon):
             truth.append(_decode(*truth[-1], steps[:, k], norm))
         true_lat, true_lon, true_t = (np.stack(c[1:], axis=1) for c in zip(*truth))
-        predicted = np.stack([lat, lon], axis=-1).tolist()  # [B, horizon, 2]
-        true = np.stack([true_lat, true_lon], axis=-1).tolist()
-        for p, q, dt in zip(predicted, true, np.abs(t - true_t).tolist()):
-            errs = list(map(haversine, p, q))
-            acc.point_errs.extend(errs)
-            acc.final_errs.append(errs[-1])
-            acc.time_errs.extend(map(float, dt))
-            acc.n_positions += horizon
-            acc.n_traj += 1
+        acc.add(
+            np.repeat(np.arange(len(chunk)), horizon),
+            np.stack([lat.ravel(), lon.ravel()], axis=-1),
+            np.stack([true_lat.ravel(), true_lon.ravel()], axis=-1),
+            np.abs(t - true_t).ravel().astype(np.float64),
+        )
+        acc.n_positions += horizon * len(chunk)
+        acc.n_traj += len(chunk)
 
 
 def evaluate(

@@ -479,13 +479,11 @@ def forward_features(
         patch_len=cfg.patch_len,
         use_dt_feature=cfg.use_dt_feature,
         lengths=lengths,
-        positions=None if cache is None else positions,
+        positions=positions,
     )
-    if cache is not None:  # -inf on keys after each query's own position
-        keys = np.arange(positions.max() + 1)
-        mask = np.where(keys > positions[:, None, :, None], -np.inf, 0.0)
-    elif cfg.attention_mode == "causal":
-        mask = causal_mask(s_out)  # padding sits after every real position
+    if cfg.attention_mode == "causal":  # -inf on keys after each query's own position
+        keys = np.arange(positions.max() + 1)  # padding sits after every real position
+        mask = np.where(keys > positions[..., None, :, None], -np.inf, 0.0)
     elif lengths is None:
         mask = None
     else:

@@ -228,7 +228,12 @@ def init_adam_state(named: dict[str, Tensor]) -> AdamState:
 
 
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
-    return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    # the squared norms add in order from 0.0: sum() is compensated from
+    # Python 3.12 on, so it would round differently on different interpreters
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    return math.sqrt(total)
 
 
 def clip_gradients(
@@ -479,18 +484,21 @@ class PretextReport:
     pe_rmse: float
 
 
+PRETEXT_LR = 1e-2  # the probe's Adam learning rate
+PRETEXT_HOLDOUT = 0.2  # the share of points held out for the reported RMSE
+
+
 def autoencoder_rmse(
     points: np.ndarray,
     d_latent: int,
     *,
     steps: int = 1000,
-    lr: float = 1e-2,
     seed: int = 0,
-    holdout_fraction: float = 0.2,
     targets: np.ndarray | None = None,
 ) -> float:
     """Train project -> gelu -> reconstruct for ``steps`` full-batch Adam
-    updates; return RMSE on a held-out split.
+    updates at ``PRETEXT_LR``; return RMSE on the held-out ``PRETEXT_HOLDOUT``
+    share of the points.
 
     ``targets`` defaults to the inputs (an autoencoder); passing a
     different array turns it into a regression sanity probe.
@@ -507,17 +515,15 @@ def autoencoder_rmse(
     n, f = points.shape
     rng = np.random.default_rng([seed, 0])
     order = rng.permutation(n)
-    n_hold = max(1, int(round(holdout_fraction * n)))
+    n_hold = max(1, int(round(PRETEXT_HOLDOUT * n)))
     hold, fit = order[:n_hold], order[n_hold:]
-    if fit.size == 0:
-        raise ValueError("holdout fraction leaves no training points")
 
     w1 = Tensor(rng.normal(0.0, 0.02, (f, d_latent)), requires_grad=True)
     b1 = Tensor(np.zeros(d_latent), requires_grad=True)
     w2 = Tensor(rng.normal(0.0, 0.02, (d_latent, f)), requires_grad=True)
     b2 = Tensor(np.zeros(f), requires_grad=True)
     named = {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
-    cfg = TrainConfig(lr=lr, clip_norm=1e9)
+    cfg = TrainConfig(lr=PRETEXT_LR, clip_norm=1e9)
     state = init_adam_state(named)
 
     x_fit = Tensor(points[fit])
@@ -545,7 +551,6 @@ def pretext_autoencoder_check(
     d_latent: int = 64,
     *,
     steps: int = 1000,
-    lr: float = 1e-2,
     seed: int = 0,
 ) -> PretextReport:
     """Verify the feature encoding is invertible by a small autoencoder.
@@ -565,8 +570,8 @@ def pretext_autoencoder_check(
     with_pe = np.concatenate(
         [s + table[: s.shape[0]] for s in seqs], axis=0
     )
-    raw_rmse = autoencoder_rmse(raw, d_latent, steps=steps, lr=lr, seed=seed)
-    pe_rmse = autoencoder_rmse(with_pe, d_latent, steps=steps, lr=lr, seed=seed)
+    raw_rmse = autoencoder_rmse(raw, d_latent, steps=steps, seed=seed)
+    pe_rmse = autoencoder_rmse(with_pe, d_latent, steps=steps, seed=seed)
     return PretextReport(raw_rmse=raw_rmse, pe_rmse=pe_rmse)
 
 
@@ -711,8 +716,11 @@ def load_checkpoint(
     Every malformed header (not an object, missing keys, unknown, mistyped or
     invalid ``model_config`` or ``normalization`` fields, array shapes that
     are not lists of non-negative integers, an ``rng_state`` that is not an
-    object or whose ``next_epoch`` is not a non-negative integer) and every
-    non-finite payload value raises :class:`CorruptCheckpointError`.
+    object or whose ``next_epoch`` is not a non-negative integer, a
+    ``history`` that is not a list of objects holding every
+    ``HISTORY_COLUMNS`` key), every non-finite payload value and, when the
+    header sets ``adam_step``, Adam moments whose names or shapes differ from
+    the parameters' raise :class:`CorruptCheckpointError`.
     """
     raw = Path(path).read_bytes()
     prefix = len(CHECKPOINT_MAGIC) + 4 + 8
@@ -751,7 +759,12 @@ def load_checkpoint(
         next_epoch = rng_state.get("next_epoch", 0)
         if type(next_epoch) is not int or next_epoch < 0:
             raise ValueError(f"next_epoch {next_epoch!r} is not a count")
-        history = list(header.get("history") or [])
+        history = header.get("history") or []
+        if not isinstance(history, list):
+            raise TypeError(f"history {history!r} is not a list")
+        for row in history:
+            if not (isinstance(row, dict) and row.keys() >= set(HISTORY_COLUMNS)):
+                raise ValueError(f"history row {row!r} lacks a column of {HISTORY_COLUMNS}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpointError(
             f"{path}: malformed header ({type(exc).__name__}: {exc})"
@@ -782,16 +795,23 @@ def load_checkpoint(
             f"{path}: checkpoint was written for a different model configuration"
         )
 
-    params = {
-        n[len("params/") :]: a for n, a in arrays.items() if n.startswith("params/")
-    }
+    def group(tag: str) -> dict[str, np.ndarray]:
+        return {n[len(tag) + 1 :]: a for n, a in arrays.items() if n.startswith(tag + "/")}
+
+    params = group("params")
     adam = None
     if adam_step is not None:
-        adam = AdamState(
-            m={n[len("adam_m/") :]: a for n, a in arrays.items() if n.startswith("adam_m/")},
-            v={n[len("adam_v/") :]: a for n, a in arrays.items() if n.startswith("adam_v/")},
-            step=adam_step,
-        )
+        adam = AdamState(m=group("adam_m"), v=group("adam_v"), step=adam_step)
+        for tag, moments in (("adam_m", adam.m), ("adam_v", adam.v)):
+            for name in sorted(params.keys() | moments.keys()):
+                got, want = (
+                    f"shape {named[name].shape}" if name in named else "no array"
+                    for named in (moments, params)
+                )
+                if got != want:
+                    raise CorruptCheckpointError(
+                        f"{path}: {tag}/{name} ({got}) does not match params/{name} ({want})"
+                    )
     return Checkpoint(
         model_config=model_cfg,
         arrays=params,

@@ -271,6 +271,32 @@ def test_linear_is_add_bias_of_matmul_bit_for_bit(kernel, monkeypatch):
             np.testing.assert_array_equal(g.view(np.int64), e.view(np.int64))
 
 
+@pytest.mark.parametrize("op", ["matmul", "linear"])
+@pytest.mark.parametrize("kernel", ["numpy", "native"])
+def test_one_sequence_equals_a_batch_of_one_bit_for_bit(kernel, op, monkeypatch):
+    # [S, k] @ [k, n] is the one-sequence case of the shared-weight form:
+    # the value and every gradient equal those of the same op on [1, S, k]
+    if kernel == "native" and ad.KERNEL != "native":
+        pytest.skip("no compiled kernel on this host")
+    monkeypatch.setattr(ad, "_ops", ad._NUMPY if kernel == "numpy" else ad._kernels())
+    rng = np.random.default_rng(29)
+    s, k, n = 11, 9, 13
+    x = rng.normal(size=(s, k)) * 2.0 ** rng.integers(-20, 20, size=(s, k))
+    w, bias = rng.normal(size=(k, n)), rng.normal(size=n) * 1e3
+    weights = rng.normal(size=(s, n))
+
+    def run(xs, ws):
+        tape = ad.Tape()
+        ts = [tape.watch(ad.Tensor(a.copy(), requires_grad=True)) for a in (xs, w, bias)]
+        out = ad.linear(*ts) if op == "linear" else ad.matmul(*ts[:2])
+        ad.backward(ad.tensor_sum(ad.mul(out, ad.Tensor(ws))))
+        return [out.data] + [t.grad for t in ts]
+
+    for got, expected in zip(run(x, weights), run(x[None], weights[None])):
+        assert got.size == expected.size
+        np.testing.assert_array_equal(got.view(np.int64).ravel(), expected.view(np.int64).ravel())
+
+
 def test_linear_rejects_a_bias_of_the_wrong_width():
     with pytest.raises(ad.ShapeMismatchError):
         ad.linear(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 4))), ad.Tensor(np.zeros(3)))

@@ -248,6 +248,33 @@ class TestTrain:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "corruption",
+        [
+            "string_history",
+            "history_of_numbers",
+            "history_row_missing_columns",
+            "adam_moment_missing",
+            "adam_moment_misshaped",
+        ],
+    )
+    def test_resume_from_malformed_history_or_moments_is_data_error(
+        self, tmp_path, corpus, checkpoint, capsys, corruption
+    ):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(CORRUPTIONS[corruption](checkpoint.read_bytes()))
+        out = tmp_path / "out.ckpt"
+        assert run("train", "--data", corpus, "--out", out, "--resume", bad) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("s_max", [0, 1, -4])
+    def test_s_max_below_two_is_usage_error(self, tmp_path, corpus, capsys, s_max):
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--data", corpus, "--out", out, "--s-max", s_max) == EXIT_USAGE
+        assert "--s-max" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_skips_timestamps_past_year_9999(
         self, tmp_path, checkpoint, late_corpus, model_config
     ):
@@ -568,6 +595,13 @@ class TestRollout:
         )
         assert code == EXIT_USAGE
 
+    def test_prefix_len_zero_is_usage_error(self, corpus, checkpoint, capsys):
+        code = run(
+            "rollout", "--ckpt", checkpoint, "--data", corpus, "--prefix-len", 0
+        )
+        assert code == EXIT_USAGE
+        assert "--prefix-len" in capsys.readouterr().err
+
     def test_oversized_horizon_is_usage_error(self, corpus, checkpoint):
         code = run(
             "rollout", "--ckpt", checkpoint, "--data", corpus, "--horizon", 1000
@@ -637,6 +671,14 @@ class TestPretextCheck:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         assert run("pretext-check", "--data", empty) == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "flags", [("--max-traj", 0), ("--max-traj", -7), ("--steps", 0), ("--steps", -1)]
+    )
+    def test_flag_out_of_range_is_usage_error(self, corpus, capsys, flags):
+        assert run("pretext-check", "--data", corpus, "--d-latent", 8, *flags) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert flags[0] in captured.err and captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tinytraj import evaluation as ev, geo, model as tm, training as tr
+from tinytraj import evaluation as ev, geo, masking, model as tm, training as tr
 from tinytraj.data import BatchLoader, SyntheticConfig, generate_synthetic
 from tinytraj.evaluation import (
     CSV_COLUMNS,
@@ -490,3 +490,83 @@ def test_evaluate_at_the_default_batch_equals_one_trajectory_per_pass(mode):
     kw = dict(horizon=3, mask_ratio=0.3, seed=11)
     single = evaluate(params, cfg, trajs, norm, mode, batch_size=1, **kw)
     assert evaluate(params, cfg, trajs, norm, mode, **kw).to_json() == single.to_json()
+
+
+def _masked_reference(params, cfg, norm, trajs, hidden):
+    """The per-position scorer the array scorer replaced, kept as its oracle:
+    one trajectory per forward pass, Python floats, sums in scoring order."""
+    spatial, final, interval, n_positions = [], [], [], 0
+    for traj, h in zip(trajs, hidden):
+        if not h.any():
+            continue
+        fs = geo.featurize(traj, norm)
+        x = masking.apply_mask(fs.features, masking.MaskSpec(h), params.mask_emb)
+        pred = tm.forward_features(x, params, cfg).data
+        lat, lon = traj.lat.tolist(), traj.lon.tolist()
+        last = None
+        for pos, (hide_spatial, hide_temporal) in enumerate(h.tolist()):
+            if hide_spatial:
+                p_hat = (
+                    lat[pos] + float(pred[pos, 0]) * norm.scale_lat,
+                    lon[pos] + float(pred[pos, 1]) * norm.scale_lon,
+                )
+                p_true = (
+                    lat[pos] + float(fs.targets[pos, 0]) * norm.scale_lat,
+                    lon[pos] + float(fs.targets[pos, 1]) * norm.scale_lon,
+                )
+                last = haversine(p_hat, p_true)
+                spatial.append(last)
+            if hide_temporal:
+                err = float(pred[pos, 2]) - float(fs.targets[pos, 2])
+                interval.append(geo.DT_DIVISOR_S * abs(err))
+        n_positions += int(h.any(axis=1).sum())
+        if last is not None:
+            final.append(last)
+
+    def mean(values):
+        total = 0.0
+        for value in values:
+            total += value
+        return total / len(values) if values else 0.0
+
+    return MetricsReport(
+        mean(spatial), mean(final), mean(interval), n_positions, len(trajs), "infill"
+    )
+
+
+def test_masked_scoring_equals_the_per_position_reference():
+    # one trajectory hides only temporal slots (no FDE term) and one hides
+    # nothing (never forwarded); the others hide a mix
+    cfg = tm.ModelConfig(d_model=8, n_heads=2, n_blocks=2, max_seq=24)
+    params = random_params(cfg, seed=45)
+    trajs, norm = ragged_corpus([7, 12, 5, 9, 15])
+    rng = np.random.default_rng(46)
+    hidden = [rng.random((len(traj) - 1, 2)) < 0.4 for traj in trajs]
+    hidden[1][:] = False
+    hidden[1][[2, 5, 10], 1] = True
+    hidden[2][:] = False
+    assert hidden[0][:, 0].any() and hidden[3][:, 0].any() and hidden[4][:, 0].any()
+    expected = _masked_reference(params, cfg, norm, trajs, hidden).to_json()
+    forwarded = []
+
+    def recording_forward(features, traj_id):
+        forwarded.append(traj_id)
+        return tm.forward_features(features, params, cfg).data
+
+    for batch_size, predict_fn in ((1, None), (2, None), (8, None), (8, recording_forward)):
+        acc = ev._Accumulator()
+        ev._eval_masked(
+            trajs, norm, params, cfg, predict_fn, batch_size, acc,
+            lambda idx, n: hidden[idx], True,
+        )
+        assert acc.report("infill").to_json() == expected
+    assert forwarded == ["r0", "r1", "r3", "r4"]
+
+
+def test_report_adds_in_order_from_zero():
+    # sum() on Python 3.12 and later gives 1e16 + 2 here; adding in order gives 1e16
+    acc = ev._Accumulator()
+    no_pairs = np.zeros((0, 2))
+    acc.add(np.zeros(0, dtype=np.int64), no_pairs, no_pairs, np.array([1e16, 1.0, 1.0]))
+    acc.n_positions = acc.n_traj = 1
+    assert acc.report("rollout").time_mae_s == 1e16 / 3

@@ -181,6 +181,12 @@ def test_clip_preserves_direction():
     assert abs(cos - 1.0) < 1e-12
 
 
+def test_grad_norm_adds_squares_in_order_from_zero():
+    # squared norms 1e16, 1, 1: sum() on Python 3.12 and later gives 1e16 + 2
+    grads = {"a": np.array([1e8]), "b": np.array([1.0]), "c": np.array([1.0])}
+    assert tr.global_grad_norm(grads) == 1e8
+
+
 def test_clip_validates_norm():
     with pytest.raises(ValueError):
         clip_gradients({}, 0.0)
@@ -673,6 +679,17 @@ def _float_shape(header):
     return header
 
 
+def _edit_entry(name, change):
+    """A header edit that applies ``change`` to the manifest entry of ``name``."""
+
+    def edit(header):
+        (entry,) = [e for e in header["arrays"] if e["name"] == name]
+        change(entry)
+        return header
+
+    return edit
+
+
 # each yields a checkpoint that must load as CorruptCheckpointError
 CORRUPTIONS = {
     "missing_arrays": lambda blob: _rewrite_header(blob, _drop_arrays),
@@ -692,6 +709,18 @@ CORRUPTIONS = {
     "infinite_adam_step": lambda blob: _rewrite_header(blob, _set(("adam_step",), float("inf"))),
     "float_shape": lambda blob: _rewrite_header(blob, _float_shape),
     "bad_next_epoch": lambda blob: _rewrite_header(blob, _set(("rng_state", "next_epoch"), "x")),
+    "string_history": lambda blob: _rewrite_header(blob, _set(("history",), "abc")),
+    "history_of_numbers": lambda blob: _rewrite_header(blob, _set(("history",), [1, 2])),
+    "history_row_missing_columns": lambda blob: _rewrite_header(
+        blob, _set(("history",), [{"epoch": 0}])
+    ),
+    # the moment's bytes stay in the payload, filed under a name no group reads
+    "adam_moment_missing": lambda blob: _rewrite_header(
+        blob, _edit_entry("adam_m/blocks.0.b_ff1", lambda e: e.update(name="stray/b_ff1"))
+    ),
+    "adam_moment_misshaped": lambda blob: _rewrite_header(
+        blob, _edit_entry("adam_v/blocks.0.b_ff1", lambda e: e.update(shape=[1, *e["shape"]]))
+    ),
 }
 
 
