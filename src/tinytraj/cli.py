@@ -215,7 +215,7 @@ def _cmd_train(args) -> int:
         val_loader = dt.BatchLoader(
             _load_corpus_stream(args.val_data), train_cfg.batch_size, s_max, norm
         )
-    elif args.val_fraction:
+    elif args.val_fraction is not None:
         train_split, val_split = dt.split(
             _load_corpus_stream(args.data), args.val_fraction, train_cfg.seed
         )

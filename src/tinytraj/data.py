@@ -3,7 +3,11 @@
 Provides a deterministic synthetic-trajectory generator, streaming JSONL
 input/output (one trajectory per line, constant memory in corpus size),
 padding batchification, and hash-based train/validation splitting. Everything
-works on trajectory columns; no per-point objects are built on the way from a
+works on columns: the reader parses a fixed number of lines at a time into
+one set of ``lat``/``lon``/``t`` columns, checks them in one vectorized pass
+and yields trajectories over read-only views of them; a batch is featurized
+in one pass over its trajectories' concatenated columns and scattered into
+its padded arrays at once. No per-point objects are built on the way from a
 JSONL line to a batch, and batches are prepared inline on the caller's thread.
 
 JSONL record schema: ``{"id": <string>, "points": [[lat, lon, t], ...]}``,
@@ -15,6 +19,7 @@ a warning.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
@@ -174,12 +179,127 @@ def write_jsonl(trajs: Iterable[Trajectory], path: str | Path) -> int:
     return n
 
 
+# lines read, parsed and checked as one set of columns: half of a batch of
+# 32, so that each such batch parses about as many lines as the next
+_CHUNK_LINES = 16
+# what a malformed line raises on the per-line path
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+
+
+def _parse_line(line: bytes) -> Trajectory | Exception:
+    """The per-line path: the trajectory of one line, or what makes it malformed."""
+    try:
+        return trajectory_from_record(json.loads(line.decode("utf-8")))
+    except _MALFORMED as exc:
+        return exc
+
+
+def _plain_columns(line: bytes) -> tuple | None:
+    """``(id, lats, lons, ts)`` of a line in the plain shape (an object with a
+    string id and a list of at least two ``[lat, lon, t]`` lists), else None."""
+    try:
+        rec = json.loads(line.decode("utf-8"))
+    except _MALFORMED:
+        return None
+    if type(rec) is not dict:
+        return None
+    traj_id, points = rec.get("id"), rec.get("points")
+    if type(traj_id) is not str or type(points) is not list or len(points) < 2:
+        return None
+    if set(map(type, points)) != {list}:
+        return None
+    try:
+        lat, lon, t = zip(*points, strict=True)
+    except ValueError:  # points of unequal length, or not of three values
+        return None
+    return traj_id, lat, lon, t
+
+
+def _number_columns(lat: list, lon: list, t: list) -> tuple | None:
+    """float64, float64 and int64 arrays of the values, or None unless every
+    coordinate is a float or an int and every time an int (never a bool),
+    each within its array type."""
+    if not (set(map(type, lat)) | set(map(type, lon)) <= {float, int} and set(map(type, t)) <= {int}):
+        return None
+    try:
+        return np.array(lat, np.float64), np.array(lon, np.float64), np.array(t, np.int64)
+    except OverflowError:  # an int past float64 or int64
+        return None
+
+
+def _accepted(ids: list, counts: list, lat: list, lon: list, t: list) -> list:
+    """The chunk check over the flat columns of records of ``counts`` fixes.
+
+    One entry per record: a trajectory over read-only views of the chunk's
+    columns where every fix is in range and time strictly increases, else
+    None.  It accepts only what ``geo.Trajectory`` accepts, with the same
+    column bits; None sends a record to the per-line path and its message.
+    """
+    columns = _number_columns(lat, lon, t)
+    if columns is None:
+        if len(ids) == 1:
+            return [None]
+        # a value of another kind: each record is checked on its own
+        out, a = [], 0
+        for traj_id, n in zip(ids, counts):
+            out += _accepted([traj_id], [n], lat[a : a + n], lon[a : a + n], t[a : a + n])
+            a += n
+        return out
+    lat, lon, t = columns
+    for col in columns:
+        col.setflags(write=False)
+    counts = np.array(counts)
+    starts = np.cumsum(counts) - counts
+    ok = (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
+    ok &= (t >= 0) & (t < geo.MAX_T)
+    rises = np.empty_like(ok)
+    rises[1:] = t[1:] > t[:-1]
+    rises[starts] = True  # a record's first fix follows no fix of its own
+    good = np.logical_and.reduceat(ok & rises, starts).tolist()
+    return [
+        Trajectory._checked(traj_id, lat[a:b], lon[a:b], t[a:b]) if keep else None
+        for traj_id, a, b, keep in zip(ids, starts.tolist(), (starts + counts).tolist(), good)
+    ]
+
+
+def _read_chunk(lines: list[bytes], first: int) -> Iterator[tuple[int, Trajectory | Exception]]:
+    """``(line number, trajectory or error)`` of each non-blank line, in order.
+
+    Plain-shaped records become flat columns as they are parsed, and the
+    parsed records are dropped; the chunk check then runs once.  Every line
+    it does not accept takes the per-line path.
+    """
+    ids, counts, lat, lon, t = [], [], [], [], []
+    pending = []  # (line number, line, index of its record or None)
+    for lineno, line in enumerate(lines, first):
+        if not line.strip():
+            continue
+        plain = _plain_columns(line)
+        if plain is None:
+            pending.append((lineno, line, None))
+            continue
+        pending.append((lineno, line, len(ids)))
+        ids.append(plain[0])
+        counts.append(len(plain[3]))
+        lat += plain[1]
+        lon += plain[2]
+        t += plain[3]
+    accepted = _accepted(ids, counts, lat, lon, t) if ids else []
+    for lineno, line, index in pending:
+        traj = None if index is None else accepted[index]
+        yield lineno, _parse_line(line) if traj is None else traj
+
+
 class JsonlTrajectoryReader:
     """Re-iterable, line-streaming reader over a JSONL trajectory file.
 
-    Each ``__iter__`` re-opens the file and yields trajectories one at a
-    time, so memory stays constant in corpus size. Malformed lines are
-    skipped with a :class:`MalformedLineWarning` naming the line number;
+    Each ``__iter__`` re-opens the file and reads it in chunks of a fixed
+    number of lines, so memory stays constant in corpus size.  A chunk's
+    records are parsed into one set of ``lat``/``lon``/``t`` columns and
+    checked in one vectorized pass; the trajectories it yields are read-only
+    views of those columns.  A line the chunk check does not accept goes
+    through :func:`trajectory_from_record`, so malformed lines are skipped
+    with the same :class:`MalformedLineWarning` naming the line number;
     ``skipped`` holds the running count for the current/most recent pass.
     """
 
@@ -194,21 +314,20 @@ class JsonlTrajectoryReader:
         # bytes are decoded line by line, so one undecodable line is skipped
         # like any other malformed line instead of ending the pass
         with open(self.path, "rb") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    traj = trajectory_from_record(json.loads(line.decode("utf-8")))
-                except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            first = 1
+            while lines := list(itertools.islice(fh, _CHUNK_LINES)):
+                for lineno, item in _read_chunk(lines, first):
+                    if isinstance(item, Trajectory):
+                        yield item
+                        continue
                     self.skipped += 1
                     warnings.warn(
                         f"{self.path}:{lineno}: skipping malformed trajectory "
-                        f"({exc})",
+                        f"({item})",
                         MalformedLineWarning,
                         stacklevel=2,
                     )
-                    continue
-                yield traj
+                first += len(lines)
 
 
 def stream_jsonl(path: str | Path) -> JsonlTrajectoryReader:
@@ -249,15 +368,15 @@ class Batch:
             )
         if len(self.ids) != b or len(self.lengths) != b:
             raise ValueError("ids/lengths must have one entry per batch row")
-        for row, length in enumerate(self.lengths):
-            if length < 2:
-                raise ValueError(f"batch row {row} has {length} valid positions; "
+        lengths = np.array(self.lengths).reshape(b)
+        short = lengths < 2
+        bad = short | (self.pad_mask != (np.arange(s) < lengths[:, None])).any(axis=1)
+        if bad.any():
+            row = int(bad.argmax())
+            if short[row]:
+                raise ValueError(f"batch row {row} has {self.lengths[row]} valid positions; "
                                  f"need at least 2")
-            expected = np.arange(s) < length
-            if not np.array_equal(self.pad_mask[row], expected):
-                raise ValueError(
-                    f"batch row {row}: padding must be a contiguous suffix"
-                )
+            raise ValueError(f"batch row {row}: padding must be a contiguous suffix")
 
     @property
     def batch_size(self) -> int:
@@ -268,24 +387,28 @@ class Batch:
         return self.features.shape[1]
 
 
-def _pack(seqs: list[geo.FeatureSequence], s_max: int) -> Batch:
-    b = len(seqs)
-    features = np.zeros((b, s_max, geo.FEATURE_DIM), dtype=np.float64)
-    targets = np.zeros((b, s_max, TARGET_DIM), dtype=np.float64)
-    pad_mask = np.zeros((b, s_max), dtype=bool)
-    lengths = []
-    for row, fs in enumerate(seqs):
-        n = len(fs)
-        features[row, :n] = fs.features
-        targets[row, :n] = fs.targets
-        pad_mask[row, :n] = True
-        lengths.append(n)
+def _stack(heads: list[Trajectory], s_max: int, params: NormalizationParams) -> Batch:
+    # one featurize pass over the batch's columns, then one scatter per array:
+    # a row's valid slots, in order, are its trajectory's rows
+    lengths = np.array([len(traj) for traj in heads])
+    feats, targets = geo.featurize_columns(
+        np.concatenate([traj.lat for traj in heads]),
+        np.concatenate([traj.lon for traj in heads]),
+        np.concatenate([traj.t for traj in heads]),
+        lengths,
+        params,
+    )
+    pad_mask = np.arange(s_max) < lengths[:, None]
+    features = np.zeros((len(heads), s_max, geo.FEATURE_DIM), dtype=np.float64)
+    features[pad_mask] = feats
+    padded_targets = np.zeros((len(heads), s_max, TARGET_DIM), dtype=np.float64)
+    padded_targets[pad_mask] = targets
     return Batch(
         features=features,
-        targets=targets,
+        targets=padded_targets,
         pad_mask=pad_mask,
-        ids=tuple(fs.traj_id for fs in seqs),
-        lengths=tuple(lengths),
+        ids=tuple(traj.id for traj in heads),
+        lengths=tuple(lengths.tolist()),
     )
 
 
@@ -298,7 +421,8 @@ def batchify(
     """Featurize, truncate to ``s_max``, pad, and group into batches.
 
     Full batches stream out as they fill; a partial final batch is emitted
-    rather than dropped.
+    rather than dropped.  Each batch is featurized in one pass over its
+    trajectories' concatenated columns.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -306,14 +430,14 @@ def batchify(
         raise ValueError(f"s_max must be >= 2, got {s_max}")
 
     def gen() -> Iterator[Batch]:
-        buf: list[geo.FeatureSequence] = []
+        buf: list[Trajectory] = []
         for traj in trajs:
-            buf.append(geo.featurize(traj.head(s_max), params))
+            buf.append(traj.head(s_max))
             if len(buf) == batch_size:
-                yield _pack(buf, s_max)
+                yield _stack(buf, s_max, params)
                 buf = []
         if buf:
-            yield _pack(buf, s_max)
+            yield _stack(buf, s_max, params)
 
     return gen()
 

@@ -39,6 +39,7 @@ __all__ = [
     "delta_decode",
     "denormalize",
     "featurize",
+    "featurize_columns",
     "featurize_next",
     "normalize",
     "step_targets",
@@ -165,8 +166,14 @@ class Trajectory:
             return self
         if n < 2:
             raise ValueError(f"trajectory {self.id!r} has {n} points, need >= 2")
-        traj = Trajectory.__new__(Trajectory)
-        traj.id, traj.lat, traj.lon, traj.t = self.id, self.lat[:n], self.lon[:n], self.t[:n]
+        return Trajectory._checked(self.id, self.lat[:n], self.lon[:n], self.t[:n])
+
+    @classmethod
+    def _checked(cls, id: str, lat: np.ndarray, lon: np.ndarray, t: np.ndarray) -> "Trajectory":
+        """A trajectory over read-only float64/float64/int64 columns (no copy)
+        that hold at least two fixes which already passed the check."""
+        traj = cls.__new__(cls)
+        traj.id, traj.lat, traj.lon, traj.t = id, lat, lon, t
         return traj
 
     def __len__(self) -> int:
@@ -392,6 +399,37 @@ def _fill_steps(out, lat, lon, t, params: NormalizationParams) -> None:
     out[:, 2] = (t[1:] - t[:-1]) / DT_DIVISOR_S
 
 
+def featurize_columns(
+    lat: np.ndarray,
+    lon: np.ndarray,
+    t: np.ndarray,
+    lengths: Sequence[int],
+    params: NormalizationParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """[N, 7] features and [N, 3] targets of trajectories laid end to end.
+
+    ``lat``, ``lon`` and ``t`` hold consecutive segments of ``lengths`` fixes
+    each (every length at least 1).  The rows of a segment are the rows
+    ``featurize`` gives that segment alone, bit for bit: the columns are
+    filled over all rows at once, then each segment's first dt feature and
+    last target row, which would reach across a segment boundary, are zeroed.
+    """
+    lengths = np.asarray(lengths)
+    n = len(t)
+    if len(lat) != n or len(lon) != n or lengths.sum() != n or (lengths < 1).any():
+        raise ValueError(f"segments of lengths {lengths.tolist()} do not tile "
+                         f"columns of {len(lat)}, {len(lon)} and {n} rows")
+    ends = np.cumsum(lengths) - 1
+    targets = np.empty((n, 3), dtype=np.float64)
+    _fill_steps(targets[:-1], lat, lon, t, params)
+    feats = np.empty((n, FEATURE_DIM), dtype=np.float64)
+    _fill_fix_features(feats, lat, lon, t, params)
+    feats[1:, DT_FEATURE_INDEX] = targets[:-1, 2]
+    feats[ends + 1 - lengths, DT_FEATURE_INDEX] = 0.0
+    targets[ends] = 0.0
+    return feats, targets
+
+
 def featurize(traj: Trajectory, params: NormalizationParams) -> FeatureSequence:
     """Build the [S, 7] model input matrix and [S, 3] normalized delta targets.
 
@@ -400,13 +438,7 @@ def featurize(traj: Trajectory, params: NormalizationParams) -> FeatureSequence:
     the same way positions are (spatial deltas by the axis scales, dt by 60 s).
     Every feature row depends only on its fix and the one before it.
     """
-    s = len(traj)
-    targets = np.zeros((s, 3), dtype=np.float64)
-    _fill_steps(targets[:-1], traj.lat, traj.lon, traj.t, params)
-    feats = np.empty((s, FEATURE_DIM), dtype=np.float64)
-    _fill_fix_features(feats, traj.lat, traj.lon, traj.t, params)
-    feats[0, DT_FEATURE_INDEX] = 0.0
-    feats[1:, DT_FEATURE_INDEX] = targets[:-1, 2]
+    feats, targets = featurize_columns(traj.lat, traj.lon, traj.t, (len(traj),), params)
     return FeatureSequence(traj_id=traj.id, features=feats, targets=targets)
 
 

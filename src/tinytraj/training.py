@@ -718,7 +718,9 @@ def load_checkpoint(
     are not lists of non-negative integers, an ``rng_state`` that is not an
     object or whose ``next_epoch`` is not a non-negative integer, a
     ``history`` that is not a list of objects holding every
-    ``HISTORY_COLUMNS`` key), every non-finite payload value and, when the
+    ``HISTORY_COLUMNS`` key with a non-negative integer ``epoch``, a
+    ``split`` of ``"train"`` or ``"val"``, a string ``objective`` and a
+    numeric ``loss``), every non-finite payload value and, when the
     header sets ``adam_step``, Adam moments whose names or shapes differ from
     the parameters' raise :class:`CorruptCheckpointError`.
     """
@@ -765,6 +767,14 @@ def load_checkpoint(
         for row in history:
             if not (isinstance(row, dict) and row.keys() >= set(HISTORY_COLUMNS)):
                 raise ValueError(f"history row {row!r} lacks a column of {HISTORY_COLUMNS}")
+            if not (
+                type(row["epoch"]) is int
+                and row["epoch"] >= 0
+                and row["split"] in ("train", "val")
+                and type(row["objective"]) is str
+                and type(row["loss"]) in (int, float)
+            ):
+                raise ValueError(f"history row {row!r} holds a value of the wrong kind")
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpointError(
             f"{path}: malformed header ({type(exc).__name__}: {exc})"

@@ -215,6 +215,16 @@ class TestTrain:
         ckpt = tr.load_checkpoint(out)
         assert [row["split"] for row in ckpt.history] == ["train", "val", "train", "val"]
 
+    def test_val_fraction_zero_is_usage_error(self, tmp_path, corpus, model_config, capsys):
+        out = tmp_path / "m.ckpt"
+        code = run(
+            "train", "--config", model_config, "--data", corpus,
+            "--out", out, "--val-fraction", 0,
+        )
+        assert code == EXIT_USAGE
+        assert "val_fraction" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_matches_unbroken_run_bitwise(self, tmp_path, corpus, model_config):
         direct = tmp_path / "direct.ckpt"
         code = run(
@@ -259,6 +269,19 @@ class TestTrain:
         ],
     )
     def test_resume_from_malformed_history_or_moments_is_data_error(
+        self, tmp_path, corpus, checkpoint, capsys, corruption
+    ):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(CORRUPTIONS[corruption](checkpoint.read_bytes()))
+        out = tmp_path / "out.ckpt"
+        assert run("train", "--data", corpus, "--out", out, "--resume", bad) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "corruption", sorted(c for c in CORRUPTIONS if c.startswith("history_value_"))
+    )
+    def test_resume_from_mistyped_history_value_is_data_error(
         self, tmp_path, corpus, checkpoint, capsys, corruption
     ):
         bad = tmp_path / "bad.ckpt"

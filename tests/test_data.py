@@ -306,6 +306,53 @@ def test_batch_invariants_enforced():
         Batch(feats, targs, one_valid, ids=("x",), lengths=(1,))
 
 
+def test_batch_rows_are_per_trajectory_featurize_bit_for_bit():
+    s_max = 8
+    rng = np.random.default_rng(4)
+    trajs = [  # every length from 2 to s_max, and three cut at s_max
+        Trajectory.from_columns(
+            f"t{n}", 10 + rng.uniform(0, 1, n), 20 + rng.uniform(0, 1, n),
+            np.cumsum(rng.integers(1, 100, n)),
+        )
+        for n in [*range(2, s_max + 1), s_max + 1, s_max + 5, 40]
+    ]
+    params = make_params(trajs)
+    for batch_size in (len(trajs), 4, 1):
+        rows = [(b, r) for b in batchify(trajs, batch_size, s_max, params) for r in range(b.batch_size)]
+        for traj, (batch, row) in zip(trajs, rows, strict=True):
+            fs = geo.featurize(traj.head(s_max), params)
+            n = len(fs)
+            assert batch.lengths[row] == n and batch.ids[row] == traj.id
+            assert batch.features[row, :n].tobytes() == fs.features.tobytes()
+            assert batch.targets[row, :n].tobytes() == fs.targets.tobytes()
+
+
+def test_every_padded_slot_is_zero():
+    trajs = [_traj(str(n), n) for n in (2, 7, 3, 9, 5)]
+    params = make_params(trajs)
+    for batch in batchify(trajs, 3, 6, params):
+        pad = ~batch.pad_mask
+        assert pad.any()
+        assert not batch.features[pad].any() and not batch.targets[pad].any()
+        # +0.0 everywhere: the bytes of a zero array
+        assert batch.features[pad].tobytes() == bytes(batch.features[pad].nbytes)
+        assert batch.targets[pad].tobytes() == bytes(batch.targets[pad].nbytes)
+
+
+def test_batch_names_the_first_row_that_breaks_the_padding():
+    feats = np.zeros((4, 4, geo.FEATURE_DIM))
+    targs = np.zeros((4, 4, 3))
+    mask = np.array([[True] * 4, [True] * 3 + [False], [True, False, True, False], [True] * 4])
+    with pytest.raises(ValueError, match=r"^batch row 2: padding must be a contiguous suffix"):
+        Batch(feats, targs, mask, ids=tuple("abcd"), lengths=(4, 3, 2, 4))
+    mask[2] = [True, True, False, False]
+    with pytest.raises(ValueError, match=r"^batch row 1: padding must be a contiguous suffix"):
+        Batch(feats, targs, mask, ids=tuple("abcd"), lengths=(4, 2, 2, 4))
+    with pytest.raises(ValueError, match=r"^batch row 3 has 1 valid positions"):
+        Batch(feats, targs, mask, ids=tuple("abcd"), lengths=(4, 3, 2, 1))
+    Batch(feats, targs, mask, ids=tuple("abcd"), lengths=(4, 3, 2, 4))
+
+
 def test_batchify_validates_arguments():
     params = make_params([_traj("a", 3)])
     with pytest.raises(ValueError):

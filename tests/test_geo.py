@@ -279,3 +279,41 @@ def test_featurize_targets_match_deltas():
         fs.features[1:, geo.DT_FEATURE_INDEX], fs.targets[:-1, 2], rtol=0, atol=0
     )
 
+
+
+def _ragged(lengths, seed=0):
+    rng = np.random.default_rng(seed)
+    trajs = []
+    for i, n in enumerate(lengths):
+        t = np.cumsum(rng.integers(1, 90, n)) + int(rng.integers(0, geo.MAX_T // 2))
+        trajs.append(geo.Trajectory.from_columns(
+            f"r{i}", rng.uniform(-89, 89, n), rng.uniform(-179, 179, n), t
+        ))
+    return trajs
+
+
+@pytest.mark.parametrize(
+    "lengths", [tuple(range(2, 17)), (2,), (16,), (5, 2, 2, 7), (2, 16, 3)],
+    ids=["2-to-16", "one-2-point", "one-16-point", "2-point-inside", "mixed"],
+)
+def test_featurize_columns_is_per_trajectory_featurize_bit_for_bit(lengths):
+    trajs = _ragged(lengths)
+    params = geo.compute_center(trajs)
+    feats, targets = geo.featurize_columns(
+        np.concatenate([t.lat for t in trajs]),
+        np.concatenate([t.lon for t in trajs]),
+        np.concatenate([t.t for t in trajs]),
+        lengths,
+        params,
+    )
+    one_by_one = [geo.featurize(t, params) for t in trajs]
+    assert feats.tobytes() == np.concatenate([fs.features for fs in one_by_one]).tobytes()
+    assert targets.tobytes() == np.concatenate([fs.targets for fs in one_by_one]).tobytes()
+
+
+@pytest.mark.parametrize("lengths, rows", [((3, 2), 6), ((2, 5), 6), ((6, 0), 6), ((), 6), ((6,), 5)])
+def test_featurize_columns_needs_lengths_that_tile_the_columns(lengths, rows):
+    (traj,) = _ragged((6,))
+    params = geo.compute_center([traj])
+    with pytest.raises(ValueError, match="do not tile"):
+        geo.featurize_columns(traj.lat, traj.lon, traj.t[:rows], lengths, params)

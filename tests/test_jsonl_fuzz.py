@@ -1,7 +1,11 @@
-"""Property test of the JSONL boundary: whatever JSON value a line holds, the
+"""Property tests of the JSONL boundary: whatever JSON value a line holds, the
 reader either yields a trajectory that meets every invariant or skips the line
-with a warning. It never raises."""
+with a warning, and never raises.  The reader checks a chunk of lines as one
+set of columns; whatever sits on either side of a chunk edge, it yields and
+skips exactly what the per-line path (``trajectory_from_record`` on each line)
+does, with the same column bits and the same warnings in the same order."""
 
+import itertools
 import json
 import re
 import tempfile
@@ -9,6 +13,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,3 +91,139 @@ def test_reader_yields_valid_trajectories_or_skips(values):
         assert traj.t.tolist() == [p[2] for p in rec["points"]]
         assert traj.t[0] >= 0 and traj.t[-1] < geo.MAX_T
         assert (np.diff(traj.t) > 0).all()
+
+
+# ---------------------------------------------------------------------------
+# the chunked reader against the per-line path
+# ---------------------------------------------------------------------------
+
+CHUNK = data._CHUNK_LINES
+# values the per-line path may coerce (a numeric str), reject, or overflow on
+odd_values = (
+    st.booleans()
+    | st.sampled_from(["1", "-0.5", " 7 ", "nan", "1e400", ""])
+    | st.integers(-(2**70), 2**70)
+    | st.just(10**400)
+    | st.floats()
+)
+
+
+def _with_one_odd_value(points):
+    def put(where):
+        i, j, value = where
+        return [[value if (i, j) == (a, b) else v for b, v in enumerate(p)] for a, p in enumerate(points)]
+
+    return st.tuples(st.integers(0, len(points) - 1), st.integers(0, 2), odd_values).map(put)
+
+
+ids = st.text(ALPHABET, max_size=4)
+valid_records = st.fixed_dictionaries({"id": ids, "points": valid_points})
+odd_records = st.fixed_dictionaries({"id": ids, "points": valid_points.flatmap(_with_one_odd_value)})
+# a valid record, one with one odd value, a near miss, any JSON value, or a blank line
+file_lines = (valid_records | odd_records | records | json_values).map(json.dumps) | st.just("")
+
+
+def _per_line(path: Path):
+    """(trajectories, warning texts) of the per-line path over ``path``."""
+    trajs, texts = [], []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                trajs.append(data.trajectory_from_record(json.loads(line.decode("utf-8"))))
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+                texts.append(f"{path}:{lineno}: skipping malformed trajectory ({exc})")
+    return trajs, texts
+
+
+def _read(path: Path):
+    reader = data.stream_jsonl(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trajs = list(reader)
+    assert all(issubclass(w.category, data.MalformedLineWarning) for w in caught)
+    texts = [str(w.message) for w in caught]
+    assert reader.skipped == len(texts)
+    return trajs, texts
+
+
+def _columns(traj):
+    return traj.id, [(c.dtype.str, c.tobytes()) for c in (traj.lat, traj.lon, traj.t)]
+
+
+def assert_reads_like_per_line(path: Path):
+    trajs, texts = _read(path)
+    want_trajs, want_texts = _per_line(path)
+    assert texts == want_texts  # same lines, same messages, same order
+    assert list(map(_columns, trajs)) == list(map(_columns, want_trajs))
+    return trajs
+
+
+def _write(tmp, lines) -> Path:
+    path = Path(tmp) / "chunks.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1]).flatmap(
+        lambda n: st.lists(file_lines, min_size=n, max_size=n)
+    )
+)
+def test_chunked_reader_matches_per_line_path(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_reads_like_per_line(_write(tmp, lines))
+
+
+def _good(i: int, n: int = 3) -> dict:
+    return {"id": f"g{i}", "points": [[50.0 + 0.1 * i, 10.0 + j, 60 * j + i] for j in range(n)]}
+
+
+@pytest.mark.parametrize("bad_line", ["{not json", json.dumps({"id": "short", "points": [[1, 2, 3]]})])
+def test_bad_line_on_either_edge_of_a_chunk(tmp_path, bad_line):
+    edges = {1, CHUNK, CHUNK + 1, 2 * CHUNK}  # first and last line of two chunks
+    lines = [bad_line if n in edges else json.dumps(_good(n)) for n in range(1, 2 * CHUNK + 1)]
+    trajs = assert_reads_like_per_line(_write(tmp_path, lines))
+    assert [t.id for t in trajs] == [f"g{n}" for n in range(1, 2 * CHUNK + 1) if n not in edges]
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        ((0, 0), True),  # a bool latitude: the per-line path keeps float(True)
+        ((1, 2), True),  # a bool time: the per-line path skips the line
+        ((1, 1), "13.5"),  # a str coordinate: the per-line path keeps float("13.5")
+        ((1, 2), "60"),  # a str time: skipped
+        ((0, 0), 10**400),  # an int no float holds
+        ((1, 2), 10**400),  # an int no int64 holds
+    ],
+)
+def test_one_odd_value_falls_back_without_changing_its_neighbours(tmp_path, where, value):
+    odd = _good(99)
+    odd["points"][where[0]][where[1]] = value
+    lines = [json.dumps(_good(n)) for n in range(CHUNK)]
+    lines[CHUNK // 2] = json.dumps(odd)
+    trajs = assert_reads_like_per_line(_write(tmp_path, lines))
+    assert [t.id for t in trajs if t.id != "g99"] == [f"g{n}" for n in range(CHUNK) if n != CHUNK // 2]
+
+
+def test_yielded_columns_are_read_only(tmp_path):
+    path = _write(tmp_path, [json.dumps(_good(n)) for n in range(CHUNK + 2)])
+    for traj in data.stream_jsonl(path):
+        for col in (traj.lat, traj.lon, traj.t):
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 1
+
+
+def test_trajectories_of_a_chunk_outlive_the_chunk(tmp_path):
+    path = _write(tmp_path, [json.dumps(_good(n, n % 5 + 2)) for n in range(4 * CHUNK)])
+    it = iter(data.stream_jsonl(path))
+    kept = list(itertools.islice(it, CHUNK))  # the whole first chunk
+    snapshot = list(map(_columns, kept))
+    rest = list(it)  # the reader moves on through three more chunks
+    assert len(rest) == 3 * CHUNK
+    assert list(map(_columns, kept)) == snapshot
+    assert kept + rest == _per_line(path)[0]

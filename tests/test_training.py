@@ -714,6 +714,20 @@ CORRUPTIONS = {
     "history_row_missing_columns": lambda blob: _rewrite_header(
         blob, _set(("history",), [{"epoch": 0}])
     ),
+    # a history row whose value is of the wrong kind (row 0 is a train row)
+    "history_value_string_loss": lambda blob: _rewrite_header(blob, _set(("history", 0, "loss"), "x")),
+    "history_value_bool_loss": lambda blob: _rewrite_header(blob, _set(("history", 0, "loss"), True)),
+    "history_value_negative_epoch": lambda blob: _rewrite_header(
+        blob, _set(("history", 0, "epoch"), -1)
+    ),
+    "history_value_float_epoch": lambda blob: _rewrite_header(blob, _set(("history", 0, "epoch"), 0.0)),
+    "history_value_bool_epoch": lambda blob: _rewrite_header(blob, _set(("history", 0, "epoch"), False)),
+    "history_value_unknown_split": lambda blob: _rewrite_header(
+        blob, _set(("history", 0, "split"), "test")
+    ),
+    "history_value_numeric_objective": lambda blob: _rewrite_header(
+        blob, _set(("history", 0, "objective"), 1)
+    ),
     # the moment's bytes stay in the payload, filed under a name no group reads
     "adam_moment_missing": lambda blob: _rewrite_header(
         blob, _edit_entry("adam_m/blocks.0.b_ff1", lambda e: e.update(name="stray/b_ff1"))
