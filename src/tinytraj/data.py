@@ -389,20 +389,21 @@ class Batch:
 
 def _stack(heads: list[Trajectory], s_max: int, params: NormalizationParams) -> Batch:
     # one featurize pass over the batch's columns, then one scatter per array:
-    # a row's valid slots, in order, are its trajectory's rows
+    # a row's valid slots, in order, are its trajectory's rows.  The arrays
+    # the batch keeps are allocated before the pass's temporaries, so that
+    # freeing those leaves no holes under them (the other way round, the
+    # ingest benchmark's peak RSS grew by 2 MB)
     lengths = np.array([len(traj) for traj in heads])
-    feats, targets = geo.featurize_columns(
+    pad_mask = np.arange(s_max) < lengths[:, None]
+    features = np.zeros((len(heads), s_max, geo.FEATURE_DIM), dtype=np.float64)
+    padded_targets = np.zeros((len(heads), s_max, TARGET_DIM), dtype=np.float64)
+    features[pad_mask], padded_targets[pad_mask] = geo.featurize_columns(
         np.concatenate([traj.lat for traj in heads]),
         np.concatenate([traj.lon for traj in heads]),
         np.concatenate([traj.t for traj in heads]),
         lengths,
         params,
     )
-    pad_mask = np.arange(s_max) < lengths[:, None]
-    features = np.zeros((len(heads), s_max, geo.FEATURE_DIM), dtype=np.float64)
-    features[pad_mask] = feats
-    padded_targets = np.zeros((len(heads), s_max, TARGET_DIM), dtype=np.float64)
-    padded_targets[pad_mask] = targets
     return Batch(
         features=features,
         targets=padded_targets,
