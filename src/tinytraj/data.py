@@ -186,21 +186,21 @@ _CHUNK_LINES = 16
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
 
-def _parse_line(line: bytes) -> Trajectory | Exception:
-    """The per-line path: the trajectory of one line, or what makes it malformed."""
+def _from_record(rec) -> Trajectory | Exception:
+    """The per-line path: the trajectory of one parsed line, or what makes it malformed."""
     try:
-        return trajectory_from_record(json.loads(line.decode("utf-8")))
+        return trajectory_from_record(rec)
     except _MALFORMED as exc:
         return exc
 
 
-def _plain_columns(line: bytes) -> tuple | None:
-    """``(id, lats, lons, ts)`` of a line in the plain shape (an object with a
-    string id and a list of at least two ``[lat, lon, t]`` lists), else None."""
-    try:
-        rec = json.loads(line.decode("utf-8"))
-    except _MALFORMED:
-        return None
+def _plain_columns(rec) -> tuple | None:
+    """``(id, lats, lons, ts)`` of a record in the plain shape, else None.
+
+    The plain shape: an object with a string id and a list of at least two
+    ``[lat, lon, t]`` lists whose coordinates are floats or ints and whose
+    times are ints, never bools.
+    """
     if type(rec) is not dict:
         return None
     traj_id, points = rec.get("id"), rec.get("points")
@@ -212,19 +212,9 @@ def _plain_columns(line: bytes) -> tuple | None:
         lat, lon, t = zip(*points, strict=True)
     except ValueError:  # points of unequal length, or not of three values
         return None
-    return traj_id, lat, lon, t
-
-
-def _number_columns(lat: list, lon: list, t: list) -> tuple | None:
-    """float64, float64 and int64 arrays of the values, or None unless every
-    coordinate is a float or an int and every time an int (never a bool),
-    each within its array type."""
     if not (set(map(type, lat)) | set(map(type, lon)) <= {float, int} and set(map(type, t)) <= {int}):
         return None
-    try:
-        return np.array(lat, np.float64), np.array(lon, np.float64), np.array(t, np.int64)
-    except OverflowError:  # an int past float64 or int64
-        return None
+    return traj_id, lat, lon, t
 
 
 def _accepted(ids: list, counts: list, lat: list, lon: list, t: list) -> list:
@@ -235,16 +225,10 @@ def _accepted(ids: list, counts: list, lat: list, lon: list, t: list) -> list:
     None.  It accepts only what ``geo.Trajectory`` accepts, with the same
     column bits; None sends a record to the per-line path and its message.
     """
-    columns = _number_columns(lat, lon, t)
-    if columns is None:
-        if len(ids) == 1:
-            return [None]
-        # a value of another kind: each record is checked on its own
-        out, a = [], 0
-        for traj_id, n in zip(ids, counts):
-            out += _accepted([traj_id], [n], lat[a : a + n], lon[a : a + n], t[a : a + n])
-            a += n
-        return out
+    try:
+        columns = np.array(lat, np.float64), np.array(lon, np.float64), np.array(t, np.int64)
+    except OverflowError:  # an int past float64 or int64: the whole chunk takes the per-line path
+        return [None] * len(ids)
     lat, lon, t = columns
     for col in columns:
         col.setflags(write=False)
@@ -265,18 +249,24 @@ def _accepted(ids: list, counts: list, lat: list, lon: list, t: list) -> list:
 def _read_chunk(lines: list[bytes], first: int) -> Iterator[tuple[int, Trajectory | Exception]]:
     """``(line number, trajectory or error)`` of each non-blank line, in order.
 
-    Plain-shaped records become flat columns as they are parsed, and the
-    parsed records are dropped; the chunk check then runs once.  Every line
-    it does not accept takes the per-line path.
+    Each line is parsed once.  Plain-shaped records become flat columns and
+    are dropped; the chunk check then runs once, and only a line it does not
+    accept is parsed again for the per-line path.  Any other record takes the
+    per-line path straight from its one parse.
     """
     ids, counts, lat, lon, t = [], [], [], [], []
-    pending = []  # (line number, line, index of its record or None)
+    pending = []  # (line number, line, index of its record) or (line number, None, result)
     for lineno, line in enumerate(lines, first):
         if not line.strip():
             continue
-        plain = _plain_columns(line)
+        try:
+            rec = json.loads(line.decode("utf-8"))
+        except _MALFORMED as exc:
+            pending.append((lineno, None, exc))
+            continue
+        plain = _plain_columns(rec)
         if plain is None:
-            pending.append((lineno, line, None))
+            pending.append((lineno, None, _from_record(rec)))
             continue
         pending.append((lineno, line, len(ids)))
         ids.append(plain[0])
@@ -285,9 +275,12 @@ def _read_chunk(lines: list[bytes], first: int) -> Iterator[tuple[int, Trajector
         lon += plain[2]
         t += plain[3]
     accepted = _accepted(ids, counts, lat, lon, t) if ids else []
-    for lineno, line, index in pending:
-        traj = None if index is None else accepted[index]
-        yield lineno, _parse_line(line) if traj is None else traj
+    for lineno, line, item in pending:
+        if line is not None:
+            item = accepted[item]
+            if item is None:
+                item = _from_record(json.loads(line.decode("utf-8")))
+        yield lineno, item
 
 
 class JsonlTrajectoryReader:

@@ -227,3 +227,23 @@ def test_trajectories_of_a_chunk_outlive_the_chunk(tmp_path):
     assert len(rest) == 3 * CHUNK
     assert list(map(_columns, kept)) == snapshot
     assert kept + rest == _per_line(path)[0]
+
+
+def test_each_line_is_parsed_once_unless_the_chunk_check_rejects_it(tmp_path, monkeypatch):
+    out_of_range = _good(90)
+    out_of_range["points"][1][0] = 91.0  # plain shape, so only the chunk check rejects it
+    str_coordinate = _good(91)
+    str_coordinate["points"][0][1] = "13.5"  # not plain: the per-line path keeps float("13.5")
+    lines = [json.dumps(_good(n)) for n in range(CHUNK + 3)]
+    lines[2] = "{not json"
+    lines[5] = json.dumps(out_of_range)
+    lines[CHUNK + 1] = json.dumps(str_coordinate)
+    lines[CHUNK + 2] = json.dumps({"id": "short", "points": [[1, 2, 3]]})
+    path = _write(tmp_path, lines)
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, *a, **k: calls.append(s) or loads(s, *a, **k))
+    trajs = assert_reads_like_per_line(path)
+    assert "g91" in [t.id for t in trajs]
+    # _per_line parses each line once more; the one parsed twice is the out-of-range record
+    assert len(calls) == 2 * len(lines) + 1
