@@ -377,8 +377,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--config", help="JSON config (model/train sections or flat)")
     p.add_argument("--data", required=True, help="training JSONL corpus")
-    p.add_argument("--val-data", help="validation JSONL corpus")
-    p.add_argument(
+    val = p.add_mutually_exclusive_group()
+    val.add_argument("--val-data", help="validation JSONL corpus")
+    val.add_argument(
         "--val-fraction", type=float, help="hash-split this fraction of --data for validation"
     )
     p.add_argument("--out", required=True, help="output checkpoint path")

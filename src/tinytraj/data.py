@@ -11,7 +11,8 @@ its padded arrays at once. No per-point objects are built on the way from a
 JSONL line to a batch, and batches are prepared inline on the caller's thread.
 
 JSONL record schema: ``{"id": <string>, "points": [[lat, lon, t], ...]}``,
-where ``t`` is a JSON integer in ``[0, geo.MAX_T)``; a line that is not
+where ``lat`` and ``lon`` are JSON numbers (never bools or strings) and ``t``
+is a JSON integer in ``[0, geo.MAX_T)``; a line that is not
 UTF-8 JSON, breaks the schema or breaks a trajectory invariant is skipped with
 a warning.
 """
@@ -157,15 +158,14 @@ def trajectory_to_record(traj: Trajectory) -> dict:
 
 
 def trajectory_from_record(rec: dict) -> Trajectory:
-    """Parse one JSONL record; coordinates are coerced with ``float``, while
-    ``t`` must already be an integer (``Trajectory`` rejects anything else)."""
+    """Parse one JSONL record; coordinates must be JSON numbers and ``t`` a
+    JSON integer (``Trajectory`` rejects anything else, bools included)."""
     if not isinstance(rec, dict):
         raise ValueError(f"record must be an object, got {type(rec).__name__}")
     traj_id = rec["id"]
     if not isinstance(traj_id, str):
         raise ValueError(f"'id' must be a string, got {type(traj_id).__name__}")
-    points = [(float(lat), float(lon), t) for lat, lon, t in rec["points"]]
-    return Trajectory(id=traj_id, points=points)
+    return Trajectory(id=traj_id, points=rec["points"])
 
 
 def write_jsonl(trajs: Iterable[Trajectory], path: str | Path) -> int:
@@ -186,20 +186,12 @@ _CHUNK_LINES = 16
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
 
-def _from_record(rec) -> Trajectory | Exception:
-    """The per-line path: the trajectory of one parsed line, or what makes it malformed."""
-    try:
-        return trajectory_from_record(rec)
-    except _MALFORMED as exc:
-        return exc
-
-
 def _plain_columns(rec) -> tuple | None:
     """``(id, lats, lons, ts)`` of a record in the plain shape, else None.
 
     The plain shape: an object with a string id and a list of at least two
-    ``[lat, lon, t]`` lists whose coordinates are floats or ints and whose
-    times are ints, never bools.
+    ``[lat, lon, t]`` lists.  Whether those values are numbers in range is
+    the chunk check's to say; a record of any other shape is malformed.
     """
     if type(rec) is not dict:
         return None
@@ -212,75 +204,50 @@ def _plain_columns(rec) -> tuple | None:
         lat, lon, t = zip(*points, strict=True)
     except ValueError:  # points of unequal length, or not of three values
         return None
-    if not (set(map(type, lat)) | set(map(type, lon)) <= {float, int} and set(map(type, t)) <= {int}):
-        return None
     return traj_id, lat, lon, t
-
-
-def _accepted(ids: list, counts: list, lat: list, lon: list, t: list) -> list:
-    """The chunk check over the flat columns of records of ``counts`` fixes.
-
-    One entry per record: a trajectory over read-only views of the chunk's
-    columns where every fix is in range and time strictly increases, else
-    None.  It accepts only what ``geo.Trajectory`` accepts, with the same
-    column bits; None sends a record to the per-line path and its message.
-    """
-    try:
-        columns = np.array(lat, np.float64), np.array(lon, np.float64), np.array(t, np.int64)
-    except OverflowError:  # an int past float64 or int64: the whole chunk takes the per-line path
-        return [None] * len(ids)
-    lat, lon, t = columns
-    for col in columns:
-        col.setflags(write=False)
-    counts = np.array(counts)
-    starts = np.cumsum(counts) - counts
-    ok = (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
-    ok &= (t >= 0) & (t < geo.MAX_T)
-    rises = np.empty_like(ok)
-    rises[1:] = t[1:] > t[:-1]
-    rises[starts] = True  # a record's first fix follows no fix of its own
-    good = np.logical_and.reduceat(ok & rises, starts).tolist()
-    return [
-        Trajectory._checked(traj_id, lat[a:b], lon[a:b], t[a:b]) if keep else None
-        for traj_id, a, b, keep in zip(ids, starts.tolist(), (starts + counts).tolist(), good)
-    ]
 
 
 def _read_chunk(lines: list[bytes], first: int) -> Iterator[tuple[int, Trajectory | Exception]]:
     """``(line number, trajectory or error)`` of each non-blank line, in order.
 
-    Each line is parsed once.  Plain-shaped records become flat columns and
-    are dropped; the chunk check then runs once, and only a line it does not
-    accept is parsed again for the per-line path.  Any other record takes the
-    per-line path straight from its one parse.
+    Each line is parsed once.  Plain-shaped records become flat columns, and
+    the trajectory check runs once over them: an accepted record is a
+    trajectory over read-only views of the checked columns, a rejected one
+    the error the check gives it.  Any other record takes the per-line path
+    straight from its parse.
     """
     ids, counts, lat, lon, t = [], [], [], [], []
-    pending = []  # (line number, line, index of its record) or (line number, None, result)
+    pending = []  # (line number, index of its record in the columns or its result)
     for lineno, line in enumerate(lines, first):
         if not line.strip():
             continue
         try:
             rec = json.loads(line.decode("utf-8"))
+            plain = _plain_columns(rec)
+            if plain is None:
+                pending.append((lineno, trajectory_from_record(rec)))
+                continue
         except _MALFORMED as exc:
-            pending.append((lineno, None, exc))
+            pending.append((lineno, exc))
             continue
-        plain = _plain_columns(rec)
-        if plain is None:
-            pending.append((lineno, None, _from_record(rec)))
-            continue
-        pending.append((lineno, line, len(ids)))
+        pending.append((lineno, len(ids)))
         ids.append(plain[0])
         counts.append(len(plain[3]))
         lat += plain[1]
         lon += plain[2]
         t += plain[3]
-    accepted = _accepted(ids, counts, lat, lon, t) if ids else []
-    for lineno, line, item in pending:
-        if line is not None:
-            item = accepted[item]
-            if item is None:
-                item = _from_record(json.loads(line.decode("utf-8")))
-        yield lineno, item
+    records = []
+    if ids:
+        (lat, lon, t), faults = geo._check_segments(ids, lat, lon, t, counts)
+        ends = np.cumsum(counts).tolist()
+        records = [
+            Trajectory._checked(traj_id, lat[b - n:b], lon[b - n:b], t[b - n:b])
+            if fault is None
+            else fault
+            for traj_id, n, b, fault in zip(ids, counts, ends, faults)
+        ]
+    for lineno, item in pending:
+        yield lineno, records[item] if type(item) is int else item
 
 
 class JsonlTrajectoryReader:
@@ -290,10 +257,10 @@ class JsonlTrajectoryReader:
     number of lines, so memory stays constant in corpus size.  A chunk's
     records are parsed into one set of ``lat``/``lon``/``t`` columns and
     checked in one vectorized pass; the trajectories it yields are read-only
-    views of those columns.  A line the chunk check does not accept goes
-    through :func:`trajectory_from_record`, so malformed lines are skipped
-    with the same :class:`MalformedLineWarning` naming the line number;
-    ``skipped`` holds the running count for the current/most recent pass.
+    views of those columns.  Every line is skipped, with the same
+    :class:`MalformedLineWarning` text naming the line number, exactly when
+    :func:`trajectory_from_record` rejects it; ``skipped`` holds the running
+    count for the current/most recent pass.
     """
 
     def __init__(self, path: str | Path):

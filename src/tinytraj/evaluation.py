@@ -40,8 +40,8 @@ from .geo import (
     NormalizationParams,
     TrajPoint,
     Trajectory,
-    featurize_next,
-    step_targets,
+    _check_segments,
+    featurize_columns,
 )
 from .model import KVCache, ModelConfig, ModelParams, forward_features
 from .training import NumericsError
@@ -156,15 +156,6 @@ def _decode(
     return lat, lon, t + dt.astype(np.int64)
 
 
-def _last_fixes(trajs: Sequence[Trajectory], index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The [B] columns of each trajectory's fix at ``index[b]``."""
-    return (
-        np.array([traj.lat[i] for traj, i in zip(trajs, index)]),
-        np.array([traj.lon[i] for traj, i in zip(trajs, index)]),
-        np.array([traj.t[i] for traj, i in zip(trajs, index)], dtype=np.int64),
-    )
-
-
 def _rollout_batch(
     params: ModelParams,
     model_cfg: ModelConfig,
@@ -179,8 +170,9 @@ def _rollout_batch(
     The model path prefills a :class:`KVCache` with the padded prefixes and
     then decodes one new row per trajectory per step; an injected
     ``predict_fn`` is called instead on each trajectory's running feature
-    matrix.  Only the new points are featurized (the features are row-local),
-    and each one passes the trajectory check first.
+    matrix.  Each new point passes the trajectory check as the second fix of
+    a segment that starts at its predecessor, and only the new points are
+    featurized (a feature row reads its fix and the one before).
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -211,21 +203,26 @@ def _rollout_batch(
         preds = prefill.data[rows, n - 1]
     else:
         preds = _predict(feats, n, ids, norm, params, model_cfg, predict_fn)[rows, n - 1]
-    lat, lon, t = _last_fixes(prefixes, n - 1)
+    lat = np.array([p.lat[-1] for p in prefixes])
+    lon = np.array([p.lon[-1] for p in prefixes])
+    t = np.array([p.t[-1] for p in prefixes])
+    pairs = np.full(len(rows), 2)
     for k in range(horizon):
         _check_finite(preds[:, None], ids, norm)
         step = _decode(lat, lon, t, preds, norm)
         at = n + k
         # every new point, the final one too, passes the trajectory check here;
         # the prefixes passed it already, so a failure is the model's
-        try:
-            new_feats = featurize_next(ids, at, *step, t, norm)
-        except ValueError as exc:
-            raise NumericsError(f"model-made point: {exc}") from exc
+        segments = [np.stack(pair, axis=1).ravel() for pair in zip((lat, lon, t), step)]
+        _, faults = _check_segments(ids, *segments, pairs, first=at - 1)
+        fault = next(filter(None, faults), None)
+        if fault is not None:
+            raise NumericsError(f"model-made point: {fault}") from fault
         for column, value in zip(new, step):
             column[:, k] = value
         if k == horizon - 1:
             break
+        new_feats = featurize_columns(*segments, pairs, norm)[0][1::2]
         feats[rows, at] = new_feats
         lat, lon, t = step
         if predict_fn is None:
@@ -383,10 +380,15 @@ def _eval_rollout(
             continue
         prefixes = [traj.head(len(traj) - horizon) for traj in chunk]
         lat, lon, t = _rollout_batch(params, model_cfg, norm, prefixes, horizon, predict_fn)
-        # ground truth decoded through the same arithmetic as the rollout
-        last = [len(traj) - horizon - 1 for traj in chunk]
-        steps = np.stack([step_targets(traj, norm, i) for traj, i in zip(chunk, last)])
-        truth = [_last_fixes(chunk, last)]
+        # ground truth: the true steps out of each prefix's last fix, decoded
+        # through the same arithmetic as the rollout
+        tails = [
+            np.concatenate([col[-horizon - 1:] for col in cols])
+            for cols in zip(*((traj.lat, traj.lon, traj.t) for traj in chunk))
+        ]
+        steps = featurize_columns(*tails, [horizon + 1] * len(chunk), norm)[1]
+        steps = steps.reshape(len(chunk), horizon + 1, 3)
+        truth = [tuple(c[:: horizon + 1] for c in tails)]
         for k in range(horizon):
             truth.append(_decode(*truth[-1], steps[:, k], norm))
         true_lat, true_lon, true_t = (np.stack(c[1:], axis=1) for c in zip(*truth))

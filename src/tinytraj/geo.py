@@ -1,8 +1,10 @@
 """GPS trajectories and their reversible model-space encodings.
 
 A trajectory is a sequence of (lat, lon, t) fixes, held as read-only
-``lat``/``lon`` (float64) and ``t`` (int64) columns that one routine
-validates.  For modeling, positions are normalized around the corpus center,
+``lat``/``lon`` (float64) and ``t`` (int64) columns.  One vectorized check
+over segments of columns decides which fixes are valid, for a trajectory
+built here, for a chunk of JSONL records and for rollout's new points alike.
+For modeling, positions are normalized around the corpus center,
 timestamps are split into UTC calendar components with integer arithmetic,
 and consecutive points are reduced to (dlat, dlon, dt) deltas so the model
 predicts motion rather than absolute position.
@@ -40,9 +42,7 @@ __all__ = [
     "denormalize",
     "featurize",
     "featurize_columns",
-    "featurize_next",
     "normalize",
-    "step_targets",
 ]
 
 # Feature layout for one point:
@@ -75,54 +75,118 @@ class TrajPoint(NamedTuple):
     t: int
 
 
-def _check_fixes(traj_id, lat, lon, t, start: int = 0, prev: int = -1) -> None:
-    """Range, type and order checks of fixes that sit at index ``start`` on,
-    after a fix at time ``prev``; raises ``ValueError`` naming the first
-    offending index."""
-    # Plain Python checks: cheaper than numpy's per-call cost at trajectory
-    # lengths, and they see each timestamp's own type before numpy would
-    # coerce a bool, float or str to an integer.
-    for name, col, lo, hi in (("latitude", lat, -90.0, 90.0), ("longitude", lon, -180.0, 180.0)):
-        if not all(lo <= v <= hi for v in col):  # False for NaN
-            i = next(i for i, v in enumerate(col) if not lo <= v <= hi)
-            raise ValueError(
-                f"trajectory {traj_id!r}: {name} {col[i]} at index {start + i} "
-                f"outside [{lo}, {hi}]"
-            )
-    for i, s in enumerate(t, start):
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-            raise ValueError(
-                f"trajectory {traj_id!r}: timestamp {s!r} at index {i} is not an integer"
-            )
-        if not 0 <= s < MAX_T:
-            raise ValueError(
-                f"trajectory {traj_id!r}: timestamp {s} at index {i} outside [0, {MAX_T})"
-            )
-        if s <= prev:
-            raise ValueError(f"trajectory {traj_id!r}: time not strictly increasing at index {i}")
-        prev = s
+# per column: its name, whether it takes integers only (else any number),
+# its closed range, and that range as an error prints it
+_RULES = (
+    ("latitude", False, -90.0, 90.0, "[-90.0, 90.0]"),
+    ("longitude", False, -180.0, 180.0, "[-180.0, 180.0]"),
+    ("timestamp", True, 0, MAX_T - 1, f"[0, {MAX_T})"),
+)
+
+
+def _is_number(v, integer: bool) -> bool:
+    """Whether ``v`` is an int (numpy's too) or, unless ``integer``, a float; never a bool."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    return isinstance(v, kinds) and not isinstance(v, bool)
+
+
+def _numbers(values, integer: bool) -> np.ndarray:
+    """``values`` as a fresh int64 (``integer``) or float64 array, in which an
+    entry that is not a number of that kind, or that the dtype cannot hold,
+    reads as -1 or NaN: outside every range."""
+    dtype = np.int64 if integer else np.float64
+    if isinstance(values, np.ndarray):
+        if values.dtype == dtype:
+            return np.array(values)
+        values = values.tolist()
+    if set(map(type, values)) <= ({int} if integer else {int, float}):  # numbers, all of them
+        try:
+            return np.array(values, dtype)
+        except OverflowError:  # an int past the dtype's range
+            pass
+    fill = -1 if integer else math.nan
+    held = []
+    for v in values:
+        try:
+            held.append(dtype(v) if _is_number(v, integer) else fill)
+        except OverflowError:  # an int past the dtype's range
+            held.append(fill)
+    return np.array(held, dtype)
+
+
+def _fault(traj_id, first: int, values, inside, rises) -> ValueError:
+    """The error of a segment the check rejects, from its latitude, longitude
+    and time columns as given (``values``), the masks of their entries in
+    range (``inside``) and whether each time follows the one before it
+    (``rises``): the first offending fix in latitude, then longitude, then
+    time, its index counted from ``first``."""
+    for (name, integer, _, _, bounds), col, ok, in_order in zip(
+        _RULES, values, inside, (True, True, rises)
+    ):
+        bad = np.flatnonzero(~(ok & in_order))
+        if bad.size:
+            break
+    i = int(bad[0])
+    v = (col.tolist() if isinstance(col, np.ndarray) else col)[i]  # as a list holds it
+    at = f"at index {first + i}"
+    if not _is_number(v, integer):
+        kind = "an integer" if integer else "a number"
+        return ValueError(f"trajectory {traj_id!r}: {name} {v!r} {at} is not {kind}")
+    if not ok[i]:
+        return ValueError(f"trajectory {traj_id!r}: {name} {v} {at} outside {bounds}")
+    return ValueError(f"trajectory {traj_id!r}: time not strictly increasing {at}")
+
+
+def _check_segments(ids, lat, lon, t, lengths, first=None):
+    """The trajectory check, over segments of ``lengths`` fixes (each at least
+    one) laid end to end in the columns ``lat``, ``lon`` and ``t``.
+
+    Segment k holds fixes ``first[k]`` on (0 on when ``first`` is None) of
+    trajectory ``ids[k]``.  A fix passes with a latitude in [-90, 90] and a
+    longitude in [-180, 180], both numbers, an integer time in [0, MAX_T), and
+    a time later than that of the fix before it in its segment.  Returns the
+    columns as read-only float64/float64/int64 arrays and one verdict per
+    segment: None if every fix passes, else the ``ValueError`` naming the
+    trajectory and its first offending index.
+    """
+    columns = [_numbers(col, rule[1]) for col, rule in zip((lat, lon, t), _RULES)]
+    inside = [(c >= lo) & (c <= hi) for c, (_, _, lo, hi, _) in zip(columns, _RULES)]
+    lengths = np.asarray(lengths)
+    starts = np.cumsum(lengths) - lengths
+    t_a = columns[2]
+    rises = np.empty(len(t_a), bool)
+    rises[1:] = t_a[1:] > t_a[:-1]
+    rises[starts] = True  # a segment's first fix follows no fix of its own
+    passed = np.logical_and.reduceat(inside[0] & inside[1] & inside[2] & rises, starts)
+    faults = [None] * len(starts)
+    for k, ok in enumerate(passed.tolist()):
+        if ok:
+            continue
+        at = slice(starts[k], starts[k] + lengths[k])
+        faults[k] = _fault(
+            ids[k],
+            0 if first is None else int(first[k]),
+            [col[at] for col in (lat, lon, t)],
+            [mask[at] for mask in inside],
+            rises[at],
+        )
+    for col in columns:
+        col.setflags(write=False)
+    return tuple(columns), faults
 
 
 def _validated(traj_id, lat, lon, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one trajectory check; returns read-only float64/float64/int64 columns.
-
-    Needs at least two fixes, latitudes in [-90, 90], longitudes in
-    [-180, 180], integer timestamps in [0, MAX_T), and strictly increasing
-    time.  Raises ``ValueError`` naming the first offending index.
-    """
+    """The columns of one trajectory, checked: read-only float64/float64/int64
+    copies, or ``ValueError`` naming the first offending index.  Needs at
+    least two fixes and the check of :func:`_check_segments`."""
     n = len(t)
     if len(lat) != n or len(lon) != n:
         raise ValueError(f"trajectory {traj_id!r}: lat, lon and t differ in length")
     if n < 2:
         raise ValueError(f"trajectory {traj_id!r} has {n} points, need >= 2")
-    _check_fixes(traj_id, lat, lon, t)
-    columns = (
-        np.array(lat, dtype=np.float64),
-        np.array(lon, dtype=np.float64),
-        np.array(t, dtype=np.int64),
-    )
-    for col in columns:
-        col.setflags(write=False)
+    columns, (fault,) = _check_segments([traj_id], lat, lon, t, [n])
+    if fault is not None:
+        raise fault
     return columns
 
 
@@ -148,9 +212,7 @@ class Trajectory:
         """A trajectory over copies of the given ``lat``, ``lon`` and integer ``t`` columns."""
         traj = cls.__new__(cls)
         traj.id = id
-        # Python scalars iterate faster than numpy ones in the checks
-        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in (lat, lon, t)]
-        traj.lat, traj.lon, traj.t = _validated(id, *columns)
+        traj.lat, traj.lon, traj.t = _validated(id, lat, lon, t)
         return traj
 
     @property
@@ -385,20 +447,6 @@ def delta_decode(ds: DeltaSequence) -> Trajectory:
     return Trajectory.from_columns(ds.traj_id, np.cumsum(lat), np.cumsum(lon), np.cumsum(t))
 
 
-def _fill_fix_features(feats, lat, lon, t, params: NormalizationParams) -> None:
-    # feature columns 0-5, each entry a function of its own fix only
-    feats[:, 0] = (lon - params.center_lon) / params.scale_lon
-    feats[:, 1] = (lat - params.center_lat) / params.scale_lat
-    feats[:, 2:6] = _calendar(t) / _CAL_PERIOD
-
-
-def _fill_steps(out, lat, lon, t, params: NormalizationParams) -> None:
-    # out[i] is the normalized step from fix i to fix i + 1
-    out[:, 0] = (lat[1:] - lat[:-1]) / params.scale_lat
-    out[:, 1] = (lon[1:] - lon[:-1]) / params.scale_lon
-    out[:, 2] = (t[1:] - t[:-1]) / DT_DIVISOR_S
-
-
 def featurize_columns(
     lat: np.ndarray,
     lon: np.ndarray,
@@ -420,10 +468,16 @@ def featurize_columns(
         raise ValueError(f"segments of lengths {lengths.tolist()} do not tile "
                          f"columns of {len(lat)}, {len(lon)} and {n} rows")
     ends = np.cumsum(lengths) - 1
+    # targets[i] is the normalized step from fix i to fix i + 1
     targets = np.empty((n, 3), dtype=np.float64)
-    _fill_steps(targets[:-1], lat, lon, t, params)
+    targets[:-1, 0] = (lat[1:] - lat[:-1]) / params.scale_lat
+    targets[:-1, 1] = (lon[1:] - lon[:-1]) / params.scale_lon
+    targets[:-1, 2] = (t[1:] - t[:-1]) / DT_DIVISOR_S
+    # feature columns 0-5 are each a function of their own fix only
     feats = np.empty((n, FEATURE_DIM), dtype=np.float64)
-    _fill_fix_features(feats, lat, lon, t, params)
+    feats[:, 0] = (lon - params.center_lon) / params.scale_lon
+    feats[:, 1] = (lat - params.center_lat) / params.scale_lat
+    feats[:, 2:6] = _calendar(t) / _CAL_PERIOD
     feats[1:, DT_FEATURE_INDEX] = targets[:-1, 2]
     feats[ends + 1 - lengths, DT_FEATURE_INDEX] = 0.0
     targets[ends] = 0.0
@@ -440,41 +494,3 @@ def featurize(traj: Trajectory, params: NormalizationParams) -> FeatureSequence:
     """
     feats, targets = featurize_columns(traj.lat, traj.lon, traj.t, (len(traj),), params)
     return FeatureSequence(traj_id=traj.id, features=feats, targets=targets)
-
-
-def step_targets(traj: Trajectory, params: NormalizationParams, start: int = 0) -> np.ndarray:
-    """The normalized steps out of fixes ``start`` to ``len(traj) - 2``:
-    ``featurize(traj, params).targets[start:-1]`` bit for bit, computed from
-    those fixes alone."""
-    lat, lon, t = traj.lat[start:], traj.lon[start:], traj.t[start:]
-    out = np.empty((len(t) - 1, 3), dtype=np.float64)
-    _fill_steps(out, lat, lon, t, params)
-    return out
-
-
-def featurize_next(
-    traj_ids: Sequence[str],
-    index: np.ndarray,
-    lat: np.ndarray,
-    lon: np.ndarray,
-    t: np.ndarray,
-    prev_t: np.ndarray,
-    params: NormalizationParams,
-) -> np.ndarray:
-    """[B, 7] feature rows of one new fix per trajectory, from [B] columns.
-
-    Row ``b`` is the row ``featurize`` gives the fix ``(lat[b], lon[b], t[b])``
-    at position ``index[b]`` of trajectory ``traj_ids[b]`` whose previous fix
-    is at time ``prev_t[b]``, bit for bit.  Each fix first passes the
-    trajectory check (coordinate ranges, an integer time in [0, MAX_T) after
-    ``prev_t[b]``); ``ValueError`` names the trajectory and the index.
-    """
-    columns = [np.asarray(c).tolist() for c in (index, lat, lon, t, prev_t)]
-    for traj_id, i, fix_lat, fix_lon, fix_t, before in zip(traj_ids, *columns):
-        _check_fixes(traj_id, (fix_lat,), (fix_lon,), (fix_t,), start=i, prev=before)
-    lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
-    t, prev_t = np.asarray(t, dtype=np.int64), np.asarray(prev_t, dtype=np.int64)
-    feats = np.empty((len(t), FEATURE_DIM), dtype=np.float64)
-    _fill_fix_features(feats, lat, lon, t, params)
-    feats[:, DT_FEATURE_INDEX] = (t - prev_t) / DT_DIVISOR_S
-    return feats

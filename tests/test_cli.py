@@ -225,6 +225,18 @@ class TestTrain:
         assert "val_fraction" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_val_data_and_val_fraction_together_is_usage_error(
+        self, tmp_path, corpus, model_config, capsys
+    ):
+        out = tmp_path / "m.ckpt"
+        code = run(
+            "train", "--config", model_config, "--data", corpus,
+            "--out", out, "--val-data", corpus, "--val-fraction", 0.4,
+        )
+        assert code == EXIT_USAGE
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_matches_unbroken_run_bitwise(self, tmp_path, corpus, model_config):
         direct = tmp_path / "direct.ckpt"
         code = run(

@@ -180,17 +180,20 @@ def test_malformed_lines_skipped_with_warning(tmp_path):
         [[52.5, 13.4, 0], [52.6, 13.5, "1"]],
         [[52.5, 13.4, 0], [float("inf"), 13.5, 1]],  # written as Infinity
         [[52.5, 13.4, 0], [10**400, 13.5, 1]],  # int too large for a float
+        [[True, False, 0], [52, 13, 60]],  # coordinates are JSON numbers, never bools
+        [[52.5, 13.4, 0], [52.6, "13.5", 60]],  # nor strings
+        [[], []],  # points that are not triples
     ],
 )
 def test_reader_skips_bad_timestamps_and_coordinates(tmp_path, points):
-    good = {"id": "g", "points": [[52.5, 13.4, 0], [52.6, "13.5", 60]]}
+    good = {"id": "g", "points": [[52.5, 13.4, 0], [52.6, 13.5, 60]]}
     path = tmp_path / "t.jsonl"
     path.write_text(json.dumps({"id": "bad", "points": points}) + "\n" + json.dumps(good) + "\n")
     reader = stream_jsonl(path)
     with pytest.warns(MalformedLineWarning, match=":1:"):
         (traj,) = list(reader)
     assert reader.skipped == 1
-    assert traj.id == "g" and traj.lon.tolist() == [13.4, 13.5]  # coordinates coerced
+    assert traj.id == "g" and traj.lon.tolist() == [13.4, 13.5]
     assert traj.t.tolist() == [0, 60]
 
 

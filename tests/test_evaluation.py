@@ -257,15 +257,6 @@ def test_rollout_featurizing_a_time_past_max_t_raises():
     evaluate(params, TINY, corpus, norm, "rollout", horizon=1)
 
 
-def test_decoding_an_interval_too_long_for_a_float_fails_the_trajectory_check():
-    # 1e308 is finite, but 1e308 * 60 s overflows
-    norm = NormalizationParams(52.5, 13.4, 0.1, 0.1)
-    prev = np.array([52.5]), np.array([13.4]), np.array([100])
-    point = ev._decode(*prev, np.array([[0.0, 0.0, 1e308]]), norm)
-    with pytest.raises(ValueError, match="'big': timestamp .* at index 2 outside"):
-        geo.featurize_next(["big"], [2], *point, prev[2], norm)
-
-
 @pytest.mark.parametrize("path", ["model", "predict_fn"])
 def test_rollout_checks_the_final_decoded_point(path):
     prefix = Trajectory(id="far", points=[(52.5, 13.4, 0), (52.5, 13.4, 60)])

@@ -31,6 +31,8 @@ def test_trajpoint_validates_ranges():
         geo.TrajPoint(0.0, -181.0, 0),
         geo.TrajPoint(0.0, 0.0, -1),
         geo.TrajPoint(0.0, 0.0, 1.5),
+        geo.TrajPoint(True, 0.0, 0),  # coordinates are numbers, never bools
+        geo.TrajPoint(0.0, "13.5", 0),
     ):
         with pytest.raises(ValueError):
             geo.Trajectory(id="bad", points=[bad, ok])
@@ -100,11 +102,28 @@ def test_from_columns_shares_validation():
         ([91.0, 50.0], [4.0, 4.0], [5, 9]),
         ([50.0, 50.0], [4.0, np.nan], [5, 9]),
         ([50.0, 50.0], [4.0, 4.0], [5.0, 9.0]),  # float timestamps
+        ([50.0, 50.0], np.array([4.0, None], dtype=object), [5, 9]),
         ([50.0, 50.0], [4.0, 4.0], [9, 9]),
         ([50.0, 50.0, 50.0], [4.0, 4.0], [5, 9, 11]),  # ragged columns
     ):
         with pytest.raises(ValueError):
             geo.Trajectory.from_columns("bad", lat, lon, t)
+
+
+def test_check_names_the_first_fault_latitude_then_longitude_then_time():
+    # a time fault at index 0, a longitude fault at 1 and a latitude fault at 2
+    points = [(0.0, 0.0, -5), (0.0, 200.0, 5), (95.0, 0.0, 1)]
+    with pytest.raises(ValueError, match=r"^trajectory 'p': latitude 95.0 at index 2 outside"):
+        geo.Trajectory(id="p", points=points)
+    points[2] = (0.0, 0.0, 1)
+    with pytest.raises(ValueError, match=r"^trajectory 'p': longitude 200.0 at index 1 outside"):
+        geo.Trajectory(id="p", points=points)
+    points[1] = (0.0, 0.0, 5)
+    with pytest.raises(ValueError, match=r"^trajectory 'p': timestamp -5 at index 0 outside"):
+        geo.Trajectory(id="p", points=points)
+    points[0] = (0.0, 0.0, 0)
+    with pytest.raises(ValueError, match=r"time not strictly increasing at index 2"):
+        geo.Trajectory(id="p", points=points)
 
 
 def test_head_is_a_read_only_prefix_checked_once():
@@ -250,16 +269,6 @@ def test_featurize_layout_and_ranges():
     assert (fs.features[1:, geo.DT_FEATURE_INDEX] > 0).all()
     # last target row is zero: no successor to predict
     np.testing.assert_array_equal(fs.targets[-1], np.zeros(3))
-
-
-def test_step_targets_are_the_featurized_targets_from_every_start():
-    traj = random_trajectory(np.random.default_rng(31), "s", n=13)
-    params = geo.compute_center([traj])
-    targets = geo.featurize(traj, params).targets
-    for start in range(len(traj) - 1):
-        got = geo.step_targets(traj, params, start)
-        assert got.shape == (len(traj) - 1 - start, 3)
-        np.testing.assert_array_equal(got.view(np.int64), targets[start:-1].view(np.int64))
 
 
 def test_featurize_targets_match_deltas():

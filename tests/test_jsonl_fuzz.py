@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from tinytraj import data, geo
@@ -98,7 +98,7 @@ def test_reader_yields_valid_trajectories_or_skips(values):
 # ---------------------------------------------------------------------------
 
 CHUNK = data._CHUNK_LINES
-# values the per-line path may coerce (a numeric str), reject, or overflow on
+# a bool or a str, which the per-line path rejects, or a number int64 or float64 may not hold
 odd_values = (
     st.booleans()
     | st.sampled_from(["1", "-0.5", " 7 ", "nan", "1e400", ""])
@@ -166,7 +166,15 @@ def _write(tmp, lines) -> Path:
     return path
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+# no shrink phase: the same examples run, but a failure reports in seconds
+# instead of minutes spent minimizing a file of up to 49 lines
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=60,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
 @given(
     st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1]).flatmap(
         lambda n: st.lists(file_lines, min_size=n, max_size=n)
@@ -192,9 +200,9 @@ def test_bad_line_on_either_edge_of_a_chunk(tmp_path, bad_line):
 @pytest.mark.parametrize(
     "where, value",
     [
-        ((0, 0), True),  # a bool latitude: the per-line path keeps float(True)
-        ((1, 2), True),  # a bool time: the per-line path skips the line
-        ((1, 1), "13.5"),  # a str coordinate: the per-line path keeps float("13.5")
+        ((0, 0), True),  # a bool latitude: the per-line path skips the line
+        ((1, 2), True),  # a bool time: skipped
+        ((1, 1), "13.5"),  # a str coordinate: skipped
         ((1, 2), "60"),  # a str time: skipped
         ((0, 0), 10**400),  # an int no float holds
         ((1, 2), 10**400),  # an int no int64 holds
@@ -229,11 +237,11 @@ def test_trajectories_of_a_chunk_outlive_the_chunk(tmp_path):
     assert kept + rest == _per_line(path)[0]
 
 
-def test_each_line_is_parsed_once_unless_the_chunk_check_rejects_it(tmp_path, monkeypatch):
+def test_each_line_is_parsed_once(tmp_path, monkeypatch):
     out_of_range = _good(90)
     out_of_range["points"][1][0] = 91.0  # plain shape, so only the chunk check rejects it
     str_coordinate = _good(91)
-    str_coordinate["points"][0][1] = "13.5"  # not plain: the per-line path keeps float("13.5")
+    str_coordinate["points"][0][1] = "13.5"  # plain shape, rejected: not a number
     lines = [json.dumps(_good(n)) for n in range(CHUNK + 3)]
     lines[2] = "{not json"
     lines[5] = json.dumps(out_of_range)
@@ -244,6 +252,6 @@ def test_each_line_is_parsed_once_unless_the_chunk_check_rejects_it(tmp_path, mo
     loads = json.loads
     monkeypatch.setattr(json, "loads", lambda s, *a, **k: calls.append(s) or loads(s, *a, **k))
     trajs = assert_reads_like_per_line(path)
-    assert "g91" in [t.id for t in trajs]
-    # _per_line parses each line once more; the one parsed twice is the out-of-range record
-    assert len(calls) == 2 * len(lines) + 1
+    assert "g90" not in [t.id for t in trajs] and "g91" not in [t.id for t in trajs]
+    # the reader parses each line once, and _per_line once more
+    assert len(calls) == 2 * len(lines)
