@@ -43,11 +43,13 @@
  *     numpy's pairwise sum (pairwise() below);
  *   - a per-sequence sum adds the positions in order from +0.0, and the
  *     sequences are folded last first, as autodiff._fold does.
- * np.exp and scipy's erf stay numpy's and scipy's: the softmax forward is
- * softmax_shift, np.exp, softmax_scale (with 0.0 in place of each -inf that
- * np.exp would see, and exp(-inf) = +0.0 put back after it), and the GELU
- * pass and its gradient get erf and the exponential from scipy and numpy.
- * The row passes are compiled for the baseline target only. */
+ * np.exp stays numpy's: the softmax forward is softmax_shift, np.exp,
+ * softmax_scale (with 0.0 in place of each -inf that np.exp would see, and
+ * exp(-inf) = +0.0 put back after it), and the GELU gradient gets its
+ * exponential from np.exp.  The GELU forward computes erf itself, by the
+ * algorithm of scipy.special.erf (cephes erf: erf_near and erf_far below)
+ * with libm's exp, so it gives scipy's bits.  The row passes are compiled
+ * for the baseline target only. */
 #include <stddef.h>
 
 #define NR 8 /* columns in a tile */
@@ -408,15 +410,95 @@ void tinytraj_gelu_vjp(const double *g, const double *x, const double *cdf, cons
         dx[i] = g[i] * (cdf[i] + x[i] * (e[i] * c));
 }
 
-/* GELU forward, given e = erf(x / sqrt 2) from scipy: cdf = 0.5 * (1.0 + e)
- * and y = x * cdf.  cdf may be e, and y may be e when cdf is not kept (then
- * cdf is NULL). */
-void tinytraj_gelu(const double *x, const double *e, double *cdf, double *y, ptrdiff_t size)
+/* cephes' rational approximations, as scipy.special.erf evaluates them:
+ * erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and erfc(x) = exp(-x^2) P(x) / Q(x)
+ * below 8, exp(-x^2) R(x) / S(x) from 8 on; U, Q and S have a leading 1 */
+static const double ERF_T[] = {9.60497373987051638749E0, 9.00260197203842689217E1,
+                               2.23200534594684319226E3, 7.00332514112805075473E3,
+                               5.55923013010394962768E4};
+static const double ERF_U[] = {3.35617141647503099647E1, 5.21357949780152679795E2,
+                               4.59432382970980127987E3, 2.26290000613890934246E4,
+                               4.92673942608635921086E4};
+static const double ERFC_P[] = {2.46196981473530512524E-10, 5.64189564831068821977E-1,
+                                7.46321056442269912687E0,   4.86371970985681366614E1,
+                                1.96520832956077098242E2,   5.26445194995477358631E2,
+                                9.34528527171957607540E2,   1.02755188689515710272E3,
+                                5.57535335369399327526E2};
+static const double ERFC_Q[] = {1.32281951154744992508E1, 8.67072140885989742329E1,
+                                3.54937778887819891062E2, 9.75708501743205489753E2,
+                                1.82390916687909736289E3, 2.24633760818710981792E3,
+                                1.65666309194161350182E3, 5.57535340817727675546E2};
+static const double ERFC_R[] = {5.64189583547755073984E-1, 1.27536670759978104416E0,
+                                5.01905042251180477414E0,  6.16021097993053585195E0,
+                                7.40974269950448939160E0,  2.97886665372100240670E0};
+static const double ERFC_S[] = {2.26052863220117276590E0, 9.39603524938001434673E0,
+                                1.20489539808096656605E1, 1.70814450747565897222E1,
+                                9.60896809063285878198E0, 3.36907645100081516050E0};
+#define MAXLOG 7.09782712893383996843E2 /* log(DBL_MAX): below -MAXLOG, exp underflows */
+#define SQRT2 1.41421356237309504880
+
+/* Horner's rule over c[0 .. n-1], highest power first (cephes polevl), and
+ * with a leading coefficient of 1 before them (p1evl); each step is one
+ * rounded multiply, then one rounded add */
+static inline double polevl(double x, const double *c, int n)
 {
-    for (ptrdiff_t i = 0; i < size; i++) {
-        const double c = 0.5 * (1.0 + e[i]);
-        if (cdf)
-            cdf[i] = c;
-        y[i] = x[i] * c;
+    double a = c[0];
+    for (int i = 1; i < n; i++)
+        a = a * x + c[i];
+    return a;
+}
+
+static inline double p1evl(double x, const double *c, int n)
+{
+    double a = x + c[0];
+    for (int i = 1; i < n; i++)
+        a = a * x + c[i];
+    return a;
+}
+
+/* erf(x) for |x| <= 1: x T(x^2) / U(x^2).  cephes computes -erf(-x) for
+ * x < 0, which has the same bits: negation is exact.  NaN stays NaN. */
+static inline double erf_near(double x)
+{
+    const double z = x * x;
+    return x * polevl(z, ERF_T, 5) / p1evl(z, ERF_U, 5);
+}
+
+/* erf(a) for a > 1: 1 - erfc(a), where erfc is 0 once -a^2 is below -MAXLOG
+ * (a > 26.64, inf too) */
+static double erf_far(double a)
+{
+    const double z = -a * a;
+    if (z < -MAXLOG) /* erfc underflows to 0 */
+        return 1.0;
+    const double p = a < 8.0 ? polevl(a, ERFC_P, 9) : polevl(a, ERFC_R, 6);
+    const double q = a < 8.0 ? p1evl(a, ERFC_Q, 8) : p1evl(a, ERFC_S, 6);
+    return 1.0 - __builtin_exp(z) * p / q; /* a call to libm's exp */
+}
+
+#define GELU_BLOCK 256 /* elements whose erf is held on the stack at once */
+
+/* GELU forward: cdf = 0.5 * (1.0 + erf(x / sqrt 2)) and y = x * cdf, with
+ * scipy.special.erf's bits (erf(-x) = -erf(x)).  Per block, erf_near runs
+ * on every element without a branch, so it vectorizes; the elements past 1
+ * are then redone by erf_far.  cdf is NULL when it is not kept. */
+void tinytraj_gelu(const double *x, double *restrict cdf, double *restrict y, ptrdiff_t size)
+{
+    double e[GELU_BLOCK];
+    for (ptrdiff_t i0 = 0; i0 < size; i0 += GELU_BLOCK, x += GELU_BLOCK, y += GELU_BLOCK) {
+        const ptrdiff_t n = size - i0 < GELU_BLOCK ? size - i0 : GELU_BLOCK;
+        for (ptrdiff_t i = 0; i < n; i++)
+            e[i] = erf_near(x[i] / SQRT2);
+        for (ptrdiff_t i = 0; i < n; i++) {
+            const double t = x[i] / SQRT2;
+            if (__builtin_fabs(t) > 1.0)
+                e[i] = __builtin_copysign(erf_far(__builtin_fabs(t)), t);
+        }
+        for (ptrdiff_t i = 0; i < n; i++) {
+            const double c = 0.5 * (1.0 + e[i]);
+            if (cdf)
+                cdf[i0 + i] = c;
+            y[i] = x[i] * c;
+        }
     }
 }

@@ -19,17 +19,20 @@ product at a time.  ``tinytraj_bmm`` runs the AVX2 tile on CPUs
 that have it and the baseline tile otherwise;
 ``native("tinytraj_bmm_baseline")`` gives the baseline on any CPU, for the
 tests.  The row ops check shapes and make every array C-contiguous float64
-before a pointer is passed; ``np.exp`` and scipy's ``erf`` stay numpy's and
-scipy's, each between C passes.
+before a pointer is passed; ``np.exp`` stays numpy's, between C passes.  The
+GELU forward is one C pass that computes ``erf`` itself, by scipy's
+algorithm and with libm's ``exp``, so it gives ``scipy.special.erf``'s bits
+without scipy (it is linked with ``-lm``).
 
 Per call on a shared 2-vCPU x86-64 host (best of 5; numpy body → compiled):
 softmax of causal ``[25, 4, 32, 32]`` scores 1.35–1.42 → 0.46–0.47 ms, its VJP
 0.56–0.62 → 0.17 ms; layer norm of ``[25, 32, 32]`` 0.25–0.27 → 0.09 ms, its
 ``dx`` 0.28–0.29 → 0.07 ms; the GELU VJP of ``[25, 32, 128]`` 1.33–1.50 →
-0.45–0.46 ms, its forward 1.86 → 1.75 ms keeping ``cdf`` and 1.35 → 1.32 ms
-without (scipy's ``erf`` alone takes 1.23 ms; five numpy passes took 1.83
-ms); the output head ``(800, 32) @ (32, 3)`` 93 → 39–41 µs with its narrow
-tile.
+0.45–0.46 ms, its forward (best of 7) 5.0–7.1 → 1.27–1.78 ms keeping ``cdf``
+and 5.2–7.2 → 0.77–1.04 ms without (the numpy body calls libm's ``exp`` once
+per entry past 1; a C pass around scipy's ``erf`` took 1.90–1.96 and
+1.41–1.46 ms); the output head ``(800, 32) @ (32, 3)`` 93 → 39–41 µs with its
+narrow tile.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .autodiff import (
     Ops,
     ShapeMismatchError,
     _bmm_numpy,
-    _erf_of_scaled,
     _gelu_numpy,
     _gelu_vjp_numpy,
     _layer_norm_dx_numpy,
@@ -68,6 +70,7 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 # no -ffast-math, -Ofast or -march: each term stays one rounded multiply and
 # one rounded add, in _bmm_numpy's order
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+LIBS = ("-lm",)  # the GELU's erf calls libm's exp
 
 
 def compile_kernel() -> Path:
@@ -77,7 +80,7 @@ def compile_kernel() -> Path:
     # -v names the compiler's version and target
     about = subprocess.run(cc + ["-v"], capture_output=True, text=True, check=True, timeout=60)
     key = hashlib.sha256(SOURCE.read_bytes())
-    key.update("\0".join([*cc, *FLAGS, about.stdout, about.stderr]).encode())
+    key.update("\0".join([*cc, *FLAGS, *LIBS, about.stdout, about.stderr]).encode())
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "tinytraj"
     lib = cache / f"kernel-{key.hexdigest()[:16]}.so"
     if not lib.exists():
@@ -85,7 +88,7 @@ def compile_kernel() -> Path:
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
         os.close(fd)
         try:
-            cmd = cc + [*FLAGS, "-o", tmp, str(SOURCE)]
+            cmd = cc + [*FLAGS, "-o", tmp, str(SOURCE), *LIBS]
             subprocess.run(cmd, capture_output=True, check=True, timeout=120)
             os.replace(tmp, lib)  # atomic: a concurrent loader sees all of it or nothing
         finally:
@@ -166,7 +169,7 @@ def row_ops(lib: ctypes.CDLL) -> dict[str, Callable]:
         (layer_norm_c, [ptr, ptr, ptr, ctypes.c_double, ptr, ptr, ptr, size, size]),
         (layer_norm_dx_c, [ptr, ptr, ptr, ptr, ptr, size, size]),  # g, gain, xhat, inv, dx, rows, d
         (seq_sums_c, [ptr, ptr, ptr, size, size, size]),  # g, w or NULL, out, batch, seq, d
-        (gelu_c, [ptr, ptr, ptr, ptr, size]),  # x, e, cdf or NULL, y, size
+        (gelu_c, [ptr, ptr, ptr, size]),  # x, cdf or NULL, y, size
         (gelu_vjp_c, [ptr, ptr, ptr, ptr, ctypes.c_double, ptr, size]),  # g, x, cdf, e, c, dx, size
     ]:
         fn.argtypes, fn.restype = args, None
@@ -236,13 +239,9 @@ def row_ops(lib: ctypes.CDLL) -> dict[str, Callable]:
 
     def gelu(x: np.ndarray, keep_cdf: bool = True):
         x = _c(x)
-        e = _erf_of_scaled(x)  # scipy's erf; the C pass writes cdf, or the output, over it
-        if not keep_cdf:
-            gelu_c(x.ctypes.data, e.ctypes.data, None, e.ctypes.data, e.size)
-            return e, None
-        y = np.empty_like(x)
-        gelu_c(x.ctypes.data, e.ctypes.data, e.ctypes.data, y.ctypes.data, e.size)
-        return y, e
+        y, cdf = np.empty_like(x), np.empty_like(x) if keep_cdf else None
+        gelu_c(x.ctypes.data, None if cdf is None else cdf.ctypes.data, y.ctypes.data, x.size)
+        return y, cdf
 
     def gelu_vjp(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
         g, x, cdf = _c(g), _c(x), _c(cdf)

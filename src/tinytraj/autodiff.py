@@ -27,9 +27,11 @@ Design notes:
         ``+0.0`` in order at every width, folded last sequence first
         (``Ops.seq_sums``); an unbatched input is one sequence.
     ``softmax_rows``, ``layer_norm``, GELU and its VJP run these in C too,
-    one pass where numpy takes several; ``np.exp`` and scipy's ``erf`` stay
-    numpy's and scipy's.  scipy is imported on the first GELU, not with this
-    module: reading and batching data never pays for it.
+    one pass where numpy takes several; ``np.exp`` stays numpy's.
+  * GELU's ``erf`` is scipy's algorithm (cephes ``erf``: two rational
+    approximations and libm's ``exp``, each step one rounded IEEE
+    operation), computed here (``_erf_of_scaled``) and in the C pass alike,
+    so both give ``scipy.special.erf``'s bits and scipy is never imported.
   * The contraction rule: each element of a matrix product starts from +0.0
     and adds its ``k`` terms in order, each term one rounded multiply then one
     rounded add.  ``_bmm`` runs it in C (``_kernel.c``, compiled on first use
@@ -328,14 +330,61 @@ def _seq_sums_numpy(g: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     return _fold(_seq_sums(g if w is None else g * w))
 
 
-def _erf_of_scaled(x: np.ndarray) -> np.ndarray:
-    # erf(x / sqrt(2)) in one fresh array.  scipy is imported here, on first
-    # use: 0.3 s and about 26 MB that a process never running GELU does not pay.
-    from scipy.special import erf
+# cephes' erf, the algorithm of scipy.special.erf, and its coefficients (the
+# C kernel holds the same): erf(x) = x T(x^2) / U(x^2) for
+# |x| <= 1, else 1 - erfc(x) with erfc(x) = exp(-x^2) P(x) / Q(x) below 8 and
+# exp(-x^2) R(x) / S(x) from 8 on, and 0 once -x^2 < -_MAXLOG; U, Q and S
+# have a leading 1.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2
 
+
+def _horner(x: np.ndarray, coef: Sequence[float], leading_one: bool = False) -> np.ndarray:
+    # cephes' polevl (or p1evl, with a leading coefficient of 1): each step
+    # one rounded multiply, then one rounded add
+    acc = x + coef[0] if leading_one else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erf_of_scaled(x: np.ndarray) -> np.ndarray:
+    # erf(x / sqrt(2)) in one fresh array, with scipy.special.erf's bits: the
+    # cephes algorithm above, as the C pass runs it.  t T(t^2) / U(t^2) on
+    # every t has the bits of cephes' -erf(-t) for t < 0 (negation is exact),
+    # -0.0 and NaN included; the entries past 1 are redone with erf's sign
+    # put back.  exp is libm's (math.exp), whose bits the C pass shares and
+    # np.exp's SIMD loops do not, so it runs per element, on those entries only.
     t = x / _SQRT2
-    erf(t, out=t)
-    return t
+    with np.errstate(over="ignore", invalid="ignore"):  # only past 1, redone below
+        z = t * t
+        out = t * _horner(z, _ERF_T) / _horner(z, _ERF_U, True)
+    far = np.abs(t) > 1.0
+    a = np.abs(t[far])
+    with np.errstate(over="ignore"):
+        kept = a * a <= _MAXLOG  # -a^2 >= -MAXLOG; past it erfc underflows to 0
+    erf = np.ones_like(a)
+    a = a[kept]
+    p = np.where(a < 8.0, _horner(a, _ERFC_P), _horner(a, _ERFC_R))
+    q = np.where(a < 8.0, _horner(a, _ERFC_Q, True), _horner(a, _ERFC_S, True))
+    e = np.array([math.exp(v) for v in (-a * a).tolist()], dtype=np.float64)
+    erf[kept] = 1.0 - e * p / q
+    out[far] = np.copysign(erf, t[far])
+    return out
 
 
 def _gelu_numpy(x: np.ndarray, keep_cdf: bool = True) -> tuple[np.ndarray, np.ndarray | None]:

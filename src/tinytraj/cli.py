@@ -67,7 +67,8 @@ def _load_json(path: str | Path) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # UnicodeDecodeError: not UTF-8; RecursionError: nested deeper than the parser goes
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{path} must hold a JSON object")

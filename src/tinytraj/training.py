@@ -739,7 +739,7 @@ def load_checkpoint(
         raise CorruptCheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(raw[prefix:body_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptCheckpointError(f"{path}: unreadable header ({exc})") from exc
 
     if not isinstance(header, dict):

@@ -11,7 +11,7 @@ with the per-sequence forward pass and pin every later kernel change to the
 same bits.
 
 Float64 results are bit-stable on one platform only (numpy's SIMD kernels
-decide the last bits of exp, erf, ...), so the goldens are keyed to the host
+decide the last bits of exp, sin, ...), so the goldens are keyed to the host
 they were recorded on. Print fresh goldens for this host with
 
     PYTHONPATH=src python tests/test_bitwise.py

@@ -138,6 +138,22 @@ class TestSynth:
         cfg.write_text("{not json")
         assert run("synth", "--config", cfg, "--out", tmp_path / "c") == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[" * 200_000 + b"]" * 200_000,  # deeper than the JSON parser recurses
+            '{"seed": 1, "n_traj": 2, "note": "\u00e9"}'.encode("latin-1"),  # not UTF-8
+        ],
+        ids=["deeply_nested", "not_utf8"],
+    )
+    def test_unparsable_config_is_data_error(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        out = tmp_path / "c.jsonl"
+        assert run("synth", "--config", cfg, "--out", out) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # fit-norm
@@ -359,6 +375,22 @@ class TestTrain:
             "train", "--data", corpus, "--out", tmp_path / "m.ckpt", "--lr", -1
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 200_000 + b"]" * 200_000, b'{"center_lat": "\xe9"}'],
+        ids=["deeply_nested", "not_utf8"],
+    )
+    def test_unparsable_norm_file_is_data_error(
+        self, tmp_path, corpus, model_config, capsys, content
+    ):
+        norm = tmp_path / "norm.json"
+        norm.write_bytes(content)
+        out = tmp_path / "m.ckpt"
+        code = run("train", "--config", model_config, "--data", corpus, "--out", out, "--norm", norm)
+        assert code == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infinite_norm_file_is_data_error(self, tmp_path, corpus, model_config, capsys):
         norm = tmp_path / "norm.json"
@@ -778,18 +810,27 @@ class NoScipy(MetaPathFinder):
 sys.meta_path.insert(0, NoScipy())
 from tinytraj import cli, data, geo
 
-out, norm = sys.argv[1] + "/corpus.jsonl", sys.argv[1] + "/norm.json"
+tmp = sys.argv[1]
+out, norm, ckpt = tmp + "/corpus.jsonl", tmp + "/norm.json", tmp + "/model.ckpt"
 assert cli.main(["synth", "--out", out, "--n-traj", "9", "--points", "7", "--seed", "2"]) == 0
 assert cli.main(["fit-norm", "--data", out, "--out", norm]) == 0
 with open(norm) as fh:
     params = geo.NormalizationParams.from_dict(json.load(fh))
 batches = list(data.batchify(data.stream_jsonl(out), 4, 8, params))
 assert sum(b.features.shape[0] for b in batches) == 9
+# the model's GELU, its gradient and the kernel's load-time self-check too
+assert cli.main([
+    "train", "--data", out, "--out", ckpt, "--norm", norm, "--epochs", "1", "--batch-size", "4",
+    "--d-model", "8", "--n-heads", "2", "--n-blocks", "1", "--max-seq", "8",
+]) == 0
+for mode in ("rollout", "infill"):
+    report = tmp + f"/{mode}.json"
+    assert cli.main(["eval", "--ckpt", ckpt, "--data", out, "--mode", mode, "--out", report]) == 0
 assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
 """
 
 
-def test_reading_and_batching_data_never_imports_scipy(tmp_path):
+def test_reading_training_and_evaluating_never_import_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY, str(tmp_path)],

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from tinytraj import data, geo
@@ -59,12 +59,25 @@ records = st.fixed_dictionaries(
 lines = records | json_values
 
 
+# plain-record shape edge cases, run as explicit examples: which examples
+# hypothesis draws depends on the modules loaded, so a run of this file alone
+# could otherwise miss them
+EDGE_RECORDS = [
+    {"id": "empty", "points": [[], []]},
+    {"id": "one", "points": [[52.5, 13.4, 0]]},
+    {"id": "pairs", "points": [[52.5, 13.4], [52.6, 13.5]]},
+    {"id": "fours", "points": [[52.5, 13.4, 0, 1], [52.6, 13.5, 60, 1]]},
+    {"id": "", "points": [[52.5, 13.4, 0], [52.6, 13.5, 60]]},
+]
+
+
 def _is_json_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.lists(lines, min_size=1, max_size=4))
+@example(EDGE_RECORDS)
 def test_reader_yields_valid_trajectories_or_skips(values):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.jsonl"
@@ -166,6 +179,10 @@ def _write(tmp, lines) -> Path:
     return path
 
 
+def _good(i: int, n: int = 3) -> dict:
+    return {"id": f"g{i}", "points": [[50.0 + 0.1 * i, 10.0 + j, 60 * j + i] for j in range(n)]}
+
+
 # no shrink phase: the same examples run, but a failure reports in seconds
 # instead of minutes spent minimizing a file of up to 49 lines
 @settings(
@@ -180,13 +197,12 @@ def _write(tmp, lines) -> Path:
         lambda n: st.lists(file_lines, min_size=n, max_size=n)
     )
 )
+@example([json.dumps(r) for r in EDGE_RECORDS])
+# each edge case among valid records, on both sides of a chunk edge
+@example([json.dumps(_good(n) if n % 4 else EDGE_RECORDS[n // 4 % 5]) for n in range(3 * CHUNK + 1)])
 def test_chunked_reader_matches_per_line_path(lines):
     with tempfile.TemporaryDirectory() as tmp:
         assert_reads_like_per_line(_write(tmp, lines))
-
-
-def _good(i: int, n: int = 3) -> dict:
-    return {"id": f"g{i}", "points": [[50.0 + 0.1 * i, 10.0 + j, 60 * j + i] for j in range(n)]}
 
 
 @pytest.mark.parametrize("bad_line", ["{not json", json.dumps({"id": "short", "points": [[1, 2, 3]]})])

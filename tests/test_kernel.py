@@ -1,6 +1,6 @@
 """The compiled kernel behind ``autodiff``: the contraction of ``_bmm`` and
-the row-wise ops of softmax, layer norm, the per-sequence sums and the GELU
-gradient.
+the row-wise ops of softmax, layer norm, the per-sequence sums, the GELU and
+its gradient.
 
 The numpy bodies (``_bmm_numpy``, ``_softmax_numpy``, ...) are the oracle:
 every compiled op, and both bodies of the contraction (the one this CPU
@@ -12,6 +12,7 @@ checked, every op runs its numpy body instead.
 
 from __future__ import annotations
 
+import math
 import subprocess
 import sysconfig
 import tracemalloc
@@ -455,10 +456,8 @@ def _seq_sums_numpy_sum(g, w=None):  # numpy's sum: pairwise over one column
     return ad._fold((g if w is None else g * w).sum(axis=1))
 
 
-def _gelu_erfc(x, keep_cdf=True):  # the same function, rounded differently
-    from scipy.special import erfc
-
-    cdf = 0.5 * erfc(-x / ad._SQRT2)
+def _gelu_erfc(x, keep_cdf=True):  # the same function, rounded differently: libm's erfc
+    cdf = 0.5 * np.vectorize(math.erfc, otypes=[np.float64])(-x / ad._SQRT2)
     return x * cdf, cdf if keep_cdf else None
 
 

@@ -635,13 +635,19 @@ def test_checkpoint_rejects_garbage_and_truncation(tmp_path):
         load_checkpoint(padded)
 
 
+def _frame_header(blob: bytes, new: bytes) -> bytes:
+    """Re-frame a checkpoint around the header bytes ``new``, payload kept."""
+    start = len(tr.CHECKPOINT_MAGIC) + 4
+    (n,) = struct.unpack_from("<Q", blob, start)
+    return blob[:start] + struct.pack("<Q", len(new)) + new + blob[start + 8 + n :]
+
+
 def _rewrite_header(blob: bytes, edit) -> bytes:
     """Re-frame a checkpoint around ``edit(header)``'s JSON, payload kept."""
     start = len(tr.CHECKPOINT_MAGIC) + 4
     (n,) = struct.unpack_from("<Q", blob, start)
     header = json.loads(blob[start + 8 : start + 8 + n])
-    new = json.dumps(edit(header)).encode()
-    return blob[:start] + struct.pack("<Q", len(new)) + new + blob[start + 8 + n :]
+    return _frame_header(blob, json.dumps(edit(header)).encode())
 
 
 def _drop_arrays(header):
@@ -694,6 +700,8 @@ def _edit_entry(name, change):
 CORRUPTIONS = {
     "missing_arrays": lambda blob: _rewrite_header(blob, _drop_arrays),
     "non_object_header": lambda blob: _rewrite_header(blob, lambda h: [h]),
+    # deeper than the JSON parser recurses: RecursionError, not a traceback
+    "deeply_nested_header": lambda blob: _frame_header(blob, b"[" * 200_000 + b"]" * 200_000),
     "unknown_model_config_key": lambda blob: _rewrite_header(blob, _unknown_config_key),
     "nan_payload": _nan_payload,
     "infinite_normalization": lambda blob: _rewrite_header(
