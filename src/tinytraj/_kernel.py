@@ -140,7 +140,7 @@ def contraction(fn: Callable) -> Contraction:
 
 
 def _c(x: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(x, dtype=np.float64)
+    return np.asarray(x, dtype=np.float64, order="C")  # a 0-d array stays 0-d
 
 
 def _same_shape(op: str, *arrays: np.ndarray) -> None:
@@ -246,7 +246,7 @@ def row_ops(lib: ctypes.CDLL) -> dict[str, Callable]:
     def gelu_vjp(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
         g, x, cdf = _c(g), _c(x), _c(cdf)
         _same_shape("gelu_vjp", g, x, cdf)
-        e = -0.5 * x
+        e = np.multiply(-0.5, x, out=np.empty_like(x))  # an array even when x is 0-d
         e *= x
         np.exp(e, out=e)  # numpy's exp; the C pass then writes dx over it
         gelu_vjp_c(

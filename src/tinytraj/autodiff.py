@@ -228,7 +228,7 @@ def backward(loss: Tensor, tape: Tape | None = None) -> dict[Tensor, np.ndarray]
         g = grads.get(id(t))
         if g is None:
             g = np.zeros_like(t.data)
-        g = np.ascontiguousarray(g, dtype=np.float64)
+        g = np.asarray(g, dtype=np.float64, order="C")  # a 0-d gradient stays 0-d
         t.grad = g
         result[t] = g
 
@@ -369,7 +369,7 @@ def _erf_of_scaled(x: np.ndarray) -> np.ndarray:
     # -0.0 and NaN included; the entries past 1 are redone with erf's sign
     # put back.  exp is libm's (math.exp), whose bits the C pass shares and
     # np.exp's SIMD loops do not, so it runs per element, on those entries only.
-    t = x / _SQRT2
+    t = np.reshape(x / _SQRT2, -1)  # 1-d: x / sqrt 2 of a 0-d array is a scalar
     with np.errstate(over="ignore", invalid="ignore"):  # only past 1, redone below
         z = t * t
         out = t * _horner(z, _ERF_T) / _horner(z, _ERF_U, True)
@@ -384,7 +384,7 @@ def _erf_of_scaled(x: np.ndarray) -> np.ndarray:
     e = np.array([math.exp(v) for v in (-a * a).tolist()], dtype=np.float64)
     erf[kept] = 1.0 - e * p / q
     out[far] = np.copysign(erf, t[far])
-    return out
+    return out.reshape(np.shape(x))
 
 
 def _gelu_numpy(x: np.ndarray, keep_cdf: bool = True) -> tuple[np.ndarray, np.ndarray | None]:

@@ -11,12 +11,14 @@ configs the subcommand builds (``synth``: ``SyntheticConfig``; ``train``:
 its field name, and a flag overrides the document.
 
 Exit codes: 0 success, 1 usage error (bad flags; unknown config sections,
-keys or mistyped values), 2 data error (missing or corrupt files, empty
-corpora, mismatched normalization frames, a non-finite or malformed
-normalization file), 3 numeric failure (a non-finite training loss or
-gradient norm; an ``eval`` or ``rollout`` prediction that is not finite in
-degrees and seconds, or a generated rollout point outside the trajectory
-ranges, such as a time past ``MAX_T``).
+keys or mistyped values; a size too large to allocate), 2 data error
+(missing or corrupt files, among them a checkpoint whose header is not one
+valid typed document, see ``training.load_checkpoint``; empty corpora,
+mismatched normalization frames, a non-finite or malformed normalization
+file), 3 numeric failure (a non-finite training loss or gradient norm; an
+``eval`` or ``rollout`` prediction that is not finite in degrees and
+seconds, or a generated rollout point outside the trajectory ranges, such
+as a time past ``MAX_T``).
 """
 
 from __future__ import annotations
@@ -67,8 +69,7 @@ def _load_json(path: str | Path) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    # UnicodeDecodeError: not UTF-8; RecursionError: nested deeper than the parser goes
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON; nested past the parser
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{path} must hold a JSON object")
@@ -474,8 +475,8 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # MemoryError: a size past any allocation
+        print(f"usage error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -264,6 +264,8 @@ def _typed(kind, value):
         kind in (bool, str, type(None)) and isinstance(value, kind)
     ):
         return value
+    if isinstance(kind, type) and issubclass(kind, JsonConfig) and isinstance(value, dict):
+        return kind.from_dict(value)  # its errors name its own class and field
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin in (typing.Union, types.UnionType):
         for arm in args:
@@ -274,6 +276,13 @@ def _typed(kind, value):
         if len(arms) == len(value):
             return tuple(map(_typed, arms, value))
     raise TypeError(f"{value!r} is not {kind}")
+
+
+def _plain(value):
+    """``value`` as JSON holds it: tuples as lists, a ``JsonConfig`` as its ``to_dict``."""
+    if isinstance(value, tuple):
+        return list(map(_plain, value))
+    return value.to_dict() if isinstance(value, JsonConfig) else value
 
 
 @functools.cache
@@ -287,17 +296,15 @@ class JsonConfig:
 
     The keys are the dataclass fields.  ``from_dict`` takes an ``int`` as a
     JSON integer, a ``float`` as a finite JSON number (an integer becomes a
-    float), ``bool`` and ``str`` as themselves, ``X | None`` as either, and a
-    ``tuple[...]`` as a list of the right length and element types; any other
-    key or value raises ``ValueError`` naming the class, the field and the
-    value.  ``to_dict`` writes tuples as lists.
+    float), ``bool`` and ``str`` as themselves, ``X | None`` as either, a
+    ``tuple[...]`` as a list of the right length and element types, and a
+    ``JsonConfig`` as an object read by its own ``from_dict``; any other key
+    or value raises ``ValueError`` naming the class, the field and the value.
+    ``to_dict`` writes tuples as lists and a ``JsonConfig`` as its ``to_dict``.
     """
 
     def to_dict(self) -> dict:
-        return {
-            f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
-            for f in fields(self)
-        }
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict):

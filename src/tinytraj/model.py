@@ -78,6 +78,8 @@ class ModelConfig(geo.JsonConfig):
             raise ValueError(f"n_heads {self.n_heads} must divide d_model {self.d_model}")
         if self.n_blocks < 1:
             raise ValueError("n_blocks must be >= 1")
+        if self.d_ff is not None and self.d_ff < 1:
+            raise ValueError(f"d_ff must be >= 1, got {self.d_ff}")
         if self.max_seq < 1:
             raise ValueError("max_seq must be >= 1")
         if self.attention_mode not in ("causal", "bidirectional"):

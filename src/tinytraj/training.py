@@ -16,7 +16,7 @@ import os
 import secrets
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -68,7 +68,6 @@ __all__ = [
 
 OBJECTIVES = ("next_step", "infill", "alternating")
 LOSS_KINDS = ("mse", "huber")
-HISTORY_COLUMNS = ("epoch", "split", "objective", "loss")
 
 CHECKPOINT_MAGIC = b"TTCK"
 CHECKPOINT_VERSION = 1
@@ -623,23 +622,73 @@ def make_checkpoint(
 def restore_params(ckpt: Checkpoint) -> ModelParams:
     """Rebuild a parameter tree carrying the checkpoint's exact values.
 
-    Every stored array's name and shape is checked against the shapes the
-    model configuration implies before anything is allocated, so a header
-    that claims a larger model than its arrays fails at the cost of the file.
+    The stored arrays must have the names and shapes the model configuration
+    implies, as ``load_checkpoint`` requires of a file's manifest.
     """
     expected = parameter_shapes(ckpt.model_config)
-    if set(expected) != set(ckpt.arrays):
-        missing = sorted(set(expected) ^ set(ckpt.arrays))
-        raise CorruptCheckpointError(
-            f"checkpoint arrays do not match the configuration: {missing}"
-        )
-    for name, shape in expected.items():
-        stored = ckpt.arrays[name]
-        if stored.shape != shape:
-            raise CorruptCheckpointError(
-                f"array {name!r} has shape {stored.shape}, expected {shape}"
-            )
+    stored = {name: arr.shape for name, arr in ckpt.arrays.items()}
+    if stored != expected:
+        wrong = sorted(set(stored.items()) ^ set(expected.items()))
+        raise CorruptCheckpointError(f"checkpoint arrays do not match the configuration: {wrong}")
     return params_from_arrays(ckpt.model_config, ckpt.arrays)
+
+
+@dataclass(frozen=True)
+class _ArrayEntry(JsonConfig):
+    name: str
+    shape: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _RngState(JsonConfig):
+    seed: int = 0
+    next_epoch: int = 0
+
+    def __post_init__(self):
+        if self.next_epoch < 0:
+            raise ValueError(f"next_epoch must be >= 0, got {self.next_epoch}")
+
+
+@dataclass(frozen=True)
+class _HistoryRow(JsonConfig):
+    epoch: int
+    split: str
+    objective: str
+    loss: float
+
+    def __post_init__(self):
+        if self.epoch < 0 or self.split not in ("train", "val") or self.objective not in OBJECTIVES:
+            raise ValueError(f"history row {self} holds a value out of range")
+
+
+HISTORY_COLUMNS = tuple(f.name for f in fields(_HistoryRow))  # the history CSV's too
+
+
+@dataclass(frozen=True)
+class _Header(JsonConfig):
+    """The JSON header of a checkpoint, as ``save_checkpoint`` writes it."""
+
+    version: int
+    model_config: ModelConfig
+    normalization: NormalizationParams | None
+    adam_step: int | None
+    rng_state: _RngState
+    history: tuple[_HistoryRow, ...]
+    train_config: TrainConfig | None
+    arrays: tuple[_ArrayEntry, ...]
+
+    def __post_init__(self):
+        if self.version != CHECKPOINT_VERSION:
+            raise ValueError(f"header version {self.version}, frame {CHECKPOINT_VERSION}")
+        if self.adam_step is not None and self.adam_step < 0:
+            raise ValueError(f"adam_step must be >= 0, got {self.adam_step}")
+        groups = ("params",) if self.adam_step is None else ("params", "adam_m", "adam_v")
+        # a block has 16 arrays: claiming more blocks than arrays fails before naming them
+        shapes = () if self.model_config.n_blocks > len(self.arrays) else sorted(
+            parameter_shapes(self.model_config).items()
+        )
+        if self.arrays != tuple(_ArrayEntry(f"{g}/{n}", s) for g in groups for n, s in shapes):
+            raise ValueError("the array manifest is not the one the model configuration implies")
 
 
 def _array_entries(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
@@ -696,33 +745,21 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         raise
 
 
-def _manifest_entry(entry) -> tuple[str, tuple[int, ...]]:
-    name, shape = entry["name"], entry["shape"]
-    if not (
-        isinstance(name, str)
-        and isinstance(shape, list)
-        and all(type(d) is int and d >= 0 for d in shape)
-    ):
-        raise ValueError(f"bad array entry {entry!r}")
-    return name, tuple(shape)
-
-
 def load_checkpoint(
     path: str | Path, expect_config: ModelConfig | None = None
 ) -> Checkpoint:
     """Read a checkpoint; fails loudly on corruption, version skew, or a
     model configuration different from ``expect_config``.
 
-    Every malformed header (not an object, missing keys, unknown, mistyped or
-    invalid ``model_config`` or ``normalization`` fields, array shapes that
-    are not lists of non-negative integers, an ``rng_state`` that is not an
-    object or whose ``next_epoch`` is not a non-negative integer, a
-    ``history`` that is not a list of objects holding every
-    ``HISTORY_COLUMNS`` key with a non-negative integer ``epoch``, a
-    ``split`` of ``"train"`` or ``"val"``, a string ``objective`` and a
-    numeric ``loss``), every non-finite payload value and, when the
-    header sets ``adam_step``, Adam moments whose names or shapes differ from
-    the parameters' raise :class:`CorruptCheckpointError`.
+    The header is one typed ``JsonConfig`` document, ``_Header``, and
+    :class:`CorruptCheckpointError` is raised for one that is not UTF-8 JSON,
+    lacks a key or has an unknown one, has a mistyped or invalid value (a
+    ``version`` other than the frame's, a ``history`` row that is not a count
+    ``epoch``, a ``split`` of ``"train"`` or ``"val"``, an ``objective`` of
+    ``OBJECTIVES`` and a finite ``loss``) or an array manifest other than
+    the parameters its model configuration implies, sorted by name, then
+    the Adam moments exactly when ``adam_step`` is set; as well as for a
+    truncated, overlong or non-finite payload.
     """
     raw = Path(path).read_bytes()
     prefix = len(CHECKPOINT_MAGIC) + 4 + 8
@@ -737,70 +774,29 @@ def load_checkpoint(
     body_start = prefix + header_len
     if len(raw) < body_start:
         raise CorruptCheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[prefix:body_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise CorruptCheckpointError(f"{path}: unreadable header ({exc})") from exc
-
-    if not isinstance(header, dict):
-        raise CorruptCheckpointError(f"{path}: header is not a JSON object")
-    try:
-        manifest = [_manifest_entry(e) for e in header["arrays"]]
-        model_cfg = ModelConfig.from_dict(header["model_config"])
-        norm = (
-            NormalizationParams.from_dict(header["normalization"])
-            if header.get("normalization")
-            else None
-        )
-        adam_step = header.get("adam_step")
-        if adam_step is not None and (type(adam_step) is not int or adam_step < 0):
-            raise ValueError(f"adam_step {adam_step!r} is not a count")
-        rng_state = header["rng_state"]
-        if not isinstance(rng_state, dict):
-            raise TypeError(f"rng_state {rng_state!r} is not an object")
-        next_epoch = rng_state.get("next_epoch", 0)
-        if type(next_epoch) is not int or next_epoch < 0:
-            raise ValueError(f"next_epoch {next_epoch!r} is not a count")
-        history = header.get("history") or []
-        if not isinstance(history, list):
-            raise TypeError(f"history {history!r} is not a list")
-        for row in history:
-            if not (isinstance(row, dict) and row.keys() >= set(HISTORY_COLUMNS)):
-                raise ValueError(f"history row {row!r} lacks a column of {HISTORY_COLUMNS}")
-            if not (
-                type(row["epoch"]) is int
-                and row["epoch"] >= 0
-                and row["split"] in ("train", "val")
-                and type(row["objective"]) is str
-                and type(row["loss"]) in (int, float)
-            ):
-                raise ValueError(f"history row {row!r} holds a value of the wrong kind")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptCheckpointError(
-            f"{path}: malformed header ({type(exc).__name__}: {exc})"
-        ) from exc
+    try:  # not UTF-8 and not JSON are ValueErrors too; nested past the parser, RecursionError
+        doc = json.loads(raw[prefix:body_start].decode("utf-8"))
+        header = _Header.from_dict(doc)
+    except (ValueError, RecursionError) as exc:
+        raise CorruptCheckpointError(f"{path}: malformed header ({exc})") from exc
 
     offset = body_start
     arrays: dict[str, np.ndarray] = {}
-    for name, shape in manifest:
-        count = math.prod(shape)  # Python integers: no int64 wrap-around
-        nbytes = count * 8
+    for name, shape in ((a.name, a.shape) for a in header.arrays):
+        # each dimension is at least 1 (ModelConfig's rules), so an array too large
+        # for numpy is far larger than the file.  Python integers: no int64 wrap
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(raw):
-            raise CorruptCheckpointError(
-                f"{path}: truncated payload at array {name!r}"
-            )
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+            raise CorruptCheckpointError(f"{path}: truncated payload at array {name!r}")
+        arr = np.frombuffer(raw, dtype="<f8", count=nbytes // 8, offset=offset)
         if not np.isfinite(arr).all():
             raise CorruptCheckpointError(f"{path}: non-finite values in array {name!r}")
-        try:
-            arrays[name] = arr.reshape(shape).astype(np.float64)
-        except ValueError as exc:  # an empty array with dimensions numpy cannot hold
-            raise CorruptCheckpointError(f"{path}: array {name!r} has shape {shape}") from exc
+        arrays[name] = arr.reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(raw):
         raise CorruptCheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
 
-    if expect_config is not None and model_cfg != expect_config:
+    if expect_config is not None and header.model_config != expect_config:
         raise ConfigMismatchError(
             f"{path}: checkpoint was written for a different model configuration"
         )
@@ -808,26 +804,14 @@ def load_checkpoint(
     def group(tag: str) -> dict[str, np.ndarray]:
         return {n[len(tag) + 1 :]: a for n, a in arrays.items() if n.startswith(tag + "/")}
 
-    params = group("params")
-    adam = None
-    if adam_step is not None:
-        adam = AdamState(m=group("adam_m"), v=group("adam_v"), step=adam_step)
-        for tag, moments in (("adam_m", adam.m), ("adam_v", adam.v)):
-            for name in sorted(params.keys() | moments.keys()):
-                got, want = (
-                    f"shape {named[name].shape}" if name in named else "no array"
-                    for named in (moments, params)
-                )
-                if got != want:
-                    raise CorruptCheckpointError(
-                        f"{path}: {tag}/{name} ({got}) does not match params/{name} ({want})"
-                    )
-    return Checkpoint(
-        model_config=model_cfg,
-        arrays=params,
-        norm_params=norm,
+    step = header.adam_step
+    adam = None if step is None else AdamState(m=group("adam_m"), v=group("adam_v"), step=step)
+    return Checkpoint(  # the header's own rng_state, history and train_config: saved as read
+        model_config=header.model_config,
+        arrays=group("params"),
+        norm_params=header.normalization,
         adam=adam,
-        rng_state=rng_state,
-        history=history,
-        train_config=header.get("train_config"),
+        rng_state=doc["rng_state"],
+        history=doc["history"],
+        train_config=doc["train_config"],
     )

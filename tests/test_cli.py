@@ -133,6 +133,12 @@ class TestSynth:
     def test_unreadable_config_is_data_error(self, tmp_path):
         assert run("synth", "--config", tmp_path / "nope.json", "--out", tmp_path / "c") == EXIT_DATA
 
+    def test_size_past_any_allocation_is_usage_error(self, tmp_path, capsys):
+        # 2**50 points: past the 47-bit address space, so refused at once
+        code = run("synth", "--out", tmp_path / "c", "--n-traj", 1, "--points", 2**50)
+        assert code == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
     def test_invalid_json_config_is_data_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -369,6 +375,12 @@ class TestTrain:
         assert code == EXIT_NUMERIC
         assert "non-finite gradient norm" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_size_past_any_allocation_is_usage_error(self, tmp_path, corpus, capsys):
+        # a d_model of 2**50: past the 47-bit address space, so refused at once
+        code = run("train", "--data", corpus, "--out", tmp_path / "m.ckpt", "--d-model", 2**50)
+        assert code == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
 
     def test_bad_lr_is_usage_error(self, tmp_path, corpus):
         code = run(

@@ -108,10 +108,12 @@ def gelu_ops(request) -> ad.Ops:
 def assert_gelu_keeps_erf_bits(ops: ad.Ops, x: np.ndarray, erf: np.ndarray) -> None:
     """``ops.gelu`` gives cdf = 0.5 * (1.0 + erf) and y = x * cdf for this
     erf of x / sqrt 2, with and without keeping cdf."""
-    with np.errstate(invalid="ignore"):  # inf * 0.0, signaling NaNs
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0.0, signaling NaNs, x * x
         cdf = 0.5 * (1.0 + erf)
         y = x * cdf
         got_y, got_cdf = ops.gelu(x)
+        assert np.shape(got_y) == got_cdf.shape == x.shape
+        assert ops.gelu_vjp(np.ones_like(x), x, got_cdf).shape == x.shape
         assert np.array_equal(bits(got_cdf), bits(cdf))
         assert np.array_equal(bits(got_y), bits(y))
         assert np.array_equal(bits(ops.gelu(x, False)[0]), bits(y))
@@ -122,8 +124,17 @@ def test_erf_gives_the_recorded_scipy_bits():
     assert np.array_equal(bits(ad._erf_of_scaled(TABLE_X)), bits(TABLE_ERF))
 
 
-def test_gelu_keeps_the_recorded_erf_bits(gelu_ops):
+def test_gelu_keeps_the_recorded_erf_bits(gelu_ops, monkeypatch):
     assert_gelu_keeps_erf_bits(gelu_ops, TABLE_X, TABLE_ERF)
+    # a 0-d input keeps its shape, through the op and its VJP, as ad.sin does
+    for x, erf in zip(TABLE_X[::8], TABLE_ERF[::8]):
+        assert_gelu_keeps_erf_bits(gelu_ops, np.array(x), np.array(erf))
+    monkeypatch.setattr(ad, "_ops", gelu_ops)
+    tape = ad.Tape()
+    x = tape.watch(ad.Tensor(1.0, requires_grad=True))
+    y = ad.gelu(x)
+    ad.backward(y)
+    assert y.shape == x.grad.shape == ad.gelu(ad.Tensor(1.0)).shape == ()
 
 
 def test_the_table_is_scipys():

@@ -556,11 +556,14 @@ def trained_checkpoint(tmp_path, epochs=2):
 
 def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     ckpt = trained_checkpoint(tmp_path)
-    p1, p2 = tmp_path / "one.ckpt", tmp_path / "two.ckpt"
-    save_checkpoint(ckpt, p1)
-    loaded = load_checkpoint(p1)
-    save_checkpoint(loaded, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    # and a serving-only one: "rng_state":{}, "history":[], no Adam state, no train_config
+    serving = make_checkpoint(restore_params(ckpt), TINY, norm_params=ckpt.norm_params)
+    for ckpt in (ckpt, serving):
+        p1, p2 = tmp_path / "one.ckpt", tmp_path / "two.ckpt"
+        save_checkpoint(ckpt, p1)
+        loaded = load_checkpoint(p1)
+        save_checkpoint(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_failed_checkpoint_write_leaves_the_previous_file(tmp_path, monkeypatch):
@@ -696,6 +699,12 @@ def _edit_entry(name, change):
     return edit
 
 
+def _name_bk_as_bq(header):
+    for group in ("params", "adam_m", "adam_v"):
+        _edit_entry(f"{group}/blocks.0.bk", lambda e: e.update(name=f"{group}/blocks.0.bq"))(header)
+    return header
+
+
 # each yields a checkpoint that must load as CorruptCheckpointError
 CORRUPTIONS = {
     "missing_arrays": lambda blob: _rewrite_header(blob, _drop_arrays),
@@ -743,6 +752,40 @@ CORRUPTIONS = {
     "adam_moment_misshaped": lambda blob: _rewrite_header(
         blob, _edit_entry("adam_v/blocks.0.b_ff1", lambda e: e.update(shape=[1, *e["shape"]]))
     ),
+    "nan_history_loss": lambda blob: _rewrite_header(blob, _set(("history", 0, "loss"), math.nan)),
+    "infinite_history_loss": lambda blob: _rewrite_header(
+        blob, _set(("history", 0, "loss"), math.inf)
+    ),
+    "number_train_config": lambda blob: _rewrite_header(blob, _set(("train_config",), 5)),
+    "mistyped_train_config": lambda blob: _rewrite_header(
+        blob, _set(("train_config",), {"lr": "x"})
+    ),
+    "string_rng_seed": lambda blob: _rewrite_header(blob, _set(("rng_state", "seed"), "x")),
+    "unknown_rng_state_key": lambda blob: _rewrite_header(blob, _set(("rng_state", "bogus"), 0)),
+    "string_header_version": lambda blob: _rewrite_header(blob, _set(("version",), "x")),
+    "missing_header_version": lambda blob: _rewrite_header(
+        blob, lambda h: {k: v for k, v in h.items() if k != "version"}
+    ),
+    "other_header_version": lambda blob: _rewrite_header(
+        blob, _set(("version",), tr.CHECKPOINT_VERSION + 1)
+    ),
+    "unknown_header_key": lambda blob: _rewrite_header(blob, _set(("bogus",), 0)),
+    "unknown_history_objective": lambda blob: _rewrite_header(
+        blob, _set(("history", 0, "objective"), "bogus")
+    ),
+    "extra_history_column": lambda blob: _rewrite_header(blob, _set(("history", 0, "lr"), 0.1)),
+    # in each group, two (d_model,) arrays under one name: the second would replace the first
+    "array_named_twice": lambda blob: _rewrite_header(blob, _name_bk_as_bq),
+    # a manifest entry and its one payload value outside params/, adam_m/ and adam_v/
+    "array_outside_the_groups": lambda blob: _rewrite_header(
+        blob, lambda h: {**h, "arrays": [*h["arrays"], {"name": "junk/x", "shape": []}]}
+    ) + struct.pack("<d", 0.0),
+    # Adam moments with no step: loading them as no Adam state restarts Adam on resume
+    "adam_moments_without_step": lambda blob: _rewrite_header(blob, _set(("adam_step",), None)),
+    "empty_normalization": lambda blob: _rewrite_header(blob, _set(("normalization",), {})),
+    "number_normalization": lambda blob: _rewrite_header(blob, _set(("normalization",), 0)),
+    "null_history": lambda blob: _rewrite_header(blob, _set(("history",), None)),
+    "number_history": lambda blob: _rewrite_header(blob, _set(("history",), 0)),
 }
 
 
