@@ -15,10 +15,11 @@ keys or mistyped values; a size too large to allocate), 2 data error
 (missing or corrupt files, among them a checkpoint whose header is not one
 valid typed document, see ``training.load_checkpoint``; empty corpora,
 mismatched normalization frames, a non-finite or malformed normalization
-file), 3 numeric failure (a non-finite training loss or gradient norm; an
-``eval`` or ``rollout`` prediction that is not finite in degrees and
-seconds, or a generated rollout point outside the trajectory ranges, such
-as a time past ``MAX_T``).
+file), 3 numeric failure (a non-finite training loss, gradient norm or
+validation loss, after which ``train`` writes nothing; an ``eval`` or
+``rollout`` prediction that is not finite in degrees and seconds, or a
+generated rollout point outside the trajectory ranges, such as a time past
+``MAX_T``).  A failed ``synth`` leaves ``--out`` as it was.
 """
 
 from __future__ import annotations
@@ -157,7 +158,8 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_synth(args) -> int:
     (cfg,) = _configs(args, "synth")
     cfg = cfg or dt.SyntheticConfig()
-    n = dt.write_jsonl(dt.generate_synthetic(cfg), args.out)
+    with dt._replacing(args.out) as tmp:  # a failed run leaves --out as it was
+        n = dt.write_jsonl(dt.generate_synthetic(cfg), tmp)
     print(f"wrote {n} trajectories to {args.out}")
     return EXIT_OK
 

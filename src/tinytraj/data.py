@@ -19,9 +19,12 @@ a warning.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
+import os
+import secrets
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -166,6 +169,21 @@ def trajectory_from_record(rec: dict) -> Trajectory:
     if not isinstance(traj_id, str):
         raise ValueError(f"'id' must be a string, got {type(traj_id).__name__}")
     return Trajectory(id=traj_id, points=rec["points"])
+
+
+@contextlib.contextmanager
+def _replacing(path: str | Path) -> Iterator[Path]:
+    """A temporary path beside ``path`` for the block to write.  It is renamed
+    over ``path`` when the block succeeds and removed when the block raises
+    (an interrupt too), so a failed write leaves ``path`` as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_jsonl(trajs: Iterable[Trajectory], path: str | Path) -> int:

@@ -23,8 +23,6 @@ __all__ = [
     "ProjectionLayer",
     "Time2VecLayer",
     "embed_sequence",
-    "init_projection",
-    "init_time2vec",
     "patchify",
     "positional_encoding",
     "project",
@@ -55,20 +53,6 @@ class Time2VecLayer:
     @property
     def k(self) -> int:
         return self.omega.shape[0]
-
-
-def init_projection(f_in: int, d_model: int, rng: np.random.Generator) -> ProjectionLayer:
-    w = Tensor(rng.normal(0.0, INIT_STD, size=(f_in, d_model)), requires_grad=True)
-    b = Tensor(np.zeros(d_model), requires_grad=True)
-    return ProjectionLayer(w=w, b=b)
-
-
-def init_time2vec(k: int, rng: np.random.Generator) -> Time2VecLayer:
-    if k < 2:
-        raise ValueError("time2vec needs k >= 2 (one linear + at least one sine channel)")
-    omega = Tensor(rng.normal(0.0, 1.0, size=k), requires_grad=True)
-    phi = Tensor(rng.normal(0.0, 1.0, size=k), requires_grad=True)
-    return Time2VecLayer(omega=omega, phi=phi)
 
 
 def project(x: Tensor | np.ndarray, layer: ProjectionLayer) -> Tensor:

@@ -30,16 +30,12 @@ __all__ = [
     "MaskSpec",
     "apply_mask",
     "build_loss_mask",
-    "init_mask_embedding",
     "sample_dimension_mask",
     "sample_segment_mask",
     "successor_mask",
 ]
 
 DEFAULT_MASK_RATIO = 0.15
-
-_N_SPATIAL = geo.SPATIAL_SLOTS.stop - geo.SPATIAL_SLOTS.start  # 2
-_N_TEMPORAL = geo.TEMPORAL_SLOTS.stop - geo.TEMPORAL_SLOTS.start  # 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,13 +75,6 @@ class MaskEmbedding:
 
     m_spatial: Tensor  # [2] replaces x, y
     m_temporal: Tensor  # [5] replaces dow, hod, moh, soh, dt
-
-
-def init_mask_embedding(rng: np.random.Generator) -> MaskEmbedding:
-    return MaskEmbedding(
-        m_spatial=Tensor(rng.normal(0.0, 0.02, size=_N_SPATIAL), requires_grad=True),
-        m_temporal=Tensor(rng.normal(0.0, 0.02, size=_N_TEMPORAL), requires_grad=True),
-    )
 
 
 def sample_dimension_mask(

@@ -22,7 +22,7 @@ forward pass over the whole sequence bit for bit, whatever the batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -146,47 +146,64 @@ class ModelParams:
     mask_emb: masking.MaskEmbedding | None = None
 
 
-def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
-    """Normal(0, 0.02) projections, zero biases, ones/zeros LayerNorms, and a
-    zero output head (an untrained model predicts 'stay put')."""
+# initial fills: a normal draw of the given std, or a constant
+_WEIGHT = ("normal", emb.INIT_STD)
+_TIME2VEC = ("normal", 1.0)
+_ZEROS = ("full", 0.0)
+_ONES = ("full", 1.0)
 
-    def w(*shape):
-        return Tensor(rng.normal(0.0, emb.INIT_STD, size=shape), requires_grad=True)
+BLOCK_FIELDS = tuple(f.name for f in fields(BlockParams))
 
-    def zeros(*shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
 
-    def ones(*shape):
-        return Tensor(np.ones(shape), requires_grad=True)
-
-    d, dff = cfg.d_model, cfg.ff_dim
-    proj = emb.init_projection(cfg.in_features, d, rng)
-    blocks = [
-        BlockParams(
-            wq=w(d, d), wk=w(d, d), wv=w(d, d), wo=w(d, d),
-            bq=zeros(d), bk=zeros(d), bv=zeros(d), bo=zeros(d),
-            w_ff1=w(d, dff), b_ff1=zeros(dff), w_ff2=w(dff, d), b_ff2=zeros(d),
-            ln1_gain=ones(d), ln1_bias=zeros(d), ln2_gain=ones(d), ln2_bias=zeros(d),
-        )
-        for _ in range(cfg.n_blocks)
-    ]
+def _build(cfg: ModelConfig, leaf) -> ModelParams:
+    """The parameter tree of ``cfg``, holding ``leaf(name, shape, fill)`` for
+    each parameter.  The leaves are made in the order :func:`init_params`
+    draws them: projection, blocks, final norm and head, Time2Vec, mask
+    embedding (keyword arguments evaluate left to right)."""
+    d, dff, k = cfg.d_model, cfg.ff_dim, (cfg.time2vec_k,)
+    block = {  # name: (shape, fill), in BlockParams' order
+        "wq": ((d, d), _WEIGHT), "wk": ((d, d), _WEIGHT),
+        "wv": ((d, d), _WEIGHT), "wo": ((d, d), _WEIGHT),
+        "bq": ((d,), _ZEROS), "bk": ((d,), _ZEROS), "bv": ((d,), _ZEROS), "bo": ((d,), _ZEROS),
+        "w_ff1": ((d, dff), _WEIGHT), "b_ff1": ((dff,), _ZEROS),
+        "w_ff2": ((dff, d), _WEIGHT), "b_ff2": ((d,), _ZEROS),
+        "ln1_gain": ((d,), _ONES), "ln1_bias": ((d,), _ZEROS),
+        "ln2_gain": ((d,), _ONES), "ln2_bias": ((d,), _ZEROS),
+    }
+    sp, tp = geo.SPATIAL_SLOTS, geo.TEMPORAL_SLOTS
     return ModelParams(
-        proj=proj,
-        blocks=blocks,
-        ln_f_gain=ones(d),
-        ln_f_bias=zeros(d),
-        w_out=zeros(d, OUT_DIM),
-        b_out=zeros(OUT_DIM),
-        time2vec=emb.init_time2vec(cfg.time2vec_k, rng) if cfg.use_time2vec else None,
-        mask_emb=masking.init_mask_embedding(rng),
+        proj=emb.ProjectionLayer(
+            w=leaf("proj.w", (cfg.in_features, d), _WEIGHT), b=leaf("proj.b", (d,), _ZEROS)
+        ),
+        blocks=[
+            BlockParams(**{n: leaf(f"blocks.{i}.{n}", *spec) for n, spec in block.items()})
+            for i in range(cfg.n_blocks)
+        ],
+        ln_f_gain=leaf("ln_f.gain", (d,), _ONES),
+        ln_f_bias=leaf("ln_f.bias", (d,), _ZEROS),
+        w_out=leaf("head.w", (d, OUT_DIM), _ZEROS),
+        b_out=leaf("head.b", (OUT_DIM,), _ZEROS),
+        time2vec=emb.Time2VecLayer(
+            omega=leaf("time2vec.omega", k, _TIME2VEC), phi=leaf("time2vec.phi", k, _TIME2VEC)
+        ) if cfg.use_time2vec else None,
+        mask_emb=masking.MaskEmbedding(
+            m_spatial=leaf("mask.spatial", (sp.stop - sp.start,), _WEIGHT),
+            m_temporal=leaf("mask.temporal", (tp.stop - tp.start,), _WEIGHT),
+        ),
     )
 
 
-BLOCK_FIELDS = (
-    "wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo",
-    "w_ff1", "b_ff1", "w_ff2", "b_ff2",
-    "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
-)
+def init_params(cfg: ModelConfig, rng: np.random.Generator) -> ModelParams:
+    """Normal(0, 0.02) projections and mask values, Normal(0, 1) Time2Vec
+    frequencies and phases, zero biases, ones/zeros LayerNorms, and a zero
+    output head (an untrained model predicts 'stay put')."""
+
+    def draw(name, shape, fill):
+        kind, value = fill
+        data = rng.normal(0.0, value, size=shape) if kind == "normal" else np.full(shape, value)
+        return Tensor(data, requires_grad=True)
+
+    return _build(cfg, draw)
 
 
 def named_parameters(params: ModelParams) -> dict[str, Tensor]:
@@ -211,50 +228,17 @@ def named_parameters(params: ModelParams) -> dict[str, Tensor]:
 def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """The name -> shape map of ``named_parameters(init_params(cfg, rng))``,
     computed without allocating a parameter."""
-    d, dff = cfg.d_model, cfg.ff_dim
-    out: dict[str, tuple[int, ...]] = {"proj.w": (cfg.in_features, d), "proj.b": (d,)}
-    if cfg.use_time2vec:
-        out["time2vec.omega"] = out["time2vec.phi"] = (cfg.time2vec_k,)
-    out["mask.spatial"] = (geo.SPATIAL_SLOTS.stop - geo.SPATIAL_SLOTS.start,)
-    out["mask.temporal"] = (geo.TEMPORAL_SLOTS.stop - geo.TEMPORAL_SLOTS.start,)
-    block = {
-        "wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
-        "bq": (d,), "bk": (d,), "bv": (d,), "bo": (d,),
-        "w_ff1": (d, dff), "b_ff1": (dff,), "w_ff2": (dff, d), "b_ff2": (d,),
-        "ln1_gain": (d,), "ln1_bias": (d,), "ln2_gain": (d,), "ln2_bias": (d,),
-    }
-    for i in range(cfg.n_blocks):
-        out.update({f"blocks.{i}.{name}": shape for name, shape in block.items()})
-    out["ln_f.gain"] = out["ln_f.bias"] = (d,)
-    out["head.w"] = (d, OUT_DIM)
-    out["head.b"] = (OUT_DIM,)
-    return out
+    return named_parameters(_build(cfg, lambda name, shape, fill: shape))
 
 
 def params_from_arrays(cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelParams:
     """A parameter tree for ``cfg`` over copies of ``arrays``, whose names
     and shapes must be those of :func:`parameter_shapes`."""
 
-    def t(name: str) -> Tensor:
+    def copy(name, shape, fill):
         return Tensor(np.array(arrays[name], dtype=np.float64), requires_grad=True)
 
-    return ModelParams(
-        proj=emb.ProjectionLayer(w=t("proj.w"), b=t("proj.b")),
-        blocks=[
-            BlockParams(**{name: t(f"blocks.{i}.{name}") for name in BLOCK_FIELDS})
-            for i in range(cfg.n_blocks)
-        ],
-        ln_f_gain=t("ln_f.gain"),
-        ln_f_bias=t("ln_f.bias"),
-        w_out=t("head.w"),
-        b_out=t("head.b"),
-        time2vec=(
-            emb.Time2VecLayer(omega=t("time2vec.omega"), phi=t("time2vec.phi"))
-            if cfg.use_time2vec
-            else None
-        ),
-        mask_emb=masking.MaskEmbedding(m_spatial=t("mask.spatial"), m_temporal=t("mask.temporal")),
-    )
+    return _build(cfg, copy)
 
 
 def bind_params(params: ModelParams, tape: ad.Tape) -> None:

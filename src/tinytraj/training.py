@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import os
-import secrets
 import struct
 import warnings
 from dataclasses import dataclass, field, fields
@@ -26,7 +25,7 @@ from . import autodiff as ad
 from . import embedding as emb
 from . import masking
 from .autodiff import Tensor
-from .data import Batch
+from .data import Batch, _replacing
 from .geo import FEATURE_DIM, JsonConfig, NormalizationParams
 from .masking import MaskSpec
 from .model import (
@@ -364,6 +363,59 @@ def _resolve_objective(cfg_objective: str, batch_idx: int) -> str:
     return cfg_objective
 
 
+def _epoch_pass(
+    split: str, loader: Iterable[Batch], epoch: int, params: ModelParams,
+    model_cfg: ModelConfig, cfg: TrainConfig, history: list[dict], state: AdamState | None = None,
+) -> list[float]:
+    """One epoch's pass of ``split`` ("train" or "val") over ``loader``;
+    returns its batch losses in order and appends their mean to ``history``.
+
+    Every batch takes the same steps: its objective, a generator keyed
+    (seed, phase, epoch, batch) with phase 0 for training and 1 for
+    validation, its loss, and a finiteness check.  Only the training pass
+    runs backward, clipping and an Adam step on ``state``, one batch at a
+    time.  A non-finite loss or gradient norm raises :class:`NumericsError`
+    naming the epoch and the batch before the step moves any parameter, and
+    a mean that overflows raises it naming the epoch and split.
+    """
+    training = split == "train"
+    named = named_parameters(params) if training else {}
+    losses: list[float] = []
+    n_batches = 0
+    for batch_idx, batch in enumerate(loader):
+        n_batches += 1
+        objective = _resolve_objective(cfg.objective, batch_idx)
+        rng = np.random.default_rng([cfg.seed, 0 if training else 1, epoch, batch_idx])
+        if training:
+            tape = ad.Tape()
+            bind_params(params, tape)
+        value = _batch_loss(batch, params, model_cfg, cfg, objective, rng)
+        if value is None:
+            if training:
+                tape.close()
+            continue
+        loss_val = float(value.data)
+        try:
+            if not math.isfinite(loss_val):
+                raise NumericsError(f"non-finite loss {loss_val!r}")
+            if training:
+                ad.backward(value)
+                grads = {name: t.grad for name, t in named.items()}
+                adam_step(named, clip_gradients(grads, cfg.clip_norm), state, cfg)
+        except NumericsError as exc:
+            batch_name = "batch" if training else "validation batch"
+            raise NumericsError(f"{exc} at epoch {epoch}, {batch_name} {batch_idx}") from exc
+        losses.append(loss_val)
+    if training and n_batches == 0:
+        raise ValueError("loader produced no batches")
+    if losses:
+        mean = float(np.mean(losses))
+        if not math.isfinite(mean):  # finite losses whose sum overflows
+            raise NumericsError(f"non-finite mean {split} loss {mean!r} at epoch {epoch}")
+        history.append({"epoch": epoch, "split": split, "objective": cfg.objective, "loss": mean})
+    return losses
+
+
 def train(
     params: ModelParams,
     model_cfg: ModelConfig,
@@ -381,73 +433,21 @@ def train(
     Deterministic for a fixed seed on one platform: mask draws come from
     counter-based generators keyed by (seed, phase, epoch, batch), so a run
     resumed from a checkpoint at an epoch boundary reproduces the unbroken
-    run exactly. A non-finite loss or gradient norm aborts with
-    :class:`NumericsError` naming the epoch and batch (and the first
-    parameter whose gradient is non-finite) before any parameter moves.
+    run exactly. A non-finite training loss, gradient norm or validation
+    loss aborts with :class:`NumericsError` naming the epoch and the
+    training or validation batch (and the first parameter whose gradient is
+    non-finite) before the failing step moves any parameter; so does an
+    epoch's mean loss that overflows, naming the epoch and split.
     """
     if cfg.objective in ("infill", "alternating") and model_cfg.patch_len != 1:
         raise ValueError("infill objectives require patch_len == 1")
-    named = named_parameters(params)
-    state = adam_state if adam_state is not None else init_adam_state(named)
+    state = adam_state if adam_state is not None else init_adam_state(named_parameters(params))
     history = list(history) if history else []
     step_losses: list[float] = []
-
     for epoch in range(start_epoch, cfg.epochs):
-        epoch_losses: list[float] = []
-        n_batches = 0
-        for batch_idx, batch in enumerate(loader):
-            n_batches += 1
-            objective = _resolve_objective(cfg.objective, batch_idx)
-            rng = np.random.default_rng([cfg.seed, 0, epoch, batch_idx])
-            tape = ad.Tape()
-            bind_params(params, tape)
-            value = _batch_loss(batch, params, model_cfg, cfg, objective, rng)
-            if value is None:
-                tape.close()
-                continue
-            loss_val = float(value.data)
-            if not math.isfinite(loss_val):
-                raise NumericsError(
-                    f"non-finite loss {loss_val!r} at epoch {epoch}, "
-                    f"batch {batch_idx}"
-                )
-            ad.backward(value)
-            grads = {name: t.grad for name, t in named.items()}
-            try:
-                grads = clip_gradients(grads, cfg.clip_norm)
-            except NumericsError as exc:
-                raise NumericsError(f"{exc} at epoch {epoch}, batch {batch_idx}") from exc
-            adam_step(named, grads, state, cfg)
-            step_losses.append(loss_val)
-            epoch_losses.append(loss_val)
-        if n_batches == 0:
-            raise ValueError("loader produced no batches")
-        if epoch_losses:
-            history.append(
-                {
-                    "epoch": epoch,
-                    "split": "train",
-                    "objective": cfg.objective,
-                    "loss": float(np.mean(epoch_losses)),
-                }
-            )
+        step_losses += _epoch_pass("train", loader, epoch, params, model_cfg, cfg, history, state)
         if val_loader is not None:
-            val_losses = []
-            for batch_idx, batch in enumerate(val_loader):
-                objective = _resolve_objective(cfg.objective, batch_idx)
-                rng = np.random.default_rng([cfg.seed, 1, epoch, batch_idx])
-                value = _batch_loss(batch, params, model_cfg, cfg, objective, rng)
-                if value is not None:
-                    val_losses.append(float(value.data))
-            if val_losses:
-                history.append(
-                    {
-                        "epoch": epoch,
-                        "split": "val",
-                        "objective": cfg.objective,
-                        "loss": float(np.mean(val_losses)),
-                    }
-                )
+            _epoch_pass("val", val_loader, epoch, params, model_cfg, cfg, history)
 
     ckpt = make_checkpoint(
         params,
@@ -726,23 +726,15 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode(
         "utf-8"
     )
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
-    fh = open(tmp, "xb")
-    try:
-        with fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<Q", len(header_bytes)))
-            fh.write(header_bytes)
-            for _, arr in entries:
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:  # an interrupt too: never leave the temporary file behind
-        tmp.unlink(missing_ok=True)
-        raise
+    with _replacing(path) as tmp, open(tmp, "xb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<Q", len(header_bytes)))
+        fh.write(header_bytes)
+        for _, arr in entries:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def load_checkpoint(

@@ -139,6 +139,15 @@ class TestSynth:
         assert code == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 
+    def test_failed_run_leaves_out_as_it_was(self, tmp_path, corpus):
+        keep, missing = tmp_path / "keep.jsonl", tmp_path / "missing.jsonl"
+        keep.write_bytes(corpus.read_bytes())
+        before = sorted(tmp_path.iterdir())
+        for out in (keep, missing):  # fails while generating, after --out is named
+            assert run("synth", "--out", out, "--n-traj", 1, "--points", 2**50) == EXIT_USAGE
+        assert keep.read_bytes() == corpus.read_bytes()
+        assert sorted(tmp_path.iterdir()) == before  # no --out made, no temporary file left
+
     def test_invalid_json_config_is_data_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -374,6 +383,21 @@ class TestTrain:
         code = run("train", "--config", model_config, "--data", corpus, "--out", out)
         assert code == EXIT_NUMERIC
         assert "non-finite gradient norm" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate overflow
+    def test_nonfinite_validation_loss_is_numeric_error(self, tmp_path, capsys):
+        # one training batch steps at lr 1e300; the validation pass after it
+        # meets the blown-up parameters
+        data, out = tmp_path / "c.jsonl", tmp_path / "m.ckpt"
+        assert run("synth", "--out", data, "--n-traj", 20, "--points", 8) == EXIT_OK
+        code = run(
+            "train", "--data", data, "--out", out, "--d-model", 8, "--n-heads", 2,
+            "--n-blocks", 1, "--max-seq", 8, "--epochs", 1, "--batch-size", 32,
+            "--lr", 1e300, "--val-fraction", 0.3,
+        )
+        assert code == EXIT_NUMERIC
+        assert "at epoch 0, validation batch 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_size_past_any_allocation_is_usage_error(self, tmp_path, corpus, capsys):

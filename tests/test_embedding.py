@@ -9,8 +9,16 @@ import pytest
 from tinytraj import autodiff as ad
 from tinytraj import embedding as emb
 from tinytraj import geo
+from tinytraj import model as tm
 
 RNG = np.random.default_rng(42)
+
+
+def model_layers(rng, d_model=8, **kw):
+    """The projection and Time2Vec layers ``init_params`` draws for a
+    one-block model of ``d_model`` with the embedding flags ``kw``."""
+    params = tm.init_params(tm.ModelConfig(d_model=d_model, n_heads=1, n_blocks=1, **kw), rng)
+    return params.proj, params.time2vec
 
 
 def random_features(s):
@@ -83,7 +91,7 @@ def test_distinct_positions_get_distinct_rows():
 
 def test_time2vec_channel_semantics():
     rng = np.random.default_rng(1)
-    layer = emb.init_time2vec(4, rng)
+    _, layer = model_layers(rng, use_time2vec=True, time2vec_k=4)
     tau = 1.75
     out = emb.time2vec(tau, layer).data
     om, ph = layer.omega.data, layer.phi.data
@@ -93,8 +101,8 @@ def test_time2vec_channel_semantics():
 
 
 def test_time2vec_requires_k_at_least_two():
-    with pytest.raises(ValueError):
-        emb.init_time2vec(1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="time2vec_k"):
+        tm.ModelConfig(use_time2vec=True, time2vec_k=1)
 
 
 def test_time2vec_is_differentiable_in_omega_phi():
@@ -162,7 +170,7 @@ def test_patch_config_validates():
 
 def test_project_applies_affine_map():
     rng = np.random.default_rng(3)
-    layer = emb.init_projection(geo.FEATURE_DIM, 16, rng)
+    layer, _ = model_layers(rng, d_model=16)
     x = random_features(5)
     out = emb.project(x, layer)
     np.testing.assert_allclose(out.data, x @ layer.w.data + layer.b.data, rtol=0, atol=1e-12)
@@ -170,7 +178,8 @@ def test_project_applies_affine_map():
 
 def test_projection_init_statistics():
     rng = np.random.default_rng(4)
-    layer = emb.init_projection(200, 200, rng)
+    layer, _ = model_layers(rng, d_model=200, patch_len=29)  # 29 x 7 = 203 inputs
+    assert layer.w.shape == (203, 200)
     assert abs(layer.w.data.std() - 0.02) < 0.002
     assert abs(layer.w.data.mean()) < 0.002
     np.testing.assert_array_equal(layer.b.data, np.zeros(200))
@@ -178,7 +187,7 @@ def test_projection_init_statistics():
 
 def test_embed_sequence_zero_weights_no_pe_gives_zeros():
     rng = np.random.default_rng(5)
-    layer = emb.init_projection(geo.FEATURE_DIM, 8, rng)
+    layer, _ = model_layers(rng)
     layer.w.data[:] = 0.0
     out = emb.embed_sequence(random_features(6), layer, pe_table=None)
     np.testing.assert_array_equal(out.data, np.zeros((6, 8)))
@@ -186,7 +195,7 @@ def test_embed_sequence_zero_weights_no_pe_gives_zeros():
 
 def test_embed_sequence_pe_separates_identical_inputs():
     rng = np.random.default_rng(6)
-    layer = emb.init_projection(geo.FEATURE_DIM, 8, rng)
+    layer, _ = model_layers(rng)
     x = np.tile(random_features(1), (4, 1))  # identical rows
     table = emb.sinusoidal_table(16, 8)
     out = emb.embed_sequence(x, layer, pe_table=table)
@@ -198,7 +207,7 @@ def test_embed_sequence_pe_separates_identical_inputs():
 
 def test_embed_sequence_respects_max_table_length():
     rng = np.random.default_rng(7)
-    layer = emb.init_projection(geo.FEATURE_DIM, 8, rng)
+    layer, _ = model_layers(rng)
     with pytest.raises(ValueError):
         emb.embed_sequence(random_features(5), layer, pe_table=emb.sinusoidal_table(4, 8))
 
@@ -208,8 +217,8 @@ def test_embed_sequence_time2vec_concat_before_projection():
     k = 3
     f_in = emb.embedded_width(True, k, 1)
     assert f_in == geo.FEATURE_DIM + k
-    layer = emb.init_projection(f_in, 8, rng)
-    t2v = emb.init_time2vec(k, rng)
+    layer, t2v = model_layers(rng, use_time2vec=True, time2vec_k=k)
+    assert layer.w.shape == (f_in, 8)
     x = random_features(5)
     out = emb.embed_sequence(x, layer, pe_table=None, time2vec_layer=t2v)
     # reference: concatenate channels manually, then project
@@ -223,7 +232,8 @@ def test_embed_sequence_can_drop_dt_column():
     rng = np.random.default_rng(9)
     f_in = emb.embedded_width(False, None, 1)
     assert f_in == geo.FEATURE_DIM - 1
-    layer = emb.init_projection(f_in, 8, rng)
+    layer, _ = model_layers(rng, use_dt_feature=False)
+    assert layer.w.shape == (f_in, 8)
     x = random_features(5)
     out = emb.embed_sequence(x, layer, pe_table=None, use_dt_feature=False)
     ref = x[:, : geo.DT_FEATURE_INDEX] @ layer.w.data + layer.b.data
@@ -233,6 +243,7 @@ def test_embed_sequence_can_drop_dt_column():
 def test_embed_sequence_patchify_reduces_positions():
     rng = np.random.default_rng(10)
     p = 4
-    layer = emb.init_projection(emb.embedded_width(True, None, p), 8, rng)
+    layer, _ = model_layers(rng, patch_len=p)
+    assert layer.w.shape == (emb.embedded_width(True, None, p), 8)
     out = emb.embed_sequence(random_features(10), layer, pe_table=None, patch_len=p)
     assert out.shape == (3, 8)  # ceil(10/4)

@@ -6,6 +6,7 @@ import pytest
 
 from tinytraj import autodiff as ad
 from tinytraj import geo, masking
+from tinytraj import model as tm
 
 RNG = np.random.default_rng(77)
 
@@ -13,6 +14,12 @@ RNG = np.random.default_rng(77)
 def features(s):
     f = RNG.uniform(-1.5, 1.5, size=(s, geo.FEATURE_DIM))
     return f
+
+
+def mask_embedding(seed):
+    """The mask embedding ``init_params`` draws for a small model."""
+    cfg = tm.ModelConfig(d_model=8, n_heads=1, n_blocks=1)
+    return tm.init_params(cfg, np.random.default_rng(seed)).mask_emb
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +117,7 @@ def test_successor_mask_hides_every_position_with_a_successor():
 
 def test_apply_mask_overwrites_only_masked_slots():
     x = features(10)
-    emb = masking.init_mask_embedding(np.random.default_rng(2))
+    emb = mask_embedding(2)
     spec = mask(10, spatial=[2], temporal=[5])
     out = masking.apply_mask(x, spec, emb).data
     # masked slots carry the embedding values
@@ -128,7 +135,7 @@ def test_apply_mask_overwrites_only_masked_slots():
 
 def test_apply_mask_segment_covers_both_groups():
     x = features(12)
-    emb = masking.init_mask_embedding(np.random.default_rng(3))
+    emb = mask_embedding(3)
     spec = masking.sample_segment_mask(12, 0.25, np.random.default_rng(4))
     out = masking.apply_mask(x, spec, emb).data
     for p in spec.positions:
@@ -137,7 +144,7 @@ def test_apply_mask_segment_covers_both_groups():
 
 
 def test_apply_mask_rejects_out_of_range_positions():
-    emb = masking.init_mask_embedding(np.random.default_rng(5))
+    emb = mask_embedding(5)
     with pytest.raises(ValueError):
         masking.apply_mask(features(5), mask(12, spatial=[11]), emb)
     with pytest.raises(ValueError):  # a batch mask needs one row per sequence

@@ -2,6 +2,7 @@
 behavior, clipping, the deterministic epoch loop, the pretext autoencoder
 probe, and checkpoint round-trips with resume equivalence."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -461,6 +462,30 @@ def test_non_finite_loss_aborts_naming_the_batch():
     params.b_out.data[:] = np.nan
     with pytest.raises(NumericsError, match=r"epoch 0, batch 0"):
         train(params, TINY, TrainConfig(lr=1e-3, epochs=1, seed=6), loader)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate overflow
+def test_non_finite_validation_loss_aborts_naming_the_validation_batch():
+    # one training batch steps at lr 1e300; validation then meets the blown-up model
+    loader, _ = straight_line_loader(n_traj=4)
+    val_loader, _ = straight_line_loader(n_traj=8, seed=2)
+    params = tm.init_params(TINY, np.random.default_rng(12))
+    with pytest.raises(NumericsError, match=r"non-finite loss .* at epoch 0, validation batch 0"):
+        train(params, TINY, TrainConfig(lr=1e300, epochs=1, seed=6), loader, val_loader=val_loader)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate overflow
+def test_mean_loss_that_overflows_aborts_naming_the_split():
+    # an untrained head predicts 0, so a one-step batch's loss is the mean of
+    # its three squared targets: here 0.5e308, and four such losses sum past
+    # the largest float
+    loader, _ = straight_line_loader()
+    (batch,), _ = straight_line_loader(n_traj=1, points=2, batch_size=1)
+    step = batch.targets[0, 0]
+    big = dataclasses.replace(batch, targets=batch.targets * (1.5e308 / (step @ step)) ** 0.5)
+    params = tm.init_params(TINY, np.random.default_rng(12))
+    with pytest.raises(NumericsError, match=r"non-finite mean val loss inf at epoch 0"):
+        train(params, TINY, TrainConfig(lr=0.0, epochs=1), loader, val_loader=[big] * 4)
 
 
 def poison_gradient(monkeypatch, params):
