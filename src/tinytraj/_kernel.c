@@ -27,13 +27,34 @@
  * weight) each product's b is first packed into the caller's k x n buffer,
  * which moves values but rounds nothing.  out is C-contiguous.
  *
- * Dispatch.  One tile body (DEFINE_BMM) is compiled twice: for the baseline
- * target, with 2-double vectors and MR = 2, and on x86-64 under
- * target("avx2"), with 4-double vectors and MR = 4; either way the partial
- * sums take 8 of the 16 vector registers.  tinytraj_bmm runs the AVX2 body
- * when the CPU has AVX2 and the baseline body otherwise;
- * tinytraj_bmm_baseline is exported too, so that one host can test both.
- * Neither body uses FMA, and both give the same bits.
+ * Dispatch.  One tile body (DEFINE_BMM) is compiled three times: for the
+ * baseline target, with 2-double vectors and MR = 2, and on x86-64 under
+ * target("avx2"), with 4-double vectors and MR = 4, and under
+ * target("avx512f"), with 8-double vectors and MR = 8.  The partial sums
+ * take 8 of the 16 vector registers, or 8 of AVX-512's 32.  tinytraj_bmm
+ * runs the widest body the CPU has; tinytraj_bmm_baseline, _avx2 and
+ * _avx512 are exported too, so that one host can test each.  No body uses
+ * FMA, and all give the same bits.
+ *
+ * Split.  A pass whose work (multiply-adds, or elements) reaches
+ * tinytraj_split_work is shared by two threads when the process may run on
+ * 2 or more CPUs: the caller and a persistent worker thread.  The pass is
+ * cut into chunks that the caller takes from the front and the worker from
+ * the back until none is left, so a slow thread takes fewer and each keeps
+ * to the half of the batch it had in the passes before.  A cut never
+ * crosses an element's chain: the contraction is cut between the products
+ * of its leading axes, or between 8-row tiles of a single product, each
+ * thread packing into its own half of the caller's 2 x k x n buffer; the
+ * softmax passes and layer norm between rows; the GELU and its gradient
+ * between elements; the per-sequence sums between columns.  So every chunk
+ * computes its elements exactly as the whole pass does, and the bits never
+ * depend on the thread count.  The worker starts on the first pass that is
+ * shared, with every signal blocked, detached, so it never delays exit; it
+ * never allocates, spins SPIN_NS after a pass and then sleeps on a
+ * condition variable.  A caller that finds it busy (another thread in the
+ * kernel) runs its pass whole, and a fork child starts a worker of its own.
+ * On glibc, starting it also raises the process's malloc mmap and trim
+ * thresholds (see start_worker).
  *
  * Row passes.  All arrays are C-contiguous; a row is the last axis.  The
  * summation rules they keep are numpy's:
@@ -49,13 +70,267 @@
  * exponential from np.exp.  The GELU forward computes erf itself, by the
  * algorithm of scipy.special.erf (cephes erf: erf_near and erf_far below)
  * with libm's exp, so it gives scipy's bits.  The row passes are compiled
- * for the baseline target only. */
+ * for the baseline target only.
+ *
+ * Build with -pthread.  Per call on a shared 2-vCPU x86-64 host with
+ * AVX-512 (best of 9 x 100, one thread -> two): (800, 32) @ (32, 128)
+ * 157-165 -> 88-118 us; the transposed-a weight gradient [25, 128, 32] @
+ * [25, 32, 32] 175-177 -> 90-110 us; the GELU forward of [25, 32, 128]
+ * 770-775 -> 389-416 us.  In some stretches of seconds on that host, two
+ * threads ran the first product slower than one (266-293 us). */
+#define _GNU_SOURCE /* sched_getaffinity, CPU_COUNT, pthread_setname_np */
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
 #include <stddef.h>
+#include <time.h>
+#include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+/* ---- the split: one persistent worker thread ---- */
+
+/* Chunk c of `chunks` (0 of 1 is the whole pass) of the pass whose
+ * arguments are at args, on thread 0 (the caller) or 1 (the worker), for a
+ * pass that needs scratch space of its own per thread.  The chunks of a pass
+ * write disjoint outputs and each computes its elements exactly as the whole
+ * pass does. */
+typedef void chunk_fn(const void *args, ptrdiff_t c, ptrdiff_t chunks, int thread);
+
+/* A pass whose work (its multiply-adds, or its elements) is below this runs
+ * whole: sharing it with the worker would cost more than it saves. */
+const long tinytraj_split_work = 32768;
+
+/* A shared pass is cut into at most MAX_CHUNKS chunks of at least CHUNK_WORK
+ * work, which the two threads take in turn until none is left: a thread
+ * slowed by a cold cache or a busy CPU takes fewer, and the other never waits
+ * for more than the one chunk in hand. */
+#define CHUNK_WORK 8192
+#define MAX_CHUNKS 16
+
+#define SPIN_NS 1000000 /* the worker spins this long after a pass, then sleeps */
+
+enum { IDLE, POSTED, TAKEN, DONE }; /* the states of the worker's task */
+
+static struct {
+    pthread_mutex_t mu; /* with cv: where the worker sleeps */
+    pthread_cond_t cv;
+    int state;          /* IDLE, POSTED by the owner, TAKEN by the worker, DONE */
+    int sleeping;       /* the worker waits on cv: the owner must signal it */
+    int owned;          /* a caller holds the worker; any other runs its pass whole */
+    int started;        /* 0: no worker yet, 1: running, -1: it could not start */
+    chunk_fn *fn;       /* the task: the chunks of fn's pass on args */
+    const void *args;
+    ptrdiff_t chunks;
+    long long left;     /* the chunks no thread has taken: [low 32 bits, high 32 bits) */
+} worker = {PTHREAD_MUTEX_INITIALIZER, PTHREAD_COND_INITIALIZER, IDLE, 0, 0, 0, NULL, NULL, 0, 0};
+
+static int forced_parts; /* the tests' hook: 1 or 2; 0 reads the CPUs */
+static int cpu_parts;    /* 2 when this process may run on 2 or more CPUs, else 1; 0 unread */
+
+static inline void relax(void)
+{
+#if defined(__x86_64__)
+    __builtin_ia32_pause(); /* a spin-wait hint: frees the core's other thread */
+#endif
+}
+
+static long long now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return ts.tv_sec * 1000000000LL + ts.tv_nsec;
+}
+
+static int usable_cpus(void)
+{
+#if defined(__linux__)
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+        return CPU_COUNT(&set);
+#endif
+    const long n = sysconf(_SC_NPROCESSORS_ONLN);
+    return n > 0 ? (int)n : 1;
+}
+
+/* The number of threads that share a pass above tinytraj_split_work: 2 when
+ * the process may run on at least 2 CPUs, else 1.  The data never sets it. */
+int tinytraj_parts(void)
+{
+    const int forced = __atomic_load_n(&forced_parts, __ATOMIC_RELAXED);
+    if (forced)
+        return forced;
+    int parts = __atomic_load_n(&cpu_parts, __ATOMIC_RELAXED);
+    if (!parts) {
+        parts = usable_cpus() >= 2 ? 2 : 1;
+        __atomic_store_n(&cpu_parts, parts, __ATOMIC_RELAXED);
+    }
+    return parts;
+}
+
+/* The tests' hook: 1 or 2 threads from now on, or 0 for the CPU count again */
+void tinytraj_set_parts(int parts)
+{
+    __atomic_store_n(&forced_parts, parts == 1 || parts == 2 ? parts : 0, __ATOMIC_RELAXED);
+}
+
+/* Run chunks of the posted pass until none is left: the caller (thread 0)
+ * takes them from the front, the worker (thread 1) from the back, so each
+ * keeps to the half of the data it had in the passes before */
+static void take_chunks(int thread)
+{
+    long long left = __atomic_load_n(&worker.left, __ATOMIC_RELAXED);
+    for (;;) {
+        const long long lo = left & 0xffffffff, hi = left >> 32;
+        if (lo >= hi)
+            return;
+        const long long c = thread ? hi - 1 : lo;
+        const long long rest = thread ? lo | (hi - 1) << 32 : (lo + 1) | hi << 32;
+        if (__atomic_compare_exchange_n(&worker.left, &left, rest, 0, __ATOMIC_RELAXED,
+                                        __ATOMIC_RELAXED)) {
+            worker.fn(worker.args, (ptrdiff_t)c, worker.chunks, thread);
+            left = rest; /* a guess; a failed exchange reads the true value */
+        }
+    }
+}
+
+static void *work(void *unused)
+{
+    (void)unused;
+#if defined(__linux__)
+    pthread_setname_np(pthread_self(), "tinytraj-split");
+#endif
+    for (;;) {
+        const long long until = now_ns() + SPIN_NS;
+        for (int i = 1; __atomic_load_n(&worker.state, __ATOMIC_SEQ_CST) != POSTED; i++) {
+            relax();
+            if (i % 256 == 0 && now_ns() > until) { /* then sleep until a task is posted */
+                pthread_mutex_lock(&worker.mu);
+                __atomic_store_n(&worker.sleeping, 1, __ATOMIC_SEQ_CST);
+                while (__atomic_load_n(&worker.state, __ATOMIC_SEQ_CST) != POSTED)
+                    pthread_cond_wait(&worker.cv, &worker.mu);
+                __atomic_store_n(&worker.sleeping, 0, __ATOMIC_SEQ_CST);
+                pthread_mutex_unlock(&worker.mu);
+            }
+        }
+        int posted = POSTED; /* the caller closes the task if it runs out of chunks first */
+        if (__atomic_compare_exchange_n(&worker.state, &posted, TAKEN, 0, __ATOMIC_ACQUIRE,
+                                        __ATOMIC_RELAXED)) {
+            take_chunks(1);
+            __atomic_store_n(&worker.state, DONE, __ATOMIC_RELEASE);
+        }
+    }
+    return NULL;
+}
+
+/* In a fork child the worker thread is gone: start another on the next split */
+static void forget_worker(void)
+{
+    pthread_mutex_init(&worker.mu, NULL);
+    pthread_cond_init(&worker.cv, NULL);
+    worker.state = IDLE;
+    worker.sleeping = worker.owned = worker.started = 0;
+    cpu_parts = 0;
+}
+
+/* Start the worker, with every signal blocked so that none is delivered to
+ * it, detached so that it never delays exit.  The caller owns the worker.
+ *
+ * On glibc, also keep freed memory for reuse.  By default glibc gives back
+ * to the system, and maps again on the next allocation, a block of 128 KB
+ * or more (raising that limit one freed block at a time) and the top of its
+ * heap once twice that is free there: numpy's large temporaries, every step.
+ * With the worker running our address space on another CPU, each unmap
+ * interrupts it and both threads fault the pages in again: a shared
+ * (800, 32) @ (32, 128) took 281-375 us against 160 us on one thread, and
+ * 107-118 us with the limits below; `train` and `eval` peak memory grew by
+ * under 1 MB. */
+static void start_worker(void)
+{
+#if defined(__GLIBC__)
+    mallopt(M_MMAP_THRESHOLD, 16 << 20);
+    mallopt(M_TRIM_THRESHOLD, 64 << 20);
+#endif
+    static int at_fork;
+    if (!at_fork)
+        at_fork = pthread_atfork(NULL, NULL, forget_worker) == 0 ? 1 : -1;
+    pthread_attr_t attr;
+    sigset_t all, old;
+    pthread_t thread;
+    int ok = at_fork == 1 && pthread_attr_init(&attr) == 0;
+    if (ok) {
+        sigfillset(&all);
+        pthread_sigmask(SIG_SETMASK, &all, &old);
+        ok = pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED) == 0 &&
+             pthread_create(&thread, &attr, work, NULL) == 0;
+        pthread_sigmask(SIG_SETMASK, &old, NULL);
+        pthread_attr_destroy(&attr);
+    }
+    worker.started = ok ? 1 : -1;
+}
+
+/* Run fn's pass of `units` indivisible units: whole when its work is below
+ * tinytraj_split_work, when one thread runs passes, or when another caller
+ * holds the worker; else in chunks of whole units, shared with the worker.
+ * If the worker has not joined by the time the chunks are gone, the caller
+ * has run them all. */
+static void run_pass(chunk_fn *fn, const void *args, double work, ptrdiff_t units)
+{
+    ptrdiff_t chunks = work / CHUNK_WORK < MAX_CHUNKS ? (ptrdiff_t)(work / CHUNK_WORK) : MAX_CHUNKS;
+    chunks = chunks < units ? chunks : units;
+    if (work < tinytraj_split_work || chunks < 2 || tinytraj_parts() < 2 ||
+        __atomic_exchange_n(&worker.owned, 1, __ATOMIC_ACQUIRE)) {
+        fn(args, 0, 1, 0);
+        return;
+    }
+    if (!worker.started)
+        start_worker();
+    if (worker.started < 0) {
+        __atomic_store_n(&worker.owned, 0, __ATOMIC_RELEASE);
+        fn(args, 0, 1, 0);
+        return;
+    }
+    worker.fn = fn;
+    worker.args = args;
+    worker.chunks = chunks;
+    worker.left = (long long)chunks << 32;
+    __atomic_store_n(&worker.state, POSTED, __ATOMIC_SEQ_CST);
+    if (__atomic_load_n(&worker.sleeping, __ATOMIC_SEQ_CST)) {
+        pthread_mutex_lock(&worker.mu);
+        pthread_cond_signal(&worker.cv);
+        pthread_mutex_unlock(&worker.mu);
+    }
+    take_chunks(0);
+    int posted = POSTED;
+    if (!__atomic_compare_exchange_n(&worker.state, &posted, IDLE, 0, __ATOMIC_ACQUIRE,
+                                     __ATOMIC_RELAXED)) {
+        /* the worker joined: wait for the chunk in its hands */
+        for (int i = 1; __atomic_load_n(&worker.state, __ATOMIC_ACQUIRE) != DONE; i++)
+            if (i % 4096 == 0)
+                sched_yield(); /* the worker may have lost its CPU */
+            else
+                relax();
+        __atomic_store_n(&worker.state, IDLE, __ATOMIC_RELAXED);
+    }
+    __atomic_store_n(&worker.owned, 0, __ATOMIC_RELEASE);
+}
+
+/* ---- the contraction ---- */
 
 #define NR 8 /* columns in a tile */
 
 typedef double vec2 __attribute__((vector_size(16)));
 typedef double vec4 __attribute__((vector_size(32)));
+typedef double vec8 __attribute__((vector_size(64)));
+
+/* The operands of one contraction, as tinytraj_bmm takes them */
+struct bmm {
+    const double *a, *b;
+    ptrdiff_t as0, as1, as_row, as_col, bs0, bs1, bs_row, bs_col;
+    double *pack, *out;
+    ptrdiff_t l1, m, k, n;
+};
 
 /* rows [i0, i1) by columns [j0, j1) of one product, one element at a time */
 static inline __attribute__((always_inline)) void
@@ -76,14 +351,16 @@ scalar_block(const double *a, ptrdiff_t as_row, ptrdiff_t as_col, const double *
     }
 }
 
-/* The tile body, defined once for every instance: NAME, with linkage LINKAGE
- * and target attribute TARGET, keeps MR x W partial sums (W <= NR columns) in
- * the first ceil(W / LANES) of NR / LANES vectors of type VEC per row; a
- * narrow tile's unused lanes start from b's zeros and are never stored.  b's
- * columns are adjacent here (b_row apart, row by row); b and out are read and
- * written through memcpy, so they need no alignment beyond a double's.
- * NAME##_tile is inlined with a constant W, once per width. */
-#define DEFINE_BMM(NAME, LINKAGE, TARGET, VEC, MR)                                               \
+/* The tile body, defined once for every instance: NAME, with target
+ * attribute TARGET, keeps MR x W partial sums (W <= NR columns) in the first
+ * ceil(W / LANES) of NR / LANES vectors of type VEC per row; a narrow tile's
+ * unused lanes start from b's zeros and are never stored.  b's columns are
+ * adjacent here (b_row apart, row by row); b and out are read and written
+ * through memcpy, so they need no alignment beyond a double's.  NAME##_tile
+ * is inlined with a constant W, once per width.  NAME computes rows [i0, i1)
+ * of products [q0, q1) (q = i * l1 + j for leading indices i, j), packing b
+ * into pack first where its columns are not adjacent. */
+#define DEFINE_BMM(NAME, TARGET, VEC, MR)                                                        \
     static inline __attribute__((always_inline)) TARGET void NAME##_tile(                        \
         const double *a, ptrdiff_t as_row, ptrdiff_t as_col, const double *b, ptrdiff_t b_row,   \
         double *restrict out, ptrdiff_t k, ptrdiff_t n, ptrdiff_t i0, ptrdiff_t j0, const int w) \
@@ -136,50 +413,118 @@ scalar_block(const double *a, ptrdiff_t as_row, ptrdiff_t as_col, const double *
         scalar_block(a, as_row, as_col, b, b_row, out, k, n, m_tiles, m, 0, n);                  \
     }                                                                                            \
                                                                                                  \
-    LINKAGE TARGET void NAME(const double *a, ptrdiff_t as0, ptrdiff_t as1, ptrdiff_t as_row,    \
-                             ptrdiff_t as_col, const double *b, ptrdiff_t bs0, ptrdiff_t bs1,    \
-                             ptrdiff_t bs_row, ptrdiff_t bs_col, double *restrict pack,          \
-                             double *restrict out, ptrdiff_t l0, ptrdiff_t l1, ptrdiff_t m,      \
-                             ptrdiff_t k, ptrdiff_t n)                                           \
+    static TARGET void NAME(const struct bmm *t, ptrdiff_t q0, ptrdiff_t q1, ptrdiff_t i0,       \
+                            ptrdiff_t i1, double *restrict pack)                                 \
     {                                                                                            \
-        for (ptrdiff_t i = 0; i < l0; i++)                                                       \
-            for (ptrdiff_t j = 0; j < l1; j++, out += m * n) {                                   \
-                const double *ai = a + i * as0 + j * as1, *bi = b + i * bs0 + j * bs1;           \
-                if (bs_col != 1) { /* b's columns are not adjacent: pack them */                 \
-                    for (ptrdiff_t p = 0; p < k; p++)                                            \
-                        for (ptrdiff_t c = 0; c < n; c++)                                        \
-                            pack[p * n + c] = bi[p * bs_row + c * bs_col];                       \
-                    NAME##_product(ai, as_row, as_col, pack, n, out, m, k, n);                   \
-                } else {                                                                         \
-                    NAME##_product(ai, as_row, as_col, bi, bs_row, out, m, k, n);                \
-                }                                                                                \
+        const ptrdiff_t k = t->k, n = t->n;                                                      \
+        for (ptrdiff_t q = q0; q < q1; q++) {                                                    \
+            const ptrdiff_t i = q / t->l1, j = q % t->l1;                                        \
+            const double *ai = t->a + i * t->as0 + j * t->as1 + i0 * t->as_row;                  \
+            const double *bi = t->b + i * t->bs0 + j * t->bs1;                                   \
+            double *out = t->out + (q * t->m + i0) * n;                                          \
+            if (t->bs_col != 1) { /* b's columns are not adjacent: pack them */                  \
+                for (ptrdiff_t p = 0; p < k; p++)                                                \
+                    for (ptrdiff_t c = 0; c < n; c++)                                            \
+                        pack[p * n + c] = bi[p * t->bs_row + c * t->bs_col];                     \
+                NAME##_product(ai, t->as_row, t->as_col, pack, n, out, i1 - i0, k, n);           \
+            } else {                                                                             \
+                NAME##_product(ai, t->as_row, t->as_col, bi, t->bs_row, out, i1 - i0, k, n);     \
             }                                                                                    \
+        }                                                                                        \
     }
 
-DEFINE_BMM(tinytraj_bmm_baseline, , , vec2, 2)
+typedef void bmm_body(const struct bmm *t, ptrdiff_t q0, ptrdiff_t q1, ptrdiff_t i0, ptrdiff_t i1,
+                      double *restrict pack);
 
+DEFINE_BMM(bmm_baseline, , vec2, 2)
 #if defined(__x86_64__)
-DEFINE_BMM(bmm_avx2, static, __attribute__((target("avx2"))), vec4, 4)
+DEFINE_BMM(bmm_avx2, __attribute__((target("avx2"))), vec4, 4)
+DEFINE_BMM(bmm_avx512, __attribute__((target("avx512f"))), vec8, 8)
 #endif
 
-/* out = a @ b over [l0, l1, m, k] by [l0, l1, k, n] operands, each read
- * through its four element strides; pack holds k x n doubles when b's
- * column stride is not 1 (and may be NULL otherwise); out is C-contiguous */
-void tinytraj_bmm(const double *a, ptrdiff_t as0, ptrdiff_t as1, ptrdiff_t as_row,
-                  ptrdiff_t as_col, const double *b, ptrdiff_t bs0, ptrdiff_t bs1,
-                  ptrdiff_t bs_row, ptrdiff_t bs_col, double *restrict pack, double *restrict out,
-                  ptrdiff_t l0, ptrdiff_t l1, ptrdiff_t m, ptrdiff_t k, ptrdiff_t n)
+/* A contraction and its units: its products, or the 8-row tiles of a single
+ * product (a whole number of tiles in every body) */
+struct bmm_pass {
+    struct bmm t;
+    bmm_body *body;
+    ptrdiff_t products, units;
+};
+
+static void bmm_chunk(const void *args, ptrdiff_t c, ptrdiff_t chunks, int thread)
+{
+    const struct bmm_pass *p = args;
+    double *pack = p->t.pack ? p->t.pack + thread * p->t.k * p->t.n : NULL;
+    const ptrdiff_t u0 = p->units * c / chunks, u1 = p->units * (c + 1) / chunks;
+    if (p->products == 1)
+        p->body(&p->t, 0, 1, 8 * u0, u1 < p->units ? 8 * u1 : p->t.m, pack);
+    else
+        p->body(&p->t, u0, u1, 0, p->t.m, pack);
+}
+
+/* out = a @ b on body, over [l0, l1, m, k] by [l0, l1, k, n] operands, each
+ * read through its four element strides; pack holds 2 x k x n doubles, one
+ * half per thread, when b's column stride is not 1 (and may be NULL
+ * otherwise); out is C-contiguous.  Its chunks are runs of products, or of
+ * 8-row tiles of a single product. */
+static void bmm_run(bmm_body *body, const double *a, ptrdiff_t as0, ptrdiff_t as1,
+                    ptrdiff_t as_row, ptrdiff_t as_col, const double *b, ptrdiff_t bs0,
+                    ptrdiff_t bs1, ptrdiff_t bs_row, ptrdiff_t bs_col, double *pack, double *out,
+                    ptrdiff_t l0, ptrdiff_t l1, ptrdiff_t m, ptrdiff_t k, ptrdiff_t n)
+{
+    const ptrdiff_t products = l0 * l1;
+    const struct bmm_pass p = {
+        {a, b, as0, as1, as_row, as_col, bs0, bs1, bs_row, bs_col, pack, out, l1, m, k, n},
+        body,
+        products,
+        products == 1 ? (m + 7) / 8 : products,
+    };
+    run_pass(bmm_chunk, &p, (double)products * m * k * n, p.units);
+}
+
+#define BMM_ARGS                                                                                 \
+    const double *a, ptrdiff_t as0, ptrdiff_t as1, ptrdiff_t as_row, ptrdiff_t as_col,           \
+        const double *b, ptrdiff_t bs0, ptrdiff_t bs1, ptrdiff_t bs_row, ptrdiff_t bs_col,       \
+        double *pack, double *out, ptrdiff_t l0, ptrdiff_t l1, ptrdiff_t m, ptrdiff_t k,         \
+        ptrdiff_t n
+#define BMM_PASS a, as0, as1, as_row, as_col, b, bs0, bs1, bs_row, bs_col, pack, out, l0, l1, m, k, n
+
+/* Each body on its own, for the tests: a body the CPU lacks is not called */
+void tinytraj_bmm_baseline(BMM_ARGS) { bmm_run(bmm_baseline, BMM_PASS); }
+#if defined(__x86_64__)
+void tinytraj_bmm_avx2(BMM_ARGS) { bmm_run(bmm_avx2, BMM_PASS); }
+void tinytraj_bmm_avx512(BMM_ARGS) { bmm_run(bmm_avx512, BMM_PASS); }
+#endif
+
+/* The contraction bodies this CPU runs, fastest first, comma-separated; the
+ * first is the one tinytraj_bmm runs */
+const char *tinytraj_bmm_bodies(void)
 {
 #if defined(__x86_64__)
     __builtin_cpu_init();
+    const int avx2 = __builtin_cpu_supports("avx2"), avx512 = __builtin_cpu_supports("avx512f");
+    if (avx512)
+        return avx2 ? "avx512,avx2,baseline" : "avx512,baseline";
+    if (avx2)
+        return "avx2,baseline";
+#endif
+    return "baseline";
+}
+
+/* out = a @ b on the fastest body this CPU runs (see bmm_run) */
+void tinytraj_bmm(BMM_ARGS)
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f")) {
+        bmm_run(bmm_avx512, BMM_PASS);
+        return;
+    }
     if (__builtin_cpu_supports("avx2")) {
-        bmm_avx2(a, as0, as1, as_row, as_col, b, bs0, bs1, bs_row, bs_col, pack, out, l0, l1, m,
-                 k, n);
+        bmm_run(bmm_avx2, BMM_PASS);
         return;
     }
 #endif
-    tinytraj_bmm_baseline(a, as0, as1, as_row, as_col, b, bs0, bs1, bs_row, bs_col, pack, out,
-                          l0, l1, m, k, n);
+    bmm_run(bmm_baseline, BMM_PASS);
 }
 
 /* numpy's pairwise sum of TERM(i) for i in [0, n): under 8 terms in order;
@@ -230,6 +575,24 @@ static inline double row_mean_product(const double *x, const double *y, ptrdiff_
     return (0.0 + pairwise_product(x, y, d)) / (double)d;
 }
 
+/* One row pass: its arrays, in the order its entry point takes them, and
+ * range(t, r0, r1), which computes entries [r0, r1) of its cut axis of len:
+ * rows of n, elements of the GELU, or columns of the per-sequence sums */
+struct rows {
+    void (*range)(const struct rows *t, ptrdiff_t r0, ptrdiff_t r1);
+    const double *in[4];
+    double *out[3];
+    double c;
+    ptrdiff_t len, n, batch;
+};
+
+static void rows_chunk(const void *args, ptrdiff_t c, ptrdiff_t chunks, int thread)
+{
+    const struct rows *t = args;
+    (void)thread;
+    t->range(t, t->len * c / chunks, t->len * (c + 1) / chunks);
+}
+
 #define RB 4 /* rows whose chains run side by side; their sums never mix */
 
 /* m[i] = the max of row i of the k rows at x, n apart, without a branch.
@@ -272,14 +635,22 @@ shift_rows(const double *x, double *restrict y, double *restrict m, ptrdiff_t n,
  * y = x - mx[r], but 0.0 where that is -inf.  exp(-inf) is exactly +0.0, and
  * numpy's exp takes a slow path for every vector that holds a -inf (a
  * causal mask is half -inf); softmax_scale puts the +0.0 back. */
+static void softmax_shift_range(const struct rows *t, ptrdiff_t r, ptrdiff_t r1)
+{
+    const ptrdiff_t n = t->n;
+    const double *x = t->in[0];
+    double *y = t->out[0], *mx = t->out[1];
+    for (; r + RB <= r1; r += RB)
+        shift_rows(x + r * n, y + r * n, mx + r, n, RB);
+    for (; r < r1; r++)
+        shift_rows(x + r * n, y + r * n, mx + r, n, 1);
+}
+
 void tinytraj_softmax_shift(const double *x, double *restrict y, double *restrict mx,
                             ptrdiff_t rows, ptrdiff_t n)
 {
-    ptrdiff_t r = 0;
-    for (; r + RB <= rows; r += RB)
-        shift_rows(x + r * n, y + r * n, mx + r, n, RB);
-    for (; r < rows; r++)
-        shift_rows(x + r * n, y + r * n, mx + r, n, 1);
+    const struct rows t = {softmax_shift_range, {x}, {y, mx}, 0.0, rows, n, 0};
+    run_pass(rows_chunk, &t, (double)rows * n, t.len);
 }
 
 static inline __attribute__((always_inline)) void
@@ -297,14 +668,22 @@ scale_rows(const double *x, const double *m, double *y, ptrdiff_t n, const int k
 
 /* Softmax forward, after np.exp of softmax_shift's y: +0.0 where x - mx is
  * -inf, then each row divided by its cumsum chain */
+static void softmax_scale_range(const struct rows *t, ptrdiff_t r, ptrdiff_t r1)
+{
+    const ptrdiff_t n = t->n;
+    const double *x = t->in[0], *mx = t->in[1];
+    double *y = t->out[0];
+    for (; r + RB <= r1; r += RB)
+        scale_rows(x + r * n, mx + r, y + r * n, n, RB);
+    for (; r < r1; r++)
+        scale_rows(x + r * n, mx + r, y + r * n, n, 1);
+}
+
 void tinytraj_softmax_scale(const double *x, const double *mx, double *y, ptrdiff_t rows,
                             ptrdiff_t n)
 {
-    ptrdiff_t r = 0;
-    for (; r + RB <= rows; r += RB)
-        scale_rows(x + r * n, mx + r, y + r * n, n, RB);
-    for (; r < rows; r++)
-        scale_rows(x + r * n, mx + r, y + r * n, n, 1);
+    const struct rows t = {softmax_scale_range, {x, mx}, {y}, 0.0, rows, n, 0};
+    run_pass(rows_chunk, &t, (double)rows * n, t.len);
 }
 
 static inline __attribute__((always_inline)) void
@@ -318,24 +697,33 @@ softmax_vjp_rows(const double *y, const double *g, double *restrict dx, ptrdiff_
 }
 
 /* Softmax VJP: dx = y * (g - chain(g * y)) per row */
+static void softmax_vjp_range(const struct rows *t, ptrdiff_t r, ptrdiff_t r1)
+{
+    const ptrdiff_t n = t->n;
+    const double *y = t->in[0], *g = t->in[1];
+    double *dx = t->out[0];
+    for (; r + RB <= r1; r += RB)
+        softmax_vjp_rows(y + r * n, g + r * n, dx + r * n, n, RB);
+    for (; r < r1; r++)
+        softmax_vjp_rows(y + r * n, g + r * n, dx + r * n, n, 1);
+}
+
 void tinytraj_softmax_vjp(const double *y, const double *g, double *restrict dx, ptrdiff_t rows,
                           ptrdiff_t n)
 {
-    ptrdiff_t r = 0;
-    for (; r + RB <= rows; r += RB)
-        softmax_vjp_rows(y + r * n, g + r * n, dx + r * n, n, RB);
-    for (; r < rows; r++)
-        softmax_vjp_rows(y + r * n, g + r * n, dx + r * n, n, 1);
+    const struct rows t = {softmax_vjp_range, {y, g}, {dx}, 0.0, rows, n, 0};
+    run_pass(rows_chunk, &t, (double)rows * n, t.len);
 }
 
 /* Layer norm forward over rows of d >= 1: xhat = (x - mean) * inv with
  * inv = 1 / sqrt(mean((x - mean)^2) + eps), out = xhat * gain + bias; xhat
  * and the per-row inv are kept for the VJP. */
-void tinytraj_layer_norm(const double *x, const double *gain, const double *bias, double eps,
-                         double *restrict out, double *restrict xhat, double *restrict inv,
-                         ptrdiff_t rows, ptrdiff_t d)
+static void layer_norm_range(const struct rows *t, ptrdiff_t r, ptrdiff_t r1)
 {
-    for (ptrdiff_t r = 0; r < rows; r++, x += d, out += d, xhat += d) {
+    const ptrdiff_t d = t->n;
+    const double *x = t->in[0] + r * d, *gain = t->in[1], *bias = t->in[2], eps = t->c;
+    double *out = t->out[0] + r * d, *xhat = t->out[1] + r * d, *inv = t->out[2];
+    for (; r < r1; r++, x += d, out += d, xhat += d) {
         const double mu = row_mean(x, d);
         for (ptrdiff_t j = 0; j < d; j++)
             xhat[j] = x[j] - mu;
@@ -348,18 +736,36 @@ void tinytraj_layer_norm(const double *x, const double *gain, const double *bias
     }
 }
 
+void tinytraj_layer_norm(const double *x, const double *gain, const double *bias, double eps,
+                         double *restrict out, double *restrict xhat, double *restrict inv,
+                         ptrdiff_t rows, ptrdiff_t d)
+{
+    const struct rows t = {layer_norm_range, {x, gain, bias}, {out, xhat, inv}, eps, rows, d, 0};
+    run_pass(rows_chunk, &t, (double)rows * d, t.len);
+}
+
 /* Layer norm VJP for x: with dxhat = g * gain,
  * dx = inv * ((dxhat - mean(dxhat)) - xhat * mean(dxhat * xhat)) */
-void tinytraj_layer_norm_dx(const double *g, const double *gain, const double *xhat,
-                            const double *inv, double *restrict dx, ptrdiff_t rows, ptrdiff_t d)
+static void layer_norm_dx_range(const struct rows *t, ptrdiff_t r, ptrdiff_t r1)
 {
-    for (ptrdiff_t r = 0; r < rows; r++, g += d, xhat += d, dx += d) {
+    const ptrdiff_t d = t->n;
+    const double *g = t->in[0] + r * d, *gain = t->in[1], *xhat = t->in[2] + r * d;
+    const double *inv = t->in[3];
+    double *dx = t->out[0] + r * d;
+    for (; r < r1; r++, g += d, xhat += d, dx += d) {
         for (ptrdiff_t j = 0; j < d; j++)
             dx[j] = g[j] * gain[j]; /* dxhat, overwritten below */
         const double m1 = row_mean(dx, d), m2 = row_mean_product(dx, xhat, d);
         for (ptrdiff_t j = 0; j < d; j++)
             dx[j] = inv[r] * ((dx[j] - m1) - xhat[j] * m2);
     }
+}
+
+void tinytraj_layer_norm_dx(const double *g, const double *gain, const double *xhat,
+                            const double *inv, double *restrict dx, ptrdiff_t rows, ptrdiff_t d)
+{
+    const struct rows t = {layer_norm_dx_range, {g, gain, xhat, inv}, {dx}, 0.0, rows, d, 0};
+    run_pass(rows_chunk, &t, (double)rows * d, t.len);
 }
 
 #define SEQ_COLS 64 /* columns summed at once */
@@ -381,15 +787,13 @@ static inline void seq_sum(const double *g, const double *w, double *restrict s,
                 s[j] += g[p * d + j];
 }
 
-/* The gradient of a parameter shared by the sequences of a [batch, seq, d]
- * batch, batch >= 1: out[j] is the fold, last sequence first, of each
- * sequence's sum of g (or of g * w when w is not NULL). */
-void tinytraj_seq_sums(const double *g, const double *w, double *restrict out, ptrdiff_t batch,
-                       ptrdiff_t seq, ptrdiff_t d)
+static void seq_sums_range(const struct rows *t, ptrdiff_t c0, ptrdiff_t c1)
 {
-    const ptrdiff_t stride = seq * d;
-    for (ptrdiff_t j0 = 0; j0 < d; j0 += SEQ_COLS) {
-        const ptrdiff_t cols = d - j0 < SEQ_COLS ? d - j0 : SEQ_COLS;
+    const double *g = t->in[0], *w = t->in[1];
+    double *out = t->out[0];
+    const ptrdiff_t batch = t->batch, seq = t->n, d = t->len, stride = seq * d;
+    for (ptrdiff_t j0 = c0; j0 < c1; j0 += SEQ_COLS) {
+        const ptrdiff_t cols = c1 - j0 < SEQ_COLS ? c1 - j0 : SEQ_COLS;
         double s[SEQ_COLS];
         seq_sum(g + (batch - 1) * stride + j0, w ? w + (batch - 1) * stride + j0 : NULL,
                 out + j0, seq, d, cols);
@@ -401,13 +805,35 @@ void tinytraj_seq_sums(const double *g, const double *w, double *restrict out, p
     }
 }
 
+/* The gradient of a parameter shared by the sequences of a [batch, seq, d]
+ * batch, batch >= 1: out[j] is the fold, last sequence first, of each
+ * sequence's sum of g (or of g * w when w is not NULL).  Parts take columns.
+ * One add per element read, of a g the caller's core has just written: a
+ * quarter of an element's work counts, so a training step's sums (at most
+ * 102,400 elements in the benchmark's model) stay whole, which they ran
+ * faster. */
+void tinytraj_seq_sums(const double *g, const double *w, double *restrict out, ptrdiff_t batch,
+                       ptrdiff_t seq, ptrdiff_t d)
+{
+    const struct rows t = {seq_sums_range, {g, w}, {out}, 0.0, d, seq, batch};
+    run_pass(rows_chunk, &t, batch * seq * d / 4.0, t.len);
+}
+
 /* GELU VJP, given e = np.exp((-0.5 * x) * x) and c = 1 / sqrt(2 pi):
  * dx = g * (cdf + x * (e * c)); dx may be e */
+static void gelu_vjp_range(const struct rows *t, ptrdiff_t i0, ptrdiff_t i1)
+{
+    const double *g = t->in[0], *x = t->in[1], *cdf = t->in[2], *e = t->in[3], c = t->c;
+    double *dx = t->out[0];
+    for (ptrdiff_t i = i0; i < i1; i++)
+        dx[i] = g[i] * (cdf[i] + x[i] * (e[i] * c));
+}
+
 void tinytraj_gelu_vjp(const double *g, const double *x, const double *cdf, const double *e,
                        double c, double *dx, ptrdiff_t size)
 {
-    for (ptrdiff_t i = 0; i < size; i++)
-        dx[i] = g[i] * (cdf[i] + x[i] * (e[i] * c));
+    const struct rows t = {gelu_vjp_range, {g, x, cdf, e}, {dx}, c, size, 1, 0};
+    run_pass(rows_chunk, &t, (double)size, t.len);
 }
 
 /* cephes' rational approximations, as scipy.special.erf evaluates them:
@@ -482,8 +908,11 @@ static double erf_far(double a)
  * scipy.special.erf's bits (erf(-x) = -erf(x)).  Per block, erf_near runs
  * on every element without a branch, so it vectorizes; the elements past 1
  * are then redone by erf_far.  cdf is NULL when it is not kept. */
-void tinytraj_gelu(const double *x, double *restrict cdf, double *restrict y, ptrdiff_t size)
+static void gelu_range(const struct rows *t, ptrdiff_t e0, ptrdiff_t e1)
 {
+    const double *x = t->in[0] + e0;
+    double *cdf = t->out[0] ? t->out[0] + e0 : NULL, *y = t->out[1] + e0;
+    const ptrdiff_t size = e1 - e0;
     double e[GELU_BLOCK];
     for (ptrdiff_t i0 = 0; i0 < size; i0 += GELU_BLOCK, x += GELU_BLOCK, y += GELU_BLOCK) {
         const ptrdiff_t n = size - i0 < GELU_BLOCK ? size - i0 : GELU_BLOCK;
@@ -501,4 +930,10 @@ void tinytraj_gelu(const double *x, double *restrict cdf, double *restrict y, pt
             y[i] = x[i] * c;
         }
     }
+}
+
+void tinytraj_gelu(const double *x, double *restrict cdf, double *restrict y, ptrdiff_t size)
+{
+    const struct rows t = {gelu_range, {x}, {cdf, y}, 0.0, size, 1, 0};
+    run_pass(rows_chunk, &t, (double)size, t.len);
 }

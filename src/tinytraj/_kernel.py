@@ -15,14 +15,25 @@ The C side reads both operands through their strides, over two leading axes
 (batch and heads) and the row and column, so the transposed operands of the
 backward pass, attention's split heads and ``kᵀ`` are not copied; a ``b``
 whose columns are not adjacent is packed into a ``k x n`` buffer, one
-product at a time.  ``tinytraj_bmm`` runs the AVX2 tile on CPUs
-that have it and the baseline tile otherwise;
-``native("tinytraj_bmm_baseline")`` gives the baseline on any CPU, for the
-tests.  The row ops check shapes and make every array C-contiguous float64
-before a pointer is passed; ``np.exp`` stays numpy's, between C passes.  The
-GELU forward is one C pass that computes ``erf`` itself, by scipy's
-algorithm and with libm's ``exp``, so it gives ``scipy.special.erf``'s bits
-without scipy (it is linked with ``-lm``).
+product at a time.  ``tinytraj_bmm`` runs the widest tile the CPU has:
+AVX-512 (8 x 8), AVX2 (4 x 8) or the baseline (2 x 8); ``bodies()`` lists
+those this CPU runs, and ``native(f"tinytraj_bmm_{body}")`` runs one of
+them, for the tests.  The row ops check shapes and make every array
+C-contiguous float64 before a pointer is passed; ``np.exp`` stays numpy's,
+between C passes.  The GELU forward is one C pass that computes ``erf``
+itself, by scipy's algorithm and with libm's ``exp``, so it gives
+``scipy.special.erf``'s bits without scipy (it is linked with ``-lm``).
+
+Every compiled pass whose work reaches the kernel's threshold is shared,
+inside the C call, by the calling thread and the kernel's own worker thread
+(built with ``-pthread``) when the process may run on 2 or more CPUs
+(``parts()``): each takes chunks of the pass until none is left.  A cut
+never crosses an element's chain, so the bits do not depend on the thread
+count; Python sees no thread, and a second thread calling in while the
+worker is busy runs its pass whole.  The contraction gets a packing buffer
+for each thread.  ``_parts`` forces 1 or 2 threads, for the tests.  On
+glibc, starting the worker also sets the process's malloc mmap and trim
+thresholds, so that large freed arrays are reused (see ``_kernel.c``).
 
 Per call on a shared 2-vCPU x86-64 host (best of 5; numpy body → compiled):
 softmax of causal ``[25, 4, 32, 32]`` scores 1.35–1.42 → 0.46–0.47 ms, its VJP
@@ -32,11 +43,19 @@ softmax of causal ``[25, 4, 32, 32]`` scores 1.35–1.42 → 0.46–0.47 ms, its
 and 5.2–7.2 → 0.77–1.04 ms without (the numpy body calls libm's ``exp`` once
 per entry past 1; a C pass around scipy's ``erf`` took 1.90–1.96 and
 1.41–1.46 ms); the output head ``(800, 32) @ (32, 3)`` 93 → 39–41 µs with its
-narrow tile.
+narrow tile.  With the AVX-512 body, one thread → two (best of 9 × 100
+calls, wrapper included): ``(800, 32) @ (32, 128)`` 157–165 → 88–118 µs,
+q·kᵀ ``[25, 4, 32, 8] @ [25, 4, 8, 32]`` 62–65 → 47–61 µs, the GELU
+forward of ``[25, 32, 128]`` 770–775 → 389–416 µs, the softmax VJP of
+causal scores 80–118 → 39–52 µs; the AVX-512 body alone takes
+``(800, 32) @ (32, 128)`` from 190–211 µs (AVX2) to 132–157 µs.  Inside a
+training step the shared passes gain less (about 1.3×): their inputs were
+mostly written on the other core.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import math
@@ -46,12 +65,13 @@ import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .autodiff import (
     _INV_SQRT_2PI,
+    _NUMPY,
     Ops,
     ShapeMismatchError,
     _bmm_numpy,
@@ -69,7 +89,7 @@ Contraction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no -ffast-math, -Ofast or -march: each term stays one rounded multiply and
 # one rounded add, in _bmm_numpy's order
-FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 LIBS = ("-lm",)  # the GELU's erf calls libm's exp
 
 
@@ -126,8 +146,9 @@ def contraction(fn: Callable) -> Contraction:
             a, b = np.broadcast_to(a, lead + (m, k)), np.broadcast_to(b, lead + (k, n))
         a, a_strides = _four_axes(np.asarray(a, dtype=np.float64), lead)
         b, b_strides = _four_axes(np.asarray(b, dtype=np.float64), lead)
-        # where b's columns are not adjacent, the C side packs one product's b at a time here
-        pack = None if b_strides[3] == 1 else np.empty(k * n)
+        # where b's columns are not adjacent, each thread packs one product's b
+        # at a time into its half of this
+        pack = None if b_strides[3] == 1 else np.empty(2 * k * n)
         out = np.empty(lead + (m, n), dtype=np.float64)
         l0, l1 = (1, 1, *a.shape[:-2])[-2:]
         fn(
@@ -266,12 +287,6 @@ def row_ops(lib: ctypes.CDLL) -> dict[str, Callable]:
     }
 
 
-def bits(x: np.ndarray) -> np.ndarray:
-    """int64 bit patterns with every NaN made one: a NaN's sign and payload
-    are not part of any summation rule."""
-    return np.where(np.isnan(x), np.nan, x).view(np.int64)
-
-
 def _arrays(results) -> list[np.ndarray]:
     # every array of a list of results, tuples flattened; a None result (a
     # GELU cdf that was not kept) has no array
@@ -283,12 +298,14 @@ def _arrays(results) -> list[np.ndarray]:
 
 def _same_bits(got: list, expected: list) -> bool:
     """Whether two lists of results (arrays or tuples of arrays) have the same
-    shapes and bits, compared in one pass."""
+    shapes and bits, a NaN's sign and payload aside; no array is copied."""
     got, expected = _arrays(got), _arrays(expected)
     if [g.shape for g in got] != [e.shape for e in expected]:
         return False
-    flat = lambda arrays: np.concatenate([x.ravel() for x in arrays])  # noqa: E731
-    return np.array_equal(bits(flat(got)), bits(flat(expected)))
+    return all(
+        np.all((g.view(np.int64) == e.view(np.int64)) | (np.isnan(g) & np.isnan(e)))
+        for g, e in zip(got, expected)
+    )
 
 
 SPECIAL = np.array([0.0, -0.0, 5e-324, -1e-310, np.inf, -np.inf, np.nan, 1e308, -1.0 / 3.0, 2.5])
@@ -317,6 +334,50 @@ def _row_cases(rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
     return cases
 
 
+def _cut_cases() -> Iterator[tuple[str, tuple]]:
+    """Ops and arguments whose work reaches the split threshold (32,768
+    multiply-adds or elements; four elements of a per-sequence sum count as
+    one), each cut into 3 or 4 chunks of unequal size: 3 products of 24 x
+    20 @ 20 x 25, one product each, and one 45 x 30 @ 30 x 25 product, in
+    runs of 8, 16, 8 and 13 rows, each with b's columns adjacent and packed;
+    1,025 rows of 33 for the row ops and the GELU's 33,825 elements; the
+    per-sequence sums of 5 sequences of 205 positions of 132, 33 columns a
+    chunk.  One case at a time: they are large enough to raise a process's
+    peak memory if all were held at once."""
+    # values over 16 binades, where another summation order rounds
+    # differently; each array is a slice of one pool, 7,919 values on from
+    # the last one's start, wrapping round
+    pool = np.random.default_rng(2).normal(size=40_000) * np.exp2(np.arange(40_000) % 16 - 8.0)
+    starts = iter(range(0, 10**6, 7919))
+
+    def wide(*shape):
+        size = math.prod(shape)
+        start = next(starts) % (pool.size - size + 1)
+        return pool[start : start + size].reshape(shape)
+
+    def packed(b):
+        return np.swapaxes(np.ascontiguousarray(np.swapaxes(b, -1, -2)), -1, -2)
+
+    a3, b3, a1, b1 = wide(3, 24, 20), wide(3, 20, 25), wide(45, 30), wide(30, 25)
+    yield "bmm", (a3, b3)
+    yield "bmm", (a3, packed(b3))
+    yield "bmm", (a1, b1)
+    yield "bmm", (a1, packed(b1))
+    x, g, gain, bias = wide(1025, 33), wide(1025, 33), wide(33), wide(33)
+    yield "softmax", (x,)
+    yield "softmax_vjp", (_softmax_numpy(x), g)
+    yield "layer_norm", (x, gain, bias, 1e-5)
+    yield "layer_norm_dx", (g, gain, *_layer_norm_numpy(x, gain, bias, 1e-5)[1:])
+    seqs = np.concatenate([x, g, x[::-1], g[::-1]], axis=1).reshape(5, 205, 132)
+    yield "seq_sums", (seqs,)
+    yield "seq_sums", (seqs, np.roll(seqs, 1, axis=0))
+    del seqs
+    near = x / 2.0**6  # where erf is neither 1 nor -1
+    yield "gelu", (near,)
+    yield "gelu", (near, False)
+    yield "gelu_vjp", (g, near, _gelu_numpy(near)[1])
+
+
 def agrees_with_numpy(ops: Ops) -> bool:
     """Whether every op of ``ops`` gives the bits of the numpy body.
 
@@ -332,7 +393,9 @@ def agrees_with_numpy(ops: Ops) -> bool:
     and without its ``cdf``, and the per-sequence sums of three sequences at
     every width and, at 129, of ordinary values times a second factor, of
     ordinary values one column wide over 129 positions, and of all -0.0 (each
-    sequence's sum starts from +0.0); the GELU gradient at 129."""
+    sequence's sum starts from +0.0); the GELU gradient at 129.  Last, every
+    op on ``_cut_cases``, large enough to be shared by two threads where the
+    CPUs allow."""
     rng = np.random.default_rng(0)
     a, b = rng.choice(SPECIAL, (2, 3, 5)), rng.choice(SPECIAL, (5, 9))
     x, y = rng.normal(size=(9, 26)), rng.normal(size=(13, 19))
@@ -397,14 +460,52 @@ def agrees_with_numpy(ops: Ops) -> bool:
             for op, oracle, args in checks:
                 got.append(op(*args))
                 expected.append(oracle(*args))
-    return _same_bits(got, expected)
+        return _same_bits(got, expected) and all(
+            _same_bits([getattr(ops, name)(*args)], [getattr(_NUMPY, name)(*args)])
+            for name, args in _cut_cases()
+        )
+
+
+def _library() -> ctypes.CDLL:
+    # one copy per built file: every handle shares the library's worker
+    return ctypes.CDLL(str(compile_kernel()))
+
+
+def bodies() -> list[str]:
+    """The contraction bodies this CPU runs, fastest first: ``avx512``,
+    ``avx2`` and ``baseline``, as far as the CPU has them.  ``native`` runs
+    the first; ``native(f"tinytraj_bmm_{body}")`` runs any of them."""
+    fn = _library().tinytraj_bmm_bodies
+    fn.argtypes, fn.restype = [], ctypes.c_char_p
+    return fn().decode().split(",")
+
+
+def parts() -> int:
+    """The number of threads that share a compiled pass above the work
+    threshold: 2 when this process may run on 2 or more CPUs, else 1."""
+    fn = _library().tinytraj_parts
+    fn.argtypes, fn.restype = [], ctypes.c_int
+    return fn()
+
+
+@contextlib.contextmanager
+def _parts(count: int):
+    # the tests' hook: every pass of the block runs on ``count`` (1 or 2)
+    # threads, whatever the CPU count; the split never moves a bit
+    fn = _library().tinytraj_set_parts
+    fn.argtypes, fn.restype = [ctypes.c_int], None
+    fn(count)
+    try:
+        yield
+    finally:
+        fn(0)
 
 
 def native(bmm_symbol: str = "tinytraj_bmm") -> Ops:
     """Every op on the compiled kernel, the contraction on the C function
     ``bmm_symbol``: ``tinytraj_bmm`` picks the fastest body this CPU runs,
-    ``tinytraj_bmm_baseline`` is the body for the baseline target."""
-    lib = ctypes.CDLL(str(compile_kernel()))
+    ``tinytraj_bmm_<body>`` runs one of ``bodies()``."""
+    lib = _library()
     bmm = getattr(lib, bmm_symbol)
     ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
     # a and its four strides, b and its four strides, pack or NULL, out, l0, l1, m, k, n

@@ -45,6 +45,12 @@ Design notes:
     picks them differently for different row lengths).  ``KERNEL`` reads
     ``"native"`` or ``"numpy"``: which of the two this process runs, for
     every op at once (``Ops``).
+  * On a host with 2 or more CPUs the compiled kernel shares each large pass
+    with a worker thread of its own, inside the C call, cut into chunks: the
+    contraction between products or 8-row tiles, the row passes between
+    rows, elements or columns.  No cut crosses an element's chain, so the
+    bits, the tape and every fold above are the same on one thread or two,
+    and nothing here sees a thread.
   * A leading batch axis changes no bit.  Gradients of parameters shared by
     the sequences of a ``[B, S, ...]`` batch are per-sequence partial sums
     folded last sequence first (``_fold``: a copy of the last part, then each

@@ -10,10 +10,12 @@ configs the subcommand builds (``synth``: ``SyntheticConfig``; ``train``:
 ``ModelConfig`` and ``TrainConfig``).  A config flag's argparse ``dest`` is
 its field name, and a flag overrides the document.
 
-Exit codes: 0 success, 1 usage error (bad flags; unknown config sections,
-keys or mistyped values; a size too large to allocate), 2 data error
+Exit codes: 0 success, 1 usage error (bad flags, such as a ``--val-fraction``
+that leaves the validation split empty; unknown config sections, keys or
+mistyped values; a size too large to allocate), 2 data error
 (missing or corrupt files, among them a checkpoint whose header is not one
-valid typed document, see ``training.load_checkpoint``; empty corpora,
+valid typed document, see ``training.load_checkpoint``; a file that cannot
+be read or written, such as an ``--out`` that is a directory; empty corpora,
 mismatched normalization frames, a non-finite or malformed normalization
 file), 3 numeric failure (a non-finite training loss, gradient norm or
 validation loss, after which ``train`` writes nothing; an ``eval`` or
@@ -223,6 +225,11 @@ def _cmd_train(args) -> int:
         train_split, val_split = dt.split(
             _load_corpus_stream(args.data), args.val_fraction, train_cfg.seed
         )
+        if next(iter(val_split), None) is None:
+            raise UsageError(
+                f"--val-fraction {args.val_fraction} puts no trajectory of {args.data} "
+                "in the validation split"
+            )
         loader = dt.BatchLoader(train_split, train_cfg.batch_size, s_max, norm)
         val_loader = dt.BatchLoader(val_split, train_cfg.batch_size, s_max, norm)
 
@@ -469,7 +476,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (
         DataError,
-        FileNotFoundError,
+        OSError,  # a file that cannot be read or written, such as an --out that is a directory
         tr.CorruptCheckpointError,
         tr.CheckpointVersionError,
         tr.ConfigMismatchError,

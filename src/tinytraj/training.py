@@ -374,7 +374,8 @@ def _epoch_pass(
     (seed, phase, epoch, batch) with phase 0 for training and 1 for
     validation, its loss, and a finiteness check.  Only the training pass
     runs backward, clipping and an Adam step on ``state``, one batch at a
-    time.  A non-finite loss or gradient norm raises :class:`NumericsError`
+    time.  A loader that yields no batch raises ``ValueError``, in either
+    split.  A non-finite loss or gradient norm raises :class:`NumericsError`
     naming the epoch and the batch before the step moves any parameter, and
     a mean that overflows raises it naming the epoch and split.
     """
@@ -406,8 +407,8 @@ def _epoch_pass(
             batch_name = "batch" if training else "validation batch"
             raise NumericsError(f"{exc} at epoch {epoch}, {batch_name} {batch_idx}") from exc
         losses.append(loss_val)
-    if training and n_batches == 0:
-        raise ValueError("loader produced no batches")
+    if n_batches == 0:
+        raise ValueError(f"{'training' if training else 'validation'} loader produced no batches")
     if losses:
         mean = float(np.mean(losses))
         if not math.isfinite(mean):  # finite losses whose sum overflows
@@ -437,7 +438,9 @@ def train(
     loss aborts with :class:`NumericsError` naming the epoch and the
     training or validation batch (and the first parameter whose gradient is
     non-finite) before the failing step moves any parameter; so does an
-    epoch's mean loss that overflows, naming the epoch and split.
+    epoch's mean loss that overflows, naming the epoch and split.  A
+    ``loader`` or ``val_loader`` that yields no batch in an epoch raises
+    ``ValueError``: a validation split that never runs is not skipped.
     """
     if cfg.objective in ("infill", "alternating") and model_cfg.patch_len != 1:
         raise ValueError("infill objectives require patch_len == 1")

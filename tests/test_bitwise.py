@@ -28,6 +28,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tinytraj import _kernel
 from tinytraj import autodiff as ad
 from tinytraj import data as dt
 from tinytraj import geo, masking
@@ -211,6 +212,18 @@ def test_training_matches_recorded_goldens(name, tmp_path):
     if host_fingerprint() != GOLDEN_HOST:
         pytest.skip(f"goldens were recorded on {GOLDEN_HOST}, not this host")
     assert run_case(name, tmp_path) == GOLDENS[name]
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_goldens_match_on_one_thread_and_on_two(parts, tmp_path):
+    # the compiled kernel with every pass whole, and with every pass above
+    # its work threshold shared with its worker thread, whatever the CPU count
+    if host_fingerprint() != GOLDEN_HOST:
+        pytest.skip(f"goldens were recorded on {GOLDEN_HOST}, not this host")
+    if ad.KERNEL != "native":
+        pytest.skip("the numpy bodies run every pass whole")
+    with _kernel._parts(parts):
+        assert {name: run_case(name, tmp_path) for name in sorted(CASES)} == GOLDENS
 
 
 def test_numpy_contraction_matches_recorded_goldens(monkeypatch, tmp_path):

@@ -31,6 +31,12 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def assert_one_data_error_naming(err: str, path: Path) -> None:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:"), err
+    assert path.name in lines[0] and "Traceback" not in err
+
+
 @pytest.fixture
 def corpus(tmp_path):
     path = tmp_path / "corpus.jsonl"
@@ -170,6 +176,14 @@ class TestSynth:
         assert not out.exists()
 
 
+    def test_out_that_is_a_directory_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "adir"
+        out.mkdir()
+        assert run("synth", "--out", out, "--n-traj", 3, "--points", 5) == EXIT_DATA
+        assert_one_data_error_naming(capsys.readouterr().err, out)
+        assert list(tmp_path.iterdir()) == [out] and not any(out.iterdir())  # no temp file
+
+
 # ---------------------------------------------------------------------------
 # fit-norm
 # ---------------------------------------------------------------------------
@@ -190,6 +204,14 @@ class TestFitNorm:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         assert run("fit-norm", "--data", empty, "--out", tmp_path / "n") == EXIT_DATA
+
+    def test_out_that_is_a_directory_is_data_error(self, tmp_path, corpus, capsys):
+        out = tmp_path / "adir"
+        out.mkdir()
+        before = sorted(tmp_path.iterdir())
+        assert run("fit-norm", "--data", corpus, "--out", out) == EXIT_DATA
+        assert_one_data_error_naming(capsys.readouterr().err, out)
+        assert sorted(tmp_path.iterdir()) == before and not any(out.iterdir())
 
     def test_skips_timestamps_past_year_9999(self, tmp_path, corpus, late_corpus):
         clean, late = tmp_path / "clean.json", tmp_path / "late.json"
@@ -254,6 +276,26 @@ class TestTrain:
         )
         assert code == EXIT_USAGE
         assert "val_fraction" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_validation_split_is_usage_error(self, tmp_path, corpus, model_config, capsys):
+        out, hist = tmp_path / "m.ckpt", tmp_path / "h.csv"
+        code = run(
+            "train", "--config", model_config, "--data", corpus,
+            "--out", out, "--val-fraction", 0.001, "--history-csv", hist,
+        )
+        assert code == EXIT_USAGE
+        assert "validation split" in capsys.readouterr().err
+        assert not out.exists() and not hist.exists()
+
+    def test_empty_validation_corpus_is_data_error(self, tmp_path, corpus, model_config, capsys):
+        out, empty = tmp_path / "m.ckpt", tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code = run(
+            "train", "--config", model_config, "--data", corpus, "--out", out, "--val-data", empty
+        )
+        assert code == EXIT_DATA
+        assert "validation loader produced no batches" in capsys.readouterr().err
         assert not out.exists()
 
     def test_val_data_and_val_fraction_together_is_usage_error(

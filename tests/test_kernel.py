@@ -3,19 +3,29 @@ the row-wise ops of softmax, layer norm, the per-sequence sums, the GELU and
 its gradient.
 
 The numpy bodies (``_bmm_numpy``, ``_softmax_numpy``, ...) are the oracle:
-every compiled op, and both bodies of the contraction (the one this CPU
-dispatches to and the baseline), must give their bits (int64 patterns; a
-NaN's sign and payload aside, which numpy itself sets differently for
-different row lengths), and when the kernel cannot be built, loaded or
-checked, every op runs its numpy body instead.
+every compiled op, and every body of the contraction (AVX-512, AVX2 and the
+baseline, as far as this CPU runs them), must give their bits (int64
+patterns; a NaN's sign and payload aside, which numpy itself sets
+differently for different row lengths), and when the kernel cannot be
+built, loaded or checked, every op runs its numpy body instead.  A pass
+above the work threshold is shared, in chunks, with the kernel's worker
+thread: the cut must move no bit, whoever calls.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import signal
 import subprocess
+import sys
 import sysconfig
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,8 +51,19 @@ def native_ops() -> ad.Ops:
     return ad._ops
 
 
+@functools.cache
+def _body(symbol):  # None when this CPU lacks the body
+    runs = symbol.removeprefix("tinytraj_bmm_") in _kernel.bodies()
+    return _kernel.native(symbol).bmm if runs else None
+
+
 def native_kernel(symbol="tinytraj_bmm"):
-    return native_ops().bmm if symbol == "tinytraj_bmm" else _kernel.native(symbol).bmm
+    ops = native_ops()
+    if symbol == "tinytraj_bmm":
+        return ops.bmm
+    if _body(symbol) is None:
+        pytest.skip(f"this CPU does not run {symbol}")
+    return _body(symbol)
 
 
 def _layout(draw, x):
@@ -100,12 +121,14 @@ def gives_the_numpy_loops_bits(symbol):
     return test
 
 
-# the dispatched entry point, and the baseline body it runs on a CPU without
-# AVX2, so that an AVX2 host tests both
+# the dispatched entry point, and each body it may run, so that an AVX-512
+# host tests all three
 test_native_kernel_gives_the_numpy_loops_bits = gives_the_numpy_loops_bits("tinytraj_bmm")
 test_baseline_kernel_gives_the_numpy_loops_bits = gives_the_numpy_loops_bits(
     "tinytraj_bmm_baseline"
 )
+test_avx2_kernel_gives_the_numpy_loops_bits = gives_the_numpy_loops_bits("tinytraj_bmm_avx2")
+test_avx512_kernel_gives_the_numpy_loops_bits = gives_the_numpy_loops_bits("tinytraj_bmm_avx512")
 
 
 def test_transposed_a_is_read_in_place():
@@ -193,7 +216,7 @@ def _tile_mutant(mr, mutation, narrow):
 
 
 TILE_MUTANTS = pytest.mark.parametrize("mutation", [_minus_zero_start, _last_two_terms_swapped])
-TILE_ROWS = pytest.mark.parametrize("mr", [2, 4])  # the baseline and the AVX2 body
+TILE_ROWS = pytest.mark.parametrize("mr", [2, 4, 8])  # the baseline, AVX2 and AVX-512 bodies
 
 
 @TILE_ROWS
@@ -500,3 +523,231 @@ def test_row_ops_reject_mismatched_shapes():
         ops.seq_sums(np.zeros((3, 4)))
     with pytest.raises(ad.ShapeMismatchError):
         ops.gelu_vjp(np.zeros(3), np.zeros(3), np.zeros(4))
+
+
+# ---------------------------------------------------------------------------
+# the split: a pass above the work threshold is shared, in chunks, by the
+# caller and the kernel's worker thread
+
+
+def split_pass(ops):
+    # a contraction well above the threshold, cut between its 25 products
+    rng = np.random.default_rng(12)
+    return ops.bmm(rng.normal(size=(25, 32, 32)), rng.normal(size=(25, 32, 128)))
+
+
+def _packed(b):  # b's columns not adjacent: each thread packs a product's b
+    return np.swapaxes(np.ascontiguousarray(np.swapaxes(b, -1, -2)), -1, -2)
+
+
+@st.composite
+def split_cases(draw):
+    # an op and its arguments, of a work on either side of the threshold
+    # (32,768 multiply-adds or elements, or four times as many elements of a
+    # per-sequence sum), cut into chunks of unequal size: an odd number of
+    # products, or 8-row tiles of a product whose rows are not a multiple of
+    # 8; the arrays come from a drawn seed, as hypothesis draws large ones
+    # slowly
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def wide(*shape):  # 60 binades: another summation order rounds differently
+        return rng.normal(size=shape) * 2.0 ** rng.integers(-30, 30, size=shape)
+
+    name = draw(st.sampled_from(ad.Ops._fields))
+    if name == "bmm":
+        products = draw(st.sampled_from([1, 2, 3, 5]))
+        m, k, n = draw(st.integers(1, 60)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+        a, b = wide(products, m, k), wide(products, k, n)
+        b = _packed(b) if draw(st.booleans()) else b
+        return name, (a[0], b[0]) if products == 1 and draw(st.booleans()) else (a, b)
+    if name == "seq_sums":
+        shape = (draw(st.integers(1, 5)), draw(st.integers(1, 400)), draw(st.integers(1, 200)))
+        return name, (wide(*shape), wide(*shape))[: draw(st.integers(1, 2))]
+    rows, n = draw(st.integers(1, 1500)), draw(st.integers(1, 48))
+    x, g = wide(rows, n), wide(rows, n)
+    near = rng.normal(size=(rows, n)) * 4.0  # where erf is neither 1 nor -1
+    return name, {
+        "softmax": (x,),
+        "softmax_vjp": (np.abs(x), g),
+        "layer_norm": (x, wide(n), wide(n), 1e-5),
+        "layer_norm_dx": (g, wide(n), x, wide(rows, 1)),
+        "gelu": (near, draw(st.booleans())),
+        "gelu_vjp": (g, near, ad._gelu_numpy(near)[1]),
+    }[name]
+
+
+AT_THRESHOLD = NORMAL[:16, :16] @ np.ones((16, 2)), np.ones((2, 1024))  # 16 x 2 x 1024 = 32,768
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(split_cases())
+@example(("bmm", AT_THRESHOLD))  # two chunks of 8 rows
+@example(("bmm", (AT_THRESHOLD[0][:15], AT_THRESHOLD[1])))  # below it
+@example(("bmm", (NORMAL[:3, :13][:, None], _packed(np.broadcast_to(NORMAL[:13, :16], (3, 13, 16))))))
+@example(("bmm", (np.broadcast_to(NORMAL[:17, :19], (101, 17, 19)), NORMAL[:19, :17])))
+def test_every_op_gives_the_same_bits_on_one_thread_and_on_two(case):
+    name, args = case
+    op = getattr(native_ops(), name)
+    with np.errstate(all="ignore"):
+        with _kernel._parts(1):
+            whole = op(*args)
+        with _kernel._parts(2):
+            op(*args)  # wakes the worker, which then waits awake for the next pass
+            cut = op(*args)
+    assert_same_bits(cut, whole)
+
+
+def test_thread_count_follows_the_cpus_the_process_may_run_on():
+    native_ops()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert _kernel.parts() == (2 if cpus >= 2 else 1)
+    with _kernel._parts(1):
+        assert _kernel.parts() == 1
+    with _kernel._parts(2):
+        assert _kernel.parts() == 2
+    assert _kernel.parts() == (2 if cpus >= 2 else 1)
+
+
+def test_threads_in_the_kernel_at_once_get_the_serial_bits():
+    # ctypes drops the GIL, so callers meet in C: a caller that finds the
+    # worker busy runs its pass whole.  More threads than cores.
+    ops = native_ops()
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(25, 32, 128))
+    q, k = rng.normal(size=(2, 25, 32, 4, 8)).transpose(0, 1, 3, 2, 4)  # [B, H, S, hd] heads
+    cases = [
+        ("bmm", (q, np.swapaxes(k, -1, -2))),  # kᵀ: each thread packs its own products' b
+        ("bmm", (rng.normal(size=(25, 32, 32)), rng.normal(size=(25, 32, 128)))),
+        ("bmm", (rng.normal(size=(800, 32)), _packed(rng.normal(size=(32, 128))))),
+        ("softmax", (rng.normal(size=(25, 4, 32, 32)),)),
+        ("layer_norm", (x, x[0, 0], x[1, 1], 1e-5)),
+        ("seq_sums", (x,)),
+        ("gelu", (x,)),
+    ]
+    with _kernel._parts(1):
+        expected = [getattr(ops, name)(*args) for name, args in cases]
+    wrong, errors = [], []
+
+    def caller():
+        try:
+            for _ in range(20):
+                for (name, args), e in zip(cases, expected):
+                    if not _kernel._same_bits([getattr(ops, name)(*args)], [e]):
+                        wrong.append(name)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _kernel._parts(2):
+            threads = [threading.Thread(target=caller) for _ in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and not wrong
+
+
+def test_each_thread_packs_into_its_own_buffer():
+    # kᵀ's columns are not adjacent: the two threads pack different
+    # products' b side by side, so a shared buffer would mix them now and then
+    ops = native_ops()
+    q, k = np.random.default_rng(15).normal(size=(2, 25, 32, 4, 8)).transpose(0, 1, 3, 2, 4)
+    kt = np.swapaxes(k, -1, -2)
+    with _kernel._parts(1):
+        expected = ops.bmm(q, kt)
+    with _kernel._parts(2):
+        wrong = sum(not np.array_equal(ops.bmm(q, kt), expected) for _ in range(2000))
+    assert wrong == 0
+
+
+FORK = """
+import os, sys, time
+import numpy as np
+from tinytraj import _kernel, autodiff as ad
+rng = np.random.default_rng(14)
+a, b = rng.normal(size=(25, 32, 32)), rng.normal(size=(25, 32, 128))
+with _kernel._parts(2):
+    expected = ad._bmm(a, b)  # the worker starts
+    pid = os.fork()
+    if pid == 0:  # the worker thread is not in the child: a split pass must still end
+        os._exit(0 if np.array_equal(ad._bmm(a, b), expected) else 3)
+deadline = time.monotonic() + 30
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.01)
+os.kill(pid, 9)
+sys.exit("the child's split pass did not end")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_fork_child_finishes_a_split_pass_and_the_worker_never_delays_exit():
+    native_ops()
+    env = {**os.environ, "PYTHONPATH": str(Path(_kernel.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", FORK], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_an_idle_worker_burns_no_cpu_and_python_sees_no_thread():
+    ops = native_ops()
+    threads = threading.active_count()
+    with _kernel._parts(2):
+        split_pass(ops)  # the worker spins for a moment, then sleeps
+    assert threading.active_count() == threads
+    before = time.process_time()  # every thread of the process
+    time.sleep(0.5)
+    assert time.process_time() - before < 0.05
+
+
+def test_the_worker_blocks_every_signal():
+    ops = native_ops()
+    with _kernel._parts(2):
+        split_pass(ops)
+    tasks = Path("/proc/self/task")
+    if not tasks.is_dir():
+        pytest.skip("no /proc to read a thread's signal mask from")
+    masks = [
+        int(line.split()[1], 16)
+        for task in tasks.iterdir()
+        if (task / "comm").read_text().strip() == "tinytraj-split"
+        for line in (task / "status").read_text().splitlines()
+        if line.startswith("SigBlk:")
+    ]
+    assert masks  # one worker per loaded copy of the library
+    for mask in masks:
+        for sig in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP, signal.SIGUSR1, signal.SIGCHLD,
+                    signal.SIGALRM, signal.SIGPIPE):
+            assert mask >> (sig - 1) & 1, signal.Signals(sig).name
+
+
+def _wrong_when_cut(name):
+    # the numpy body, but one output entry off by an ulp when the pass's
+    # work reaches the threshold: a cut that goes wrong only where a cut is made
+    threshold = ctypes.c_long.in_dll(_kernel._library(), "tinytraj_split_work").value
+    body = getattr(ad._NUMPY, name)
+
+    def op(*args):
+        out = body(*args)
+        first = out[0] if isinstance(out, tuple) else out
+        work = np.size(args[0])  # elements; multiply-adds of a contraction
+        work *= args[1].shape[-1] if name == "bmm" else 0.25 if name == "seq_sums" else 1
+        if work >= threshold:
+            first.flat[-1] = np.nextafter(first.flat[-1], np.inf)
+        return out
+
+    return ad._NUMPY._replace(**{name: op})
+
+
+@pytest.mark.parametrize("name", ad.Ops._fields)
+def test_self_check_reaches_the_cut_of_every_op(name):
+    native_ops()
+    assert not _kernel.agrees_with_numpy(_wrong_when_cut(name))

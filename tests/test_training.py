@@ -449,6 +449,14 @@ def test_empty_loader_rejected():
         train(params, TINY, TrainConfig(epochs=1), [])
 
 
+def test_empty_validation_loader_rejected():
+    # a validation split that yields no batch is an error, not a skipped split
+    loader, _ = straight_line_loader(seed=1)
+    params = tm.init_params(TINY, np.random.default_rng(10))
+    with pytest.raises(ValueError, match="validation loader produced no batches"):
+        train(params, TINY, TrainConfig(epochs=1), loader, val_loader=[])
+
+
 def test_infill_with_patches_rejected():
     cfg_m = tm.ModelConfig(d_model=8, n_heads=2, n_blocks=1, max_seq=16, patch_len=2)
     params = tm.init_params(cfg_m, np.random.default_rng(11))
