@@ -32,9 +32,9 @@
  * target("avx2"), with 4-double vectors and MR = 4, and under
  * target("avx512f"), with 8-double vectors and MR = 8.  The partial sums
  * take 8 of the 16 vector registers, or 8 of AVX-512's 32.  tinytraj_bmm
- * runs the widest body the CPU has; tinytraj_bmm_baseline, _avx2 and
- * _avx512 are exported too, so that one host can test each.  No body uses
- * FMA, and all give the same bits.
+ * runs the first body of BODIES (fastest first) that the CPU has;
+ * tinytraj_bmm_baseline, _avx2 and _avx512 are exported too, so that one
+ * host can test each.  No body uses FMA, and all give the same bits.
  *
  * Split.  A pass whose work (multiply-adds, or elements) reaches
  * tinytraj_split_work is shared by two threads when the process may run on
@@ -46,15 +46,14 @@
  * of its leading axes, or between 8-row tiles of a single product, each
  * thread packing into its own half of the caller's 2 x k x n buffer; the
  * softmax passes and layer norm between rows; the GELU and its gradient
- * between elements; the per-sequence sums between columns.  So every chunk
- * computes its elements exactly as the whole pass does, and the bits never
- * depend on the thread count.  The worker starts on the first pass that is
- * shared, with every signal blocked, detached, so it never delays exit; it
- * never allocates, spins SPIN_NS after a pass and then sleeps on a
- * condition variable.  A caller that finds it busy (another thread in the
- * kernel) runs its pass whole, and a fork child starts a worker of its own.
- * On glibc, starting it also raises the process's malloc mmap and trim
- * thresholds (see start_worker).
+ * between elements.  So every chunk computes its elements exactly as the
+ * whole pass does, and the bits never depend on the thread count.  The
+ * per-sequence sums always run whole: at a training step's sizes they ran
+ * slower shared.  The worker starts on the first pass that is shared, with
+ * every signal blocked, detached, so it never delays exit; it never
+ * allocates, spins SPIN_NS after a pass and then sleeps on a condition
+ * variable.  A caller that finds it busy (another thread in the kernel)
+ * runs its pass whole, and a fork child starts a worker of its own.
  *
  * Row passes.  All arrays are C-contiguous; a row is the last axis.  The
  * summation rules they keep are numpy's:
@@ -73,11 +72,12 @@
  * for the baseline target only.
  *
  * Build with -pthread.  Per call on a shared 2-vCPU x86-64 host with
- * AVX-512 (best of 9 x 100, one thread -> two): (800, 32) @ (32, 128)
- * 157-165 -> 88-118 us; the transposed-a weight gradient [25, 128, 32] @
- * [25, 32, 32] 175-177 -> 90-110 us; the GELU forward of [25, 32, 128]
- * 770-775 -> 389-416 us.  In some stretches of seconds on that host, two
- * threads ran the first product slower than one (266-293 us). */
+ * AVX-512 (best of 9 x 100, wrapper included, one thread -> two): (800, 32)
+ * @ (32, 128) 151-154 -> 85-87 us; the transposed-a weight gradient
+ * [25, 128, 32] @ [25, 32, 32] 172 -> 89-109 us; the GELU forward of
+ * [25, 32, 128], keeping cdf, 1173-1189 -> 823-984 us.  In some stretches of
+ * seconds on that host, two threads ran the first product slower than one
+ * (266-293 us). */
 #define _GNU_SOURCE /* sched_getaffinity, CPU_COUNT, pthread_setname_np */
 #include <pthread.h>
 #include <sched.h>
@@ -85,9 +85,6 @@
 #include <stddef.h>
 #include <time.h>
 #include <unistd.h>
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 
 /* ---- the split: one persistent worker thread ---- */
 
@@ -109,7 +106,12 @@ const long tinytraj_split_work = 32768;
 #define CHUNK_WORK 8192
 #define MAX_CHUNKS 16
 
-#define SPIN_NS 1000000 /* the worker spins this long after a pass, then sleeps */
+/* The worker spins this long after a pass, then sleeps.  In 14 rounds of
+ * the 20 s perfbench `train` workload, 50 us ran as fast as 200 us and 1 ms
+ * (median ratios 1.00 and 0.96 to 1 ms) and used 31 s of CPU time per run
+ * against 35 and 36 s (21 s without the split); sleeping at once ran about
+ * 6% slower (6 rounds). */
+#define SPIN_NS 50000
 
 enum { IDLE, POSTED, TAKEN, DONE }; /* the states of the worker's task */
 
@@ -235,23 +237,9 @@ static void forget_worker(void)
 }
 
 /* Start the worker, with every signal blocked so that none is delivered to
- * it, detached so that it never delays exit.  The caller owns the worker.
- *
- * On glibc, also keep freed memory for reuse.  By default glibc gives back
- * to the system, and maps again on the next allocation, a block of 128 KB
- * or more (raising that limit one freed block at a time) and the top of its
- * heap once twice that is free there: numpy's large temporaries, every step.
- * With the worker running our address space on another CPU, each unmap
- * interrupts it and both threads fault the pages in again: a shared
- * (800, 32) @ (32, 128) took 281-375 us against 160 us on one thread, and
- * 107-118 us with the limits below; `train` and `eval` peak memory grew by
- * under 1 MB. */
+ * it, detached so that it never delays exit.  The caller owns the worker. */
 static void start_worker(void)
 {
-#if defined(__GLIBC__)
-    mallopt(M_MMAP_THRESHOLD, 16 << 20);
-    mallopt(M_TRIM_THRESHOLD, 64 << 20);
-#endif
     static int at_fork;
     if (!at_fork)
         at_fork = pthread_atfork(NULL, NULL, forget_worker) == 0 ? 1 : -1;
@@ -495,37 +483,56 @@ void tinytraj_bmm_avx2(BMM_ARGS) { bmm_run(bmm_avx2, BMM_PASS); }
 void tinytraj_bmm_avx512(BMM_ARGS) { bmm_run(bmm_avx512, BMM_PASS); }
 #endif
 
-/* The contraction bodies this CPU runs, fastest first, comma-separated; the
- * first is the one tinytraj_bmm runs */
-const char *tinytraj_bmm_bodies(void)
-{
 #if defined(__x86_64__)
+static int has_avx512(void)
+{
     __builtin_cpu_init();
-    const int avx2 = __builtin_cpu_supports("avx2"), avx512 = __builtin_cpu_supports("avx512f");
-    if (avx512)
-        return avx2 ? "avx512,avx2,baseline" : "avx512,baseline";
-    if (avx2)
-        return "avx2,baseline";
+    return __builtin_cpu_supports("avx512f");
+}
+
+static int has_avx2(void)
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2");
+}
 #endif
-    return "baseline";
+
+static int has_baseline(void) { return 1; }
+
+/* The contraction bodies, fastest first, each with its name and whether
+ * this CPU runs it */
+static const struct {
+    const char *name;
+    bmm_body *body;
+    int (*runs)(void);
+} BODIES[] = {
+#if defined(__x86_64__)
+    {"avx512", bmm_avx512, has_avx512},
+    {"avx2", bmm_avx2, has_avx2},
+#endif
+    {"baseline", bmm_baseline, has_baseline},
+};
+
+/* The index in BODIES of the i-th body this CPU runs, fastest first, or -1
+ * past the last: tinytraj_bmm runs the first */
+static int body_index(int i)
+{
+    for (int b = 0; b < (int)(sizeof BODIES / sizeof BODIES[0]); b++)
+        if (BODIES[b].runs() && i-- == 0)
+            return b;
+    return -1;
+}
+
+/* The name of the i-th contraction body this CPU runs, fastest first, or
+ * NULL past the last */
+const char *tinytraj_bmm_body(int i)
+{
+    const int b = body_index(i);
+    return b < 0 ? NULL : BODIES[b].name;
 }
 
 /* out = a @ b on the fastest body this CPU runs (see bmm_run) */
-void tinytraj_bmm(BMM_ARGS)
-{
-#if defined(__x86_64__)
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f")) {
-        bmm_run(bmm_avx512, BMM_PASS);
-        return;
-    }
-    if (__builtin_cpu_supports("avx2")) {
-        bmm_run(bmm_avx2, BMM_PASS);
-        return;
-    }
-#endif
-    bmm_run(bmm_baseline, BMM_PASS);
-}
+void tinytraj_bmm(BMM_ARGS) { bmm_run(BODIES[body_index(0)].body, BMM_PASS); }
 
 /* numpy's pairwise sum of TERM(i) for i in [0, n): under 8 terms in order;
  * up to 128, eight accumulators started from the first eight terms, combined
@@ -577,13 +584,13 @@ static inline double row_mean_product(const double *x, const double *y, ptrdiff_
 
 /* One row pass: its arrays, in the order its entry point takes them, and
  * range(t, r0, r1), which computes entries [r0, r1) of its cut axis of len:
- * rows of n, elements of the GELU, or columns of the per-sequence sums */
+ * rows of n, or elements of the GELU */
 struct rows {
     void (*range)(const struct rows *t, ptrdiff_t r0, ptrdiff_t r1);
     const double *in[4];
     double *out[3];
     double c;
-    ptrdiff_t len, n, batch;
+    ptrdiff_t len, n;
 };
 
 static void rows_chunk(const void *args, ptrdiff_t c, ptrdiff_t chunks, int thread)
@@ -649,7 +656,7 @@ static void softmax_shift_range(const struct rows *t, ptrdiff_t r, ptrdiff_t r1)
 void tinytraj_softmax_shift(const double *x, double *restrict y, double *restrict mx,
                             ptrdiff_t rows, ptrdiff_t n)
 {
-    const struct rows t = {softmax_shift_range, {x}, {y, mx}, 0.0, rows, n, 0};
+    const struct rows t = {softmax_shift_range, {x}, {y, mx}, 0.0, rows, n};
     run_pass(rows_chunk, &t, (double)rows * n, t.len);
 }
 
@@ -682,7 +689,7 @@ static void softmax_scale_range(const struct rows *t, ptrdiff_t r, ptrdiff_t r1)
 void tinytraj_softmax_scale(const double *x, const double *mx, double *y, ptrdiff_t rows,
                             ptrdiff_t n)
 {
-    const struct rows t = {softmax_scale_range, {x, mx}, {y}, 0.0, rows, n, 0};
+    const struct rows t = {softmax_scale_range, {x, mx}, {y}, 0.0, rows, n};
     run_pass(rows_chunk, &t, (double)rows * n, t.len);
 }
 
@@ -711,7 +718,7 @@ static void softmax_vjp_range(const struct rows *t, ptrdiff_t r, ptrdiff_t r1)
 void tinytraj_softmax_vjp(const double *y, const double *g, double *restrict dx, ptrdiff_t rows,
                           ptrdiff_t n)
 {
-    const struct rows t = {softmax_vjp_range, {y, g}, {dx}, 0.0, rows, n, 0};
+    const struct rows t = {softmax_vjp_range, {y, g}, {dx}, 0.0, rows, n};
     run_pass(rows_chunk, &t, (double)rows * n, t.len);
 }
 
@@ -740,7 +747,7 @@ void tinytraj_layer_norm(const double *x, const double *gain, const double *bias
                          double *restrict out, double *restrict xhat, double *restrict inv,
                          ptrdiff_t rows, ptrdiff_t d)
 {
-    const struct rows t = {layer_norm_range, {x, gain, bias}, {out, xhat, inv}, eps, rows, d, 0};
+    const struct rows t = {layer_norm_range, {x, gain, bias}, {out, xhat, inv}, eps, rows, d};
     run_pass(rows_chunk, &t, (double)rows * d, t.len);
 }
 
@@ -764,7 +771,7 @@ static void layer_norm_dx_range(const struct rows *t, ptrdiff_t r, ptrdiff_t r1)
 void tinytraj_layer_norm_dx(const double *g, const double *gain, const double *xhat,
                             const double *inv, double *restrict dx, ptrdiff_t rows, ptrdiff_t d)
 {
-    const struct rows t = {layer_norm_dx_range, {g, gain, xhat, inv}, {dx}, 0.0, rows, d, 0};
+    const struct rows t = {layer_norm_dx_range, {g, gain, xhat, inv}, {dx}, 0.0, rows, d};
     run_pass(rows_chunk, &t, (double)rows * d, t.len);
 }
 
@@ -787,13 +794,18 @@ static inline void seq_sum(const double *g, const double *w, double *restrict s,
                 s[j] += g[p * d + j];
 }
 
-static void seq_sums_range(const struct rows *t, ptrdiff_t c0, ptrdiff_t c1)
+/* The gradient of a parameter shared by the sequences of a [batch, seq, d]
+ * batch, batch >= 1: out[j] is the fold, last sequence first, of each
+ * sequence's sum of g (or of g * w when w is not NULL), SEQ_COLS columns at
+ * a time.  It runs whole: one add per element read, of a g the caller's
+ * core has just written, so at a training step's sizes it ran slower shared
+ * (0.40-0.49 -> 0.48-0.64 ms per step). */
+void tinytraj_seq_sums(const double *g, const double *w, double *restrict out, ptrdiff_t batch,
+                       ptrdiff_t seq, ptrdiff_t d)
 {
-    const double *g = t->in[0], *w = t->in[1];
-    double *out = t->out[0];
-    const ptrdiff_t batch = t->batch, seq = t->n, d = t->len, stride = seq * d;
-    for (ptrdiff_t j0 = c0; j0 < c1; j0 += SEQ_COLS) {
-        const ptrdiff_t cols = c1 - j0 < SEQ_COLS ? c1 - j0 : SEQ_COLS;
+    const ptrdiff_t stride = seq * d;
+    for (ptrdiff_t j0 = 0; j0 < d; j0 += SEQ_COLS) {
+        const ptrdiff_t cols = d - j0 < SEQ_COLS ? d - j0 : SEQ_COLS;
         double s[SEQ_COLS];
         seq_sum(g + (batch - 1) * stride + j0, w ? w + (batch - 1) * stride + j0 : NULL,
                 out + j0, seq, d, cols);
@@ -803,20 +815,6 @@ static void seq_sums_range(const struct rows *t, ptrdiff_t c0, ptrdiff_t c1)
                 out[j0 + j] += s[j];
         }
     }
-}
-
-/* The gradient of a parameter shared by the sequences of a [batch, seq, d]
- * batch, batch >= 1: out[j] is the fold, last sequence first, of each
- * sequence's sum of g (or of g * w when w is not NULL).  Parts take columns.
- * One add per element read, of a g the caller's core has just written: a
- * quarter of an element's work counts, so a training step's sums (at most
- * 102,400 elements in the benchmark's model) stay whole, which they ran
- * faster. */
-void tinytraj_seq_sums(const double *g, const double *w, double *restrict out, ptrdiff_t batch,
-                       ptrdiff_t seq, ptrdiff_t d)
-{
-    const struct rows t = {seq_sums_range, {g, w}, {out}, 0.0, d, seq, batch};
-    run_pass(rows_chunk, &t, batch * seq * d / 4.0, t.len);
 }
 
 /* GELU VJP, given e = np.exp((-0.5 * x) * x) and c = 1 / sqrt(2 pi):
@@ -832,7 +830,7 @@ static void gelu_vjp_range(const struct rows *t, ptrdiff_t i0, ptrdiff_t i1)
 void tinytraj_gelu_vjp(const double *g, const double *x, const double *cdf, const double *e,
                        double c, double *dx, ptrdiff_t size)
 {
-    const struct rows t = {gelu_vjp_range, {g, x, cdf, e}, {dx}, c, size, 1, 0};
+    const struct rows t = {gelu_vjp_range, {g, x, cdf, e}, {dx}, c, size, 1};
     run_pass(rows_chunk, &t, (double)size, t.len);
 }
 
@@ -934,6 +932,6 @@ static void gelu_range(const struct rows *t, ptrdiff_t e0, ptrdiff_t e1)
 
 void tinytraj_gelu(const double *x, double *restrict cdf, double *restrict y, ptrdiff_t size)
 {
-    const struct rows t = {gelu_range, {x}, {cdf, y}, 0.0, size, 1, 0};
+    const struct rows t = {gelu_range, {x}, {cdf, y}, 0.0, size, 1};
     run_pass(rows_chunk, &t, (double)size, t.len);
 }

@@ -24,16 +24,15 @@ between C passes.  The GELU forward is one C pass that computes ``erf``
 itself, by scipy's algorithm and with libm's ``exp``, so it gives
 ``scipy.special.erf``'s bits without scipy (it is linked with ``-lm``).
 
-Every compiled pass whose work reaches the kernel's threshold is shared,
-inside the C call, by the calling thread and the kernel's own worker thread
-(built with ``-pthread``) when the process may run on 2 or more CPUs
-(``parts()``): each takes chunks of the pass until none is left.  A cut
-never crosses an element's chain, so the bits do not depend on the thread
-count; Python sees no thread, and a second thread calling in while the
-worker is busy runs its pass whole.  The contraction gets a packing buffer
-for each thread.  ``_parts`` forces 1 or 2 threads, for the tests.  On
-glibc, starting the worker also sets the process's malloc mmap and trim
-thresholds, so that large freed arrays are reused (see ``_kernel.c``).
+Every compiled pass but the per-sequence sums whose work reaches the
+kernel's threshold is shared, inside the C call, by the calling thread and
+the kernel's own worker thread (built with ``-pthread``) when the process
+may run on 2 or more CPUs (``parts()``): each takes chunks of the pass until
+none is left.  A cut never crosses an element's chain, so the bits do not
+depend on the thread count; Python sees no thread, and a second thread
+calling in while the worker is busy runs its pass whole.  The contraction
+gets a packing buffer for each thread.  ``_parts`` forces 1 or 2 threads,
+for the tests.
 
 Per call on a shared 2-vCPU x86-64 host (best of 5; numpy body → compiled):
 softmax of causal ``[25, 4, 32, 32]`` scores 1.35–1.42 → 0.46–0.47 ms, its VJP
@@ -44,13 +43,13 @@ and 5.2–7.2 → 0.77–1.04 ms without (the numpy body calls libm's ``exp`` on
 per entry past 1; a C pass around scipy's ``erf`` took 1.90–1.96 and
 1.41–1.46 ms); the output head ``(800, 32) @ (32, 3)`` 93 → 39–41 µs with its
 narrow tile.  With the AVX-512 body, one thread → two (best of 9 × 100
-calls, wrapper included): ``(800, 32) @ (32, 128)`` 157–165 → 88–118 µs,
-q·kᵀ ``[25, 4, 32, 8] @ [25, 4, 8, 32]`` 62–65 → 47–61 µs, the GELU
-forward of ``[25, 32, 128]`` 770–775 → 389–416 µs, the softmax VJP of
-causal scores 80–118 → 39–52 µs; the AVX-512 body alone takes
-``(800, 32) @ (32, 128)`` from 190–211 µs (AVX2) to 132–157 µs.  Inside a
-training step the shared passes gain less (about 1.3×): their inputs were
-mostly written on the other core.
+calls, wrapper included): ``(800, 32) @ (32, 128)`` 151–154 → 85–87 µs,
+q·kᵀ ``[25, 4, 32, 8] @ [25, 4, 8, 32]`` 70–71 → 54–55 µs, the GELU
+forward of ``[25, 32, 128]`` keeping ``cdf`` 1,173–1,189 → 823–984 µs, the
+softmax VJP of causal ``[25, 4, 32, 32]`` scores 118–122 → 46–53 µs; on
+one thread the AVX2 body takes ``(800, 32) @ (32, 128)`` in 214–221 µs.
+Inside a training step the shared passes gain less (about 1.3×): their
+inputs were mostly written on the other core.
 """
 
 from __future__ import annotations
@@ -336,14 +335,13 @@ def _row_cases(rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _cut_cases() -> Iterator[tuple[str, tuple]]:
     """Ops and arguments whose work reaches the split threshold (32,768
-    multiply-adds or elements; four elements of a per-sequence sum count as
-    one), each cut into 3 or 4 chunks of unequal size: 3 products of 24 x
-    20 @ 20 x 25, one product each, and one 45 x 30 @ 30 x 25 product, in
-    runs of 8, 16, 8 and 13 rows, each with b's columns adjacent and packed;
-    1,025 rows of 33 for the row ops and the GELU's 33,825 elements; the
-    per-sequence sums of 5 sequences of 205 positions of 132, 33 columns a
-    chunk.  One case at a time: they are large enough to raise a process's
-    peak memory if all were held at once."""
+    multiply-adds or elements), each cut into 3 or 4 chunks of unequal size:
+    3 products of 24 x 20 @ 20 x 25, one product each, and one 45 x 30 @ 30
+    x 25 product, in runs of 8, 16, 8 and 13 rows, each with b's columns
+    adjacent and packed; 1,025 rows of 33 for the row ops and the GELU's
+    33,825 elements.  The per-sequence sums are never cut.  One case at a
+    time: they are large enough to raise a process's peak memory if all
+    were held at once."""
     # values over 16 binades, where another summation order rounds
     # differently; each array is a slice of one pool, 7,919 values on from
     # the last one's start, wrapping round
@@ -368,10 +366,6 @@ def _cut_cases() -> Iterator[tuple[str, tuple]]:
     yield "softmax_vjp", (_softmax_numpy(x), g)
     yield "layer_norm", (x, gain, bias, 1e-5)
     yield "layer_norm_dx", (g, gain, *_layer_norm_numpy(x, gain, bias, 1e-5)[1:])
-    seqs = np.concatenate([x, g, x[::-1], g[::-1]], axis=1).reshape(5, 205, 132)
-    yield "seq_sums", (seqs,)
-    yield "seq_sums", (seqs, np.roll(seqs, 1, axis=0))
-    del seqs
     near = x / 2.0**6  # where erf is neither 1 nor -1
     yield "gelu", (near,)
     yield "gelu", (near, False)
@@ -394,8 +388,8 @@ def agrees_with_numpy(ops: Ops) -> bool:
     every width and, at 129, of ordinary values times a second factor, of
     ordinary values one column wide over 129 positions, and of all -0.0 (each
     sequence's sum starts from +0.0); the GELU gradient at 129.  Last, every
-    op on ``_cut_cases``, large enough to be shared by two threads where the
-    CPUs allow."""
+    op but the per-sequence sums on ``_cut_cases``, large enough to be shared
+    by two threads where the CPUs allow."""
     rng = np.random.default_rng(0)
     a, b = rng.choice(SPECIAL, (2, 3, 5)), rng.choice(SPECIAL, (5, 9))
     x, y = rng.normal(size=(9, 26)), rng.normal(size=(13, 19))
@@ -475,9 +469,12 @@ def bodies() -> list[str]:
     """The contraction bodies this CPU runs, fastest first: ``avx512``,
     ``avx2`` and ``baseline``, as far as the CPU has them.  ``native`` runs
     the first; ``native(f"tinytraj_bmm_{body}")`` runs any of them."""
-    fn = _library().tinytraj_bmm_bodies
-    fn.argtypes, fn.restype = [], ctypes.c_char_p
-    return fn().decode().split(",")
+    fn = _library().tinytraj_bmm_body
+    fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_char_p
+    names = []
+    while (name := fn(len(names))) is not None:
+        names.append(name.decode())
+    return names
 
 
 def parts() -> int:

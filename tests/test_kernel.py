@@ -8,8 +8,9 @@ baseline, as far as this CPU runs them), must give their bits (int64
 patterns; a NaN's sign and payload aside, which numpy itself sets
 differently for different row lengths), and when the kernel cannot be
 built, loaded or checked, every op runs its numpy body instead.  A pass
-above the work threshold is shared, in chunks, with the kernel's worker
-thread: the cut must move no bit, whoever calls.
+above the work threshold (the per-sequence sums aside, which always run
+whole) is shared, in chunks, with the kernel's worker thread: the cut must
+move no bit, whoever calls.
 """
 
 from __future__ import annotations
@@ -527,7 +528,9 @@ def test_row_ops_reject_mismatched_shapes():
 
 # ---------------------------------------------------------------------------
 # the split: a pass above the work threshold is shared, in chunks, by the
-# caller and the kernel's worker thread
+# caller and the kernel's worker thread; the per-sequence sums run whole
+
+SPLIT_OPS = [name for name in ad.Ops._fields if name != "seq_sums"]
 
 
 def split_pass(ops):
@@ -543,26 +546,22 @@ def _packed(b):  # b's columns not adjacent: each thread packs a product's b
 @st.composite
 def split_cases(draw):
     # an op and its arguments, of a work on either side of the threshold
-    # (32,768 multiply-adds or elements, or four times as many elements of a
-    # per-sequence sum), cut into chunks of unequal size: an odd number of
-    # products, or 8-row tiles of a product whose rows are not a multiple of
-    # 8; the arrays come from a drawn seed, as hypothesis draws large ones
-    # slowly
+    # (32,768 multiply-adds or elements), cut into chunks of unequal size: an
+    # odd number of products, or 8-row tiles of a product whose rows are not
+    # a multiple of 8; the arrays come from a drawn seed, as hypothesis draws
+    # large ones slowly
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def wide(*shape):  # 60 binades: another summation order rounds differently
         return rng.normal(size=shape) * 2.0 ** rng.integers(-30, 30, size=shape)
 
-    name = draw(st.sampled_from(ad.Ops._fields))
+    name = draw(st.sampled_from(SPLIT_OPS))
     if name == "bmm":
         products = draw(st.sampled_from([1, 2, 3, 5]))
         m, k, n = draw(st.integers(1, 60)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
         a, b = wide(products, m, k), wide(products, k, n)
         b = _packed(b) if draw(st.booleans()) else b
         return name, (a[0], b[0]) if products == 1 and draw(st.booleans()) else (a, b)
-    if name == "seq_sums":
-        shape = (draw(st.integers(1, 5)), draw(st.integers(1, 400)), draw(st.integers(1, 200)))
-        return name, (wide(*shape), wide(*shape))[: draw(st.integers(1, 2))]
     rows, n = draw(st.integers(1, 1500)), draw(st.integers(1, 48))
     x, g = wide(rows, n), wide(rows, n)
     near = rng.normal(size=(rows, n)) * 4.0  # where erf is neither 1 nor -1
@@ -621,7 +620,6 @@ def test_threads_in_the_kernel_at_once_get_the_serial_bits():
         ("bmm", (rng.normal(size=(800, 32)), _packed(rng.normal(size=(32, 128))))),
         ("softmax", (rng.normal(size=(25, 4, 32, 32)),)),
         ("layer_norm", (x, x[0, 0], x[1, 1], 1e-5)),
-        ("seq_sums", (x,)),
         ("gelu", (x,)),
     ]
     with _kernel._parts(1):
@@ -739,7 +737,7 @@ def _wrong_when_cut(name):
         out = body(*args)
         first = out[0] if isinstance(out, tuple) else out
         work = np.size(args[0])  # elements; multiply-adds of a contraction
-        work *= args[1].shape[-1] if name == "bmm" else 0.25 if name == "seq_sums" else 1
+        work *= args[1].shape[-1] if name == "bmm" else 1
         if work >= threshold:
             first.flat[-1] = np.nextafter(first.flat[-1], np.inf)
         return out
@@ -747,7 +745,7 @@ def _wrong_when_cut(name):
     return ad._NUMPY._replace(**{name: op})
 
 
-@pytest.mark.parametrize("name", ad.Ops._fields)
+@pytest.mark.parametrize("name", SPLIT_OPS)
 def test_self_check_reaches_the_cut_of_every_op(name):
     native_ops()
     assert not _kernel.agrees_with_numpy(_wrong_when_cut(name))
