@@ -1,6 +1,7 @@
 /* The compiled kernels behind tinytraj.autodiff: the contraction of _bmm, and
  * the row-wise passes of softmax_rows, layer_norm, the per-sequence gradient
- * sums, GELU and its gradient.  Every entry point gives the bits of the numpy
+ * sums, GELU and its gradient; and the chunk parser of tinytraj.data's JSONL
+ * reader.  Every op's entry point gives the bits of the numpy
  * body it replaces (autodiff._bmm_numpy, _softmax_numpy, ...): the same IEEE
  * operations, each one rounded, in the same order.  Build with
  * -ffp-contract=off (no fused multiply-add) and without -ffast-math or -march.
@@ -71,6 +72,24 @@
  * with libm's exp, so it gives scipy's bits.  The row passes are compiled
  * for the baseline target only.
  *
+ * JSONL chunk parser.  tinytraj_parse_chunk parses the lines of one reader
+ * chunk (16 lines) that hold a trajectory record of the plain shape,
+ * {"id": <string>, "points": [[lat, lon, t], ...]} with at least two points,
+ * into float64/float64/int64 columns, and declines every other line, which
+ * the reader parses with json.loads.  It takes only the number grammar of
+ * Python's json.  An integer latitude or longitude of at most 15 digits
+ * becomes a double through an integer (so -0 is +0.0), as numpy converts a
+ * Python int; a number with a fraction or an exponent is read by strtod_l
+ * under a "C" locale object, made once when the library is loaded, so it is
+ * correctly rounded as float() is and does not depend on LC_NUMERIC.  A
+ * time must be an integer of at most 18 digits.  An id with a backslash, a
+ * control byte or a byte past 0x7e is declined, as are NaN and Infinity.
+ * The pass only parses: the reader's column check says what is in range.
+ * It runs on the calling thread and writes nothing but its outputs.  Per
+ * chunk of the ingest benchmark's file (16 lines of 4 to 64 points) on a
+ * shared 2-vCPU x86-64 host: 156-166 us in this pass (best of 5 x 5 passes
+ * over the file's 122 chunks), most of it in strtod_l.
+ *
  * Build with -pthread.  Per call on a shared 2-vCPU x86-64 host with
  * AVX-512 (best of 9 x 100, wrapper included, one thread -> two): (800, 32)
  * @ (32, 128) 151-154 -> 85-87 us; the transposed-a weight gradient
@@ -78,11 +97,15 @@
  * [25, 32, 128], keeping cdf, 1173-1189 -> 823-984 us.  In some stretches of
  * seconds on that host, two threads ran the first product slower than one
  * (266-293 us). */
-#define _GNU_SOURCE /* sched_getaffinity, CPU_COUNT, pthread_setname_np */
+#define _GNU_SOURCE /* sched_getaffinity, CPU_COUNT, pthread_setname_np, strtod_l */
+#include <locale.h>
 #include <pthread.h>
 #include <sched.h>
 #include <signal.h>
 #include <stddef.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -934,4 +957,235 @@ void tinytraj_gelu(const double *x, double *restrict cdf, double *restrict y, pt
 {
     const struct rows t = {gelu_range, {x}, {cdf, y}, 0.0, size, 1};
     run_pass(rows_chunk, &t, (double)size, t.len);
+}
+
+/* ---- the JSONL chunk parser ---- */
+
+/* The "C" locale, made once when the library is loaded and only read after
+ * that: strtod_l reads numbers by it, so '.' is the decimal point whatever
+ * LC_NUMERIC says.  When it could not be made, every line is declined. */
+static locale_t c_locale;
+
+__attribute__((constructor)) static void make_c_locale(void)
+{
+    c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+}
+
+/* The columns a chunk's points are appended to, cap entries each. */
+struct columns {
+    double *lat, *lon;
+    int64_t *t;
+    ptrdiff_t n, cap;
+};
+
+static inline int is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/* p past JSON whitespace (Python's json: space, tab, CR and LF) */
+static inline const char *skip_space(const char *p, const char *end)
+{
+    while (p < end && (*p == ' ' || *p == '\t' || *p == '\r' || *p == '\n'))
+        p++;
+    return p;
+}
+
+/* p past the whitespace, the byte ch and the whitespace after it; NULL when
+ * the byte is not ch or p is NULL already.  The readers below take and give
+ * NULL the same way, so one check ends a chain of them. */
+static const char *expect(const char *p, const char *end, char ch)
+{
+    if (!p)
+        return NULL;
+    p = skip_space(p, end);
+    return p < end && *p == ch ? skip_space(p + 1, end) : NULL;
+}
+
+/* The end of the JSON number at p, by Python's json grammar
+ * -?(0|[1-9]\d*)(\.\d+)?([eE][-+]?\d+)?, or NULL when p holds none.
+ * *digits counts the digits before any fraction; *integral is whether
+ * there is neither a fraction nor an exponent. */
+static const char *number_end(const char *p, const char *end, int *digits, int *integral)
+{
+    const char *q = p < end && *p == '-' ? p + 1 : p, *const first = q;
+    if (q < end && *q == '0')
+        q++;
+    else if (q < end && is_digit(*q))
+        while (q < end && is_digit(*q))
+            q++;
+    else
+        return NULL;
+    *digits = (int)(q - first);
+    *integral = 1;
+    if (q < end && *q == '.') {
+        if (++q == end || !is_digit(*q))
+            return NULL;
+        while (q < end && is_digit(*q))
+            q++;
+        *integral = 0;
+    }
+    if (q < end && (*q == 'e' || *q == 'E')) {
+        if (++q < end && (*q == '+' || *q == '-'))
+            q++;
+        if (q == end || !is_digit(*q))
+            return NULL;
+        while (q < end && is_digit(*q))
+            q++;
+        *integral = 0;
+    }
+    return q;
+}
+
+/* The integer [p, q) of at most 18 digits, sign included: -0 is 0. */
+static int64_t integer(const char *p, const char *q)
+{
+    const int negative = *p == '-';
+    int64_t v = 0;
+    for (p += negative; p < q; p++)
+        v = 10 * v + (*p - '0');
+    return negative ? -v : v;
+}
+
+/* A latitude or longitude: an integer of at most 15 digits through an
+ * integer, which a double holds exactly (as numpy converts json's int), and
+ * any number with a fraction or an exponent by strtod_l, correctly rounded
+ * as Python's float() rounds.  A longer integer is declined. */
+static const char *read_coordinate(const char *p, const char *end, double *out)
+{
+    int digits, integral;
+    const char *q = p ? number_end(p, end, &digits, &integral) : NULL;
+    if (!q || (integral && digits > 15))
+        return NULL;
+    if (integral) {
+        *out = (double)integer(p, q);
+        return q;
+    }
+    char *stop;
+    *out = strtod_l(p, &stop, c_locale); /* ±inf past the range, ±0.0 or a subnormal below */
+    return stop == q ? q : NULL;
+}
+
+/* A time: an integer of at most 18 digits, which int64 holds */
+static const char *read_time(const char *p, const char *end, int64_t *out)
+{
+    int digits, integral;
+    const char *q = p ? number_end(p, end, &digits, &integral) : NULL;
+    if (!q || !integral || digits > 18)
+        return NULL;
+    *out = integer(p, q);
+    return q;
+}
+
+/* The closing quote of the JSON string at p, when every byte in it is
+ * printable ASCII other than a backslash, so that its bytes are its value;
+ * else NULL. */
+static const char *plain_string_end(const char *p, const char *end)
+{
+    if (!p || p == end || *p != '"')
+        return NULL;
+    for (p++; p < end; p++) {
+        const unsigned char c = (unsigned char)*p;
+        if (c == '"')
+            return p;
+        if (c < 0x20 || c >= 0x7f || c == '\\')
+            return NULL;
+    }
+    return NULL;
+}
+
+/* The end of a points array [[lat, lon, t], ...] at p, its points appended
+ * to c; NULL when p holds another value or c is full. */
+static const char *read_points(const char *p, const char *end, struct columns *c)
+{
+    p = expect(p, end, '[');
+    if (p && p < end && *p == ']')
+        return p + 1;
+    while (p) {
+        double lat = 0.0, lon = 0.0;
+        int64_t t = 0;
+        p = expect(p, end, '[');
+        p = read_coordinate(p, end, &lat);
+        p = expect(p, end, ',');
+        p = read_coordinate(p, end, &lon);
+        p = expect(p, end, ',');
+        p = read_time(p, end, &t);
+        p = expect(p, end, ']');
+        if (!p || c->n == c->cap)
+            return NULL;
+        c->lat[c->n] = lat;
+        c->lon[c->n] = lon;
+        c->t[c->n] = t;
+        c->n++;
+        if (p < end && *p == ']')
+            return p + 1;
+        p = expect(p, end, ',');
+    }
+    return NULL;
+}
+
+/* The point count of the line [p, end) when it is one object with the keys
+ * "id" and "points" once each, a plain string id and at least two points,
+ * their values appended to c and the id's bytes at [*id, *id_end); else 0,
+ * with c as it was. */
+static ptrdiff_t parse_line(const char *p, const char *end, struct columns *c, const char **id,
+                            const char **id_end)
+{
+    const ptrdiff_t start = c->n;
+    const char *id_start = NULL, *id_stop = NULL;
+    int have_points = 0;
+    p = expect(p, end, '{');
+    while (p) {
+        const char *key = p, *const key_end = plain_string_end(p, end);
+        p = expect(key_end ? key_end + 1 : NULL, end, ':');
+        if (!p)
+            break;
+        if (key_end - key == 3 && !memcmp(key, "\"id", 3) && !id_stop) {
+            id_start = p + 1;
+            id_stop = plain_string_end(p, end);
+            p = id_stop ? id_stop + 1 : NULL;
+        } else if (key_end - key == 7 && !memcmp(key, "\"points", 7) && !have_points) {
+            have_points = 1;
+            p = read_points(p, end, c);
+        } else {
+            break; /* another key, or one seen before */
+        }
+        p = p ? skip_space(p, end) : NULL;
+        if (p && p < end && *p == '}') {
+            if (skip_space(p + 1, end) == end && id_stop && have_points && c->n - start >= 2) {
+                *id = id_start;
+                *id_end = id_stop;
+                return c->n - start;
+            }
+            break;
+        }
+        p = expect(p, end, ',');
+    }
+    c->n = start;
+    return 0;
+}
+
+/* Parses each of the `lines` lines of buf[0, size), each ending at a newline
+ * (the last may not), as far as it holds a trajectory record of the plain
+ * shape: {"id": <string>, "points": [[lat, lon, t], ...]} with at least two
+ * points, in either key order, with no other key.  meta[3 i] is the point
+ * count of line i, or 0 when it is declined: any other JSON, a string with
+ * an escape, a control byte or a byte past 0x7e, a NaN or Infinity, a
+ * number outside the bounds above, a time with a fraction or an exponent,
+ * or anything that is not JSON.  meta[3 i + 1] and meta[3 i + 2] are the
+ * offsets of the id's first byte and of its closing quote.  The points of
+ * the lines taken are written to lat, lon and t (cap entries each), in line
+ * order; returns their number.  Nothing is checked but the syntax: the
+ * caller checks ranges and time order. */
+ptrdiff_t tinytraj_parse_chunk(const char *buf, ptrdiff_t size, ptrdiff_t lines, ptrdiff_t *meta,
+                               double *lat, double *lon, int64_t *t, ptrdiff_t cap)
+{
+    struct columns c = {lat, lon, t, 0, c_locale ? cap : 0};
+    const char *line = buf, *const stop = buf + size;
+    for (ptrdiff_t i = 0; i < lines; i++) {
+        const char *nl = line < stop ? memchr(line, '\n', (size_t)(stop - line)) : NULL;
+        const char *end = nl ? nl + 1 : stop, *id = line, *id_end = line;
+        meta[3 * i] = parse_line(line, end, &c, &id, &id_end);
+        meta[3 * i + 1] = id - buf;
+        meta[3 * i + 2] = id_end - buf;
+        line = end;
+    }
+    return c.n;
 }

@@ -1,7 +1,7 @@
 """Build, cache and load ``_kernel.c``, the compiled kernel behind
 ``autodiff``: the contraction of ``_bmm`` and the row-wise passes of
 ``softmax_rows``, ``layer_norm``, the per-sequence gradient sums, GELU and
-its gradient.
+its gradient; and behind ``data``'s JSONL reader, its chunk parser.
 
 The source is compiled with the C compiler Python was built with
 (``sysconfig``'s ``CC``) into ``$XDG_CACHE_HOME/tinytraj`` (default
@@ -50,6 +50,19 @@ softmax VJP of causal ``[25, 4, 32, 32]`` scores 118–122 → 46–53 µs; on
 one thread the AVX2 body takes ``(800, 32) @ (32, 128)`` in 214–221 µs.
 Inside a training step the shared passes gain less (about 1.3×): their
 inputs were mostly written on the other core.
+
+``load_parser`` returns the reader's chunk parser, ``tinytraj_parse_chunk``
+on the same library, only if it takes and declines the lines of
+``PARSE_CASES`` as it must and gives ``json.loads``'s ids and bits for those
+it takes; else None, and the reader parses with ``json.loads``.  It checks no
+op, so reading a JSONL file never runs the ops' check.  One call parses a
+reader chunk (16 lines): the lines of the plain shape, ``{"id": <string>,
+"points": [[lat, lon, t], ...]}`` with at least two points, go into
+float64/float64/int64 columns; every other line is declined (see
+``_kernel.c``).  On a shared 2-vCPU x86-64 host a chunk of the ``ingest``
+benchmark's file (16 lines of 4 to 64 points) takes 174–202 µs per call,
+wrapper included, 156–166 µs of it in C (best of 5 × 5 passes over the
+file's 122 chunks).
 """
 
 from __future__ import annotations
@@ -57,6 +70,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import json
 import math
 import os
 import shlex
@@ -509,6 +523,90 @@ def native(bmm_symbol: str = "tinytraj_bmm") -> Ops:
     bmm.argtypes = [ptr, *[size] * 4, ptr, *[size] * 4, ptr, ptr, *[size] * 5]
     bmm.restype = None
     return Ops(bmm=contraction(bmm), **row_ops(lib))
+
+
+ChunkParser = Callable[[list[bytes]], tuple[list, tuple[np.ndarray, np.ndarray, np.ndarray]]]
+
+
+def chunk_parser(lib: ctypes.CDLL) -> ChunkParser:
+    """``tinytraj_parse_chunk`` of ``lib`` on a list of lines as the file
+    iterator gives them (each ending at its newline, the last perhaps not).
+    Returns, per line, ``(id, point count)`` when the pass took it, else
+    None, and the points of the lines taken as ``lat``/``lon``/``t`` columns
+    (float64, float64, int64; views of buffers sized for the chunk)."""
+    fn = lib.tinytraj_parse_chunk
+    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
+    # buf, its size, its line count, meta, lat, lon, t, their capacity
+    fn.argtypes = [ctypes.c_char_p, size, size, ptr, ptr, ptr, ptr, size]
+    fn.restype = size
+
+    def parse(lines: list[bytes]):
+        buf = b"".join(lines)
+        cap = len(buf) // 8  # a point takes at least 8 bytes: [0,0,0] and a , or ]
+        meta = np.empty((len(lines), 3), np.intp)  # point count, id start, id end
+        lat, lon, t = np.empty(cap), np.empty(cap), np.empty(cap, np.int64)
+        n = fn(
+            buf, len(buf), len(lines), meta.ctypes.data,
+            lat.ctypes.data, lon.ctypes.data, t.ctypes.data, cap,
+        )
+        taken = [
+            (buf[a:b].decode("ascii"), count) if count else None for count, a, b in meta.tolist()
+        ]
+        return taken, (lat[:n], lon[:n], t[:n])
+
+    return parse
+
+
+# the parser's load check: lines it must take, whose ids and bits must be
+# json.loads's, and lines it must decline (True / False)
+PARSE_CASES = [
+    (True, b'{"id": "a", "points": [[-0, -0.0, 0], [1e400, -1e-400, -0], [5e-324, 1E5, 1]]}\n'),
+    # 17 significant digits, the longest integers taken, a halfway case
+    (True, b'{"id": "b", "points": [[0.30000000000000004, 123456789012345, 999999999999999999],'
+           b' [-123456789012345, 9007199254740993.0, -5], [2.2250738585072011e-308, 1.5e-320, 7]]}\n'),
+    (True, b'\t{ "points" :[ [ 52.5 ,13.25 , 60 ] ,\r[52.0,13,61]] , "id":"c ~!" }\r\n'),
+    (False, b'{"id": "\\u00e9", "points": [[1.0, 2.0, 3], [1.0, 2.0, 4]]}\n'),  # an escape
+    (False, '{"id": "\u00e9", "points": [[1.0, 2.0, 3], [1.0, 2.0, 4]]}\n'.encode()),  # non-ASCII
+    (False, b'{"id": "\t", "points": [[1.0, 2.0, 3], [1.0, 2.0, 4]]}\n'),  # a raw control byte
+    (False, b'{"id": "d", "points": [[NaN, 2.0, 3], [1.0, 2.0, 4]]}\n'),
+    (False, b'{"id": "d", "points": [[1.0, 2.0, 1e3], [1.0, 2.0, 4000]]}\n'),  # a float time
+    (False, b'{"id": "d", "points": [[1.0, 2.0, 1000000000000000000], [1.0, 2.0, 4]]}\n'),
+    (False, b'{"id": "d", "points": [[1234567890123456, 2.0, 3], [1.0, 2.0, 4]]}\n'),
+    (False, b'{"id": "d", "points": [[1.0, 2.0, 3]]}\n'),  # one point
+    (False, b'{"id": "d", "points": [[1.0, 2.0, 3], [1.0, 2.0, 4]], "x": 0}\n'),  # another key
+    (False, b'{"id": "d", "id": "e", "points": [[1.0, 2.0, 3], [1.0, 2.0, 4]]}\n'),
+    (False, b'{"id": "d", "points": [[01, 2.0, 3], [1.0, 2.0, 4]]}\n'),
+    (False, b'\x0c{"id": "d", "points": [[1.0, 2.0, 3], [1.0, 2.0, 4]]}\n'),  # not JSON whitespace
+    (False, b"\n"),
+    (True, b'{"id": "", "points": [[1, 2, 3], [4, 5, 6]]}'),  # a last line without a newline
+]
+
+
+def parser_agrees(parse: ChunkParser) -> bool:
+    """Whether ``parse`` takes exactly the lines of ``PARSE_CASES`` it must,
+    with the ids, point counts and column bits of ``json.loads`` (lat and
+    lon as numpy makes float64 of json's ints and floats, t as int64)."""
+    must, lines = zip(*PARSE_CASES)
+    taken, got = parse(list(lines))
+    if [rec is not None for rec in taken] != list(must):
+        return False
+    records = [json.loads(line) for line, rec in zip(lines, taken) if rec is not None]
+    if [rec for rec in taken if rec is not None] != [(r["id"], len(r["points"])) for r in records]:
+        return False
+    points = [p for r in records for p in r["points"]]
+    want = [np.array([p[i] for p in points], np.float64 if i < 2 else np.int64) for i in range(3)]
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def load_parser() -> ChunkParser | None:
+    """The compiled chunk parser, or None when the kernel cannot be built or
+    loaded or the parser fails ``parser_agrees``: then the reader parses
+    every line with ``json.loads``.  Unlike ``load``, this checks no op."""
+    try:
+        parse = chunk_parser(_library())
+    except (OSError, RuntimeError, subprocess.SubprocessError, AttributeError):
+        return None
+    return parse if parser_agrees(parse) else None
 
 
 def load() -> Ops | None:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,16 @@ class TestFitNorm:
         assert run("fit-norm", "--data", corpus, "--out", out) == EXIT_DATA
         assert_one_data_error_naming(capsys.readouterr().err, out)
         assert sorted(tmp_path.iterdir()) == before and not any(out.iterdir())
+
+    def test_a_byte_order_mark_opening_the_corpus_changes_nothing(self, tmp_path, corpus):
+        marked = tmp_path / "marked.jsonl"
+        marked.write_bytes(b"\xef\xbb\xbf" + corpus.read_bytes())
+        plain_out, marked_out = tmp_path / "plain.json", tmp_path / "marked.json"
+        assert run("fit-norm", "--data", corpus, "--out", plain_out) == EXIT_OK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", dt.MalformedLineWarning)
+            assert run("fit-norm", "--data", marked, "--out", marked_out) == EXIT_OK
+        assert marked_out.read_bytes() == plain_out.read_bytes()
 
     def test_skips_timestamps_past_year_9999(self, tmp_path, corpus, late_corpus):
         clean, late = tmp_path / "clean.json", tmp_path / "late.json"

@@ -3,7 +3,9 @@ reader either yields a trajectory that meets every invariant or skips the line
 with a warning, and never raises.  The reader checks a chunk of lines as one
 set of columns; whatever sits on either side of a chunk edge, it yields and
 skips exactly what the per-line path (``trajectory_from_record`` on each line)
-does, with the same column bits and the same warnings in the same order."""
+does, with the same column bits and the same warnings in the same order.
+Every property holds twice: with the compiled chunk parser, where this host
+builds it, and with ``json.loads`` alone (``data._parsing``)."""
 
 import itertools
 import json
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from tinytraj import data, geo
+from tinytraj import _kernel, data, geo
 
 # plain and escaped ASCII, non-ASCII and astral characters
 ALPHABET = "aZ0 \\\"\n\u00e9\u4e2d\U0001f600"
@@ -79,7 +81,12 @@ def _is_json_int(v) -> bool:
 @given(st.lists(lines, min_size=1, max_size=4))
 @example(EDGE_RECORDS)
 def test_reader_yields_valid_trajectories_or_skips(values):
-    with tempfile.TemporaryDirectory() as tmp:
+    for compiled in (True, False):
+        _reads_valid_trajectories_or_skips(values, compiled)
+
+
+def _reads_valid_trajectories_or_skips(values, compiled):
+    with tempfile.TemporaryDirectory() as tmp, data._parsing(compiled):
         path = Path(tmp) / "fuzz.jsonl"
         path.write_text("".join(json.dumps(v) + "\n" for v in values), encoding="utf-8")
         reader = data.stream_jsonl(path)
@@ -150,8 +157,9 @@ def _per_line(path: Path):
     return trajs, texts
 
 
-def _read(path: Path):
-    reader = data.stream_jsonl(path)
+def _read(path: Path, compiled: bool = True):
+    with data._parsing(compiled):
+        reader = data.stream_jsonl(path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         trajs = list(reader)
@@ -166,10 +174,13 @@ def _columns(traj):
 
 
 def assert_reads_like_per_line(path: Path):
-    trajs, texts = _read(path)
+    """Both readers, the compiled parser's and json.loads's, read ``path`` as
+    the per-line path does; returns the trajectories."""
     want_trajs, want_texts = _per_line(path)
-    assert texts == want_texts  # same lines, same messages, same order
-    assert list(map(_columns, trajs)) == list(map(_columns, want_trajs))
+    for compiled in (True, False):
+        trajs, texts = _read(path, compiled)
+        assert texts == want_texts  # same lines, same messages, same order
+        assert list(map(_columns, trajs)) == list(map(_columns, want_trajs))
     return trajs
 
 
@@ -181,6 +192,46 @@ def _write(tmp, lines) -> Path:
 
 def _good(i: int, n: int = 3) -> dict:
     return {"id": f"g{i}", "points": [[50.0 + 0.1 * i, 10.0 + j, 60 * j + i] for j in range(n)]}
+
+
+def _line(traj_id: str, *points: str, head: str = '"id": "{}", "points": [{}]') -> str:
+    return "{" + head.format(traj_id, ", ".join(points)) + "}"
+
+
+# lines as the compiled parser meets them, not as json.dumps writes them:
+# numbers it reads itself, numbers and ids it declines, keys in any order,
+# and whitespace; the per-line path is the oracle for each
+RAW_LINES = [
+    _line("zero", "[-0, -0.0, 0]", "[-0.0, -0, 1]"),
+    _line("huge", "[1e400, 13.0, 0]", "[52.0, 13.0, 1]"),  # latitude inf: skipped
+    _line("tiny", "[-1e-400, 5e-324, 0]", "[1e1, -1e-400, 1]"),
+    _line("1E5", "[52.0, 1E5, 0]", "[52.0, 1e+2, 1]"),  # longitude 100000.0: skipped
+    _line(
+        "17",  # 17 significant digits
+        "[0.30000000000000004, 13.123456789012345, 5]",
+        "[52.999999999999993, -179.99999999999997, 6]",
+    ),
+    _line("t19", "[52.0, 13.0, 1000000000000000000]", "[52.0, 13.0, 1000000000000000001]"),
+    _line("t18", "[52.0, 13.0, 999999999999999998]", "[52.0, 13.0, 999999999999999999]"),
+    _line("t1e3", "[52.0, 13.0, 1e3]", "[52.0, 13.0, 2000]"),  # a float time: skipped
+    _line("ints", "[52, 13, 0]", "[-90, 180, 1]", "[90, -180, 2]"),
+    _line("int100", "[100, 13, 0]", "[52, 13, 1]"),  # prints 100, not 100.0
+    _line("int16", "[1234567890123456, 13, 0]", "[52, 13, 1]"),
+    _line("swapped", "[52.0, 13.0, 0]", "[52.5, 13.5, 1]", head='"points": [{1}], "id": "{0}"'),
+    _line("dup", "[52.0, 13.0, 0]", "[52.5, 13.5, 1]", head='"id": "{0}", "id": "2", "points": [{1}]'),
+    _line("extra", "[52.0, 13.0, 0]", "[52.5, 13.5, 1]", head='"id": "{0}", "points": [{1}], "x": 0'),
+    _line("\\u00e9sc\\\"q", "[52.0, 13.0, 0]", "[52.5, 13.5, 1]"),  # escaped
+    _line("\u00e9", "[52.0, 13.0, 0]", "[52.5, 13.5, 1]"),  # non-ASCII
+    _line("\U0001f600", "[52.0, 13.0, 0]", "[52.5, 13.5, 1]"),  # astral
+    _line("tab\there", "[52.0, 13.0, 0]", "[52.5, 13.5, 1]"),  # a raw control byte: not JSON
+    _line("nan", "[NaN, 13.0, 0]", "[52.5, 13.5, 1]"),
+    _line("inf", "[52.0, Infinity, 0]", "[52.5, -Infinity, 1]"),
+    '\t{"id":\t"tabs",\t"points":[[52.0,\t13.0,0],\r[52.5,13.5,1]]}\t\r',  # and CRLF
+    "\x0c",  # bytes.strip() makes it blank; JSON does not
+    "\x0c" + json.dumps(_good(7)),
+    _line("one", "[52.0, 13.0, 0]"),
+    _line("", "[52.0, 13.0, 0]", "[52.5, 13.5, 1]"),
+]
 
 
 # no shrink phase: the same examples run, but a failure reports in seconds
@@ -200,6 +251,8 @@ def _good(i: int, n: int = 3) -> dict:
 @example([json.dumps(r) for r in EDGE_RECORDS])
 # each edge case among valid records, on both sides of a chunk edge
 @example([json.dumps(_good(n) if n % 4 else EDGE_RECORDS[n // 4 % 5]) for n in range(3 * CHUNK + 1)])
+@example(RAW_LINES)
+@example([line if n % 2 else json.dumps(_good(n)) for n, line in enumerate(RAW_LINES * 2)])
 def test_chunked_reader_matches_per_line_path(lines):
     with tempfile.TemporaryDirectory() as tmp:
         assert_reads_like_per_line(_write(tmp, lines))
@@ -253,7 +306,8 @@ def test_trajectories_of_a_chunk_outlive_the_chunk(tmp_path):
     assert kept + rest == _per_line(path)[0]
 
 
-def test_each_line_is_parsed_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "json"])
+def test_each_line_is_parsed_once(tmp_path, monkeypatch, compiled):
     out_of_range = _good(90)
     out_of_range["points"][1][0] = 91.0  # plain shape, so only the chunk check rejects it
     str_coordinate = _good(91)
@@ -264,10 +318,93 @@ def test_each_line_is_parsed_once(tmp_path, monkeypatch):
     lines[CHUNK + 1] = json.dumps(str_coordinate)
     lines[CHUNK + 2] = json.dumps({"id": "short", "points": [[1, 2, 3]]})
     path = _write(tmp_path, lines)
+    with data._parsing(compiled):
+        reader = data.stream_jsonl(path)  # the parser's load check parses too
     calls = []
     loads = json.loads
     monkeypatch.setattr(json, "loads", lambda s, *a, **k: calls.append(s) or loads(s, *a, **k))
-    trajs = assert_reads_like_per_line(path)
-    assert "g90" not in [t.id for t in trajs] and "g91" not in [t.id for t in trajs]
-    # the reader parses each line once, and _per_line once more
-    assert len(calls) == 2 * len(lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", data.MalformedLineWarning)
+        ids = [t.id for t in reader]
+    assert "g90" not in ids and "g91" not in ids
+    parsed = range(len(lines))
+    if compiled and data._parser() is not None:
+        # the lines the compiled parser declines, and the one whose record
+        # the check rejects, read again for its message
+        parsed = (2, 5, CHUNK + 1, CHUNK + 2)
+    assert calls == [lines[i] + "\n" for i in parsed]  # each once, in order
+    assert_reads_like_per_line(path)
+
+
+# ---------------------------------------------------------------------------
+# the compiled parser's load check, and the byte-order mark
+# ---------------------------------------------------------------------------
+
+
+def _mutant(change):
+    # a parser that gives the real one's results, changed by ``change``
+    real = _kernel.chunk_parser
+
+    def chunk_parser(lib):
+        parse = real(lib)
+        return lambda lines: change(*parse(lines))
+
+    return chunk_parser
+
+
+def _one_ulp_up(taken, columns):
+    lat = columns[0].copy()
+    lat[-1] = np.nextafter(lat[-1], np.inf)
+    return taken, (lat, *columns[1:])
+
+
+def _signed_zeros(taken, columns):  # -0 read as -0.0, as through a float
+    return taken, (np.where(columns[0] == 0, -0.0, columns[0]), *columns[1:])
+
+
+def _takes_declined_lines(taken, columns):
+    return [rec or ("", 1) for rec in taken], columns
+
+
+@pytest.mark.parametrize(
+    "break_step",
+    [
+        lambda mp: mp.setattr(_kernel, "parser_agrees", lambda parse: False),
+        lambda mp: mp.setattr(_kernel, "compile_kernel", lambda: Path("/nonexistent/kernel.so")),
+        lambda mp: mp.setattr(_kernel, "chunk_parser", _mutant(_one_ulp_up)),
+        lambda mp: mp.setattr(_kernel, "chunk_parser", _mutant(_signed_zeros)),
+        lambda mp: mp.setattr(_kernel, "chunk_parser", _mutant(_takes_declined_lines)),
+    ],
+    ids=["check_fails", "no_library", "one_ulp_up", "signed_zeros", "takes_declined_lines"],
+)
+def test_a_parser_that_fails_its_load_check_is_not_used(tmp_path, monkeypatch, break_step):
+    monkeypatch.setattr(data, "_parse", None)  # choose again at the next reader
+    break_step(monkeypatch)
+    path = _write(tmp_path, RAW_LINES + [json.dumps(_good(n)) for n in range(CHUNK)])
+    assert data.stream_jsonl(path)._parse is None and data._parser() is None
+    assert_reads_like_per_line(path)
+
+
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "json"])
+def test_a_byte_order_mark_opening_the_file_is_ignored(tmp_path, compiled):
+    lines = [json.dumps(_good(n)) for n in range(CHUNK + 1)]
+    plain = _write(tmp_path, lines)
+    marked = tmp_path / "marked.jsonl"
+    marked.write_text(BOM + plain.read_text(encoding="utf-8"), encoding="utf-8")
+    trajs, texts = _read(marked, compiled)
+    assert texts == [] and list(map(_columns, trajs)) == list(map(_columns, _per_line(plain)[0]))
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "json"])
+def test_a_byte_order_mark_on_a_later_line_is_malformed(tmp_path, compiled):
+    lines = [json.dumps(_good(n)) for n in range(CHUNK + 1)]
+    lines[1] = BOM + lines[1]
+    lines[CHUNK] = BOM + lines[CHUNK]
+    path = _write(tmp_path, lines)
+    trajs, texts = _read(path, compiled)
+    assert len(texts) == 2 and all("BOM" in text for text in texts)
+    assert [t.id for t in trajs] == [f"g{n}" for n in range(CHUNK + 1) if n not in (1, CHUNK)]
+    assert_reads_like_per_line(path)
