@@ -6,10 +6,10 @@ its gradient; and behind ``data``'s JSONL reader, its chunk parser.
 The source is compiled with the C compiler Python was built with
 (``sysconfig``'s ``CC``) into ``$XDG_CACHE_HOME/tinytraj`` (default
 ``~/.cache/tinytraj``), under a name keyed by the source, the flags and the
-compiler's version, and loaded with ``ctypes``.  ``load`` returns an
-``autodiff.Ops`` of the compiled entry points only if every one of them gives
-its numpy body's bits on a short check; otherwise, or when there is no
-compiler, it returns None and every op runs numpy.
+compiler's version (asked once per process), and loaded with ``ctypes``.
+``load`` returns an ``autodiff.Ops`` of the compiled entry points only if
+every one of them gives its numpy body's bits on a short check; otherwise,
+or when there is no compiler, it returns None and every op runs numpy.
 
 The C side reads both operands through their strides, over two leading axes
 (batch and heads) and the row and column, so the transposed operands of the
@@ -54,21 +54,23 @@ inputs were mostly written on the other core.
 ``load_parser`` returns the reader's chunk parser, ``tinytraj_parse_chunk``
 on the same library, only if it takes and declines the lines of
 ``PARSE_CASES`` as it must and gives ``json.loads``'s ids and bits for those
-it takes; else None, and the reader parses with ``json.loads``.  It checks no
-op, so reading a JSONL file never runs the ops' check.  One call parses a
-reader chunk (16 lines): the lines of the plain shape, ``{"id": <string>,
+it takes; else None, and the reader reads every line by the per-line path,
+``json.loads`` and ``data.trajectory_from_record``.  It checks no op, so
+reading a JSONL file never runs the ops' check.  One call parses a reader
+chunk (16 lines): the lines of the plain shape, ``{"id": <string>,
 "points": [[lat, lon, t], ...]}`` with at least two points, go into
 float64/float64/int64 columns; every other line is declined (see
-``_kernel.c``).  On a shared 2-vCPU x86-64 host a chunk of the ``ingest``
-benchmark's file (16 lines of 4 to 64 points) takes 174–202 µs per call,
-wrapper included, 156–166 µs of it in C (best of 5 × 5 passes over the
-file's 122 chunks).
+``_kernel.c``) and takes the per-line path.  On a shared 2-vCPU x86-64 host
+a chunk of the ``ingest`` benchmark's file (16 lines of 4 to 64 points)
+takes 174–202 µs per call, wrapper included, 156–166 µs of it in C (best of
+5 × 5 passes over the file's 122 chunks).
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -106,14 +108,20 @@ FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 LIBS = ("-lm",)  # the GELU's erf calls libm's exp
 
 
+@functools.cache
+def _about(cc: tuple[str, ...]) -> tuple[str, str]:
+    # what ``cc -v`` prints, the compiler's version and target: asked once
+    # per process and compiler command, not at every library load
+    about = subprocess.run([*cc, "-v"], capture_output=True, text=True, check=True, timeout=60)
+    return about.stdout, about.stderr
+
+
 def compile_kernel() -> Path:
     """The shared library built from ``_kernel.c``, compiled into the user
     cache unless a build of the same source, flags and compiler is there."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    # -v names the compiler's version and target
-    about = subprocess.run(cc + ["-v"], capture_output=True, text=True, check=True, timeout=60)
     key = hashlib.sha256(SOURCE.read_bytes())
-    key.update("\0".join([*cc, *FLAGS, *LIBS, about.stdout, about.stderr]).encode())
+    key.update("\0".join([*cc, *FLAGS, *LIBS, *_about(tuple(cc))]).encode())
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "tinytraj"
     lib = cache / f"kernel-{key.hexdigest()[:16]}.so"
     if not lib.exists():
@@ -600,8 +608,8 @@ def parser_agrees(parse: ChunkParser) -> bool:
 
 def load_parser() -> ChunkParser | None:
     """The compiled chunk parser, or None when the kernel cannot be built or
-    loaded or the parser fails ``parser_agrees``: then the reader parses
-    every line with ``json.loads``.  Unlike ``load``, this checks no op."""
+    loaded or the parser fails ``parser_agrees``: then the reader reads
+    every line by the per-line path.  Unlike ``load``, this checks no op."""
     try:
         parse = chunk_parser(_library())
     except (OSError, RuntimeError, subprocess.SubprocessError, AttributeError):

@@ -7,8 +7,9 @@ works on columns: the reader parses a fixed number of lines at a time into
 one set of ``lat``/``lon``/``t`` columns, checks them in one vectorized pass
 and yields trajectories over read-only views of them; a batch is featurized
 in one pass over its trajectories' concatenated columns and scattered into
-its padded arrays at once. No per-point objects are built on the way from a
-JSONL line to a batch, and batches are prepared inline on the caller's thread.
+its padded arrays at once. No per-point objects are built on the compiled
+way from a JSONL line to a batch, and batches are prepared inline on the
+caller's thread.
 
 A chunk's lines are parsed by one call into the compiled kernel
 (``tinytraj_parse_chunk`` in ``_kernel.c``), which writes each line of the
@@ -16,13 +17,15 @@ plain shape, ``{"id": <string>, "points": [[lat, lon, t], ...]}`` with at
 least two points, straight into the columns, and declines every other line:
 other keys or values, an id with an escape, a control byte or a non-ASCII
 byte, ``NaN`` or ``Infinity``, an integer coordinate of more than 15 digits,
-a time that is not an integer of at most 18 digits.  A declined line, and
-every line where the kernel cannot be built or the parser fails its load
-check, is parsed by ``json.loads``.  Both give the same trajectories, column
-bits and warnings, in the same order.  On a shared 2-vCPU x86-64 host a
-chunk of the ``ingest`` benchmark's file (16 lines of 4 to 64 points) takes
-225–243 µs to parse and check this way, against 580–612 µs through
-``json.loads`` (best of 5 × 5 passes over the file's 122 chunks).
+a time that is not an integer of at most 18 digits.  Every other line takes
+the per-line path, ``json.loads`` and :func:`trajectory_from_record`: a
+declined line, a record the chunk check rejects, and every line where the
+kernel cannot be built or the parser fails its load check.  Both give the
+same trajectories, column bits and warnings, in the same order.  On a shared
+2-vCPU x86-64 host a chunk of the ``ingest`` benchmark's file (16 lines of 4
+to 64 points) takes 217–267 µs to parse and check the compiled way, against
+796–910 µs by the per-line path (best of 5 × 5 passes over the file's 122
+chunks, in each of nine processes).
 
 JSONL record schema: ``{"id": <string>, "points": [[lat, lon, t], ...]}``,
 where ``lat`` and ``lon`` are JSON numbers (never bools or strings) and ``t``
@@ -221,8 +224,8 @@ _CHUNK_LINES = 16
 # what a malformed line raises on the per-line path
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
-# the compiled chunk parser, or False when readers parse with json.loads
-# alone; chosen when the first reader is opened (None until then)
+# the compiled chunk parser, or False when readers read every line by the
+# per-line path; chosen when the first reader is opened (None until then)
 _parse = None
 
 
@@ -240,7 +243,8 @@ def _parser():
 @contextlib.contextmanager
 def _parsing(compiled: bool):
     # the tests' hook: readers opened in the block parse with the compiled
-    # parser where this host has one (compiled), else with json.loads alone
+    # parser where this host has one (compiled), else every line by the
+    # per-line path
     global _parse
     chosen = _parser() or False
     _parse = chosen if compiled else False
@@ -248,27 +252,6 @@ def _parsing(compiled: bool):
         yield
     finally:
         _parse = chosen
-
-
-def _plain_columns(rec) -> tuple | None:
-    """``(id, lats, lons, ts)`` of a record in the plain shape, else None.
-
-    The plain shape: an object with a string id and a list of at least two
-    ``[lat, lon, t]`` lists.  Whether those values are numbers in range is
-    the chunk check's to say; a record of any other shape is malformed.
-    """
-    if type(rec) is not dict:
-        return None
-    traj_id, points = rec.get("id"), rec.get("points")
-    if type(traj_id) is not str or type(points) is not list or len(points) < 2:
-        return None
-    if set(map(type, points)) != {list}:
-        return None
-    try:
-        lat, lon, t = zip(*points, strict=True)
-    except ValueError:  # points of unequal length, or not of three values
-        return None
-    return traj_id, lat, lon, t
 
 
 def _segments(ids, lat, lon, t, counts) -> list[Trajectory | ValueError]:
@@ -285,88 +268,48 @@ def _segments(ids, lat, lon, t, counts) -> list[Trajectory | ValueError]:
     ]
 
 
-def _read_lines(
-    numbered: Iterable[tuple[int, bytes]],
-) -> Iterator[tuple[int, Trajectory | Exception]]:
-    """``(line number, trajectory or error)`` of each non-blank line, in order,
-    each line parsed once by ``json.loads``.
-
-    Plain-shaped records become flat columns, and the trajectory check runs
-    once over them.  Any other record takes the per-line path straight from
-    its parse.
-    """
-    ids, counts, lat, lon, t = [], [], [], [], []
-    pending = []  # (line number, index of its record in the columns or its result)
-    for lineno, line in numbered:
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line.decode("utf-8"))
-            plain = _plain_columns(rec)
-            if plain is None:
-                pending.append((lineno, trajectory_from_record(rec)))
-                continue
-        except _MALFORMED as exc:
-            pending.append((lineno, exc))
-            continue
-        pending.append((lineno, len(ids)))
-        ids.append(plain[0])
-        counts.append(len(plain[3]))
-        lat += plain[1]
-        lon += plain[2]
-        t += plain[3]
-    records = _segments(ids, lat, lon, t, counts) if ids else []
-    for lineno, item in pending:
-        yield lineno, records[item] if type(item) is int else item
-
-
-def _compiled(parse, lines: list[bytes]) -> list[Trajectory | None]:
-    """Per line: the trajectory of a record that ``parse``, the compiled
-    parser, took and the check accepts, else None.  The parser's buffers are
-    dropped on return: the checked columns are copies."""
-    taken, columns = parse(lines)
-    ids = [rec[0] for rec in taken if rec]
-    counts = [rec[1] for rec in taken if rec]
-    checked = iter(_segments(ids, *columns, counts) if ids else ())
-    records = [rec and next(checked) for rec in taken]  # None where declined
-    return [rec if type(rec) is Trajectory else None for rec in records]
-
-
 def _read_chunk(
     lines: list[bytes], first: int, parse
 ) -> Iterator[tuple[int, Trajectory | Exception]]:
     """``(line number, trajectory or error)`` of each non-blank line, in order.
 
     ``parse``, the compiled parser, reads the lines of the plain shape into
-    one set of columns, which the trajectory check then runs over once.  The
-    lines it declines, those whose record the check rejects (so that the
-    error names the values as JSON gave them: an int as an int) and, when
-    there is no ``parse``, all lines are read by :func:`_read_lines`.
+    one set of columns, which the trajectory check then runs over once.
+    Every other line takes the per-line path, ``json.loads`` and
+    :func:`trajectory_from_record`: a line the parser declines, one whose
+    record the check rejects (so that the error names the values as JSON
+    gave them: an int as an int) and, when there is no ``parse``, all lines.
     """
-    if parse is None:
-        yield from _read_lines(enumerate(lines, first))
-        return
-    records = _compiled(parse, lines)
-    numbered = zip(itertools.count(first), lines, records)
-    rest = dict(_read_lines((n, line) for n, line, rec in numbered if rec is None))
-    for lineno, rec in enumerate(records, first):
-        if rec is not None:
+    records = [None] * len(lines)
+    if parse is not None:
+        taken, columns = parse(lines)
+        ids = [rec[0] for rec in taken if rec]
+        counts = [rec[1] for rec in taken if rec]
+        checked = iter(_segments(ids, *columns, counts) if ids else ())
+        records = [rec and next(checked) for rec in taken]  # None where declined
+        del columns  # the parser's buffers: the checked columns are copies
+    for lineno, line, rec in zip(itertools.count(first), lines, records):
+        if type(rec) is Trajectory:
             yield lineno, rec
-        elif lineno in rest:  # else blank
-            yield lineno, rest[lineno]
+        elif line.strip():  # else blank
+            try:
+                rec = trajectory_from_record(json.loads(line.decode("utf-8")))
+            except _MALFORMED as exc:
+                rec = exc
+            yield lineno, rec
 
 
 class JsonlTrajectoryReader:
     """Re-iterable, line-streaming reader over a JSONL trajectory file.
 
     Each ``__iter__`` re-opens the file and reads it in chunks of a fixed
-    number of lines, so memory stays constant in corpus size.  A chunk's
-    records are parsed into one set of ``lat``/``lon``/``t`` columns and
-    checked in one vectorized pass; the trajectories it yields are read-only
-    views of those columns.  Every line is skipped, with the same
-    :class:`MalformedLineWarning` text naming the line number, exactly when
-    :func:`trajectory_from_record` rejects it; ``skipped`` holds the running
-    count for the current/most recent pass.  A UTF-8 byte-order mark at the
+    number of lines, so memory stays constant in corpus size.  The records of
+    a chunk that the compiled parser takes are parsed into one set of
+    ``lat``/``lon``/``t`` columns and checked in one vectorized pass; the
+    trajectories it yields are read-only views of those columns.  Every line
+    is skipped, with the same :class:`MalformedLineWarning` text naming the
+    line number, exactly when :func:`trajectory_from_record` rejects it;
+    ``skipped`` holds the running count for the current/most recent pass.  A UTF-8 byte-order mark at the
     start of the file is ignored (RFC 8259, section 8.1); one anywhere else
     makes its line malformed.
     """

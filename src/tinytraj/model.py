@@ -247,11 +247,16 @@ def bind_params(params: ModelParams, tape: ad.Tape) -> None:
         tape.watch(t)
 
 
+def _causal_mask(positions: np.ndarray, n_keys: int) -> np.ndarray:
+    """Additive mask over keys ``0 .. n_keys - 1``: -inf on the keys after
+    each query's position, 0 elsewhere.  ``[1, S, n_keys]`` for positions
+    ``[S]``, ``[B, 1, S, n_keys]`` (one for every head) for positions ``[B, S]``."""
+    return np.where(np.arange(n_keys) > positions[..., None, :, None], -np.inf, 0.0)
+
+
 def causal_mask(seq_len: int) -> np.ndarray:
     """Additive attention mask: 0 where j <= i, -inf where j > i."""
-    m = np.zeros((seq_len, seq_len), dtype=np.float64)
-    m[np.triu_indices(seq_len, k=1)] = -np.inf
-    return m
+    return _causal_mask(np.arange(seq_len), seq_len)[0]
 
 
 def _rope_cos_sin(head_dim: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -467,9 +472,8 @@ def forward_features(
         lengths=lengths,
         positions=positions,
     )
-    if cfg.attention_mode == "causal":  # -inf on keys after each query's own position
-        keys = np.arange(positions.max() + 1)  # padding sits after every real position
-        mask = np.where(keys > positions[..., None, :, None], -np.inf, 0.0)
+    if cfg.attention_mode == "causal":  # padding sits after every real position
+        mask = _causal_mask(positions, positions.max() + 1)
     elif lengths is None:
         mask = None
     else:

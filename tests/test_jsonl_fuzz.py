@@ -5,7 +5,8 @@ set of columns; whatever sits on either side of a chunk edge, it yields and
 skips exactly what the per-line path (``trajectory_from_record`` on each line)
 does, with the same column bits and the same warnings in the same order.
 Every property holds twice: with the compiled chunk parser, where this host
-builds it, and with ``json.loads`` alone (``data._parsing``)."""
+builds it, and without it (``data._parsing``), when the reader reads every
+line by the per-line path itself."""
 
 import itertools
 import json
@@ -174,8 +175,8 @@ def _columns(traj):
 
 
 def assert_reads_like_per_line(path: Path):
-    """Both readers, the compiled parser's and json.loads's, read ``path`` as
-    the per-line path does; returns the trajectories."""
+    """The reader, with the compiled parser and without it, reads ``path``
+    as the per-line path does; returns the trajectories."""
     want_trajs, want_texts = _per_line(path)
     for compiled in (True, False):
         trajs, texts = _read(path, compiled)

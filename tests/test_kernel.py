@@ -19,6 +19,7 @@ import ctypes
 import functools
 import math
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -299,6 +300,28 @@ def test_kernel_is_reported_and_cached(tmp_path, monkeypatch):
     assert _kernel.compile_kernel() == lib and lib.stat().st_mtime_ns == built
     with pytest.raises(AttributeError):
         ad.NO_SUCH_NAME  # noqa: B018
+
+
+def test_the_compiler_is_asked_its_version_once_per_command(monkeypatch):
+    native_kernel()
+    asked = []
+    run = subprocess.run
+
+    def spy(cmd, *args, **kwargs):
+        if cmd[-1] == "-v":
+            asked.append(tuple(cmd[:-1]))
+        return run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", spy)
+    _kernel._about.cache_clear()
+    _kernel._library()
+    _kernel._library()
+    cc = tuple(shlex.split(sysconfig.get_config_var("CC") or "cc"))
+    assert asked == [cc]
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: "/nonexistent/cc")
+    with pytest.raises(OSError):
+        _kernel._library()
+    assert asked == [cc, ("/nonexistent/cc",)]
 
 
 # ---------------------------------------------------------------------------
