@@ -1,9 +1,10 @@
 /* The compiled kernels behind tinytraj.autodiff: the contraction of _bmm, and
  * the row-wise passes of softmax_rows, layer_norm, the per-sequence gradient
- * sums, GELU and its gradient; and the chunk parser of tinytraj.data's JSONL
- * reader.  Every op's entry point gives the bits of the numpy
- * body it replaces (autodiff._bmm_numpy, _softmax_numpy, ...): the same IEEE
- * operations, each one rounded, in the same order.  Build with
+ * sums, GELU and its gradient; the chunk parser of tinytraj.data's JSONL
+ * reader; and the numpy data allocator tinytraj.training trains under.
+ * Every op's entry point gives the bits of the numpy body it replaces
+ * (autodiff._bmm_numpy, _softmax_numpy, ...): the same IEEE operations, each
+ * one rounded, in the same order.  Build with
  * -ffp-contract=off (no fused multiply-add) and without -ffast-math or -march.
  *
  * Contraction.  out = a @ b over float64 [l0, l1, m, k] by [l0, l1, k, n]
@@ -79,16 +80,29 @@
  * the reader parses with json.loads.  It takes only the number grammar of
  * Python's json.  An integer latitude or longitude of at most 15 digits
  * becomes a double through an integer (so -0 is +0.0), as numpy converts a
- * Python int; a number with a fraction or an exponent is read by strtod_l
- * under a "C" locale object, made once when the library is loaded, so it is
- * correctly rounded as float() is and does not depend on LC_NUMERIC.  A
- * time must be an integer of at most 18 digits.  An id with a backslash, a
- * control byte or a byte past 0x7e is declined, as are NaN and Infinity.
- * The pass only parses: the reader's column check says what is in range.
- * It runs on the calling thread and writes nothing but its outputs.  Per
+ * Python int; a number with a fraction or an exponent (of up to 63 bytes)
+ * is read by strtod_l under a "C" locale object, made once when the library
+ * is loaded, so it is correctly rounded as float() is and does not depend on
+ * LC_NUMERIC.  A time must be an integer of at most 18 digits.  An id with a
+ * backslash, a control byte or a byte past 0x7e is declined, as are NaN and
+ * Infinity.  The pass only parses: the reader's column check says what is
+ * in range.  It reads no byte past the buffer it is given (it needs no NUL
+ * after it), runs on the calling thread and writes nothing but its outputs.  Per
  * chunk of the ingest benchmark's file (16 lines of 4 to 64 points) on a
  * shared 2-vCPU x86-64 host: 156-166 us in this pass (best of 5 x 5 passes
  * over the file's 122 chunks), most of it in strtod_l.
+ *
+ * Allocator.  tinytraj_mem_handler is a numpy data allocator (a version-1
+ * PyDataMem_Handler) for the training loop, whose steps make and free arrays
+ * of the same sizes again and again; glibc would give the large ones back to
+ * the system and fault them in again every step.  While a scope is open
+ * (tinytraj_mem_open), a freed block of MEM_MIN bytes or more waits in a
+ * LIFO list of its exact size for the next request of that size, up to
+ * MEM_CAP bytes in all; when the last scope closes, every waiting block is
+ * freed.  Each block carries its size in a 16-byte header, so the size
+ * numpy passes to free is never trusted, and a block freed after its scope
+ * goes straight to free.  The lists are under one mutex, which a fork child
+ * gets unlocked (pthread_atfork).
  *
  * Build with -pthread.  Per call on a shared 2-vCPU x86-64 host with
  * AVX-512 (best of 9 x 100, wrapper included, one thread -> two): (800, 32)
@@ -1046,21 +1060,26 @@ static int64_t integer(const char *p, const char *q)
 
 /* A latitude or longitude: an integer of at most 15 digits through an
  * integer, which a double holds exactly (as numpy converts json's int), and
- * any number with a fraction or an exponent by strtod_l, correctly rounded
- * as Python's float() rounds.  A longer integer is declined. */
+ * any number with a fraction or an exponent of fewer than NUMBER_BYTES
+ * bytes by strtod_l, correctly rounded as Python's float() rounds.  A longer
+ * number is declined.  strtod_l reads a copy that ends at the number, so no
+ * byte past the line is read, even where the line ends in a digit. */
+#define NUMBER_BYTES 64
 static const char *read_coordinate(const char *p, const char *end, double *out)
 {
     int digits, integral;
     const char *q = p ? number_end(p, end, &digits, &integral) : NULL;
-    if (!q || (integral && digits > 15))
+    if (!q || (integral && digits > 15) || q - p >= NUMBER_BYTES)
         return NULL;
     if (integral) {
         *out = (double)integer(p, q);
         return q;
     }
-    char *stop;
-    *out = strtod_l(p, &stop, c_locale); /* ±inf past the range, ±0.0 or a subnormal below */
-    return stop == q ? q : NULL;
+    char text[NUMBER_BYTES], *stop;
+    memcpy(text, p, (size_t)(q - p));
+    text[q - p] = '\0';
+    *out = strtod_l(text, &stop, c_locale); /* ±inf past the range, ±0.0 or a subnormal below */
+    return stop == text + (q - p) ? q : NULL;
 }
 
 /* A time: an integer of at most 18 digits, which int64 holds */
@@ -1168,9 +1187,10 @@ static ptrdiff_t parse_line(const char *p, const char *end, struct columns *c, c
  * points, in either key order, with no other key.  meta[3 i] is the point
  * count of line i, or 0 when it is declined: any other JSON, a string with
  * an escape, a control byte or a byte past 0x7e, a NaN or Infinity, a
- * number outside the bounds above, a time with a fraction or an exponent,
- * or anything that is not JSON.  meta[3 i + 1] and meta[3 i + 2] are the
- * offsets of the id's first byte and of its closing quote.  The points of
+ * number outside the bounds above or of 64 bytes or more, a time with a
+ * fraction or an exponent, or anything that is not JSON.  meta[3 i + 1]
+ * and meta[3 i + 2] are the offsets of the id's first byte and of its
+ * closing quote.  The points of
  * the lines taken are written to lat, lon and t (cap entries each), in line
  * order; returns their number.  Nothing is checked but the syntax: the
  * caller checks ranges and time order. */
@@ -1188,4 +1208,198 @@ ptrdiff_t tinytraj_parse_chunk(const char *buf, ptrdiff_t size, ptrdiff_t lines,
         line = end;
     }
     return c.n;
+}
+
+/* ---- numpy's data allocator inside training ---- */
+
+/* numpy's PyDataMem_Handler, version 1 (numpy/ndarraytypes.h), laid out here
+ * so that no Python or numpy header is needed.  _kernel.py wraps
+ * tinytraj_mem_handler in a capsule named "mem_handler". */
+struct mem_allocator {
+    void *ctx;
+    void *(*malloc)(void *ctx, size_t size);
+    void *(*calloc)(void *ctx, size_t nelem, size_t elsize);
+    void *(*realloc)(void *ctx, void *ptr, size_t new_size);
+    void (*free)(void *ctx, void *ptr, size_t size);
+};
+
+struct mem_handler {
+    char name[127];
+    uint8_t version; /* 1 */
+    struct mem_allocator allocator;
+};
+
+#define MEM_MIN 4096                 /* smaller blocks go straight to malloc and free */
+#define MEM_CAP ((size_t)64 << 20)   /* the free lists hold at most this many bytes */
+#define MEM_SIZES 1024               /* slots for distinct block sizes (a power of 2) */
+#define MEM_PROBES 16                /* slots a size may look at; past them it is not kept */
+
+/* The 16 bytes before a block's data: the size asked for, and while the
+ * block waits in a free list, the next block of that list.  16 keeps
+ * malloc's alignment for the data. */
+struct mem_block {
+    size_t size;
+    struct mem_block *next;
+};
+
+/* Freed blocks of MEM_MIN bytes or more, one LIFO list per exact size,
+ * kept only while a scope is open (tinytraj_mem_open) and given back to
+ * free when the last scope closes.  Everything here is under mu. */
+static struct {
+    pthread_mutex_t mu;
+    int scopes;                        /* open scopes */
+    size_t held;                       /* the bytes of the blocks in the lists */
+    size_t size[MEM_SIZES];            /* each slot's block size; 0 for an unused slot */
+    struct mem_block *list[MEM_SIZES]; /* each slot's list */
+} mem = {PTHREAD_MUTEX_INITIALIZER, 0, 0, {0}, {NULL}};
+
+/* The slot of size's list, taken for it if `take` and one is unused on its
+ * probe path; else -1 */
+static ptrdiff_t mem_slot(size_t size, int take)
+{
+    size_t i = (size_t)((uint64_t)size * 0x9e3779b97f4a7c15ull >> 54) % MEM_SIZES;
+    for (int probe = 0; probe < MEM_PROBES; probe++, i = (i + 1) % MEM_SIZES) {
+        if (mem.size[i] == size)
+            return (ptrdiff_t)i;
+        if (!mem.size[i]) {
+            if (!take)
+                return -1;
+            mem.size[i] = size;
+            return (ptrdiff_t)i;
+        }
+    }
+    return -1;
+}
+
+/* A kept block of exactly `size` bytes, or NULL */
+static struct mem_block *mem_take(size_t size)
+{
+    struct mem_block *b = NULL;
+    pthread_mutex_lock(&mem.mu);
+    const ptrdiff_t i = mem.scopes ? mem_slot(size, 0) : -1;
+    if (i >= 0 && (b = mem.list[i])) {
+        mem.list[i] = b->next;
+        mem.held -= size;
+    }
+    pthread_mutex_unlock(&mem.mu);
+    return b;
+}
+
+/* Whether block b went into its list: a scope is open, it fits under
+ * MEM_CAP and its size has a slot */
+static int mem_keep(struct mem_block *b)
+{
+    pthread_mutex_lock(&mem.mu);
+    const ptrdiff_t i = mem.scopes && mem.held + b->size <= MEM_CAP ? mem_slot(b->size, 1) : -1;
+    if (i >= 0) {
+        b->next = mem.list[i];
+        mem.list[i] = b;
+        mem.held += b->size;
+    }
+    pthread_mutex_unlock(&mem.mu);
+    return i >= 0;
+}
+
+/* A new block of `size` bytes, from malloc or zeroed by calloc */
+static void *mem_new(size_t size, int zero)
+{
+    if (size > SIZE_MAX - sizeof(struct mem_block))
+        return NULL;
+    struct mem_block *b = zero ? calloc(1, sizeof *b + size) : malloc(sizeof *b + size);
+    if (!b)
+        return NULL;
+    b->size = size;
+    return b + 1;
+}
+
+static void *mem_malloc(void *ctx, size_t size)
+{
+    (void)ctx;
+    struct mem_block *b = size >= MEM_MIN ? mem_take(size) : NULL;
+    return b ? b + 1 : mem_new(size, 0);
+}
+
+static void *mem_calloc(void *ctx, size_t nelem, size_t elsize)
+{
+    (void)ctx;
+    if (elsize && nelem > SIZE_MAX / elsize)
+        return NULL;
+    const size_t size = nelem * elsize;
+    struct mem_block *b = size >= MEM_MIN ? mem_take(size) : NULL;
+    if (!b)
+        return mem_new(size, 1);
+    memset(b + 1, 0, size);
+    return b + 1;
+}
+
+/* numpy passes the size it believes the block has; the header's is used */
+static void mem_free(void *ctx, void *ptr, size_t size)
+{
+    (void)ctx;
+    (void)size;
+    if (!ptr)
+        return;
+    struct mem_block *b = (struct mem_block *)ptr - 1;
+    if (b->size < MEM_MIN || !mem_keep(b))
+        free(b);
+}
+
+static void *mem_realloc(void *ctx, void *ptr, size_t new_size)
+{
+    if (!ptr)
+        return mem_malloc(ctx, new_size);
+    const size_t size = ((struct mem_block *)ptr - 1)->size;
+    void *out = mem_malloc(ctx, new_size);
+    if (out) {
+        memcpy(out, ptr, size < new_size ? size : new_size);
+        mem_free(ctx, ptr, size);
+    }
+    return out;
+}
+
+struct mem_handler tinytraj_mem_handler = {
+    "tinytraj", 1, {NULL, mem_malloc, mem_calloc, mem_realloc, mem_free}};
+
+/* Open a scope: from now until the last open scope closes, freed blocks of
+ * MEM_MIN bytes or more are kept for the next block of their size */
+void tinytraj_mem_open(void)
+{
+    pthread_mutex_lock(&mem.mu);
+    mem.scopes++;
+    pthread_mutex_unlock(&mem.mu);
+}
+
+/* Close a scope; when it was the last, give every kept block back to free */
+void tinytraj_mem_close(void)
+{
+    struct mem_block *drop = NULL;
+    pthread_mutex_lock(&mem.mu);
+    if (mem.scopes > 0 && --mem.scopes == 0) {
+        for (size_t i = 0; i < MEM_SIZES; i++) {
+            for (struct mem_block *b = mem.list[i], *next; b; b = next) {
+                next = b->next;
+                b->next = drop;
+                drop = b;
+            }
+            mem.list[i] = NULL;
+            mem.size[i] = 0;
+        }
+        mem.held = 0;
+    }
+    pthread_mutex_unlock(&mem.mu);
+    for (struct mem_block *next; drop; drop = next) {
+        next = drop->next;
+        free(drop);
+    }
+}
+
+/* fork holds the lock, so the child's lists are whole; the child, whose
+ * only thread is the forking one, starts from a fresh lock */
+static void mem_lock(void) { pthread_mutex_lock(&mem.mu); }
+static void mem_unlock(void) { pthread_mutex_unlock(&mem.mu); }
+static void mem_reset(void) { pthread_mutex_init(&mem.mu, NULL); }
+
+__attribute__((constructor)) static void mem_at_fork(void)
+{
+    pthread_atfork(mem_lock, mem_unlock, mem_reset);
 }

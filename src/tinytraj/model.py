@@ -52,11 +52,16 @@ __all__ = [
 
 ROPE_BASE = 10000.0
 OUT_DIM = 3  # (dlat, dlon, dt) in normalized units
+# the most parameters a ModelConfig may have: 512 MiB per float64 copy, of
+# which training holds four (values, gradients, two Adam moments)
+MAX_PARAMETERS = 2**26
 
 
 @dataclass(frozen=True)
 class ModelConfig(geo.JsonConfig):
-    """Architecture and feature flags; defaults give the desk-scale model."""
+    """Architecture and feature flags; defaults give the desk-scale model.
+    A configuration of more than ``MAX_PARAMETERS`` parameters is refused
+    before any is allocated."""
 
     d_model: int = 64
     n_heads: int = 4
@@ -90,6 +95,9 @@ class ModelConfig(geo.JsonConfig):
             raise ValueError("patch_len must be >= 1")
         if self.use_time2vec and self.time2vec_k < 2:
             raise ValueError("time2vec_k must be >= 2")
+        count = _parameter_count(self)
+        if count > MAX_PARAMETERS:
+            raise ValueError(f"{count:,} parameters, more than MAX_PARAMETERS {MAX_PARAMETERS:,}")
 
     @property
     def head_dim(self) -> int:
@@ -153,6 +161,17 @@ _ZEROS = ("full", 0.0)
 _ONES = ("full", 1.0)
 
 BLOCK_FIELDS = tuple(f.name for f in fields(BlockParams))
+
+
+def _parameter_count(cfg: ModelConfig) -> int:
+    """The number of values in :func:`parameter_shapes`, by arithmetic:
+    no loop over the blocks, however many there are (Python integers)."""
+    d, dff = cfg.d_model, cfg.ff_dim
+    block = 4 * d * d + 2 * d * dff + dff + 9 * d  # four projections, the FF, two norms
+    sp, tp = geo.SPATIAL_SLOTS, geo.TEMPORAL_SLOTS
+    # the projection, the final norm, the head and the mask embedding
+    rest = (cfg.in_features + 3) * d + (d + 1) * OUT_DIM + (sp.stop - sp.start) + (tp.stop - tp.start)
+    return cfg.n_blocks * block + rest + (2 * cfg.time2vec_k if cfg.use_time2vec else 0)
 
 
 def _build(cfg: ModelConfig, leaf) -> ModelParams:

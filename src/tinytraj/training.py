@@ -29,6 +29,7 @@ from .data import Batch, _replacing
 from .geo import FEATURE_DIM, JsonConfig, NormalizationParams
 from .masking import MaskSpec
 from .model import (
+    MAX_PARAMETERS,
     ModelConfig,
     ModelParams,
     bind_params,
@@ -441,16 +442,26 @@ def train(
     epoch's mean loss that overflows, naming the epoch and split.  A
     ``loader`` or ``val_loader`` that yields no batch in an epoch raises
     ``ValueError``: a validation split that never runs is not skipped.
+
+    The epochs run inside ``_kernel.reusing_memory``: where the compiled
+    kernel runs the ops, numpy allocates with the kernel's allocator, which
+    keeps each freed block of 4 KB or more for the next block of its size
+    instead of giving it back to the system, and frees what it kept when the
+    loop ends or raises.  Arrays made in the loop (the loader's batches
+    too) stay valid after it, and no bit depends on it.
     """
+    from . import _kernel  # on first use, as autodiff does: it imports the build tools
+
     if cfg.objective in ("infill", "alternating") and model_cfg.patch_len != 1:
         raise ValueError("infill objectives require patch_len == 1")
     state = adam_state if adam_state is not None else init_adam_state(named_parameters(params))
     history = list(history) if history else []
     step_losses: list[float] = []
-    for epoch in range(start_epoch, cfg.epochs):
-        step_losses += _epoch_pass("train", loader, epoch, params, model_cfg, cfg, history, state)
-        if val_loader is not None:
-            _epoch_pass("val", val_loader, epoch, params, model_cfg, cfg, history)
+    with _kernel.reusing_memory():
+        for epoch in range(start_epoch, cfg.epochs):
+            step_losses += _epoch_pass("train", loader, epoch, params, model_cfg, cfg, history, state)
+            if val_loader is not None:
+                _epoch_pass("val", val_loader, epoch, params, model_cfg, cfg, history)
 
     ckpt = make_checkpoint(
         params,
@@ -685,6 +696,13 @@ class _Header(JsonConfig):
             raise ValueError(f"header version {self.version}, frame {CHECKPOINT_VERSION}")
         if self.adam_step is not None and self.adam_step < 0:
             raise ValueError(f"adam_step must be >= 0, got {self.adam_step}")
+        # the one size the manifest does not fix: the positional table it implies
+        # is bounded as the parameters are
+        cfg = self.model_config
+        if cfg.max_seq * cfg.d_model > MAX_PARAMETERS:
+            raise ValueError(
+                f"max_seq {cfg.max_seq} x d_model {cfg.d_model} is more than {MAX_PARAMETERS:,}"
+            )
         groups = ("params",) if self.adam_step is None else ("params", "adam_m", "adam_v")
         # a block has 16 arrays: claiming more blocks than arrays fails before naming them
         shapes = () if self.model_config.n_blocks > len(self.arrays) else sorted(

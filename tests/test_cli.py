@@ -459,6 +459,14 @@ class TestTrain:
         assert code == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 
+    def test_block_count_past_the_parameter_limit_is_usage_error(self, tmp_path, corpus, capsys):
+        # refused by arithmetic, before the first block is built
+        out = tmp_path / "m.ckpt"
+        code = run("train", "--data", corpus, "--out", out, "--n-blocks", 2**50)
+        assert code == EXIT_USAGE
+        assert "MAX_PARAMETERS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_lr_is_usage_error(self, tmp_path, corpus):
         code = run(
             "train", "--data", corpus, "--out", tmp_path / "m.ckpt", "--lr", -1

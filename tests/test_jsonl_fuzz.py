@@ -8,9 +8,11 @@ Every property holds twice: with the compiled chunk parser, where this host
 builds it, and without it (``data._parsing``), when the reader reads every
 line by the per-line path itself."""
 
+import ctypes
 import itertools
 import json
 import re
+import subprocess
 import tempfile
 import warnings
 from pathlib import Path
@@ -384,6 +386,34 @@ def test_a_parser_that_fails_its_load_check_is_not_used(tmp_path, monkeypatch, b
     path = _write(tmp_path, RAW_LINES + [json.dumps(_good(n)) for n in range(CHUNK)])
     assert data.stream_jsonl(path)._parse is None and data._parser() is None
     assert_reads_like_per_line(path)
+
+
+def _parse_in(buf: np.ndarray, size: int):
+    # the C pass itself on the first ``size`` bytes of ``buf``, as one line
+    fn = _kernel._library()["tinytraj_parse_chunk"]  # a function object of its own
+    ptr, ssize = ctypes.c_void_p, ctypes.c_ssize_t
+    fn.argtypes, fn.restype = [ptr, ssize, ssize, ptr, ptr, ptr, ptr, ssize], ssize
+    meta = np.zeros((1, 3), np.intp)
+    cols = np.empty(size // 8), np.empty(size // 8), np.empty(size // 8, np.int64)
+    n = fn(buf.ctypes.data, size, 1, meta.ctypes.data, *(c.ctypes.data for c in cols), size // 8)
+    return meta.tolist(), [c[:n].tobytes() for c in cols]
+
+
+def test_the_compiled_parser_reads_no_byte_past_its_buffer():
+    # each line of the load check, cut after each of its bytes, alone in a
+    # buffer of its exact size (no NUL after it, unlike a bytes object's):
+    # the pass gives what it gives on the same bytes with digits after them,
+    # and under AddressSanitizer a read past the end is reported.  The C pass
+    # itself, whether or not it passed its load check
+    try:
+        _kernel._library()
+    except (OSError, RuntimeError, subprocess.SubprocessError):
+        pytest.skip("no compiled kernel on this host")
+    for _, line in _kernel.PARSE_CASES:
+        for end in range(1, len(line) + 1):
+            exact = np.frombuffer(line[:end], np.uint8).copy()
+            room = np.frombuffer(line[:end] + b"0123456789", np.uint8).copy()
+            assert _parse_in(exact, end) == _parse_in(room, end), line[:end]
 
 
 BOM = "\ufeff"

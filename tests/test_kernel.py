@@ -772,3 +772,26 @@ def _wrong_when_cut(name):
 def test_self_check_reaches_the_cut_of_every_op(name):
     native_ops()
     assert not _kernel.agrees_with_numpy(_wrong_when_cut(name))
+
+
+def the_allocator():
+    native_ops()
+    if _kernel._allocator() is None:
+        pytest.skip("numpy does not take the compiled allocator on this host")
+
+
+def test_the_allocator_reuses_a_freed_block_zeroed_and_resizes_in_its_scope():
+    the_allocator()
+    name = _kernel._multiarray().get_handler_name
+    with _kernel.reusing_memory():
+        a = np.full(1000, 7.0)  # 8,000 bytes: kept for the next block of that size when freed
+        address = a.ctypes.data
+        del a
+        b = np.zeros(1000)  # numpy's calloc: the block just freed, zeroed
+        assert name(b) == _kernel.HANDLER_NAME and b.ctypes.data == address
+        assert not b.view(np.int64).any()
+        c = np.arange(1000.0)
+        c.resize(3000, refcheck=False)  # numpy's realloc: the values move, the rest is zeroed
+        assert np.array_equal(c[:1000], np.arange(1000.0)) and not c[1000:].view(np.int64).any()
+    assert name() != _kernel.HANDLER_NAME and name(np.zeros(1000)) != _kernel.HANDLER_NAME
+    del b, c  # made inside, freed after: back to free

@@ -54,6 +54,28 @@ def test_config_validation():
     tm.ModelConfig(d_model=12, n_heads=6, rope_enabled=True)  # head_dim 2: fine
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [{}, {"d_ff": 5, "n_blocks": 3}, {"use_time2vec": True, "time2vec_k": 7, "patch_len": 3},
+     {"d_model": 2, "n_heads": 1, "use_dt_feature": False}],
+)
+def test_parameter_count_is_the_parameters_values(kw):
+    cfg = tm.ModelConfig(**kw)
+    values = sum(math.prod(shape) for shape in tm.parameter_shapes(cfg).values())
+    assert tm._parameter_count(cfg) == values
+
+
+@pytest.mark.parametrize(
+    "kw", [{"n_blocks": 2**50}, {"d_ff": 2**40}, {"use_time2vec": True, "time2vec_k": 2**50}]
+)
+def test_config_past_the_parameter_limit_is_refused_before_any_loop(kw):
+    # a count, not a loop over 2**50 blocks: refused at once
+    with pytest.raises(ValueError, match="MAX_PARAMETERS"):
+        tm.ModelConfig(**kw)
+    n_blocks = tm.MAX_PARAMETERS // tm._parameter_count(tm.ModelConfig(n_blocks=1))
+    tm.ModelConfig(n_blocks=n_blocks - 1)  # just inside
+
+
 def test_config_round_trips_through_dict():
     cfg = small_config(rope_enabled=True, use_time2vec=True)
     assert tm.ModelConfig.from_dict(cfg.to_dict()) == cfg

@@ -1,16 +1,22 @@
 """Training tests: loss semantics and masking neutrality, Adam closed-form
 behavior, clipping, the deterministic epoch loop, the pretext autoencoder
-probe, and checkpoint round-trips with resume equivalence."""
+probe, checkpoint round-trips with resume equivalence, and numpy's data
+allocator inside train."""
 
 import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tinytraj import _kernel
 from tinytraj import autodiff as ad
 from tinytraj import data, geo, model as tm, training as tr
 from tinytraj.autodiff import Tensor
@@ -757,6 +763,8 @@ CORRUPTIONS = {
         blob, _set(("arrays", 0, "shape"), [2**32, 2**32])
     ),
     "infinite_adam_step": lambda blob: _rewrite_header(blob, _set(("adam_step",), float("inf"))),
+    # the one size no array fixes: a positional table of 2**50 rows
+    "oversized_max_seq": lambda blob: _rewrite_header(blob, _set(("model_config", "max_seq"), 2**50)),
     "float_shape": lambda blob: _rewrite_header(blob, _float_shape),
     "bad_next_epoch": lambda blob: _rewrite_header(blob, _set(("rng_state", "next_epoch"), "x")),
     "string_history": lambda blob: _rewrite_header(blob, _set(("history",), "abc")),
@@ -898,3 +906,182 @@ def test_history_csv_round_trip(tmp_path):
     assert lines[0] == "epoch,split,objective,loss"
     assert lines[1] == "0,train,next_step,0.5"
     assert len(lines) == 3
+
+
+# ---------------------------------------------------------------------------
+# numpy's data allocator inside train
+# ---------------------------------------------------------------------------
+
+# arrays of a step past the allocator's 4 KB: [8, 32, 32] activations
+WIDE = tm.ModelConfig(d_model=32, n_heads=4, n_blocks=1, max_seq=32)
+handler_name = _kernel._multiarray().get_handler_name
+NUMPYS = handler_name()  # numpy's own handler, outside any scope
+
+
+def _in_train_handler() -> str:
+    # the handler train must run under: the kernel's where numpy takes it
+    native = ad.KERNEL == "native" and _kernel._allocator() is not None
+    return _kernel.HANDLER_NAME if native else NUMPYS
+
+
+class Recording:
+    """``loader``'s batches; before each, a 64 KB array of the number of
+    batches before it is made and kept with its handler's name, and ``fail``
+    is called with the batch's index in its epoch (it may raise)."""
+
+    def __init__(self, loader, fail=lambda i: None):
+        self.loader, self.fail, self.names, self.kept = loader, fail, [], []
+
+    def __iter__(self):
+        for i, batch in enumerate(self.loader):
+            self.kept.append(np.full(8192, float(len(self.kept))))
+            self.names.append(handler_name(self.kept[-1]))
+            self.fail(i)
+            yield batch
+
+
+def wide_loader():
+    return straight_line_loader(n_traj=16, points=32, batch_size=8)[0]
+
+
+def test_train_runs_under_the_kernels_allocator_and_restores_numpys():
+    loader = Recording(wide_loader())
+    params = tm.init_params(WIDE, np.random.default_rng(20))
+    train(params, WIDE, TrainConfig(epochs=2, seed=4), loader)
+    assert loader.names == [_in_train_handler()] * 4
+    assert handler_name() == handler_name(np.empty(8192)) == NUMPYS
+
+
+def _failing_loader(i):
+    if i == 1:
+        raise RuntimeError("the loader failed")
+
+
+@pytest.mark.parametrize("failure", ["numerics", "loader"])
+def test_after_train_raises_arrays_get_numpys_allocator(failure):
+    loader = Recording(wide_loader(), _failing_loader if failure == "loader" else lambda i: None)
+    params = tm.init_params(WIDE, np.random.default_rng(21))
+    if failure == "numerics":
+        params.b_out.data[:] = np.nan
+    with pytest.raises(NumericsError if failure == "numerics" else RuntimeError):
+        train(params, WIDE, TrainConfig(epochs=1), loader)
+    assert loader.names and set(loader.names) == {_in_train_handler()}
+    assert handler_name() == handler_name(np.empty(8192)) == NUMPYS
+
+
+def test_arrays_made_inside_train_hold_their_values_and_are_freed_after_it():
+    loader = Recording(wide_loader())
+    params = tm.init_params(WIDE, np.random.default_rng(22))
+    train(params, WIDE, TrainConfig(epochs=3), loader)
+    kept = loader.kept
+    assert [handler_name(a) for a in kept] == [_in_train_handler()] * 6
+    for i, a in enumerate(kept):
+        np.testing.assert_array_equal(a, np.full(8192, float(i)))
+    del kept[:]  # each goes back to free, not to a list of the closed scope
+    again = [np.full(8192, 1.0) for _ in range(6)]
+    assert all(a.sum() == 8192.0 for a in again)
+
+
+def _owner(a: np.ndarray) -> np.ndarray:  # the array whose memory a view reads
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _step(params, batch, state, cfg):
+    tape = ad.Tape()
+    tm.bind_params(params, tape)
+    pred = tm.forward_features(batch.features, params, WIDE, lengths=batch.lengths)
+    ad.backward(ad.tensor_sum(ad.mul(pred, pred)))
+    named = tm.named_parameters(params)
+    grads = {name: t.grad for name, t in named.items()}
+    tr.adam_step(named, tr.clip_gradients(grads, cfg.clip_norm), state, cfg)
+    return pred.data, grads
+
+
+def test_one_steps_outputs_gradients_and_parameters_outlive_the_next_step():
+    # at lr 0 the parameters stay bit for bit; the second step has every
+    # shape of the first, so each block it frees and takes again is one of
+    # the first step's, unless a live array still holds it
+    batch = next(iter(wide_loader()))
+    cfg = TrainConfig(lr=0.0)
+    with _kernel.reusing_memory():
+        params = tm.init_params(WIDE, np.random.default_rng(23))
+        state = tr.init_adam_state(tm.named_parameters(params))
+        pred, grads = _step(params, batch, state, cfg)
+        held = {
+            "output": pred,
+            "gradient": grads["blocks.0.w_ff1"],
+            "parameter": params.blocks[0].w_ff1.data,
+        }
+        assert {handler_name(_owner(a)) for a in held.values()} == {_in_train_handler()}
+        before = {key: a.copy() for key, a in held.items()}
+        again, grads_again = _step(params, batch, state, cfg)
+    for key, array in held.items():
+        np.testing.assert_array_equal(array.view(np.int64), before[key].view(np.int64), key)
+    np.testing.assert_array_equal(again.view(np.int64), pred.view(np.int64))
+    for name, g in grads.items():
+        np.testing.assert_array_equal(grads_again[name].view(np.int64), g.view(np.int64), name)
+
+
+FORK = """
+import os, sys, time
+import numpy as np
+from tinytraj import _kernel, data, geo, model as tm, training as tr
+wide = tm.ModelConfig(d_model=32, n_heads=4, n_blocks=1, max_seq=32)
+cfg = data.SyntheticConfig(n_traj=16, points_per_traj=32, n_waypoints=2, noise_sigma=0.0)
+trajs = list(data.generate_synthetic(cfg))
+loader = data.BatchLoader(trajs, 8, 32, geo.compute_center(trajs))
+
+def trained():
+    params = tm.init_params(wide, np.random.default_rng(24))
+    return tr.train(params, wide, tr.TrainConfig(epochs=1), loader).step_losses
+
+losses = trained()
+with _kernel.reusing_memory():  # blocks kept when the child is made
+    kept = [np.ones(8192) for _ in range(4)]
+    del kept
+    pid = os.fork()
+    if pid == 0:
+        try:  # the blocks the parent kept, then a scope of the child's own
+            arrays = [np.ones(8192) for _ in range(8)]
+            del arrays
+            code = 0 if trained() == losses else 3
+        except BaseException:
+            code = 4
+        os._exit(code)
+deadline = time.monotonic() + 60
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.01)
+os.kill(pid, 9)
+sys.exit("the child did not end")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_fork_child_allocates_frees_and_trains_after_the_parent_trained():
+    env = {**os.environ, "PYTHONPATH": str(Path(tr.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", FORK], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_on_the_numpy_bodies_train_installs_nothing_and_gives_the_same_bits(monkeypatch, tmp_path):
+    def run(path):
+        loader = Recording(wide_loader())
+        params = tm.init_params(WIDE, np.random.default_rng(25))
+        result = train(params, WIDE, TrainConfig(epochs=2, seed=7), loader)
+        save_checkpoint(result.checkpoint, path)
+        return loader.names, result.step_losses, path.read_bytes()
+
+    names, losses, ckpt = run(tmp_path / "native.ckpt")
+    assert set(names) == {_in_train_handler()}
+    monkeypatch.setattr(ad, "_ops", ad._NUMPY)
+    names, numpy_losses, numpy_ckpt = run(tmp_path / "numpy.ckpt")
+    assert set(names) == {NUMPYS}
+    assert np.array_equal(np.array(numpy_losses).view(np.int64), np.array(losses).view(np.int64))
+    assert numpy_ckpt == ckpt
