@@ -6,10 +6,15 @@ its gradient; and behind ``data``'s JSONL reader, its chunk parser.
 The source is compiled with the C compiler Python was built with
 (``sysconfig``'s ``CC``) into ``$XDG_CACHE_HOME/tinytraj`` (default
 ``~/.cache/tinytraj``), under a name keyed by the source, the flags and the
-compiler's version (asked once per process), and loaded with ``ctypes``.
-``load`` returns an ``autodiff.Ops`` of the compiled entry points only if
-every one of them gives its numpy body's bits on a short check; otherwise,
-or when there is no compiler, it returns None and every op runs numpy.
+compiler's version (asked once per process), and loaded with ``ctypes``
+once per process by ``_library``, which types every exported function from
+one table, ``_SIGNATURES`` (held to ``_kernel.c`` by a test), and gives None
+when the build or the load fails.  Each user checks once, when first needed:
+``load`` (at the first op) returns an ``autodiff.Ops`` of the compiled entry
+points only if every one of them gives its numpy body's bits on a short
+check; otherwise, or when there is no compiler, it returns None and every op
+runs numpy.  ``load_parser`` (at the first reader) checks the chunk parser
+and no op, ``_allocator`` (at the first ``training.train``) the handler.
 
 The C side reads both operands through their strides, over two leading axes
 (batch and heads) and the row and column, so the transposed operands of the
@@ -129,6 +134,34 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 LIBS = ("-lm",)  # the GELU's erf calls libm's exp
 
+_P, _N = ctypes.c_void_p, ctypes.c_ssize_t  # a pointer; a ptrdiff_t
+# a and its four strides, b and its four strides, pack or NULL, out, l0, l1, m, k, n
+_BMM = ((_P, *[_N] * 4, _P, *[_N] * 4, _P, _P, *[_N] * 5), None)
+# every function _kernel.c exports, by name: its argument types and its
+# result type.  _library types each one once, when it loads the library
+_SIGNATURES = {
+    "tinytraj_parts": ((), ctypes.c_int),
+    "tinytraj_set_parts": ((ctypes.c_int,), None),  # 1 or 2 threads; 0 undoes
+    "tinytraj_bmm_body": ((ctypes.c_int,), ctypes.c_char_p),  # NULL past the last
+    "tinytraj_bmm": _BMM,
+    "tinytraj_bmm_baseline": _BMM,
+    "tinytraj_bmm_avx2": _BMM,  # built on x86-64 only, as is the next
+    "tinytraj_bmm_avx512": _BMM,
+    "tinytraj_softmax_shift": ((_P, _P, _P, _N, _N), None),  # x, y, mx, rows, n
+    "tinytraj_softmax_scale": ((_P, _P, _P, _N, _N), None),  # x, mx, y, rows, n
+    "tinytraj_softmax_vjp": ((_P, _P, _P, _N, _N), None),  # y, g, dx, rows, n
+    # x, gain, bias, eps, out, xhat, inv, rows, d
+    "tinytraj_layer_norm": ((_P, _P, _P, ctypes.c_double, _P, _P, _P, _N, _N), None),
+    "tinytraj_layer_norm_dx": ((_P, _P, _P, _P, _P, _N, _N), None),  # g, gain, xhat, inv, dx, rows, d
+    "tinytraj_seq_sums": ((_P, _P, _P, _N, _N, _N), None),  # g, w or NULL, out, batch, seq, d
+    "tinytraj_gelu": ((_P, _P, _P, _N), None),  # x, cdf or NULL, y, size
+    "tinytraj_gelu_vjp": ((_P, _P, _P, _P, ctypes.c_double, _P, _N), None),  # g, x, cdf, e, c, dx, size
+    # buf, its size, its line count, meta, lat, lon, t, their capacity; the points taken
+    "tinytraj_parse_chunk": ((ctypes.c_char_p, _N, _N, _P, _P, _P, _P, _N), _N),
+    "tinytraj_mem_open": ((), None),
+    "tinytraj_mem_close": ((), None),
+}
+
 
 @functools.cache
 def _about(cc: tuple[str, ...]) -> tuple[str, str]:
@@ -157,6 +190,22 @@ def compile_kernel() -> Path:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+    return lib
+
+
+@functools.cache
+def _library() -> ctypes.CDLL | None:
+    """The built library, loaded once per process with every function of
+    ``_SIGNATURES`` typed, or None when it cannot be built or loaded."""
+    try:
+        lib = ctypes.CDLL(str(compile_kernel()))
+    # RuntimeError: Path.home() when the home directory cannot be resolved
+    except (OSError, RuntimeError, subprocess.SubprocessError):
+        return None
+    for name, (args, result) in _SIGNATURES.items():
+        if hasattr(lib, name):  # off x86-64 the AVX bodies are not built
+            fn = getattr(lib, name)  # kept by lib: every caller gets it typed
+            fn.argtypes, fn.restype = args, result
     return lib
 
 
@@ -217,7 +266,6 @@ def row_ops(lib: ctypes.CDLL) -> dict[str, Callable]:
     checked and every array is made C-contiguous float64 before a pointer is
     passed; a shape the C side does not cover (an empty row, no sequence)
     runs the numpy body."""
-    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
     shift, scale, softmax_vjp_c, layer_norm_c, layer_norm_dx_c, seq_sums_c, gelu_c, gelu_vjp_c = (
         getattr(lib, f"tinytraj_{name}")
         for name in (
@@ -225,18 +273,6 @@ def row_ops(lib: ctypes.CDLL) -> dict[str, Callable]:
             "seq_sums", "gelu", "gelu_vjp",
         )
     )
-    for fn, args in [
-        (shift, [ptr, ptr, ptr, size, size]),  # x, y, mx, rows, n
-        (scale, [ptr, ptr, ptr, size, size]),  # x, mx, y, rows, n
-        (softmax_vjp_c, [ptr, ptr, ptr, size, size]),  # y, g, dx, rows, n
-        # x, gain, bias, eps, out, xhat, inv, rows, d
-        (layer_norm_c, [ptr, ptr, ptr, ctypes.c_double, ptr, ptr, ptr, size, size]),
-        (layer_norm_dx_c, [ptr, ptr, ptr, ptr, ptr, size, size]),  # g, gain, xhat, inv, dx, rows, d
-        (seq_sums_c, [ptr, ptr, ptr, size, size, size]),  # g, w or NULL, out, batch, seq, d
-        (gelu_c, [ptr, ptr, ptr, size]),  # x, cdf or NULL, y, size
-        (gelu_vjp_c, [ptr, ptr, ptr, ptr, ctypes.c_double, ptr, size]),  # g, x, cdf, e, c, dx, size
-    ]:
-        fn.argtypes, fn.restype = args, None
 
     def softmax(x: np.ndarray) -> np.ndarray:
         x = _c(x)
@@ -504,17 +540,11 @@ def agrees_with_numpy(ops: Ops) -> bool:
         )
 
 
-def _library() -> ctypes.CDLL:
-    # one copy per built file: every handle shares the library's worker
-    return ctypes.CDLL(str(compile_kernel()))
-
-
 def bodies() -> list[str]:
     """The contraction bodies this CPU runs, fastest first: ``avx512``,
     ``avx2`` and ``baseline``, as far as the CPU has them.  ``native`` runs
     the first; ``native(f"tinytraj_bmm_{body}")`` runs any of them."""
     fn = _library().tinytraj_bmm_body
-    fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_char_p
     names = []
     while (name := fn(len(names))) is not None:
         names.append(name.decode())
@@ -524,22 +554,19 @@ def bodies() -> list[str]:
 def parts() -> int:
     """The number of threads that share a compiled pass above the work
     threshold: 2 when this process may run on 2 or more CPUs, else 1."""
-    fn = _library().tinytraj_parts
-    fn.argtypes, fn.restype = [], ctypes.c_int
-    return fn()
+    return _library().tinytraj_parts()
 
 
 @contextlib.contextmanager
 def _parts(count: int):
     # the tests' hook: every pass of the block runs on ``count`` (1 or 2)
     # threads, whatever the CPU count; the split never moves a bit
-    fn = _library().tinytraj_set_parts
-    fn.argtypes, fn.restype = [ctypes.c_int], None
-    fn(count)
+    set_parts = _library().tinytraj_set_parts
+    set_parts(count)
     try:
         yield
     finally:
-        fn(0)
+        set_parts(0)
 
 
 def native(bmm_symbol: str = "tinytraj_bmm") -> Ops:
@@ -547,12 +574,7 @@ def native(bmm_symbol: str = "tinytraj_bmm") -> Ops:
     ``bmm_symbol``: ``tinytraj_bmm`` picks the fastest body this CPU runs,
     ``tinytraj_bmm_<body>`` runs one of ``bodies()``."""
     lib = _library()
-    bmm = getattr(lib, bmm_symbol)
-    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
-    # a and its four strides, b and its four strides, pack or NULL, out, l0, l1, m, k, n
-    bmm.argtypes = [ptr, *[size] * 4, ptr, *[size] * 4, ptr, ptr, *[size] * 5]
-    bmm.restype = None
-    return Ops(bmm=contraction(bmm), **row_ops(lib))
+    return Ops(bmm=contraction(getattr(lib, bmm_symbol)), **row_ops(lib))
 
 
 ChunkParser = Callable[[list[bytes]], tuple[list, tuple[np.ndarray, np.ndarray, np.ndarray]]]
@@ -565,10 +587,6 @@ def chunk_parser(lib: ctypes.CDLL) -> ChunkParser:
     None, and the points of the lines taken as ``lat``/``lon``/``t`` columns
     (float64, float64, int64; views of buffers sized for the chunk)."""
     fn = lib.tinytraj_parse_chunk
-    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
-    # buf, its size, its line count, meta, lat, lon, t, their capacity
-    fn.argtypes = [ctypes.c_char_p, size, size, ptr, ptr, ptr, ptr, size]
-    fn.restype = size
 
     def parse(lines: list[bytes]):
         buf = b"".join(lines)
@@ -628,25 +646,26 @@ def parser_agrees(parse: ChunkParser) -> bool:
     return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
+@functools.cache
 def load_parser() -> ChunkParser | None:
-    """The compiled chunk parser, or None when the kernel cannot be built or
-    loaded or the parser fails ``parser_agrees``: then the reader reads
-    every line by the per-line path.  Unlike ``load``, this checks no op."""
-    try:
-        parse = chunk_parser(_library())
-    except (OSError, RuntimeError, subprocess.SubprocessError, AttributeError):
+    """The compiled chunk parser, chosen once per process, or None when the
+    kernel cannot be built or loaded or the parser fails ``parser_agrees``:
+    then the reader reads every line by the per-line path.  Unlike
+    ``load``, this checks no op."""
+    lib = _library()
+    if lib is None:
         return None
+    parse = chunk_parser(lib)
     return parse if parser_agrees(parse) else None
 
 
 def load() -> Ops | None:
     """The compiled kernel, or None when it cannot be built or loaded or any
-    of its ops does not agree with its numpy body: then every op runs numpy."""
-    try:
-        ops = native()
-    # RuntimeError: Path.home() when the home directory cannot be resolved
-    except (OSError, RuntimeError, subprocess.SubprocessError, AttributeError):
+    of its ops does not agree with its numpy body: then every op runs numpy.
+    ``autodiff`` keeps the choice."""
+    if _library() is None:
         return None
+    ops = native()
     return ops if agrees_with_numpy(ops) else None
 
 
@@ -669,11 +688,10 @@ def _allocator() -> tuple[object, Callable, ctypes.CDLL] | None:
     ``PyDataMem_SetHandler`` and the library, or None when the kernel
     cannot be built or loaded, or an array made with the handler set does
     not report its name."""
-    try:
-        lib = _library()
-        handler = ctypes.addressof(ctypes.c_char.in_dll(lib, "tinytraj_mem_handler"))
-    except (OSError, RuntimeError, subprocess.SubprocessError, ValueError):
+    lib = _library()
+    if lib is None:
         return None
+    handler = ctypes.addressof(ctypes.c_char.in_dll(lib, "tinytraj_mem_handler"))
     # PYFUNCTYPE: each call holds the GIL, and a set exception is raised
     capsule_new = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p)
     capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)
@@ -682,8 +700,6 @@ def _allocator() -> tuple[object, Callable, ctypes.CDLL] | None:
     slot = ctypes.cast(api, ctypes.POINTER(ctypes.c_void_p))[SET_HANDLER_SLOT]
     set_handler = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.py_object)(slot)
     capsule = capsule_new(("PyCapsule_New", ctypes.pythonapi))(handler, HANDLER_CAPSULE, None)
-    for fn in (lib.tinytraj_mem_open, lib.tinytraj_mem_close):
-        fn.argtypes, fn.restype = [], None
     previous = set_handler(capsule)
     try:
         name = umath.get_handler_name(np.empty(1))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -335,7 +336,7 @@ def _cmd_pretext_check(args) -> int:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
     if args.max_traj is not None and args.max_traj < 1:
         raise UsageError(f"--max-traj must be >= 1, got {args.max_traj}")
-    trajs = list(_load_corpus_stream(args.data))[: args.max_traj]
+    trajs = list(itertools.islice(_load_corpus_stream(args.data), args.max_traj))
     if not trajs:
         raise DataError(f"{args.data}: empty corpus")
     norm = _read_norm(args.norm) if args.norm else geo.compute_center(trajs)

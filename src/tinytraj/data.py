@@ -20,12 +20,13 @@ byte, ``NaN`` or ``Infinity``, an integer coordinate of more than 15 digits,
 a time that is not an integer of at most 18 digits.  Every other line takes
 the per-line path, ``json.loads`` and :func:`trajectory_from_record`: a
 declined line, a record the chunk check rejects, and every line where the
-kernel cannot be built or the parser fails its load check.  Both give the
-same trajectories, column bits and warnings, in the same order.  On a shared
-2-vCPU x86-64 host a chunk of the ``ingest`` benchmark's file (16 lines of 4
-to 64 points) takes 217–267 µs to parse and check the compiled way, against
-796–910 µs by the per-line path (best of 5 × 5 passes over the file's 122
-chunks, in each of nine processes).
+kernel cannot be built or the parser fails its load check
+(``_kernel.load_parser``, chosen once per process when the first reader is
+opened).  Both give the same trajectories, column bits and warnings, in the
+same order.  On a shared 2-vCPU x86-64 host a chunk of the ``ingest``
+benchmark's file (16 lines of 4 to 64 points) takes 217–267 µs to parse and
+check the compiled way, against 796–910 µs by the per-line path (best of
+5 × 5 passes over the file's 122 chunks, in each of nine processes).
 
 JSONL record schema: ``{"id": <string>, "points": [[lat, lon, t], ...]}``,
 where ``lat`` and ``lon`` are JSON numbers (never bools or strings) and ``t``
@@ -224,35 +225,6 @@ _CHUNK_LINES = 16
 # what a malformed line raises on the per-line path
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
-# the compiled chunk parser, or False when readers read every line by the
-# per-line path; chosen when the first reader is opened (None until then)
-_parse = None
-
-
-def _parser():
-    """The compiled chunk parser (``_kernel.load_parser``), or None where the
-    kernel cannot be built or the parser fails its load check."""
-    global _parse
-    if _parse is None:
-        from . import _kernel
-
-        _parse = _kernel.load_parser() or False
-    return _parse or None
-
-
-@contextlib.contextmanager
-def _parsing(compiled: bool):
-    # the tests' hook: readers opened in the block parse with the compiled
-    # parser where this host has one (compiled), else every line by the
-    # per-line path
-    global _parse
-    chosen = _parser() or False
-    _parse = chosen if compiled else False
-    try:
-        yield
-    finally:
-        _parse = chosen
-
 
 def _segments(ids, lat, lon, t, counts) -> list[Trajectory | ValueError]:
     """The trajectory check over records laid end to end in the columns:
@@ -306,7 +278,8 @@ class JsonlTrajectoryReader:
     number of lines, so memory stays constant in corpus size.  The records of
     a chunk that the compiled parser takes are parsed into one set of
     ``lat``/``lon``/``t`` columns and checked in one vectorized pass; the
-    trajectories it yields are read-only views of those columns.  Every line
+    trajectories it yields are read-only views of those columns; the parser
+    is taken when the reader is opened, never inside a pass.  Every line
     is skipped, with the same :class:`MalformedLineWarning` text naming the
     line number, exactly when :func:`trajectory_from_record` rejects it;
     ``skipped`` holds the running count for the current/most recent pass.  A UTF-8 byte-order mark at the
@@ -319,7 +292,9 @@ class JsonlTrajectoryReader:
         if not self.path.is_file():
             raise FileNotFoundError(f"no such trajectory file: {self.path}")
         self.skipped = 0
-        self._parse = _parser()  # loaded here, not inside the first pass
+        from . import _kernel  # on first use: it imports autodiff and the build tools
+
+        self._parse = _kernel.load_parser()  # chosen here, not inside the first pass
 
     def __iter__(self) -> Iterator[Trajectory]:
         self.skipped = 0

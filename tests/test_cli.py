@@ -831,6 +831,20 @@ class TestPretextCheck:
         assert report["raw_rmse"] >= 0.0 and np.isfinite(report["raw_rmse"])
         assert report["pe_rmse"] >= 0.0 and np.isfinite(report["pe_rmse"])
 
+    def test_reads_only_max_traj_trajectories(self, tmp_path, corpus, capsys):
+        # 40 malformed lines after the corpus's 8 trajectories: reading stops
+        # at the 4th, so none is warned about, and the report is the same
+        tail = tmp_path / "tail.jsonl"
+        tail.write_text(corpus.read_text() + "{not json\n" * 40)
+        reports = []
+        for path in (corpus, tail):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run("pretext-check", "--data", path, "--d-latent", 8, "--steps", 5, "--max-traj", 4)
+            assert code == EXIT_OK and caught == []
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
     def test_empty_corpus_is_data_error(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

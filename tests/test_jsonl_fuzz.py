@@ -5,17 +5,18 @@ set of columns; whatever sits on either side of a chunk edge, it yields and
 skips exactly what the per-line path (``trajectory_from_record`` on each line)
 does, with the same column bits and the same warnings in the same order.
 Every property holds twice: with the compiled chunk parser, where this host
-builds it, and without it (``data._parsing``), when the reader reads every
-line by the per-line path itself."""
+builds it, and without it (``_kernel.load_parser`` patched to give None at
+the reader's opening), when the reader reads every line by the per-line
+path itself."""
 
 import ctypes
 import itertools
 import json
 import re
-import subprocess
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,11 +89,20 @@ def test_reader_yields_valid_trajectories_or_skips(values):
         _reads_valid_trajectories_or_skips(values, compiled)
 
 
+def _open(path: Path, compiled: bool = True) -> data.JsonlTrajectoryReader:
+    # a reader of ``path`` with the compiled parser where this host has one
+    # (compiled), else one that reads every line by the per-line path
+    if compiled:
+        return data.stream_jsonl(path)
+    with mock.patch.object(_kernel, "load_parser", return_value=None):
+        return data.stream_jsonl(path)
+
+
 def _reads_valid_trajectories_or_skips(values, compiled):
-    with tempfile.TemporaryDirectory() as tmp, data._parsing(compiled):
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.jsonl"
         path.write_text("".join(json.dumps(v) + "\n" for v in values), encoding="utf-8")
-        reader = data.stream_jsonl(path)
+        reader = _open(path, compiled)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             trajs = list(reader)
@@ -161,8 +171,7 @@ def _per_line(path: Path):
 
 
 def _read(path: Path, compiled: bool = True):
-    with data._parsing(compiled):
-        reader = data.stream_jsonl(path)
+    reader = _open(path, compiled)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         trajs = list(reader)
@@ -321,8 +330,7 @@ def test_each_line_is_parsed_once(tmp_path, monkeypatch, compiled):
     lines[CHUNK + 1] = json.dumps(str_coordinate)
     lines[CHUNK + 2] = json.dumps({"id": "short", "points": [[1, 2, 3]]})
     path = _write(tmp_path, lines)
-    with data._parsing(compiled):
-        reader = data.stream_jsonl(path)  # the parser's load check parses too
+    reader = _open(path, compiled)  # the parser's load check parses too
     calls = []
     loads = json.loads
     monkeypatch.setattr(json, "loads", lambda s, *a, **k: calls.append(s) or loads(s, *a, **k))
@@ -331,7 +339,7 @@ def test_each_line_is_parsed_once(tmp_path, monkeypatch, compiled):
         ids = [t.id for t in reader]
     assert "g90" not in ids and "g91" not in ids
     parsed = range(len(lines))
-    if compiled and data._parser() is not None:
+    if compiled and _kernel.load_parser() is not None:
         # the lines the compiled parser declines, and the one whose record
         # the check rejects, read again for its message
         parsed = (2, 5, CHUNK + 1, CHUNK + 2)
@@ -380,22 +388,24 @@ def _takes_declined_lines(taken, columns):
     ],
     ids=["check_fails", "no_library", "one_ulp_up", "signed_zeros", "takes_declined_lines"],
 )
-def test_a_parser_that_fails_its_load_check_is_not_used(tmp_path, monkeypatch, break_step):
-    monkeypatch.setattr(data, "_parse", None)  # choose again at the next reader
-    break_step(monkeypatch)
+def test_a_parser_that_fails_its_load_check_is_not_used(
+    tmp_path, monkeypatch, forget_kernel, break_step
+):
+    break_step(monkeypatch)  # the choice is made again at the next reader
     path = _write(tmp_path, RAW_LINES + [json.dumps(_good(n)) for n in range(CHUNK)])
-    assert data.stream_jsonl(path)._parse is None and data._parser() is None
+    assert data.stream_jsonl(path)._parse is None and _kernel.load_parser() is None
     assert_reads_like_per_line(path)
 
 
 def _parse_in(buf: np.ndarray, size: int):
     # the C pass itself on the first ``size`` bytes of ``buf``, as one line
-    fn = _kernel._library()["tinytraj_parse_chunk"]  # a function object of its own
-    ptr, ssize = ctypes.c_void_p, ctypes.c_ssize_t
-    fn.argtypes, fn.restype = [ptr, ssize, ssize, ptr, ptr, ptr, ptr, ssize], ssize
+    fn = _kernel._library().tinytraj_parse_chunk
     meta = np.zeros((1, 3), np.intp)
     cols = np.empty(size // 8), np.empty(size // 8), np.empty(size // 8, np.int64)
-    n = fn(buf.ctypes.data, size, 1, meta.ctypes.data, *(c.ctypes.data for c in cols), size // 8)
+    n = fn(
+        buf.ctypes.data_as(ctypes.c_char_p), size, 1, meta.ctypes.data,
+        *(c.ctypes.data for c in cols), size // 8,
+    )
     return meta.tolist(), [c[:n].tobytes() for c in cols]
 
 
@@ -405,15 +415,87 @@ def test_the_compiled_parser_reads_no_byte_past_its_buffer():
     # the pass gives what it gives on the same bytes with digits after them,
     # and under AddressSanitizer a read past the end is reported.  The C pass
     # itself, whether or not it passed its load check
-    try:
-        _kernel._library()
-    except (OSError, RuntimeError, subprocess.SubprocessError):
+    if _kernel._library() is None:
         pytest.skip("no compiled kernel on this host")
     for _, line in _kernel.PARSE_CASES:
         for end in range(1, len(line) + 1):
             exact = np.frombuffer(line[:end], np.uint8).copy()
             room = np.frombuffer(line[:end] + b"0123456789", np.uint8).copy()
             assert _parse_in(exact, end) == _parse_in(room, end), line[:end]
+
+
+def _file_line(raw: bytes, newline: bool) -> bytes:
+    # a line as the file iterator gives it: never empty, and a newline only
+    # at its end, where the last line of a file may have none
+    return raw.replace(b"\n", b"") + b"\n" * newline or b"\n"
+
+
+plain_lines = st.builds(
+    lambda traj_id, points, separators: json.dumps(
+        {"id": traj_id, "points": points}, separators=separators
+    ).encode(),
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=4),
+    valid_points,
+    st.sampled_from([(", ", ": "), (",", ":")]),
+)
+# bytes the grammar gives a meaning to, and any byte
+one_byte = st.sampled_from(b'0123456789-+.eE",:[]{} \t\r\\\x00\x7f\x80\xff').map(
+    lambda b: bytes([b])
+) | st.binary(min_size=1, max_size=1)
+
+
+@st.composite
+def plain_line_mutants(draw):
+    # a plain line cut short, or with one byte inserted, deleted or replaced
+    line = draw(plain_lines)
+    i = draw(st.integers(0, len(line)))
+    how = draw(st.sampled_from(["cut", "insert", "delete", "replace"]))
+    if how == "cut":
+        return line[:i]
+    if how == "insert":
+        return line[:i] + draw(one_byte) + line[i:]
+    return line[:i] + (draw(one_byte) if how == "replace" else b"") + line[i + 1:]
+
+
+fuzz_lines = st.builds(
+    _file_line, st.binary(min_size=1, max_size=64) | plain_line_mutants() | plain_lines, st.booleans()
+)
+
+
+def assert_declined_or_read_as_json(lines, taken, columns):
+    # every line the pass took has json.loads's id, point count and column
+    # bits, by parser_agrees's rule; the columns hold their points end to end
+    at = 0
+    for line, rec in zip(lines, taken):
+        if rec is None:
+            continue
+        value = json.loads(line)
+        points = value["points"]
+        assert rec == (value["id"], len(points)) and {len(p) for p in points} == {3}, line
+        for i, got in enumerate(columns):
+            want = np.array([p[i] for p in points], np.float64 if i < 2 else np.int64)
+            assert got.dtype == want.dtype and got[at : at + len(points)].tobytes() == want.tobytes(), line
+        at += len(points)
+    assert all(len(c) == at for c in columns)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(fuzz_lines, min_size=1, max_size=6))
+@example([line for _, line in _kernel.PARSE_CASES])
+def test_the_compiled_parser_declines_any_bytes_or_reads_them_as_json_does(lines):
+    # each line alone in a buffer of its exact size, where AddressSanitizer
+    # reports a read past it, then the lines as one chunk; the C pass itself,
+    # whether or not it passed its load check
+    lib = _kernel._library()
+    if lib is None:
+        pytest.skip("no compiled kernel on this host")
+    for line in lines:
+        [(count, start, stop)], cols = _parse_in(np.frombuffer(line, np.uint8).copy(), len(line))
+        columns = [np.frombuffer(c, t) for c, t in zip(cols, (np.float64, np.float64, np.int64))]
+        rec = (line[start:stop].decode("ascii"), count) if count else None
+        assert_declined_or_read_as_json([line], [rec], columns)
+    chunk = [line if line.endswith(b"\n") else line + b"\n" for line in lines[:-1]] + lines[-1:]
+    assert_declined_or_read_as_json(chunk, *_kernel.chunk_parser(lib)(chunk))
 
 
 BOM = "\ufeff"

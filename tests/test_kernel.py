@@ -19,6 +19,7 @@ import ctypes
 import functools
 import math
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -267,7 +268,7 @@ def _one_row_op_disagrees(mp):
     ids=["compile_fails", "no_compiler", "self_check_fails", "one_row_op_disagrees"],
 )
 def test_without_a_usable_kernel_bmm_falls_back_to_numpy_with_the_same_bits(
-    monkeypatch, break_step
+    monkeypatch, forget_kernel, break_step
 ):
     before = _pass_bits()  # on whichever kernel this host runs
     called = set()
@@ -282,6 +283,7 @@ def test_without_a_usable_kernel_bmm_falls_back_to_numpy_with_the_same_bits(
     numpy_ops = ad.Ops(*(spy(name, fn) for name, fn in zip(ad.Ops._fields, ad._NUMPY)))
     monkeypatch.setattr(ad, "_NUMPY", numpy_ops)
     monkeypatch.setattr(ad, "_ops", None)  # choose again on the next call
+    forget_kernel()
     break_step(monkeypatch)
     after = _pass_bits()
     assert ad.KERNEL == "numpy" and ad._ops is numpy_ops
@@ -289,9 +291,10 @@ def test_without_a_usable_kernel_bmm_falls_back_to_numpy_with_the_same_bits(
     np.testing.assert_array_equal(after, before)
 
 
-def test_kernel_is_reported_and_cached(tmp_path, monkeypatch):
+def test_kernel_is_reported_and_cached(tmp_path, monkeypatch, forget_kernel):
     native_kernel()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    forget_kernel()  # load again, from the new cache
     monkeypatch.setattr(ad, "_ops", None)
     assert ad.KERNEL == "native"
     (lib,) = (tmp_path / "tinytraj").iterdir()  # no temp file left behind
@@ -302,7 +305,7 @@ def test_kernel_is_reported_and_cached(tmp_path, monkeypatch):
         ad.NO_SUCH_NAME  # noqa: B018
 
 
-def test_the_compiler_is_asked_its_version_once_per_command(monkeypatch):
+def test_the_compiler_is_asked_its_version_once_per_command(monkeypatch, forget_kernel):
     native_kernel()
     asked = []
     run = subprocess.run
@@ -314,14 +317,60 @@ def test_the_compiler_is_asked_its_version_once_per_command(monkeypatch):
 
     monkeypatch.setattr(subprocess, "run", spy)
     _kernel._about.cache_clear()
-    _kernel._library()
-    _kernel._library()
+    for _ in range(2):  # two loads, each building or finding the library
+        forget_kernel()
+        assert _kernel._library() is not None
     cc = tuple(shlex.split(sysconfig.get_config_var("CC") or "cc"))
     assert asked == [cc]
     monkeypatch.setattr(sysconfig, "get_config_var", lambda name: "/nonexistent/cc")
-    with pytest.raises(OSError):
-        _kernel._library()
+    forget_kernel()
+    assert _kernel._library() is None
     assert asked == [cc, ("/nonexistent/cc",)]
+
+
+def _c_type(decl: str):
+    # a C parameter or result type as the table gives it to ctypes: a char
+    # pointer as c_char_p, any other pointer as c_void_p
+    decl = decl.replace("const", "").replace("restrict", "").strip()
+    if "*" in decl:
+        return ctypes.c_char_p if decl.startswith("char") else ctypes.c_void_p
+    scalars = {"void": None, "int": ctypes.c_int, "double": ctypes.c_double, "ptrdiff_t": ctypes.c_ssize_t}
+    return scalars[decl]
+
+
+def test_the_signature_table_declares_what_the_c_source_defines():
+    # every function with external linkage: a definition at column 0, not
+    # static; BMM_ARGS stands for the contraction's parameter list
+    source = _kernel.SOURCE.read_text()
+    bmm_args = re.search(r"^#define BMM_ARGS((?:.*\\\n)*.*)", source, re.M).group(1)
+    defined = {}
+    for result, name, params in re.findall(
+        r"^(?!static\b)(\w[\w *]*?)\b(tinytraj_\w+)\(([^)]*)\)\s*\{", source, re.M
+    ):
+        params = (bmm_args if params == "BMM_ARGS" else params).replace("\\", "")
+        # each parameter's type: its declaration without the name
+        args = [] if params.strip() == "void" else [re.sub(r"\w+$", "", p.strip()) for p in params.split(",")]
+        defined[name] = (tuple(map(_c_type, args)), _c_type(result))
+    assert _kernel._SIGNATURES == defined
+
+
+def test_the_library_is_loaded_once_per_process(monkeypatch, forget_kernel):
+    native_ops()
+    forget_kernel()
+    loaded = []
+
+    class Spy(ctypes.CDLL):
+        def __init__(self, name, *args, **kwargs):
+            loaded.append(name)
+            super().__init__(name, *args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", Spy)
+    assert _kernel.load() is not None and _kernel.load_parser() is not None
+    _kernel._allocator()
+    assert _kernel.bodies() and _kernel.parts() in (1, 2)
+    with _kernel._parts(1):
+        pass
+    assert len(loaded) == 1
 
 
 # ---------------------------------------------------------------------------
